@@ -17,11 +17,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import RationalFunction, TruncSeries, rat_to_str
 from .freealg import NCPoly, gen_ijr
 from .liealg import (
     InvalidAlgebra,
     build_lie,
+    theta_value,
     vector_rep,
     verify_classical_presentation,
     verify_current_presentation,
@@ -242,6 +245,35 @@ def _with_retry(cfg, ctx, run):
     return retried
 
 
+def _first_order_image(lie, a, b):
+    """gl_N matrix through which t_ab^(1) acts on the t^(s) by commutator
+    at leading order: E_ab (sl) or E_ab − θ_ab E_{−b,−a} (so/sp), with
+    a, b the 1-based positions of the generator indices."""
+    m = np.zeros((lie.N, lie.N), dtype=int)
+    m[a - 1, b - 1] += 1
+    if lie.family != "sl":
+        i, j = lie.indices[a - 1], lie.indices[b - 1]
+        m[lie.pos(-j), lie.pos(-i)] -= theta_value(lie.family, i, j)
+    return m
+
+
+def _noncommuting_probe(lie, i, j):
+    """Indices of a probe t_ab^(1) whose commutator with t_ij^(2) is
+    nonzero at leading order: t_{1,2}^(1) if it qualifies, else the first
+    qualifying (a, b) in row-major order.  Falls back to t_{1,2}^(1) when
+    t_ij^(2) commutes with every first-order generator at leading order
+    (so_N has such t_ij^(2), e.g. t_13^(2) in so_3)."""
+    x = _first_order_image(lie, i, j)
+    default = (1, 1 % lie.N + 1)
+    candidates = [default] + [(a, b) for a in range(1, lie.N + 1)
+                              for b in range(1, lie.N + 1)]
+    for a, b in candidates:
+        y = _first_order_image(lie, a, b)
+        if (x @ y != y @ x).any():
+            return a, b
+    return default
+
+
 def _center_checks(cfg, cl):
     pres = cl.pres
     cs = z_series(pres, cl)
@@ -257,26 +289,31 @@ def _center_checks(cfg, cl):
                     "y1": cs.y[1].to_json() if len(cs.y) > 1 else None}})
     if pres.K >= 3:
         checks.append(central_monomial_certificate(pres, cs))
+    checks.append(_centrality_negative_control(cfg, cl, cs))
+    return checks
+
+
+def _centrality_negative_control(cfg, cl, cs):
+    """z_2 plus a seeded t_ij^(2) must fail to commute with a probe."""
+    pres = cl.pres
     rng = random.Random(cfg.seed)
     i = rng.randint(1, cfg.N)
     j = rng.randint(1, cfg.N)
     bad = cs.z[2] + NCPoly.gen(i, j, 2)
-    t = NCPoly.gen(1, 1 % cfg.N + 1, 1)
+    t = NCPoly.gen(*_noncommuting_probe(pres.lie, i, j), 1)
     com = bad * t - t * bad
     if com.max_len() <= cl.L and com.max_sum_r() <= cl.R_ord:
         central = is_in_ideal(cl, com)
-        checks.append({
+        return {
             "check": "centrality_negative_control", "family": cfg.family,
             "N": cfg.N, "K": pres.K,
             "status": "fail" if central else "pass",
             "details": {"perturbation_generator": [i, j, 2],
-                        "perturbed_element_central": central}})
-    else:
-        checks.append({
-            "check": "centrality_negative_control", "family": cfg.family,
-            "N": cfg.N, "K": pres.K, "status": "pass",
-            "details": {"skipped_out_of_bounds": True}})
-    return checks
+                        "perturbed_element_central": central}}
+    return {
+        "check": "centrality_negative_control", "family": cfg.family,
+        "N": cfg.N, "K": pres.K, "status": "pass",
+        "details": {"skipped_out_of_bounds": True}}
 
 
 def _suite_center(cfg, ctx):

@@ -88,43 +88,27 @@ def invert(mat):
     return [row[n:] for row in basis[:n]]
 
 
-def in_span(basis_rows, pivots, row, ncols=None):
-    """Reduce row (dict or list) against an RREF basis; return residual dict."""
-    if isinstance(row, dict):
-        r = {j: c for j, c in row.items() if c}
-    else:
-        r = {j: c for j, c in enumerate(row) if c}
-    for b, p in zip(basis_rows, pivots):
-        c = r.get(p)
-        if c:
-            if isinstance(b, dict):
-                for j, bj in b.items():
-                    nv = r.get(j, ZERO) - c * bj
-                    if nv:
-                        r[j] = nv
-                    else:
-                        r.pop(j, None)
-            else:
-                for j, bj in enumerate(b):
-                    if bj:
-                        nv = r.get(j, ZERO) - c * bj
-                        if nv:
-                            r[j] = nv
-                        else:
-                            r.pop(j, None)
-    return r
-
-
 class SparseReducer:
     """Incremental exact row reduction of sparse rows.
 
     Maintains a reduced basis keyed by pivot column.  Column preference is
     the natural integer order of the interned column ids (callers intern
     monomials so that smaller id = preferred pivot).
+
+    A column index maps each non-pivot column to the pivots whose basis
+    rows hold it.  An insert therefore costs one :meth:`reduce` plus one
+    pass over the new row for each basis row that holds the new pivot
+    column (plus one lookup per stale entry), not a scan of every basis
+    row.  The index is append-only: an entry goes stale when its
+    row loses the column through cancellation (and a row that regains a
+    column is listed twice); stale entries are skipped when read.  A
+    column's list is dropped once the column becomes a pivot, since no
+    basis row can hold it again.
     """
 
     def __init__(self):
         self.basis = {}  # pivot col -> row dict (pivot coefficient 1)
+        self._holders = {}  # non-pivot col -> pivots of rows holding it
 
     def reduce(self, row):
         """Fully reduce a row dict against the basis; returns residual.
@@ -145,46 +129,47 @@ class SparseReducer:
                     r.pop(j, None)
         return r
 
-    def add(self, row):
-        """Insert a row; returns True if it enlarged the span."""
-        r = self.reduce(row)
-        if not r:
-            return False
-        piv = min(r)
-        inv = ONE / r[piv]
-        r = {j: c * inv for j, c in r.items()}
-        # back-substitute into existing rows to keep the basis reduced
-        for p, b in self.basis.items():
-            c = b.get(piv)
-            if c:
-                for j, rj in r.items():
-                    nv = b.get(j, ZERO) - c * rj
-                    if nv:
-                        b[j] = nv
-                    else:
-                        b.pop(j, None)
-        self.basis[piv] = r
-        return True
-
-    def add_return_pivot(self, row):
-        """Insert a row; returns the new pivot column, or None."""
+    def _insert(self, row):
+        """Reduce, normalize and insert a row; returns its pivot or None."""
         r = self.reduce(row)
         if not r:
             return None
         piv = min(r)
         inv = ONE / r[piv]
         r = {j: c * inv for j, c in r.items()}
-        for p, b in self.basis.items():
+        basis = self.basis
+        holders = self._holders
+        for j in r:
+            if j != piv:
+                holders.setdefault(j, []).append(piv)
+        # back-substitute into the rows holding piv to keep the basis reduced
+        for p in holders.pop(piv, ()):
+            b = basis[p]
             c = b.get(piv)
-            if c:
-                for j, rj in r.items():
-                    nv = b.get(j, ZERO) - c * rj
+            if not c:
+                continue
+            m = -c
+            for j, rj in r.items():
+                bj = b.get(j)
+                if bj is None:
+                    b[j] = m * rj
+                    holders[j].append(p)
+                else:
+                    nv = bj + m * rj
                     if nv:
                         b[j] = nv
                     else:
-                        b.pop(j, None)
-        self.basis[piv] = r
+                        del b[j]
+        basis[piv] = r
         return piv
+
+    def add(self, row):
+        """Insert a row; returns True if it enlarged the span."""
+        return self._insert(row) is not None
+
+    def add_return_pivot(self, row):
+        """Insert a row; returns the new pivot column, or None."""
+        return self._insert(row)
 
     @property
     def rank(self):

@@ -221,38 +221,39 @@ def _count_words(N, L, R_ord):
 
 def _universe(N, L, R_ord):
     """All bounded words, sorted so that the preferred pivot (smallest id)
-    has the highest filtration grade (sum_r - len, then sum_r, then lex)."""
-    letters = [gen_id(i, j, r)
+    has the highest filtration grade (sum_r - len, then sum_r, then lex).
+
+    Returns (words, sum_r of each word, letters as (id, r) pairs)."""
+    letters = [(gen_id(i, j, r), r)
                for r in range(1, R_ord + 1)
                for i in range(1, N + 1)
                for j in range(1, N + 1)]
-    words = []
+    keyed = []
     prefix = []
 
     def rec(sumr):
-        words.append(tuple(prefix))
+        keyed.append((len(prefix) - sumr, -sumr, tuple(prefix)))
         if len(prefix) == L:
             return
-        for g in letters:
-            r = gen_ijr(g)[2]
+        for g, r in letters:
             if sumr + r <= R_ord:
                 prefix.append(g)
                 rec(sumr + r)
                 prefix.pop()
 
     rec(0)
-    words.sort(key=lambda w: (-(word_sum_r(w) - len(w)), -word_sum_r(w), w))
-    return words, letters
+    keyed.sort()
+    return [w for _, _, w in keyed], [-s for _, s, _ in keyed], letters
 
 
 class RelationClosure:
     """Row-reduced basis of (two-sided relation ideal) ∩ (bounded slice)."""
 
     __slots__ = ("pres", "L", "R_ord", "quotient_mode", "reducer",
-                 "id2word", "word2id")
+                 "id2word", "word2id", "col_sum_r")
 
     def __init__(self, pres, L, R_ord, quotient_mode, reducer, id2word,
-                 word2id):
+                 word2id, col_sum_r):
         self.pres = pres
         self.L = L
         self.R_ord = R_ord
@@ -260,6 +261,7 @@ class RelationClosure:
         self.reducer = reducer
         self.id2word = id2word
         self.word2id = word2id
+        self.col_sum_r = col_sum_r  # total series order of each column word
 
     @property
     def bounds(self):
@@ -293,7 +295,7 @@ def closure(pres, L, R_ord, quotient_mode=False):
     est = _count_words(N, L, R_ord)
     if est > _MAX_UNIVERSE:
         raise BoundsTooLarge("bounded slice would hold %d words" % est)
-    id2word, letters = _universe(N, L, R_ord)
+    id2word, col_sum_r, letters = _universe(N, L, R_ord)
     word2id = {w: k for k, w in enumerate(id2word)}
 
     seeds = [p for p in pres.relations
@@ -324,11 +326,11 @@ def closure(pres, L, R_ord, quotient_mode=False):
             continue
         items = list(base.items())
         maxlen = max(len(id2word[i]) for i in base)
-        maxsr = max(word_sum_r(id2word[i]) for i in base)
+        maxsr = max(col_sum_r[i] for i in base)
         if maxlen + 1 > L:
             continue
-        for g in letters:
-            if gen_ijr(g)[2] + maxsr > R_ord:
+        for g, r in letters:
+            if r + maxsr > R_ord:
                 continue
             for side in (0, 1):
                 prod = {}
@@ -346,7 +348,7 @@ def closure(pres, L, R_ord, quotient_mode=False):
                     if npiv is not None:
                         queue.append(npiv)
     return RelationClosure(pres, L, R_ord, quotient_mode, red, id2word,
-                           word2id)
+                           word2id, col_sum_r)
 
 
 def closure_for_query(pres, L, R_ord, quotient=False):
@@ -355,16 +357,18 @@ def closure_for_query(pres, L, R_ord, quotient=False):
 
     The denominator-clearing degree d pushes relation content up by d in
     total series order, and cross-cancellations between letter-multiples
-    of relations need one extra length slot when d > 1; quotient-mode
-    generators carry one extra order and length themselves.  Query results
-    through :func:`slice_dimension` are monotone in the internal bounds
-    and stabilize at these choices (checked against independent counts)."""
+    of relations need one extra length slot when d > 1; the relations
+    themselves have length 2, so the length is enlarged from at least 2;
+    quotient-mode generators carry one extra order and length themselves.
+    Query results through :func:`slice_dimension` are monotone in the
+    internal bounds and stabilize at these choices (checked against
+    independent counts)."""
     d = pres.clear_degree
     if quotient:
         m = max(L, R_ord) + 1
         Li, Ri = m, m
     else:
-        Li, Ri = L + d - 1, R_ord + d
+        Li, Ri = max(L, 2) + d - 1, R_ord + d
     return closure(pres, Li, Ri, quotient_mode=quotient)
 
 
@@ -398,21 +402,20 @@ def slice_dimension(cl, length, sum_r):
     if length > cl.L or sum_r > cl.R_ord:
         raise OutOfBounds("queried slice exceeds closure bounds")
 
-    def inside(i):
-        w = cl.id2word[i]
-        return len(w) <= length and word_sum_r(w) <= sum_r
+    id2word, col_sum_r = cl.id2word, cl.col_sum_r
 
-    nwords = sum(1 for w in cl.id2word
-                 if len(w) <= length and word_sum_r(w) <= sum_r)
+    def inside(i):
+        return len(id2word[i]) <= length and col_sum_r[i] <= sum_r
+
+    nwords = sum(1 for i in range(len(id2word)) if inside(i))
     outside_red = linalg.SparseReducer()
     outside_rank = 0
     for piv, row in cl.reducer.basis.items():
-        wp = cl.id2word[piv]
-        top_grade = word_sum_r(wp) - len(wp)
+        top_grade = col_sum_r[piv] - len(id2word[piv])
         restricted = {}
         for i, c in row.items():
-            w = cl.id2word[i]
-            if word_sum_r(w) - len(w) == top_grade and not inside(i):
+            if (col_sum_r[i] - len(id2word[i]) == top_grade
+                    and not inside(i)):
                 restricted[i] = c
         if restricted and outside_red.add(restricted):
             outside_rank += 1

@@ -165,7 +165,7 @@ PBW_CASES = [("sl", 2, L, R, q)
              for (L, R) in [(2, 2), (2, 3), (3, 3), (3, 4)]
              for q in (False, True)] + \
             [("so", 3, L, R, q)
-             for (L, R) in [(2, 2), (2, 3)]
+             for (L, R) in [(1, 2), (1, 3), (2, 2), (2, 3)]
              for q in (False, True)]
 
 _pbw_clock = []

@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+import yangkit.cli as climod
+from yangkit import build_lie, closure, rtt_relations, z_series
 from yangkit.cli import main
 
 
@@ -95,7 +97,6 @@ class TestVerify:
 
     def test_exit_reflects_conjunction(self, tmp_path, monkeypatch):
         # force one suite to fail and check the nonzero exit code
-        import yangkit.cli as climod
         real = climod._SUITE_FNS["rtt"]
 
         def failing(cfg, ctx):
@@ -151,3 +152,25 @@ class TestOtherCommands:
         assert merged["schema"] == 1
         assert merged["status"] == "pass"
         assert len(merged["reports"]) == 2
+
+
+class TestCentralityNegativeControl:
+    def test_control_fails_to_commute_for_every_seed(self):
+        # seeds 4, 6, 8 and 10 draw t_12^(2), which commutes with t_12^(1)
+        pres = rtt_relations("sl", 2, 4)
+        cl = closure(pres, 3, 4)
+        cs = z_series(pres, cl)
+        drawn = set()
+        for seed in range(11):
+            cfg = climod.RunConfig("sl", 2, 4, 3, 4, ("center",), seed, None)
+            check = climod._centrality_negative_control(cfg, cl, cs)
+            assert check["status"] == "pass", seed
+            assert check["details"]["perturbed_element_central"] is False
+            drawn.add(tuple(check["details"]["perturbation_generator"]))
+        assert (1, 2, 2) in drawn
+
+    def test_seed_zero_keeps_its_probe(self):
+        lie = build_lie("sl", 2)
+        assert climod._noncommuting_probe(lie, 2, 2) == (1, 2)
+        # [t_11^(1), t_12^(2)] = t_12^(2)
+        assert climod._noncommuting_probe(lie, 1, 2) == (1, 1)
