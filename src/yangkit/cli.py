@@ -262,7 +262,8 @@ def _noncommuting_probe(lie, i, j):
     nonzero at leading order: t_{1,2}^(1) if it qualifies, else the first
     qualifying (a, b) in row-major order.  Falls back to t_{1,2}^(1) when
     t_ij^(2) commutes with every first-order generator at leading order
-    (so_N has such t_ij^(2), e.g. t_13^(2) in so_3)."""
+    (so_N has such t_ij^(2), e.g. t_13^(2) in so_3, which the centrality
+    negative control never draws)."""
     x = _first_order_image(lie, i, j)
     default = (1, 1 % lie.N + 1)
     candidates = [default] + [(a, b) for a in range(1, lie.N + 1)
@@ -272,6 +273,18 @@ def _noncommuting_probe(lie, i, j):
         if (x @ y != y @ x).any():
             return a, b
     return default
+
+
+def _perturbation_indices(lie, rng):
+    """Seeded (i, j) whose t_ij^(2) has a nonzero leading-order image.
+    so_N has t_ij with E_ij - θ_ij E_{-j,-i} = 0 (t_13 in so_3), which
+    commute with every first-order probe; those are drawn again.  Every
+    sl_N draw qualifies, so sl keeps its first draw."""
+    while True:
+        i = rng.randint(1, lie.N)
+        j = rng.randint(1, lie.N)
+        if _first_order_image(lie, i, j).any():
+            return i, j
 
 
 def _center_checks(cfg, cl):
@@ -296,9 +309,7 @@ def _center_checks(cfg, cl):
 def _centrality_negative_control(cfg, cl, cs):
     """z_2 plus a seeded t_ij^(2) must fail to commute with a probe."""
     pres = cl.pres
-    rng = random.Random(cfg.seed)
-    i = rng.randint(1, cfg.N)
-    j = rng.randint(1, cfg.N)
+    i, j = _perturbation_indices(pres.lie, random.Random(cfg.seed))
     bad = cs.z[2] + NCPoly.gen(i, j, 2)
     t = NCPoly.gen(*_noncommuting_probe(pres.lie, i, j), 1)
     com = bad * t - t * bad

@@ -498,20 +498,3 @@ def mf_table(N, K, f):
                 table[gen_id(i, j, r)] = img
     return table
 
-
-def apply_mf(A, f):
-    """The m_f substitution applied entrywise to a generator matrix."""
-    K = A.order
-    table = mf_table(A.N, max_order_in(A), f)
-    return A.map_coeffs(lambda p: substitute_poly(p, table))
-
-
-def max_order_in(A):
-    m = 1
-    for c in A.coeffs:
-        for p in c.flat:
-            if isinstance(p, NCPoly):
-                for w in p.terms:
-                    for g in w:
-                        m = max(m, gen_ijr(g)[2])
-    return m

@@ -75,21 +75,54 @@ def _lcm(a, b):
     return a * b // gcd(a, b)
 
 
-def frac_to_int_array(mats):
-    """Stack Fraction matrices into (int64 array, Fraction scale)."""
+def frac_to_int_array(mats, wide=False):
+    """Stack Fraction matrices into (int64 array, Fraction scale).
+
+    An entry beyond the int64 fast path raises OverflowGuard, or with
+    ``wide`` makes the whole array exact Python ints (dtype object).
+    """
     arr = np.asarray(mats, dtype=object)
     den = 1
     for x in arr.flat:
         den = _lcm(den, Fraction(x).denominator)
-    out = np.empty(arr.shape, dtype=np.int64)
-    it = np.nditer(out, flags=["multi_index"])
-    for _ in it:
-        v = Fraction(arr[it.multi_index]) * den
-        assert v.denominator == 1
-        if abs(v.numerator) >= _INT_LIMIT:
-            raise OverflowGuard("entry too large for int64 fast path")
-        out[it.multi_index] = v.numerator
-    return out, Fraction(1, den)
+    nums = [(Fraction(x) * den).numerator for x in arr.flat]
+    big = any(abs(v) >= _INT_LIMIT for v in nums)
+    if big and not wide:
+        raise OverflowGuard("entry too large for int64 fast path")
+    out = np.array(nums, dtype=object if big else np.int64)
+    return out.reshape(arr.shape), Fraction(1, den)
+
+
+def _max_abs(a):
+    return int(np.abs(a).max(initial=0))
+
+
+def safe_matmul(a, b):
+    """Exact product of integer matrices: int64 while the checked_einsum
+    guard proves that the result fits, Python ints (dtype object)
+    otherwise.  Never wraps."""
+    if a.dtype != object and b.dtype != object:
+        if a.shape[1] * _max_abs(a) * _max_abs(b) < _INT_LIMIT:
+            return a @ b
+        try:
+            return checked_einsum("ij,jk->ik", a, b)
+        except OverflowGuard:
+            pass
+    return a.astype(object) @ b.astype(object)
+
+
+def safe_axpy(acc, c, m):
+    """Exact acc + c * m for integer matrices and an int c (acc None reads
+    as zero): int64 while the magnitudes provably fit, Python ints
+    (dtype object) otherwise.  Never wraps."""
+    if (m.dtype != object and abs(c) < _INT_LIMIT
+            and (acc is None or acc.dtype != object)):
+        bound = abs(c) * _max_abs(m) + (0 if acc is None else _max_abs(acc))
+        if bound < _INT_LIMIT:
+            t = m if c == 1 else m * c
+            return t if acc is None else acc + t
+    t = m.astype(object) * c
+    return t if acc is None else acc.astype(object) + t
 
 
 def scaled_equal(a, sa, b, sb):
@@ -100,16 +133,10 @@ def scaled_equal(a, sa, b, sb):
     return bool((lhs == rhs).all())
 
 
-def scaled_is_zero(a):
-    return not a.any()
-
-
 def int_to_frac_array(a, scale):
-    out = np.empty(a.shape, dtype=object)
-    it = np.nditer(a, flags=["multi_index"])
-    for x in it:
-        out[it.multi_index] = Fraction(int(x)) * scale
-    return out
+    """Fraction array scale * a of an integer array (int64 or object)."""
+    return np.array([Fraction(int(x)) * scale for x in a.flat],
+                    dtype=object).reshape(a.shape)
 
 
 def frac_matmul(a, b):
@@ -188,17 +215,6 @@ class LieAlgebraData:
                 if X[i, j] and Y[j, i]:
                     acc += X[i, j] * Y[j, i]
         return acc * self.form_scale
-
-    def coords(self, M):
-        """Coordinates of M in the basis (M must lie in the span)."""
-        c = [self.form(M, D) for D in self.dual_basis]
-        recon = np.full((self.N, self.N), ZERO, dtype=object)
-        for cl, X in zip(c, self.basis):
-            if cl:
-                recon = recon + cl * X
-        if not (recon == M).all():
-            raise ValueError("matrix not in the algebra span")
-        return c
 
     def pos(self, i):
         return self.indices.index(i)
@@ -312,11 +328,6 @@ class Representation:
 
     def int_j(self):
         return frac_to_int_array(list(self.rho_J))
-
-    def j_is_zero(self):
-        return all(not M.any() for M in
-                   (np.array([[bool(x) for x in row] for row in m])
-                    for m in self.rho_J))
 
 
 def vector_rep(data):

@@ -16,8 +16,8 @@ from .exact import (ONE, ZERO, PoleError, RationalFunction, TruncSeries,
                     certify_bivariate_identity, poly_divmod, poly_eval,
                     poly_gcd, poly_mul, poly_trim, rat_to_str)
 from . import linalg
-from .liealg import (OverflowGuard, build_lie, casimir, checked_einsum,
-                     frac_kron, frac_matmul, permutation_matrix, q_matrix,
+from .liealg import (build_lie, casimir, checked_einsum, frac_kron,
+                     frac_matmul, permutation_matrix, q_matrix, safe_matmul,
                      _ad_operators_int, _min_poly, _rational_roots)
 
 
@@ -197,13 +197,6 @@ def _legs(m, N):
     return r12, r13, r23
 
 
-def _safe_matmul(a, b):
-    try:
-        return checked_einsum("ij,jk->ik", a, b)
-    except OverflowGuard:
-        return np.matmul(a.astype(object), b.astype(object))
-
-
 def check_qybe(R):
     """Certify R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v) exactly."""
     polys, deg = _cleared_int_polys(R)
@@ -216,8 +209,8 @@ def check_qybe(R):
         a13 = _legs(_eval_int_matrix(polys, nn, int(u)), N)[1]
         a23 = _legs(_eval_int_matrix(polys, nn, int(v)), N)[2]
         if left:
-            return _safe_matmul(_safe_matmul(a12, a13), a23)
-        return _safe_matmul(_safe_matmul(a23, a13), a12)
+            return safe_matmul(safe_matmul(a12, a13), a23)
+        return safe_matmul(safe_matmul(a23, a13), a12)
 
     # the cleared sides are polynomial in (u, v): every factor contributes
     # at most deg to each variable through u, v, or u - v

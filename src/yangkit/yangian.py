@@ -11,7 +11,7 @@ identities, automorphism fixed points, and low-order structure maps.
 from collections import deque
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -39,8 +39,12 @@ from .freealg import (
 from .liealg import (
     build_lie,
     casimir,
+    frac_to_int_array,
+    int_to_frac_array,
     permutation_matrix,
     q_matrix,
+    safe_axpy,
+    safe_matmul,
     vector_rep,
 )
 from .rmatrix import sosp_r, yang_r
@@ -190,8 +194,7 @@ def rtt_relations(family, N, K):
     # evaluation homomorphism T(u) -> R(u)
     ev = evaluation_module(pres, 1, [ZERO])
     for p in relations:
-        img = ev.eval(p)
-        if any(x for x in img.flat):
+        if ev.eval(p, scaled=True)[0].any():
             raise AssertionError("relation fails the evaluation zero filter")
     return pres
 
@@ -1209,10 +1212,15 @@ def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
 
 class EvalModule:
     """Exact homomorphism X -> End(V^{(x)k}): T(u) -> R_{01}(u - a_1) ...
-    R_{0k}(u - a_k) read in the auxiliary slot 0."""
+    R_{0k}(u - a_k) read in the auxiliary slot 0.
 
-    __slots__ = ("pres", "k", "shifts", "N", "Nk", "order", "coeffs",
-                 "poles", "_gen_cache")
+    The image of each generator t_ij^(r) is an integer matrix (int64, or
+    Python ints where int64 could overflow), and all of them share one
+    scale ``self.scale`` = 1/D: the image is ``self.scale`` times it.
+    """
+
+    __slots__ = ("pres", "k", "shifts", "N", "Nk", "order", "poles",
+                 "scale", "_images")
 
     def __init__(self, pres, k, shifts, order=None):
         if len(shifts) != k:
@@ -1222,7 +1230,7 @@ class EvalModule:
         self.shifts = [Fraction(s) for s in shifts]
         N = pres.N
         self.N = N
-        self.Nk = N ** k
+        Nk = self.Nk = N ** k
         self.order = (pres.K + 1 + pres.clear_degree
                       if order is None else order)
         kap = pres.lie.kappa
@@ -1230,105 +1238,107 @@ class EvalModule:
                              for s in ([a] if kap is None else [a, a + kap])})
         dim = N ** (k + 1)
         series = None
+        scale = ONE
         for m in range(1, k + 1):
-            factor = self._embedded_factor(m, dim)
+            factor, fscale = self._embedded_factor(m, dim)
+            scale *= fscale
             if series is None:
                 series = factor
-            else:
-                out = []
-                for r in range(self.order + 1):
-                    acc = np.full((dim, dim), ZERO, dtype=object)
-                    for a in range(r + 1):
-                        acc = acc + _obj_matmul(series[a], factor[r - a])
-                    out.append(acc)
-                series = out
-        self.coeffs = series
-        self._gen_cache = {}
+                continue
+            out = []
+            for r in range(self.order + 1):
+                acc = None
+                for a in range(r + 1):
+                    acc = safe_axpy(acc, 1,
+                                    safe_matmul(series[a], factor[r - a]))
+                out.append(acc)
+            series = out
+        self.scale = scale
+        self._images = {
+            gen_id(i, j, r): np.ascontiguousarray(
+                series[r][(i - 1) * Nk: i * Nk, (j - 1) * Nk: j * Nk])
+            for r in range(1, self.order + 1)
+            for i in range(1, N + 1) for j in range(1, N + 1)}
 
     def _embedded_factor(self, m, dim):
+        """Coefficients of R_{0m}(u - a_m) at u^-r, r <= order, on
+        V^{(x)(k+1)}: a list of integer matrices and their common scale."""
         N = self.N
         R = self.pres.R
         a_m = self.shifts[m - 1]
         nn = N * N
-        expanded = np.empty((nn, nn), dtype=object)
-        for a in range(nn):
-            for b in range(nn):
-                expanded[a, b] = (R.entries[a, b]
-                                  .compose_linear(ONE, -a_m)
-                                  .expand_at_infinity(self.order).coeffs)
-        out = []
+        expanded, scale = frac_to_int_array(
+            [[R.entries[a, b].compose_linear(ONE, -a_m)
+              .expand_at_infinity(self.order).coeffs for b in range(nn)]
+             for a in range(nn)], wide=True)
+        out = np.zeros((self.order + 1, dim, dim), dtype=expanded.dtype)
         k = self.k
         powers = [N ** (k - t) for t in range(k + 1)]  # digit place values
-        for r in range(self.order + 1):
-            M = np.full((dim, dim), ZERO, dtype=object)
-            for row in range(dim):
-                rd = [(row // powers[t]) % N for t in range(k + 1)]
-                base = expanded[rd[0] * N + rd[m]]
-                for a in range(N):
-                    for b in range(N):
-                        val = base[a * N + b][r]
-                        if val:
-                            col = row + (a - rd[0]) * powers[0] \
-                                + (b - rd[m]) * powers[m]
-                            M[row, col] = val
-            out.append(M)
-        return out
+        for row in range(dim):
+            rd = [(row // powers[t]) % N for t in range(k + 1)]
+            base = expanded[rd[0] * N + rd[m]]
+            for a in range(N):
+                for b in range(N):
+                    col = row + (a - rd[0]) * powers[0] \
+                        + (b - rd[m]) * powers[m]
+                    out[:, row, col] = base[a * N + b]
+        return list(out), scale
 
-    def gen_image(self, i, j, r):
-        """Image of t_{ij}^{(r)} (1-based i, j) as an N^k x N^k matrix."""
-        key = (i, j, r)
-        if key in self._gen_cache:
-            return self._gen_cache[key]
-        if r > self.order:
-            raise OutOfBounds("generator order exceeds the expansion order")
-        Nk = self.Nk
-        block = self.coeffs[r][(i - 1) * Nk: i * Nk, (j - 1) * Nk: j * Nk]
-        self._gen_cache[key] = block
-        return block
+    def eval(self, p, scaled=False):
+        """Image of an NCPoly under the homomorphism, as a Fraction matrix;
+        with ``scaled``, as a pair (S, s) of an integer matrix S and a
+        Fraction s whose product is that image.
 
-    def eval(self, p):
-        """Image of an NCPoly under the homomorphism."""
-        Nk = self.Nk
-        out = np.full((Nk, Nk), ZERO, dtype=object)
-        for w, c in p.terms.items():
-            cur = None
-            for g in w:
-                i, j, r = gen_ijr(g)
-                img = self.gen_image(i, j, r)
-                cur = img if cur is None else _obj_matmul(cur, img)
-            if cur is None:
-                for t in range(Nk):
-                    out[t, t] = out[t, t] + c
-            else:
-                out = out + np.array(
-                    [[c * x for x in row] for row in cur], dtype=object)
-        return out
+        The words are walked in sorted order on a stack of prefix
+        products, so a word reuses the products of the prefix it shares
+        with the previous word.  The coefficients are brought to one
+        denominator and the integer products are summed per word length,
+        so Fractions appear only in the result.
+        """
+        images = self._images
+        clear = 1
+        for c in p.terms.values():
+            clear = lcm(clear, c.denominator)
+        acc = {}     # word length -> sum of numerator * word product
+        stack = []   # stack[t]: product of the first t + 1 letters of prev
+        prev = ()
+        for w in sorted(p.terms):
+            n = 0
+            for x, y in zip(w, prev):
+                if x != y:
+                    break
+                n += 1
+            del stack[n:]
+            for g in w[n:]:
+                img = images.get(g)
+                if img is None:
+                    raise OutOfBounds("generator outside the module's "
+                                      "expansion order")
+                stack.append(safe_matmul(stack[-1], img) if stack else img)
+            prev = w
+            c = p.terms[w]
+            L = len(w)
+            prod = stack[-1] if L else np.eye(self.Nk, dtype=np.int64)
+            acc[L] = safe_axpy(acc.get(L),
+                               c.numerator * (clear // c.denominator), prod)
+        # sum_L acc[L] / (clear * D^L) over the denominator clear * D^top
+        D = self.scale.denominator
+        top = max(acc, default=0)
+        S = np.zeros((self.Nk, self.Nk), dtype=np.int64)
+        for L, a in acc.items():
+            S = safe_axpy(S, D ** (top - L), a)
+        s = Fraction(1, clear * D ** top)
+        return (S, s) if scaled else int_to_frac_array(S, s)
 
     def eval_scalar(self, p):
         """Image of p, required to be a scalar matrix; returns the scalar."""
-        m = self.eval(p)
-        s = m[0, 0]
-        for a in range(self.Nk):
-            for b in range(self.Nk):
-                want = s if a == b else ZERO
-                if m[a, b] != want:
-                    raise ValueError("image is not a scalar matrix")
-        return s
-
-
-def _obj_matmul(a, b):
-    n, m = a.shape
-    m2, p = b.shape
-    out = np.full((n, p), ZERO, dtype=object)
-    for i in range(n):
-        for k in range(m):
-            x = a[i, k]
-            if x:
-                for j in range(p):
-                    y = b[k, j]
-                    if y:
-                        out[i, j] = out[i, j] + x * y
-    return out
+        S, s = self.eval(p, scaled=True)
+        d = S[0, 0]
+        off = S.copy()
+        np.fill_diagonal(off, 0)
+        if off.any() or (S.diagonal() != d).any():
+            raise ValueError("image is not a scalar matrix")
+        return int(d) * s
 
 
 def evaluation_module(pres, k, shifts, order=None):

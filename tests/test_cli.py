@@ -174,3 +174,23 @@ class TestCentralityNegativeControl:
         assert climod._noncommuting_probe(lie, 2, 2) == (1, 2)
         # [t_11^(1), t_12^(2)] = t_12^(2)
         assert climod._noncommuting_probe(lie, 1, 2) == (1, 1)
+
+    @pytest.mark.parametrize("family,N,K,L,R_ord",
+                             [("so", 3, 3, 3, 4), ("so", 4, 2, 3, 3)])
+    def test_so_control_draws_non_degenerate(self, family, N, K, L, R_ord):
+        # so_3 t_13^(2) and so_4 t_14^(2), t_32^(2) have zero leading-order
+        # image and commute with every probe; they must never be drawn
+        pres = rtt_relations(family, N, K)
+        cl = closure(pres, L, R_ord)
+        cs = z_series(pres, cl)
+        for seed in range(11):
+            cfg = climod.RunConfig(family, N, K, L, R_ord, ("center",),
+                                   seed, None)
+            check = climod._centrality_negative_control(cfg, cl, cs)
+            assert check["status"] == "pass", seed
+            assert check["details"]["perturbed_element_central"] is False
+            i, j, _ = check["details"]["perturbation_generator"]
+            x = climod._first_order_image(pres.lie, i, j)
+            y = climod._first_order_image(
+                pres.lie, *climod._noncommuting_probe(pres.lie, i, j))
+            assert x.any() and (x @ y != y @ x).any(), (seed, i, j)

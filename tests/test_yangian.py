@@ -3,12 +3,16 @@ dimensions, central series, quantum determinant, Hopf and fixed-point
 verification, and evaluation modules."""
 
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from yangkit import yangian
 from yangkit.exact import TruncSeries, series_mul
-from yangkit.freealg import NCPoly, mat_shift, t_matrix
-from yangkit.liealg import build_lie, vector_rep
+from yangkit.freealg import NCPoly, gen_id, gen_ijr, mat_shift, t_matrix
+from yangkit.liealg import build_lie, frac_matmul, vector_rep
 from yangkit.yangian import (
     BoundsTooLarge,
     OutOfBounds,
@@ -200,3 +204,166 @@ class TestEvaluation:
     def test_generator_image_nonzero(self, sl2):
         ev = evaluation_module(sl2, 1, [F(0)], order=3)
         assert any(x for x in ev.eval(NCPoly.gen(1, 1, 1)).flat)
+
+
+# -- evaluation modules against a naive Fraction reference -------------
+
+@lru_cache(maxsize=None)
+def _reference_images(pres, shifts, order):
+    """Fraction images of the t_ij^(r), r <= order, under T(u) ->
+    R_01(u - a_1) ... R_0k(u - a_k), built entry by entry: R_0m acts on
+    the digits 0 and m of a basis index and is the identity on the rest."""
+    k = len(shifts)
+    N = pres.N
+    nn, dim, Nk = N * N, N ** (k + 1), N ** k
+
+    def digits(x):
+        return [(x // N ** (k - t)) % N for t in range(k + 1)]
+
+    series = None
+    for m, a in enumerate(shifts, 1):
+        exp = {(p, q): pres.R.entries[p, q].compose_linear(F(1), -a)
+               .expand_at_infinity(order).coeffs
+               for p in range(nn) for q in range(nn)}
+        factor = []
+        for r in range(order + 1):
+            M = np.full((dim, dim), F(0), dtype=object)
+            for row in range(dim):
+                rd = digits(row)
+                for col in range(dim):
+                    cd = digits(col)
+                    if all(rd[t] == cd[t] for t in range(1, k + 1)
+                           if t != m):
+                        M[row, col] = exp[rd[0] * N + rd[m],
+                                          cd[0] * N + cd[m]][r]
+            factor.append(M)
+        if series is None:
+            series = factor
+            continue
+        nxt = []
+        for r in range(order + 1):
+            acc = np.full((dim, dim), F(0), dtype=object)
+            for b in range(r + 1):
+                acc = acc + frac_matmul(series[b], factor[r - b])
+            nxt.append(acc)
+        series = nxt
+    return {(i, j, r): series[r][(i - 1) * Nk: i * Nk, (j - 1) * Nk: j * Nk]
+            for r in range(1, order + 1)
+            for i in range(1, N + 1) for j in range(1, N + 1)}
+
+
+def _reference_eval(images, Nk, p):
+    """Sum of coefficient times word product, each word multiplied from
+    scratch with frac_matmul."""
+    eye = np.array([[F(int(a == b)) for b in range(Nk)] for a in range(Nk)],
+                   dtype=object)
+    out = np.full((Nk, Nk), F(0), dtype=object)
+    for w, c in p.terms.items():
+        cur = eye
+        for g in w:
+            cur = frac_matmul(cur, images[gen_ijr(g)])
+        out = out + c * cur
+    return out
+
+
+_SHIFTS = [F(0), F(1, 2), F(-1, 3), F(2), F(3, 4)]
+
+
+@st.composite
+def _module_and_poly(draw):
+    family = draw(st.sampled_from(["sl", "so"]))
+    N = 2 if family == "sl" else 3
+    k = draw(st.integers(1, 3 if family == "sl" else 2))
+    shifts = tuple(draw(st.sampled_from(_SHIFTS)) for _ in range(k))
+    order = draw(st.integers(2, 3))
+    gen = st.builds(gen_id, st.integers(1, N), st.integers(1, N),
+                    st.integers(1, order))
+    # a small alphabet makes words share prefixes
+    alphabet = draw(st.lists(gen, min_size=1, max_size=3, unique=True))
+    words = draw(st.lists(st.lists(st.sampled_from(alphabet), max_size=3)
+                          .map(tuple), max_size=8))
+    coeff = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+    terms = {}
+    for w in words:
+        c = draw(coeff)
+        if c:
+            terms[w] = c
+    return family, k, shifts, order, NCPoly(terms)
+
+
+class TestEvalEngine:
+    @settings(max_examples=100, deadline=None)
+    @given(_module_and_poly())
+    def test_eval_matches_reference(self, sl2, so3, case):
+        family, k, shifts, order, p = case
+        pres = sl2 if family == "sl" else so3
+        ev = evaluation_module(pres, k, shifts, order=order)
+        want = _reference_eval(_reference_images(pres, shifts, order),
+                               ev.Nk, p)
+        assert (ev.eval(p) == want).all()
+        S, s = ev.eval(p, scaled=True)
+        assert (S * s == want).all()
+
+    def test_int64_guard_falls_back_to_python_ints(self, sl2, monkeypatch):
+        products = []
+        real = yangian.safe_matmul
+
+        def spy(a, b):
+            out = real(a, b)
+            products.append((a.dtype, b.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(yangian, "safe_matmul", spy)
+        shifts, order = (F(10 ** 6), F(-10 ** 6, 3)), 2
+        ev = evaluation_module(sl2, 2, shifts, order=order)
+        t = {(i, j, r): NCPoly.gen(i, j, r) for r in (1, 2)
+             for i in (1, 2) for j in (1, 2)}
+        p = (t[1, 1, 2] * t[1, 2, 2] * t[2, 1, 2] * t[2, 2, 2]
+             + F(1, 3) * t[1, 1, 2] * t[1, 1, 2] * t[1, 1, 2] * t[2, 2, 2]
+             - t[1, 1, 1] * t[1, 1, 2] * t[1, 1, 2] + F(5, 7) * t[1, 2, 1])
+        got = ev.eval(p)
+        S, _ = ev.eval(p, scaled=True)
+        # the int64 guard tripped on int64 inputs and the product went on
+        # in Python ints; the result is far beyond int64, so a wrap would
+        # not have matched the reference
+        assert any(a == np.int64 and b == np.int64 and o == object
+                   for a, b, o in products)
+        assert S.dtype == object
+        assert max(abs(int(x)) for x in S.flat) > 2 ** 63
+        images = _reference_images(sl2, shifts, order)
+        assert (got == _reference_eval(images, ev.Nk, p)).all()
+        # one-letter words stay in int64; the large coefficients overflow
+        # the accumulator, which must go on in Python ints too
+        q = (F(10 ** 15 + 1, 7) * t[1, 1, 2] - F(10 ** 15, 11) * t[1, 2, 2]
+             + F(1, 3) * t[1, 1, 1])
+        S, _ = ev.eval(q, scaled=True)
+        assert S.dtype == object
+        assert max(abs(int(x)) for x in S.flat) > 2 ** 63
+        assert (ev.eval(q) == _reference_eval(images, ev.Nk, q)).all()
+
+    def test_zero_filter_catches_planted_defect(self, monkeypatch):
+        # a relation perturbed by + t_11^(1) no longer dies under the
+        # evaluation homomorphism, so rtt_relations must refuse it
+        real = yangian._canon_poly
+        planted = []
+
+        def perturb(p):
+            p = real(p)
+            if not planted:
+                planted.append(p)
+                p = p + NCPoly.gen(1, 1, 1)
+            return p
+
+        monkeypatch.setattr(yangian, "_canon_poly", perturb)
+        with pytest.raises(AssertionError, match="zero filter"):
+            rtt_relations("sl", 2, 3)
+        assert planted
+
+    def test_eval_scalar_rejects_non_scalar(self, sl2):
+        ev = evaluation_module(sl2, 1, [F(1, 2)], order=3)
+        assert ev.eval_scalar(NCPoly.constant(F(3, 4))) == F(3, 4)
+        for i, j in ((1, 2), (1, 1)):   # off-diagonal, diagonal
+            with pytest.raises(ValueError, match="not a scalar"):
+                ev.eval_scalar(NCPoly.gen(i, j, 1))
+        with pytest.raises(OutOfBounds):
+            ev.eval(NCPoly.gen(1, 1, 4))
