@@ -12,6 +12,8 @@ coefficients reuse the same series routines).
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 Rational = Fraction
 
 
@@ -391,6 +393,10 @@ def certify_bivariate_identity(lhs, rhs, degree_bound, max_attempts=400):
     degree_bound = (d_u, d_v) must dominate the numerator bidegree after
     clearing denominators; evaluation on a (d_u+1) x (d_v+1) grid of
     distinct pole-free points is then complete by interpolation.
+
+    Each point is compared as soon as both sides are computed, and the
+    first pole-free point where they differ returns False: a true identity
+    holds at every pole-free point.  True needs the whole grid.
     """
     d_u, d_v = degree_bound
     need_u, need_v = d_u + 1, d_v + 1
@@ -401,9 +407,11 @@ def certify_bivariate_identity(lhs, rhs, degree_bound, max_attempts=400):
             yield Fraction(k)
             k += 1
 
+    def agree(u, v):
+        return _values_equal(lhs(u, v), rhs(u, v))
+
     us = []
     vs = []
-    results = {}
     cu = candidates(1)
     cv = candidates(10 * (need_u + need_v) + 7)
     attempts = 0
@@ -414,37 +422,23 @@ def certify_bivariate_identity(lhs, rhs, degree_bound, max_attempts=400):
         if len(us) < need_u:
             u = next(cu)
             try:
-                for v in vs:
-                    results[(u, v)] = (lhs(u, v), rhs(u, v))
+                if not all(agree(u, v) for v in vs):
+                    return False
             except PoleError:
-                for v in vs:
-                    results.pop((u, v), None)
                 continue
             us.append(u)
         if len(vs) < need_v:
             v = next(cv)
             try:
-                for u in us:
-                    if (u, v) not in results:
-                        results[(u, v)] = (lhs(u, v), rhs(u, v))
+                if not all(agree(u, v) for u in us):
+                    return False
             except PoleError:
-                for u in us:
-                    results.pop((u, v), None)
                 continue
             vs.append(v)
-    for u in us:
-        for v in vs:
-            left, right = results[(u, v)]
-            if not _values_equal(left, right):
-                return False
     return True
 
 
 def _values_equal(a, b):
-    try:
-        import numpy as np
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return bool((np.asarray(a) == np.asarray(b)).all())
-    except ImportError:
-        pass
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return bool((np.asarray(a) == np.asarray(b)).all())
     return a == b

@@ -97,12 +97,34 @@ def _max_abs(a):
     return int(np.abs(a).max(initial=0))
 
 
+# float64 holds every integer below 2**53 exactly.  If the inner dimension
+# times max|a| times max|b| stays below it, every product and every partial
+# sum of an int64 matmul is such an integer, so a float64 (BLAS) matmul
+# returns the exact result in any summation order, with or without FMA
+# (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
+_FLOAT_LIMIT = 2 ** 53
+# Smaller products stay on int64.  Square products, best of 5 (2-vCPU
+# x86-64, numpy 2.4 with OpenBLAS), int64 vs float64 with both casts:
+# 0.6 vs 1.2 us at 2, 2.1 vs 2.4 us at 16, 6.7 vs 3.2 us at 24, 14 vs
+# 3.8 us at 32, 92 vs 7.6 us at 64, 4.0 vs 0.22 ms at 216.  The cut-over
+# sits above the crossing, so that the small evaluation-module products
+# of the center suite (2x2 up to 16x16) keep the int64 route.
+_FLOAT_MIN_INNER = 32
+
+
 def safe_matmul(a, b):
-    """Exact product of integer matrices: int64 while the checked_einsum
-    guard proves that the result fits, Python ints (dtype object)
-    otherwise.  Never wraps."""
+    """Exact product of integer matrices: float64 BLAS while every partial
+    sum provably stays below 2**53 (inner dimension at least
+    _FLOAT_MIN_INNER), int64 while the checked_einsum guard proves that
+    the result fits, Python ints (dtype object) otherwise.  Never wraps
+    or rounds."""
     if a.dtype != object and b.dtype != object:
-        if a.shape[1] * _max_abs(a) * _max_abs(b) < _INT_LIMIT:
+        bound = a.shape[1] * _max_abs(a) * _max_abs(b)
+        if (bound < _FLOAT_LIMIT and a.shape[1] >= _FLOAT_MIN_INNER
+                and a.dtype == np.int64 and b.dtype == np.int64):
+            return (a.astype(np.float64)
+                    @ b.astype(np.float64)).astype(np.int64)
+        if bound < _INT_LIMIT:
             return a @ b
         try:
             return checked_einsum("ij,jk->ik", a, b)

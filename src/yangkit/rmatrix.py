@@ -9,6 +9,7 @@ comparing integer matrix products on an interpolation-complete grid.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -162,18 +163,13 @@ def _cleared_int_polys(R):
             p = poly_mul(e.num, poly_divmod(D, e.den)[0])
             polys[(i, j)] = p
             for c in p:
-                den_lcm = den_lcm * c.denominator // _gcd(
+                den_lcm = den_lcm * c.denominator // gcd(
                     den_lcm, c.denominator)
             deg = max(deg, len(p) - 1)
     out = {}
     for key, p in polys.items():
         out[key] = tuple(int(c * den_lcm) for c in p)
     return out, deg
-
-
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
 
 
 def _eval_int_matrix(polys, nn, w):
@@ -186,15 +182,18 @@ def _eval_int_matrix(polys, nn, w):
     return m
 
 
-def _legs(m, N):
-    """Embed an N^2 x N^2 integer matrix as legs 12, 13, 23 of V^(x)3."""
-    eye = np.eye(N, dtype=np.int64)
-    m4 = m.reshape(N, N, N, N)
+# einsum specs placing an N^2 x N^2 matrix on legs 12, 13 or 23 of V^(x)3
+_LEG_SPECS = {"12": "abxy,cz->abcxyz",
+              "13": "acxz,by->abcxyz",
+              "23": "bcyz,ax->abcxyz"}
+
+
+def _leg(m, N, leg):
+    """Embed an N^2 x N^2 integer matrix as leg "12", "13" or "23" of
+    V^(x)3."""
     n3 = N ** 3
-    r12 = checked_einsum("abxy,cz->abcxyz", m4, eye).reshape(n3, n3)
-    r13 = checked_einsum("acxz,by->abcxyz", m4, eye).reshape(n3, n3)
-    r23 = checked_einsum("bcyz,ax->abcxyz", m4, eye).reshape(n3, n3)
-    return r12, r13, r23
+    return checked_einsum(_LEG_SPECS[leg], m.reshape(N, N, N, N),
+                          np.eye(N, dtype=np.int64)).reshape(n3, n3)
 
 
 def check_qybe(R):
@@ -202,12 +201,20 @@ def check_qybe(R):
     polys, deg = _cleared_int_polys(R)
     N = R.N
     nn = N * N
+    legs = {}
+
+    def factor(leg, w):
+        # each leg factor is built once per call: lhs and rhs share it, and
+        # so do all grid points with the same u, v or u - v
+        key = (leg, w)
+        if key not in legs:
+            legs[key] = _leg(_eval_int_matrix(polys, nn, w), N, leg)
+        return legs[key]
 
     def side(u, v, left):
-        w = int(u - v)
-        a12 = _legs(_eval_int_matrix(polys, nn, w), N)[0]
-        a13 = _legs(_eval_int_matrix(polys, nn, int(u)), N)[1]
-        a23 = _legs(_eval_int_matrix(polys, nn, int(v)), N)[2]
+        a12 = factor("12", int(u - v))
+        a13 = factor("13", int(u))
+        a23 = factor("23", int(v))
         if left:
             return safe_matmul(safe_matmul(a12, a13), a23)
         return safe_matmul(safe_matmul(a23, a13), a12)

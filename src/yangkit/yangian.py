@@ -1219,8 +1219,8 @@ class EvalModule:
     scale ``self.scale`` = 1/D: the image is ``self.scale`` times it.
     """
 
-    __slots__ = ("pres", "k", "shifts", "N", "Nk", "order", "poles",
-                 "scale", "_images")
+    __slots__ = ("pres", "k", "shifts", "N", "Nk", "order", "scale",
+                 "_images")
 
     def __init__(self, pres, k, shifts, order=None):
         if len(shifts) != k:
@@ -1233,9 +1233,6 @@ class EvalModule:
         Nk = self.Nk = N ** k
         self.order = (pres.K + 1 + pres.clear_degree
                       if order is None else order)
-        kap = pres.lie.kappa
-        self.poles = sorted({s for a in self.shifts
-                             for s in ([a] if kap is None else [a, a + kap])})
         dim = N ** (k + 1)
         series = None
         scale = ONE

@@ -1,13 +1,16 @@
 """Exact series and rational-function kernel tests against hand
 oracles."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from yangkit.exact import (
     GridExhausted,
     NonInvertibleSeries,
+    PoleError,
     RationalFunction,
     TruncSeries,
     certify_bivariate_identity,
@@ -109,6 +112,57 @@ class TestCertify:
         lhs = lambda u, v: u * v
         rhs = lambda u, v: u + v
         assert not certify_bivariate_identity(lhs, rhs, (2, 2))
+
+    def test_stops_at_first_mismatch(self):
+        calls = Counter()
+
+        def lhs(u, v):
+            calls["lhs"] += 1
+            return u * v
+
+        def rhs(u, v):
+            calls["rhs"] += 1
+            return u * v + 1
+
+        assert not certify_bivariate_identity(lhs, rhs, (3, 3))
+        assert calls == {"lhs": 1, "rhs": 1}
+
+    def test_mismatch_at_last_point_fails(self):
+        seen = []
+
+        def lhs(u, v):
+            seen.append((u, v))
+            return (u + v) ** 2
+
+        same = lambda u, v: u * u + 2 * u * v + v * v
+        assert certify_bivariate_identity(lhs, same, (2, 2))
+        assert len(seen) == 9
+        last = seen[-1]
+        seen.clear()
+        differ = lambda u, v: same(u, v) + ((u, v) == last)
+        assert not certify_bivariate_identity(lhs, differ, (2, 2))
+        assert len(seen) == 9
+
+    def test_poles_leave_a_full_grid(self):
+        # (u + v)^2 / ((u - 2)(v - 68)): poles at u = 2 and at v = 68
+        ok = []
+
+        def side(expand):
+            def f(u, v):
+                if u == 2 or v == 68:
+                    raise PoleError("pole at (%s, %s)" % (u, v))
+                num = (u * u + 2 * u * v + v * v) if expand else (u + v) ** 2
+                if expand:
+                    ok.append((u, v))
+                return num / ((u - 2) * (v - 68))
+            return f
+
+        assert certify_bivariate_identity(side(False), side(True), (2, 2))
+        us = sorted({u for u, _ in ok})
+        vs = sorted({v for _, v in ok})
+        assert len(us) == 3 and len(vs) == 3
+        assert 2 not in us and 68 not in vs
+        assert set(product(us, vs)) == set(ok)
 
 
 def test_rat_str_roundtrip():

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from yangkit import liealg
 from yangkit.liealg import (
     InvalidAlgebra,
     build_lie,
     casimir,
     permutation_matrix,
     q_matrix,
+    safe_matmul,
     vector_rep,
     verify_classical_presentation,
     verify_current_presentation,
@@ -90,3 +93,60 @@ class TestVerification:
                    verify_yangian_module):
             assert fn(data, rep)["status"] == "pass"
         assert verify_current_presentation(data, rep, 3)["status"] == "pass"
+
+
+@st.composite
+def _near_float_limit(draw):
+    """int64 matrices whose bound inner * max|a| * max|b| lies just below
+    or just above 2**53.  Entries are near-maximal and, in about half of
+    the matrices, all of one sign, so that the true sums come close to the
+    bound."""
+    inner = draw(st.integers(2, 64))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    amax = 2 ** 26 + draw(st.integers(-2 ** 10, 2 ** 10))
+    bmax = (2 ** 53 // (inner * amax)
+            + draw(st.sampled_from([-2, -1, 0, 1, 2, 4, 8, 16])))
+
+    def matrix(shape, top):
+        sign = draw(st.sampled_from([1, -1]))
+        signs = st.sampled_from([1, -1] if draw(st.booleans()) else [1])
+        flat = [sign * draw(signs) * (top - draw(st.integers(0, 3)))
+                for _ in range(shape[0] * shape[1])]
+        flat[draw(st.integers(0, len(flat) - 1))] = top
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    return matrix((rows, inner), amax), matrix((inner, cols), bmax)
+
+
+class TestSafeMatmul:
+    @settings(max_examples=200, deadline=None)
+    @given(_near_float_limit())
+    def test_exact_near_float_limit(self, ab):
+        a, b = ab
+        got = safe_matmul(a, b)
+        want = a.astype(object) @ b.astype(object)
+        assert got.shape == want.shape
+        assert all(int(x) == y for x, y in zip(got.flat, want.flat))
+
+    def test_float_route_below_limit(self, float_casts):
+        # inner 64, entries 2**23: bound 2**52 < 2**53, sums to 2**52
+        a = np.full((2, 64), 2 ** 23, dtype=np.int64)
+        got = safe_matmul(a, a.T.copy())
+        assert float_casts.casts == 2
+        assert got.dtype == np.int64 and (got == 2 ** 52).all()
+
+    def test_small_inner_stays_int64(self, float_casts):
+        a = np.full((4, liealg._FLOAT_MIN_INNER - 1), 3, dtype=np.int64)
+        assert (safe_matmul(a, a.T.copy()) == 9 * a.shape[1]).all()
+        assert float_casts.casts == 0
+
+    def test_odd_sum_above_limit_is_not_rounded(self, float_casts):
+        # 32 x (2**26 + 1) * 2**22 + (2**26 + 1) = 2**53 + 3 * 2**26 + 1:
+        # odd and above 2**53, so a float64 sum would round it
+        x, y = 2 ** 26 + 1, 2 ** 22
+        a = np.full((1, 32), x, dtype=np.int64)
+        b = np.full((32, 1), y, dtype=np.int64)
+        b[0, 0] = y + 1
+        got = safe_matmul(a, b)
+        assert float_casts.casts == 0
+        assert int(got[0, 0]) == 32 * x * y + x == 2 ** 53 + 3 * 2 ** 26 + 1

@@ -1,10 +1,14 @@
 """R-matrix layer: QYBE certification, unitarity scalars, and the
 order-by-order intertwiner solver."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from yangkit import rmatrix
+from yangkit.cli import _perturbed_r
 from yangkit.exact import RationalFunction
 from yangkit.liealg import build_lie, vector_rep
 from yangkit.rmatrix import (
@@ -37,6 +41,50 @@ class TestQYBE:
         ent[0, 0] = ent[0, 0] + RationalFunction((F(1),),
                                                  (F(0), F(0), F(1)))
         assert not check_qybe(RMat(ent, 2))
+
+    def test_leg_factors_built_once(self, monkeypatch):
+        built = []
+        real = rmatrix._leg
+
+        def spy(m, N, leg):
+            built.append(leg)
+            return real(m, N, leg)
+
+        monkeypatch.setattr(rmatrix, "_leg", spy)
+        assert check_qybe(yang_r(2))
+        # grid u in {1, 2, 3}, v in {67, 68, 69}: three R13(u), three
+        # R23(v) and five R12(u - v) for u - v in -68..-64
+        assert sorted(built) == ["12"] * 5 + ["13"] * 3 + ["23"] * 3
+
+
+class TestQYBEFloatRoute:
+    """N = 4: the V^(x)3 products are 64 x 64, above the float64 cut-over
+    of safe_matmul."""
+
+    @pytest.fixture
+    def products(self, monkeypatch, float_casts):
+        calls = []
+        real = rmatrix.safe_matmul
+
+        def spy(a, b):
+            calls.append((a.shape[1], a.dtype, b.dtype))
+            return real(a, b)
+
+        monkeypatch.setattr(rmatrix, "safe_matmul", spy)
+        return calls, float_casts
+
+    @pytest.mark.parametrize("family", ["sl", "so", "sp"])
+    def test_closed_form_and_controls(self, family, products):
+        calls, float_casts = products
+        R = yang_r(4) if family == "sl" else sosp_r(family, 4)
+        assert check_qybe(R)
+        assert calls and all(n == 64 and a == b == np.int64
+                             for n, a, b in calls)
+        # every product of the grid took the float64 route
+        assert float_casts.casts == 2 * len(calls)
+        for seed in range(6):
+            bad, _entry, _c = _perturbed_r(R, random.Random(seed))
+            assert not check_qybe(bad)
 
 
 class TestUnitarity:
