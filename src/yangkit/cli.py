@@ -10,11 +10,9 @@ bounds exceed the size guard.
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +42,7 @@ from .rmatrix import (
 )
 from .yangian import (
     BoundsTooLarge,
+    _check_members,
     central_monomial_certificate,
     closure,
     closure_for_query,
@@ -227,18 +226,25 @@ def _suite_pbw(cfg, ctx):
 
 
 def _with_retry(cfg, ctx, run):
-    """Run a membership-based check; on failure, retry once at enlarged
-    bounds before reporting (bound-relative non-membership can be an
-    artifact of too-small bounds)."""
-    checks = run(ctx["cl"])
+    """Run a membership-based check on the run's closure and z-series; on
+    failure, retry once at bounds (L+1, R_ord+1) before reporting
+    (bound-relative non-membership can be an artifact of too-small
+    bounds).  The enlarged closure and its z-series are built at most
+    once per run and shared by every suite that retries."""
+    checks = run(ctx["cl"], ctx["cs"])
     if _status(checks) == "pass":
         return checks
-    try:
-        big = closure(ctx["pres"], cfg.L + 1, cfg.R_ord + 1,
-                      quotient_mode=False)
-    except BoundsTooLarge:
+    if "retry" not in ctx:
+        try:
+            big = closure(ctx["pres"], cfg.L + 1, cfg.R_ord + 1,
+                          quotient_mode=False)
+        except BoundsTooLarge:
+            ctx["retry"] = None
+        else:
+            ctx["retry"] = (big, z_series(big.pres, big))
+    if ctx["retry"] is None:
         return checks
-    retried = run(big)
+    retried = run(*ctx["retry"])
     for c in retried:
         c.setdefault("details", {})["retried_at_bounds"] = \
             [cfg.L + 1, cfg.R_ord + 1]
@@ -287,9 +293,8 @@ def _perturbation_indices(lie, rng):
             return i, j
 
 
-def _center_checks(cfg, cl):
+def _center_checks(cfg, cl, cs):
     pres = cl.pres
-    cs = z_series(pres, cl)
     checks = [cs.report]
     y_from_z(cs, pres.K - 1)
     checks.append({
@@ -312,9 +317,9 @@ def _centrality_negative_control(cfg, cl, cs):
     i, j = _perturbation_indices(pres.lie, random.Random(cfg.seed))
     bad = cs.z[2] + NCPoly.gen(i, j, 2)
     t = NCPoly.gen(*_noncommuting_probe(pres.lie, i, j), 1)
-    com = bad * t - t * bad
-    if com.max_len() <= cl.L and com.max_sum_r() <= cl.R_ord:
-        central = is_in_ideal(cl, com)
+    tested, _, failures = _check_members(cl, [("com", bad * t - t * bad)])
+    if tested:
+        central = not failures
         return {
             "check": "centrality_negative_control", "family": cfg.family,
             "N": cfg.N, "K": pres.K,
@@ -328,41 +333,28 @@ def _centrality_negative_control(cfg, cl, cs):
 
 
 def _suite_center(cfg, ctx):
-    return _with_retry(cfg, ctx, lambda cl: _center_checks(cfg, cl))
+    return _with_retry(cfg, ctx, lambda cl, cs: _center_checks(cfg, cl, cs))
 
 
 def _suite_hopf(cfg, ctx):
-    def run(cl):
-        cs = z_series(cl.pres, cl)
-        return [verify_hopf(cl.pres, cl, cs, orders=min(3, cfg.K),
-                            max_relations=50)]
-    return _with_retry(cfg, ctx, run)
+    return _with_retry(cfg, ctx, lambda cl, cs: [
+        verify_hopf(cl.pres, cl, cs, orders=min(3, cfg.K),
+                    max_relations=50)])
 
 
 def _suite_fixedpoint(cfg, ctx):
     fs = [TruncSeries([ONE, ONE]), TruncSeries([ONE, ONE, ONE])]
-
-    def run(cl):
-        cs = z_series(cl.pres, cl)
-        return [verify_fixed_point(cl.pres, cl, cs, f, orders=2)
-                for f in fs]
-    return _with_retry(cfg, ctx, run)
+    return _with_retry(cfg, ctx, lambda cl, cs: [
+        verify_fixed_point(cl.pres, cl, cs, f, orders=2) for f in fs])
 
 
 def _suite_qdet(cfg, ctx):
-    def run(cl):
-        cs = z_series(cl.pres, cl)
-        _, report = qdet(cl.pres, cl, cs)
-        return [report]
-    return _with_retry(cfg, ctx, run)
+    return _with_retry(cfg, ctx, lambda cl, cs: [qdet(cl.pres, cl, cs)[1]])
 
 
 def _suite_symmetry(cfg, ctx):
-    def run(cl):
-        cs = z_series(cl.pres, cl)
-        _, report = symmetry_series(cl.pres, cl, cs)
-        return [report]
-    return _with_retry(cfg, ctx, run)
+    return _with_retry(cfg, ctx, lambda cl, cs: [
+        symmetry_series(cl.pres, cl, cs)[1]])
 
 
 _SUITE_FNS = {
@@ -378,14 +370,6 @@ _SUITE_FNS = {
 }
 
 
-def _max_workers():
-    try:
-        cap = int(os.environ.get("YF_THREADS", "4"))
-    except ValueError:
-        cap = 4
-    return max(1, cap)
-
-
 def cmd_verify(cfg):
     t0 = time.monotonic()
     ctx = {}
@@ -394,13 +378,11 @@ def cmd_verify(cfg):
         ctx["pres"] = rtt_relations(cfg.family, cfg.N, cfg.K)
         if need_algebra - {"pbw"}:
             ctx["cl"] = closure(ctx["pres"], cfg.L, cfg.R_ord)
-    ordered = [s for s in SUITES if s in cfg.suite]
-    results = {}
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        futures = {s: pool.submit(_SUITE_FNS[s], cfg, ctx) for s in ordered}
-        for s in ordered:
-            results[s] = futures[s].result()
-    checks = [c for s in ordered for c in results[s]]
+        if need_algebra - {"pbw", "rtt"}:
+            # one z-series per closure, shared by the suites that need it
+            ctx["cs"] = z_series(ctx["pres"], ctx["cl"])
+    checks = [c for s in SUITES if s in cfg.suite
+              for c in _SUITE_FNS[s](cfg, ctx)]
     report = {"schema": SCHEMA, "command": "verify",
               "config": cfg.to_json(), "checks": checks,
               "status": _status(checks)}
@@ -519,6 +501,29 @@ _DEFAULTS = {"K": 3, "L": None, "R_ord": None, "seed": 0, "output": None,
              "suite": None}
 
 
+def _parse_suite(text):
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
+def _check_file_config(merged):
+    """Type-check the fields read from a config file (flags are already
+    typed by argparse); bool is rejected where an integer is expected."""
+    for key in ("N", "K", "L", "R_ord", "seed"):
+        val = merged.get(key)
+        if val is not None and type(val) is not int:
+            raise UsageError("config field %s must be an integer, got %r"
+                             % (key, val))
+    if merged["output"] is not None and not isinstance(merged["output"], str):
+        raise UsageError("config field output must be a string")
+    suite = merged["suite"]
+    if isinstance(suite, str):
+        merged["suite"] = _parse_suite(suite)
+    elif suite is not None and not (isinstance(suite, list) and all(
+            isinstance(s, str) for s in suite)):
+        raise UsageError("config field suite must be a list of strings or "
+                         "a comma-separated string")
+
+
 def _load_config(args, default_suite):
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
@@ -533,14 +538,14 @@ def _load_config(args, default_suite):
                     "output"):
             if key in file_cfg:
                 merged[key] = file_cfg[key]
+        _check_file_config(merged)
     for key in ("family", "N", "K", "L", "R_ord", "seed", "output"):
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
     suite_arg = getattr(args, "suite", None)
     if suite_arg is not None:
-        merged["suite"] = [s.strip() for s in suite_arg.split(",")
-                           if s.strip()]
+        merged["suite"] = _parse_suite(suite_arg)
     suite = merged.get("suite") or default_suite
     if not suite:
         raise UsageError("suite must be nonempty")

@@ -782,40 +782,23 @@ def verify_current_presentation(data, rep, D):
     com2, sc2 = t.omega_f2_commutator()
     com1, sc1 = t.omega_f1_commutator()
 
-    ok_rs = True
-    for r in range(D + 1):
-        for s in range(D + 1 - r):
-            # [F_1^{(r)}, F_2^{(s)}] = [Omega_rho, F_2^{(r+s)}]: the z-degree
-            # bookkeeping is r+s on both sides; the tensors are degree-free
-            if not scaled_equal(lhs, sb, com2, sc2):
-                ok_rs = False
-    details["gz-R"] = ok_rs
+    # [F_1^{(r)}, F_2^{(s)}] = [Omega_rho, F_2^{(r+s)}] for r + s <= D: the
+    # z-degree bookkeeping is r+s on both sides and the tensors are
+    # degree-free, so one comparison decides every (r, s)
+    f2_ok = scaled_equal(lhs, sb, com2, sc2)
+    details["gz-R"] = f2_ok
 
     wf = checked_einsum("xpqr,qrg->xpg", t.wop, t.fg)
     details["gz-sym"] = scaled_equal(t.fg, t.sfg, wf,
                                      t.swop * t.sfg / _cg(data, rep))
 
     # two expansions of (u-v) [F_1(u), F_2(v)] = [Omega, F_1(u) + F_2(v)]
-    # with F(u) = sum_{r<=D} F^{(r)} u^{-r-1}; coefficients compared on the
-    # truncation-complete region a + b <= D + 1.
-    ok_exp = True
-    for a in range(D + 2):
-        for bb in range(D + 2 - a):
-            # z-degree of every contribution at (a, bb) is a + bb - 1
-            t1 = 1 if (a <= D and 1 <= bb <= D + 1) else 0
-            t2 = 1 if (1 <= a <= D + 1 and bb <= D) else 0
-            mult = t1 - t2
-            left = (lhs.astype(object) * mult, sb)
-            if a >= 1 and bb == 0:
-                right = (com1.astype(object), sc1)
-            elif a == 0 and bb >= 1:
-                right = (com2.astype(object), sc2)
-            else:
-                right = (np.zeros_like(lhs, dtype=object), sb)
-            q = left[1] / right[1]
-            if not ((left[0] * q.numerator) == (right[0] * q.denominator)).all():
-                ok_exp = False
-    details["expansion-agreement"] = ok_exp
+    # with F(u) = sum_{r<=D} F^{(r)} u^{-r-1}, compared on the
+    # truncation-complete region a + b <= D + 1: the coefficients at b = 0
+    # read -[F_1, F_2] = [Omega, F_1], those at a = 0 < b read
+    # [F_1, F_2] = [Omega, F_2], and every other one compares 0 with 0
+    details["expansion-agreement"] = (
+        scaled_equal(lhs, -sb, com1, sc1) and f2_ok)
 
     ok = all(details.values())
     return _report("current_presentation", data, ok,

@@ -387,8 +387,63 @@ def is_in_ideal(cl, p):
     return not normal_form(cl, p)
 
 
-def _fits(cl, p, margin_len=0):
-    return p.max_len() + margin_len <= cl.L and p.max_sum_r() <= cl.R_ord
+def _fits(cl, p):
+    return p.max_len() <= cl.L and p.max_sum_r() <= cl.R_ord
+
+
+def _check_members(cl, items):
+    """Bounded membership checks over (key, NCPoly) items, one policy for
+    every verdict: an item that does not fit the closure bounds is
+    skipped; a zero item is tested and passes without a reduction; any
+    other item is tested and fails when it is not in the ideal.  Returns
+    the key lists (tested, skipped, failures), each in item order."""
+    tested, skipped, failures = [], [], []
+    for key, p in items:
+        if p and not _fits(cl, p):
+            skipped.append(key)
+            continue
+        tested.append(key)
+        if p and not is_in_ideal(cl, p):
+            failures.append(key)
+    return tested, skipped, failures
+
+
+def _nonzero_entries(K, N, entry):
+    """([r, i, j], entry(r, i, j)) at orders 1..K and 1-based matrix
+    positions, leaving out the zero entries."""
+    for r in range(1, K + 1):
+        for i in range(N):
+            for j in range(N):
+                p = entry(r, i, j)
+                if p:
+                    yield [r, i + 1, j + 1], p
+
+
+def _off_scalar(M):
+    """Entry function of M(u) minus its scalar part m_11(u) I."""
+    return lambda r, i, j: M.coeffs[r][i, j] - (
+        M.coeffs[r][0, 0] if i == j else NCPoly.zero())
+
+
+def _commutators(cl, N, coeffs):
+    """([r, s, k, l], [c, t_kl^(s)]) for each (r, c) of coeffs whose
+    commutators with a generator fit the length bound, at every s with
+    r + s <= R_ord."""
+    for r, c in coeffs:
+        if c.max_len() + 1 > cl.L:
+            continue
+        for s in range(1, cl.R_ord - r + 1):
+            for k in range(1, N + 1):
+                for l in range(1, N + 1):
+                    t = NCPoly.gen(k, l, s)
+                    yield [r, s, k, l], c * t - t * c
+
+
+def _report(check, pres, cl, details=None):
+    """Header of a bounded check report; "pass" until a failure is set."""
+    return {"check": check, "family": pres.family, "N": pres.N,
+            "K": pres.K, "bounds": list(cl.bounds), "status": "pass",
+            "details": {} if details is None else details}
 
 
 def slice_dimension(cl, length, sum_r):
@@ -505,14 +560,19 @@ def _z_matrix(pres, K):
     return Z
 
 
+def _z_coeffs(Z, K):
+    """z_0..z_K read off the (1, 1) entries of Z(u), with z_1 = 0."""
+    return [NCPoly.one(), NCPoly.zero()] + [Z.coeffs[r][0, 0]
+                                            for r in range(2, K + 1)]
+
+
 def z_series(pres, cl):
     """Compute Z(u), assert z_1 = 0 in the free algebra, and verify that Z
     is scalar and central modulo the ideal at every testable order."""
     K = pres.K
     N = pres.N
     Z = _z_matrix(pres, K)
-    report = {"check": "z_series", "family": pres.family, "N": N, "K": K,
-              "bounds": list(cl.bounds), "status": "pass", "details": {}}
+    report = _report("z_series", pres, cl)
     det = report["details"]
 
     z1_zero = all(not Z.coeffs[1][i, j] for i in range(N) for j in range(N))
@@ -520,47 +580,22 @@ def z_series(pres, cl):
     if not z1_zero:
         report["status"] = "fail"
 
-    scalar_fail = []
-    scalar_tested = []
-    for r in range(1, K + 1):
-        for i in range(N):
-            for j in range(N):
-                p = Z.coeffs[r][i, j] - (Z.coeffs[r][0, 0]
-                                         if i == j else NCPoly.zero())
-                if not p:
-                    continue
-                if not _fits(cl, p):
-                    continue
-                scalar_tested.append([r, i + 1, j + 1])
-                if not is_in_ideal(cl, p):
-                    scalar_fail.append([r, i + 1, j + 1])
+    scalar_tested, _, scalar_fail = _check_members(
+        cl, _nonzero_entries(K, N, _off_scalar(Z)))
     det["scalar_tested"] = scalar_tested
     det["scalar_failures"] = scalar_fail
 
-    central_tested = []
-    central_fail = []
-    for r in range(2, K + 1):
-        zr = Z.coeffs[r][0, 0]
-        for s in range(1, cl.R_ord - r + 1):
-            if zr.max_len() + 1 > cl.L:
-                continue
-            ok_rs = True
-            for k in range(1, N + 1):
-                for l in range(1, N + 1):
-                    t = NCPoly.gen(k, l, s)
-                    com = zr * t - t * zr
-                    if not is_in_ideal(cl, com):
-                        ok_rs = False
-                        central_fail.append([r, s, k, l])
-            central_tested.append([r, s, ok_rs])
-    det["centrality_tested_r_s"] = central_tested
+    z = _z_coeffs(Z, K)
+    tested, _, central_fail = _check_members(
+        cl, _commutators(cl, N, ((r, z[r]) for r in range(2, K + 1))))
+    # one [r, s, passed] entry per tested (r, s) block of N^2 commutators
+    failed = {(r, s) for r, s, _, _ in central_fail}
+    det["centrality_tested_r_s"] = [
+        [r, s, (r, s) not in failed]
+        for r, s in dict.fromkeys((r, s) for r, s, _, _ in tested)]
     det["centrality_failures"] = central_fail
     if scalar_fail or central_fail:
         report["status"] = "fail"
-
-    z = [NCPoly.one(), NCPoly.zero()]
-    for r in range(2, K + 1):
-        z.append(Z.coeffs[r][0, 0])
     return CentralSeries(z, Z, pres.casimir.c_g, report)
 
 
@@ -732,6 +767,12 @@ def _perm_sign(p):
     return sign
 
 
+def _z_list(pres, cs):
+    """cs.z, or z_0..z_K read off Z(u) when no central series is given."""
+    return cs.z if cs is not None else _z_coeffs(_z_matrix(pres, pres.K),
+                                                 pres.K)
+
+
 def qdet(pres, cl, cs=None):
     """qdet T(u) = sum_pi sign(pi) t_{pi(1),1}(u) ... t_{pi(N),N}(u-N+1),
     with centrality and z(u) = zdet(u+N) verified modulo the ideal."""
@@ -750,50 +791,21 @@ def qdet(pres, cl, cs=None):
             term = fac if term is None else series_mul(term, fac)
         term = term.scale(sign)
         qd = term if qd is None else qd + term
-    report = {"check": "qdet", "family": pres.family, "N": N, "K": K,
-              "bounds": list(cl.bounds), "status": "pass", "details": {}}
+    report = _report("qdet", pres, cl)
     det = report["details"]
 
-    central_fail = []
-    tested = []
-    for r in range(1, min(3, K) + 1):
-        qr = qd.coeffs[r]
-        for s in range(1, cl.R_ord - r + 1):
-            if qr.max_len() + 1 > cl.L:
-                continue
-            for k in range(1, N + 1):
-                for l in range(1, N + 1):
-                    t = NCPoly.gen(k, l, s)
-                    com = qr * t - t * qr
-                    if not _fits(cl, com):
-                        continue
-                    tested.append([r, s, k, l])
-                    if not is_in_ideal(cl, com):
-                        central_fail.append([r, s, k, l])
+    orders = range(1, min(3, K) + 1)
+    tested, _, central_fail = _check_members(
+        cl, _commutators(cl, N, ((r, qd.coeffs[r]) for r in orders)))
     det["centrality_tested"] = len(tested)
     det["centrality_failures"] = central_fail
 
     # zdet(u) = qdet T(u-1) (qdet T(u))^{-1}; z(u) = zdet(u+N) mod ideal
     zdet = series_mul(series_shift(qd, Fraction(-1)), series_inverse(qd))
-    if cs is None:
-        Z = _z_matrix(pres, K)
-        zlist = [NCPoly.one(), NCPoly.zero()]
-        zlist += [Z.coeffs[r][0, 0] for r in range(2, K + 1)]
-    else:
-        zlist = cs.z
+    zlist = _z_list(pres, cs)
     shifted = series_shift(zdet, Fraction(N))
-    match_fail = []
-    match_tested = []
-    for r in range(1, min(3, K) + 1):
-        diff = zlist[r] - shifted.coeffs[r]
-        if not diff:
-            match_tested.append(r)
-            continue
-        if not _fits(cl, diff):
-            continue
-        match_tested.append(r)
-        if not is_in_ideal(cl, diff):
-            match_fail.append(r)
+    match_tested, _, match_fail = _check_members(
+        cl, ((r, zlist[r] - shifted.coeffs[r]) for r in orders))
     det["z_equals_shifted_zdet_orders"] = match_tested
     det["z_match_failures"] = match_fail
     if central_fail or match_fail:
@@ -813,60 +825,25 @@ def symmetry_series(pres, cl, cs=None):
     Tt = transpose_t(mat_shift(T, kap), pres.lie)
     M = mat_mul(Tt, T)
     M2 = mat_mul(T, Tt)
-    report = {"check": "symmetry_series", "family": pres.family, "N": N,
-              "K": K, "bounds": list(cl.bounds), "status": "pass",
-              "details": {}}
+    report = _report("symmetry_series", pres, cl)
     det = report["details"]
 
-    scalar_fail = []
-    scalar_tested = 0
-    for r in range(1, K + 1):
-        for i in range(N):
-            for j in range(N):
-                p = M.coeffs[r][i, j] - (M.coeffs[r][0, 0]
-                                         if i == j else NCPoly.zero())
-                if not p or not _fits(cl, p):
-                    continue
-                scalar_tested += 1
-                if not is_in_ideal(cl, p):
-                    scalar_fail.append([r, i + 1, j + 1])
-    det["scalar_tested"] = scalar_tested
+    scalar_tested, _, scalar_fail = _check_members(
+        cl, _nonzero_entries(K, N, _off_scalar(M)))
+    det["scalar_tested"] = len(scalar_tested)
     det["scalar_failures"] = scalar_fail
 
-    two_sided_fail = []
-    two_sided_tested = 0
-    for r in range(1, K + 1):
-        for i in range(N):
-            for j in range(N):
-                p = M.coeffs[r][i, j] - M2.coeffs[r][i, j]
-                if not p or not _fits(cl, p):
-                    continue
-                two_sided_tested += 1
-                if not is_in_ideal(cl, p):
-                    two_sided_fail.append([r, i + 1, j + 1])
-    det["two_sided_tested"] = two_sided_tested
+    two_sided_tested, _, two_sided_fail = _check_members(
+        cl, _nonzero_entries(
+            K, N, lambda r, i, j: M.coeffs[r][i, j] - M2.coeffs[r][i, j]))
+    det["two_sided_tested"] = len(two_sided_tested)
     det["two_sided_failures"] = two_sided_fail
 
     zdet = TruncSeries([M.coeffs[r][0, 0] for r in range(K + 1)])
-    if cs is None:
-        Z = _z_matrix(pres, K)
-        zlist = [NCPoly.one(), NCPoly.zero()]
-        zlist += [Z.coeffs[r][0, 0] for r in range(2, K + 1)]
-    else:
-        zlist = cs.z
+    zlist = _z_list(pres, cs)
     rhs = series_mul(zdet, series_inverse(series_shift(zdet, kap)))
-    match_fail = []
-    match_tested = []
-    for r in range(1, K + 1):
-        diff = zlist[r] - rhs.coeffs[r]
-        if not diff:
-            match_tested.append(r)
-            continue
-        if not _fits(cl, diff):
-            continue
-        match_tested.append(r)
-        if not is_in_ideal(cl, diff):
-            match_fail.append(r)
+    match_tested, _, match_fail = _check_members(
+        cl, ((r, zlist[r] - rhs.coeffs[r]) for r in range(1, K + 1)))
     det["z_equals_zdet_ratio_orders"] = match_tested
     det["z_match_failures"] = match_fail
     if scalar_fail or two_sided_fail or match_fail:
@@ -907,8 +884,7 @@ def verify_hopf(pres, cl, cs, orders=3, max_relations=None):
     the counit values, and well-definedness of the coproduct."""
     N = pres.N
     K = pres.K
-    report = {"check": "hopf", "family": pres.family, "N": N, "K": K,
-              "bounds": list(cl.bounds), "status": "pass", "details": {}}
+    report = _report("hopf", pres, cl)
     det = report["details"]
 
     grouplike_fail = []
@@ -933,18 +909,8 @@ def verify_hopf(pres, cl, cs, orders=3, max_relations=None):
     table = antipode_table(N, K)
     sz = TruncSeries([antipode_poly(p, table) for p in cs.z[: K + 1]])
     prod = series_mul(sz, cs.z_truncseries(K))
-    antipode_fail = []
-    antipode_tested = []
-    for r in range(1, min(orders, K) + 1):
-        p = prod.coeffs[r]
-        if not p:
-            antipode_tested.append(r)
-            continue
-        if not _fits(cl, p):
-            continue
-        antipode_tested.append(r)
-        if not is_in_ideal(cl, p):
-            antipode_fail.append(r)
+    antipode_tested, _, antipode_fail = _check_members(
+        cl, ((r, prod.coeffs[r]) for r in range(1, min(orders, K) + 1)))
     det["antipode_orders"] = antipode_tested
     det["antipode_failures"] = antipode_fail
 
@@ -981,9 +947,8 @@ def verify_fixed_point(pres, cl, cs, f, orders=2):
         y_from_z(cs, K - 1)
     # y_r involves z-symbols up to r+1, and cs.z stops at K
     Ku = min(orders, len(cs.y) - 1, K - 1)
-    report = {"check": "fixed_point", "family": pres.family, "N": N, "K": K,
-              "bounds": list(cl.bounds), "status": "pass",
-              "details": {"f": [rat_to_str(c) for c in f.coeffs]}}
+    report = _report("fixed_point", pres, cl,
+                     {"f": [rat_to_str(c) for c in f.coeffs]})
     det = report["details"]
 
     ysub = [_cpoly_to_ncpoly(cs.y[r], cs) for r in range(Ku + 1)]
@@ -1014,48 +979,29 @@ def verify_fixed_point(pres, cl, cs, f, orders=2):
                        max(max_r, f.order))
     table = mf_table(N, max_r, fext)
 
-    fixed_fail = []
-    fixed_tested = []
-    for k in range(1, Ku + 1):
-        ok = True
-        for i in range(N):
-            for j in range(N):
-                p = Tt.coeffs[k][i, j]
-                diff = substitute_poly(p, table) - p
-                if not diff:
-                    continue
-                if not _fits(cl, diff):
-                    ok = None
-                    continue
-                if not is_in_ideal(cl, diff):
-                    ok = False
-                    fixed_fail.append([k, i + 1, j + 1])
-        if ok is not None:
-            fixed_tested.append(k)
-    det["fixed_orders"] = fixed_tested
+    # an order counts as tested when none of its entries was skipped
+    _, skipped, fixed_fail = _check_members(cl, _nonzero_entries(
+        Ku, N, lambda k, i, j: substitute_poly(Tt.coeffs[k][i, j], table)
+        - Tt.coeffs[k][i, j]))
+    det["fixed_orders"] = [k for k in range(1, Ku + 1)
+                           if all(key[0] != k for key in skipped)]
     det["fixed_failures"] = fixed_fail
 
     # m_f(z(u)) = (f(u) / f(u + c_g/2)) z(u) mod ideal
     half = cs.c_g / 2
     ratio = series_mul(fext, series_inverse(series_shift(fext, half)))
-    scale_fail = []
-    scale_tested = []
-    for r in range(2, min(orders + 2, K) + 1):
-        lhs = substitute_poly(cs.z[r], table)
+
+    def scaled_z(r):
         rhs = NCPoly.zero()
         for a in range(r + 1):
             c = ratio.coeffs[a] if a <= ratio.order else ZERO
             if c and cs.z[r - a]:
                 rhs = rhs + c * cs.z[r - a]
-        diff = lhs - rhs
-        if not diff:
-            scale_tested.append(r)
-            continue
-        if not _fits(cl, diff):
-            continue
-        scale_tested.append(r)
-        if not is_in_ideal(cl, diff):
-            scale_fail.append(r)
+        return rhs
+
+    scale_tested, _, scale_fail = _check_members(
+        cl, ((r, substitute_poly(cs.z[r], table) - scaled_z(r))
+             for r in range(2, min(orders + 2, K) + 1)))
     det["z_scaling_orders"] = scale_tested
     det["z_scaling_failures"] = scale_fail
 
@@ -1097,50 +1043,46 @@ def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
     c_g = cas.c_g
     om4 = np.array(cas.omega_rho).reshape(N, N, N, N)
     wop4 = np.array(cas.omega_op_frac()).reshape(N, N, N, N)
-    report = {"check": "low_order_structure", "family": pres.family, "N": N,
-              "K": pres.K, "bounds": list(cl.bounds), "status": "pass",
-              "details": {}}
+    report = _report("low_order_structure", pres, cl)
     det = report["details"]
 
     Z = cs.zmat
     phi = [[NCPoly.gen(i + 1, j + 1, 1) - (2 / c_g) * Z.coeffs[2][i, j]
             for j in range(N)] for i in range(N)]
 
-    bracket_fail = []
-    bracket_tested = 0
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                for l in range(N):
-                    lhs = phi[i][j] * phi[k][l] - phi[k][l] * phi[i][j]
-                    rhs = NCPoly.zero()
-                    for b in range(N):
-                        if om4[i, k, j, b]:
-                            rhs = rhs + om4[i, k, j, b] * phi[b][l]
-                        if om4[i, b, j, l]:
-                            rhs = rhs - om4[i, b, j, l] * phi[k][b]
-                    diff = lhs - rhs
-                    if not diff or not _fits(cl, diff):
-                        continue
-                    bracket_tested += 1
-                    if not is_in_ideal(cl, diff):
-                        bracket_fail.append([i + 1, j + 1, k + 1, l + 1])
-    det["embedding_bracket_tested"] = bracket_tested
+    def bracket_defects():
+        for i in range(N):
+            for j in range(N):
+                for k in range(N):
+                    for l in range(N):
+                        lhs = phi[i][j] * phi[k][l] - phi[k][l] * phi[i][j]
+                        rhs = NCPoly.zero()
+                        for b in range(N):
+                            if om4[i, k, j, b]:
+                                rhs = rhs + om4[i, k, j, b] * phi[b][l]
+                            if om4[i, b, j, l]:
+                                rhs = rhs - om4[i, b, j, l] * phi[k][b]
+                        diff = lhs - rhs
+                        if diff:
+                            yield [i + 1, j + 1, k + 1, l + 1], diff
+
+    def symmetrization_defects():
+        for i in range(N):
+            for j in range(N):
+                acc = NCPoly.zero()
+                for p in range(N):
+                    for q in range(N):
+                        if wop4[i, j, p, q]:
+                            acc = acc + wop4[i, j, p, q] * phi[p][q]
+                diff = phi[i][j] - (1 / c_g) * acc
+                if diff:
+                    yield [i + 1, j + 1], diff
+
+    bracket_tested, _, bracket_fail = _check_members(cl, bracket_defects())
+    det["embedding_bracket_tested"] = len(bracket_tested)
     det["embedding_bracket_failures"] = bracket_fail
 
-    sym_fail = []
-    for i in range(N):
-        for j in range(N):
-            acc = NCPoly.zero()
-            for p in range(N):
-                for q in range(N):
-                    if wop4[i, j, p, q]:
-                        acc = acc + wop4[i, j, p, q] * phi[p][q]
-            diff = phi[i][j] - (1 / c_g) * acc
-            if not diff or not _fits(cl, diff):
-                continue
-            if not is_in_ideal(cl, diff):
-                sym_fail.append([i + 1, j + 1])
+    _, _, sym_fail = _check_members(cl, symmetrization_defects())
     det["embedding_symmetrization_failures"] = sym_fail
 
     gen3 = None

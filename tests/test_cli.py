@@ -2,7 +2,6 @@
 reports, config files, and report merging."""
 
 import json
-import os
 
 import pytest
 
@@ -64,15 +63,7 @@ class TestVerify:
                 "--len", "2", "--sumr", "3", "--suite", "rtt",
                 "--seed", "11"]
         _, _, a = run(tmp_path, "a.json", argv)
-        old = os.environ.get("YF_THREADS")
-        os.environ["YF_THREADS"] = "1"
-        try:
-            _, _, b = run(tmp_path, "b.json", argv)
-        finally:
-            if old is None:
-                os.environ.pop("YF_THREADS")
-            else:
-                os.environ["YF_THREADS"] = old
+        _, _, b = run(tmp_path, "b.json", argv)
         assert a.read_bytes() == b.read_bytes()
 
     def test_seed_changes_control(self, tmp_path):
@@ -111,6 +102,117 @@ class TestVerify:
                             "--suite", "rtt"])
         assert code == 1
         assert rep["status"] == "fail"
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("fields", [
+        {"N": "2"},
+        {"N": True},
+        {"K": 3.0},
+        {"L": "2", "R_ord": 3, "suite": ["rtt"]},
+        {"R_ord": False, "L": 2, "suite": ["rtt"]},
+        {"seed": "x"},
+        {"seed": True},
+        {"suite": 5},
+        {"suite": ["classical", 1]},
+        {"output": 1},
+    ], ids=["N-str", "N-bool", "K-float", "L-str", "R_ord-bool", "seed-str",
+            "seed-bool", "suite-int", "suite-item-int", "output-int"])
+    def test_bad_field_is_usage_error(self, tmp_path, capsys, fields):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "sl", "N": 2,
+                                   "suite": ["classical"], **fields}))
+        code, rep, _ = run(tmp_path, "r.json",
+                           ["verify", "--config", str(cfg)])
+        assert code == 2 and rep is None
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["classical,rmatrix",
+                                       " classical , rmatrix ",
+                                       ["classical", "rmatrix"]])
+    def test_suite_list_or_comma_string(self, tmp_path, suite):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "sl", "N": 2, "suite": suite}))
+        code, rep, _ = run(tmp_path, "r.json",
+                           ["verify", "--config", str(cfg)])
+        assert code == 0
+        assert rep["config"]["suite"] == ["classical", "rmatrix"]
+
+
+SHARED_Z_RUNS = [
+    (["--family", "sl", "--n", "2", "--order", "3", "--len", "3",
+      "--sumr", "4"], ["rtt", "center", "hopf", "fixedpoint", "qdet"]),
+    (["--family", "so", "--n", "3", "--order", "3", "--len", "3",
+      "--sumr", "4"], ["center", "hopf", "fixedpoint", "symmetry"]),
+]
+
+
+class TestSharedClosureState:
+    """Suites share one z-series per closure and one enlarged retry
+    closure; sharing must not change what any suite reports."""
+
+    @pytest.mark.parametrize("flags,suites", SHARED_Z_RUNS)
+    def test_multi_suite_equals_single_suites(self, tmp_path, flags, suites):
+        # y_from_z mutates the shared z-series in place
+        _, rep, _ = run(tmp_path, "all.json", ["verify"] + flags
+                        + ["--suite", ",".join(suites)])
+        singles = []
+        for s in suites:
+            _, one, _ = run(tmp_path, s + ".json",
+                            ["verify"] + flags + ["--suite", s])
+            singles += one["checks"]
+        assert rep["checks"] == singles
+
+    def test_one_z_series_per_closure(self, tmp_path, monkeypatch):
+        seen = []
+        real = climod.z_series
+
+        def spy(pres, cl):
+            seen.append(cl)
+            return real(pres, cl)
+        monkeypatch.setattr(climod, "z_series", spy)
+        flags, suites = SHARED_Z_RUNS[0]
+        code, _, _ = run(tmp_path, "r.json", ["verify"] + flags
+                         + ["--suite", ",".join(suites)])
+        assert code == 0
+        assert len(seen) == 1
+
+    def test_enlarged_closure_built_once(self, tmp_path, monkeypatch):
+        # hopf and qdet fail at the requested bounds (2, 3) and pass at
+        # (3, 4): both retry on one enlarged closure and its z-series
+        built, zs = [], []
+        real_closure, real_z = climod.closure, climod.z_series
+        real_hopf, real_qdet = climod.verify_hopf, climod.qdet
+
+        def closure_spy(pres, L, R_ord, **kw):
+            built.append((L, R_ord))
+            return real_closure(pres, L, R_ord, **kw)
+
+        def z_spy(pres, cl):
+            zs.append(cl.bounds)
+            return real_z(pres, cl)
+
+        def fail_small(report, cl):
+            if cl.bounds == (2, 3):
+                report["status"] = "fail"
+            return report
+
+        monkeypatch.setattr(climod, "closure", closure_spy)
+        monkeypatch.setattr(climod, "z_series", z_spy)
+        monkeypatch.setattr(climod, "verify_hopf", lambda pres, cl, *a, **k:
+                            fail_small(real_hopf(pres, cl, *a, **k), cl))
+        monkeypatch.setattr(climod, "qdet", lambda pres, cl, cs: (
+            None, fail_small(real_qdet(pres, cl, cs)[1], cl)))
+        code, rep, _ = run(tmp_path, "r.json",
+                           ["verify", "--family", "sl", "--n", "2",
+                            "--order", "3", "--len", "2", "--sumr", "3",
+                            "--suite", "hopf,qdet"])
+        assert code == 0
+        assert built == [(2, 3), (3, 4)]
+        assert zs == [(2, 3), (3, 4)]
+        assert [(c["check"], c["details"]["retried_at_bounds"])
+                for c in rep["checks"]] == [("hopf", [3, 4]),
+                                            ("qdet", [3, 4])]
 
 
 class TestOtherCommands:

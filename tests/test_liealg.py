@@ -12,6 +12,8 @@ from yangkit.liealg import (
     InvalidAlgebra,
     build_lie,
     casimir,
+    decompose_ad,
+    frac_matmul,
     permutation_matrix,
     q_matrix,
     safe_matmul,
@@ -150,3 +152,24 @@ class TestSafeMatmul:
         got = safe_matmul(a, b)
         assert float_casts.casts == 0
         assert int(got[0, 0]) == 32 * x * y + x == 2 ** 53 + 3 * 2 ** 26 + 1
+
+
+class TestDecomposeAd:
+    # End V = ad(g) + C.I + W for the vector representation, with W's
+    # dimension and omega-eigenvalue per family
+    @pytest.mark.parametrize("family,N,w", [
+        ("sl", 2, []), ("sl", 3, []),
+        ("so", 3, [(5, 6)]), ("so", 4, [(9, 8)]), ("sp", 4, [(5, 8)]),
+    ])
+    def test_blocks(self, family, N, w):
+        data = build_lie(family, N)
+        rep = vector_rep(data)
+        dec = decompose_ad(data, rep)
+        assert dec.dims() == {"ad": data.dim, "eg": 1, "e": 1, "w": w}
+        assert data.dim == {"sl": N * N - 1, "so": N * (N - 1) // 2,
+                            "sp": N * (N + 1) // 2}[family]
+        assert data.dim + 1 + sum(d for d, _ in w) == N * N
+        assert casimir(data, rep).c_g in dec.eigenvalues
+        c = np.array(dec.c_table, dtype=object)
+        a = np.array(dec.a_table, dtype=object)
+        assert (frac_matmul(c, a) == np.identity(N * N, dtype=int)).all()

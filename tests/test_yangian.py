@@ -88,6 +88,30 @@ class TestRelations:
             closure(sl2, 12, 12)
 
 
+class TestCheckMembers:
+    def test_policy(self, sl2_cl, monkeypatch):
+        calls = []
+        real = yangian.normal_form
+
+        def spy(cl, p):
+            calls.append(p)
+            return real(cl, p)
+        monkeypatch.setattr(yangian, "normal_form", spy)
+        a = NCPoly.gen(1, 1, 1)
+        b = NCPoly.gen(1, 2, 1)
+        items = [("long", a * a * a * a),          # length 4 > L = 3
+                 ("high", NCPoly.gen(1, 1, 5)),    # sum_r 5 > R_ord = 4
+                 ("generator", b),
+                 ("zero", a - a),
+                 ("bracket", a * b - b * a - b)]
+        tested, skipped, failures = yangian._check_members(sl2_cl, items)
+        assert tested == ["generator", "zero", "bracket"]
+        assert skipped == ["long", "high"]
+        assert failures == ["generator"]
+        # the zero item is decided without a reduction
+        assert calls == [b, a * b - b * a - b]
+
+
 class TestPBW:
     @pytest.mark.parametrize("L,R,expected", [(2, 2, 19), (2, 3, 39)])
     def test_sl2_extended(self, sl2, L, R, expected):
