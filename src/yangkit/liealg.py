@@ -876,8 +876,8 @@ def verify_extension_split(data, rep):
         for l in range(data.dim):
             joint.add({k: Fraction(int(y)) for k, y in
                        enumerate(t.px[l].reshape(dd)) if y})
-        for row in list(wx.basis.values()):
-            joint.add(dict(row))
+        for row in wx.rows.values():
+            joint.add(row)
         if joint.rank != ad_rank + wx.rank:
             ok_w = False
     details["W(x)-trivial-intersection"] = ok_w

@@ -2,10 +2,15 @@
 and an incremental sparse row-reducer used for ideal closures.
 
 Dense matrices are lists of lists of Fraction (or numpy object arrays);
-sparse rows are dicts {column index: Fraction}.
+sparse rows are dicts {column index: Fraction or int}.  The sparse
+reducer stores its rows fraction-free, as primitive Python-int dicts with
+a positive, non-normalized pivot, and returns ``Fraction`` values at its
+boundary: exact rational residuals from ``reduce`` and a normalized
+``basis`` view built on read.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -95,60 +100,112 @@ class SparseReducer:
     the natural integer order of the interned column ids (callers intern
     monomials so that smaller id = preferred pivot).
 
-    A column index maps each non-pivot column to the pivots whose basis
-    rows hold it.  An insert therefore costs one :meth:`reduce` plus one
-    pass over the new row for each basis row that holds the new pivot
-    column (plus one lookup per stale entry), not a scan of every basis
-    row.  The index is append-only: an entry goes stale when its
-    row loses the column through cancellation (and a row that regains a
-    column is listed twice); stale entries are skipped when read.  A
-    column's list is dropped once the column becomes a pivot, since no
-    basis row can hold it again.
+    Rows are stored fraction-free (in the spirit of Bareiss, *Math. Comp.*
+    22, 1968): :attr:`rows` maps each pivot to a primitive Python-int row
+    dict, with its gcd content divided out and a positive pivot
+    coefficient that is not normalized to 1.  :attr:`basis` is the
+    normalized ``Fraction`` view (pivot coefficient 1), built on read; it
+    is the unique reduced echelon basis of the span, so it does not depend
+    on row scale.  Readers that need only the span, the pivots or the
+    zero pattern read :attr:`rows` directly.
+
+    An insert costs one :meth:`reduce`, one pass over the residual to
+    clear its denominators and divide out its content, and, for each
+    basis row ``b`` that holds the new pivot column, one pass over the new
+    row ``r`` and one over ``b``: ``b <- (beta/g) b - (c/g) r`` with
+    ``beta = r[pivot]``, ``c = b[pivot]`` and ``g = gcd(c, beta)``,
+    followed by a division of ``b`` by its content.  Integer input rows
+    therefore stay on int arithmetic throughout back-substitution.  A
+    column index maps each non-pivot column to the pivots whose rows hold
+    it, so back-substitution touches only those rows (plus one lookup per
+    stale entry), not every basis row.  The index is append-only: an
+    entry goes stale when its row loses the column through cancellation
+    (and a row that regains a column is listed twice); stale entries are
+    skipped when read.  A column's list is dropped once the column
+    becomes a pivot, since no basis row can hold it again.
     """
 
     def __init__(self):
-        self.basis = {}  # pivot col -> row dict (pivot coefficient 1)
+        self.rows = {}  # pivot col -> primitive int row dict, pivot > 0
         self._holders = {}  # non-pivot col -> pivots of rows holding it
 
+    @property
+    def basis(self):
+        """Normalized view {pivot: {col: Fraction}} with pivot entries 1,
+        built on each read."""
+        return {p: {j: Fraction(c, b[p]) for j, c in b.items()}
+                for p, b in self.rows.items()}
+
     def reduce(self, row):
-        """Fully reduce a row dict against the basis; returns residual.
+        """Fully reduce a row dict against the basis; returns the exact
+        rational residual.
 
         Basis rows are mutually reduced (no basis row contains another's
         pivot), so one elimination pass per pivot present is complete.
+        The multiplier of a hit pivot is ``r[hit] / beta``: an int when an
+        int entry is divisible by the pivot coefficient ``beta``, a
+        ``Fraction`` otherwise, so int rows stay int where they can and
+        ``Fraction`` rows stay ``Fraction``.
         """
+        rows = self.rows
         r = {j: c for j, c in row.items() if c}
-        for hit in [j for j in r if j in self.basis]:
+        for hit in [j for j in r if j in rows]:
             c = r.get(hit)
             if not c:
                 continue
-            for j, bj in self.basis[hit].items():
-                nv = r.get(j, ZERO) - c * bj
-                if nv:
-                    r[j] = nv
+            b = rows[hit]
+            beta = b[hit]
+            if beta != 1:
+                if type(c) is not int:
+                    c = c / beta
+                elif c % beta:
+                    c = Fraction(c, beta)
                 else:
-                    r.pop(j, None)
+                    c //= beta
+            m = -c
+            for j, bj in b.items():
+                rj = r.get(j)
+                if rj is None:
+                    r[j] = m * bj
+                else:
+                    nv = rj + m * bj
+                    if nv:
+                        r[j] = nv
+                    else:
+                        del r[j]
         return r
 
     def _insert(self, row):
-        """Reduce, normalize and insert a row; returns its pivot or None."""
+        """Reduce a row, make it primitive and insert it; returns its pivot
+        or None."""
         r = self.reduce(row)
         if not r:
             return None
         piv = min(r)
-        inv = ONE / r[piv]
-        r = {j: c * inv for j, c in r.items()}
-        basis = self.basis
+        den = lcm(*[c.denominator for c in r.values()])
+        r = {j: c.numerator * (den // c.denominator) for j, c in r.items()}
+        g = gcd(*r.values())
+        if r[piv] < 0:
+            g = -g
+        if g != 1:
+            r = {j: c // g for j, c in r.items()}
+        beta = r[piv]
+        rows = self.rows
         holders = self._holders
         for j in r:
             if j != piv:
                 holders.setdefault(j, []).append(piv)
         # back-substitute into the rows holding piv to keep the basis reduced
         for p in holders.pop(piv, ()):
-            b = basis[p]
+            b = rows[p]
             c = b.get(piv)
             if not c:
                 continue
-            m = -c
+            g = gcd(c, beta)
+            m = -(c // g)
+            mb = beta // g
+            if mb != 1:
+                b = {j: mb * bj for j, bj in b.items()}
             for j, rj in r.items():
                 bj = b.get(j)
                 if bj is None:
@@ -160,7 +217,11 @@ class SparseReducer:
                         b[j] = nv
                     else:
                         del b[j]
-        basis[piv] = r
+            g = gcd(*b.values())
+            if g != 1:
+                b = {j: bj // g for j, bj in b.items()}
+            rows[p] = b
+        rows[piv] = r
         return piv
 
     def add(self, row):
@@ -173,4 +234,4 @@ class SparseReducer:
 
     @property
     def rank(self):
-        return len(self.basis)
+        return len(self.rows)

@@ -345,17 +345,17 @@ def solve_intertwiner(data, rep, K):
                         row[r] = rhs[p, q]
                     if row:
                         red.add(row)
-        if r in red.basis:
+        if r in red.rows:
             raise NotAModule("intertwining system inconsistent at order %d"
                              % (k + 1,))
-        free = r - len(red.basis)
+        free = r - red.rank
         if free > 1:
             raise NonIrreducible(
                 "solution ambiguity exceeds the scalar line at order %d"
                 % (k + 1,))
         c = [ZERO] * r
-        for piv, row in red.basis.items():
-            c[piv] = row.get(r, ZERO)
+        for piv, row in red.rows.items():
+            c[piv] = Fraction(row.get(r, 0), row[piv])
         nxt = np.full((dd, dd), ZERO, dtype=object)
         for ci, P in zip(c, projs):
             if ci:

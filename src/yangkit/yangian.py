@@ -324,7 +324,7 @@ def closure(pres, L, R_ord, quotient_mode=False):
 
     while queue:
         piv = queue.popleft()
-        base = red.basis.get(piv)
+        base = red.rows.get(piv)
         if base is None:
             continue
         items = list(base.items())
@@ -468,7 +468,7 @@ def slice_dimension(cl, length, sum_r):
     nwords = sum(1 for i in range(len(id2word)) if inside(i))
     outside_red = linalg.SparseReducer()
     outside_rank = 0
-    for piv, row in cl.reducer.basis.items():
+    for piv, row in cl.reducer.rows.items():
         top_grade = col_sum_r[piv] - len(id2word[piv])
         restricted = {}
         for i, c in row.items():

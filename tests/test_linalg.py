@@ -1,11 +1,14 @@
 """Exact linear algebra: dense RREF helpers and the sparse reducer."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from yangkit import linalg
+from yangkit.freealg import NCPoly
+from yangkit.yangian import closure, normal_form, rtt_relations
 
 F = Fraction
 
@@ -131,3 +134,155 @@ def test_sparse_reducer_matches_dense_rref(case):
             assert not any(q in b for q in by_pivot.basis if q != p)
         for prev in rows[:k + 1]:
             assert by_pivot.reduce(prev) == {}
+
+
+class _FractionReducer:
+    """Plain-Fraction reference: pivots normalized to 1, every basis row
+    scanned on each insert."""
+
+    def __init__(self):
+        self.basis = {}
+
+    def reduce(self, row):
+        r = {j: F(c) for j, c in row.items() if c}
+        for p, b in self.basis.items():
+            c = r.get(p)
+            if c:
+                for j, bj in b.items():
+                    nv = r.get(j, F(0)) - c * bj
+                    if nv:
+                        r[j] = nv
+                    else:
+                        r.pop(j, None)
+        return r
+
+    def add(self, row):
+        r = self.reduce(row)
+        if not r:
+            return None
+        piv = min(r)
+        r = {j: c / r[piv] for j, c in r.items()}
+        for b in self.basis.values():
+            c = b.get(piv)
+            if c:
+                for j, rj in r.items():
+                    nv = b.get(j, F(0)) - c * rj
+                    if nv:
+                        b[j] = nv
+                    else:
+                        b.pop(j, None)
+        self.basis[piv] = r
+        return piv
+
+
+_rationals = st.builds(F, st.integers(-1000, 1000).filter(bool),
+                       st.integers(1, 12))
+
+
+def _cleared(row, factor):
+    """``factor`` times row, scaled to integer entries."""
+    den = math.lcm(*[c.denominator for c in row.values()] or [1])
+    return {j: int(c * den) * factor for j, c in row.items()}
+
+
+@st.composite
+def _rational_row_sequences(draw):
+    """Rational rows (denominators up to 12, numerators up to 10^3), some
+    of them combinations of earlier rows, cancellations of one entry, or
+    integer multiples of an earlier row; plus rational and integer query
+    rows."""
+    ncols = draw(st.integers(2, 8))
+    cols = st.integers(0, ncols - 1)
+
+    def fresh():
+        return {j: draw(_rationals) for j in draw(
+            st.lists(cols, min_size=1, max_size=ncols, unique=True))}
+
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(
+            ["fresh", "combination", "cancel", "integer"]))
+        if kind == "fresh" or not rows:
+            row = fresh()
+        elif kind == "integer":
+            row = _cleared(draw(st.sampled_from(rows)),
+                           draw(st.integers(-6, 6).filter(bool)))
+        else:
+            row = {}
+            for prev in draw(st.lists(st.sampled_from(rows), min_size=1,
+                                      max_size=3)):
+                c = draw(_rationals)
+                for j, v in prev.items():
+                    row[j] = row.get(j, F(0)) + c * v
+            if kind == "cancel":
+                # cancel one entry of the combination against an earlier row
+                prev = draw(st.sampled_from(rows))
+                common = sorted(j for j in prev if row.get(j))
+                if common:
+                    j = draw(st.sampled_from(common))
+                    m = row[j] / prev[j]
+                    for i, v in prev.items():
+                        row[i] = row.get(i, F(0)) - m * v
+        rows.append({j: c for j, c in row.items() if c})
+    queries = [fresh() for _ in range(draw(st.integers(0, 3)))]
+    queries += [_cleared(q, draw(st.integers(1, 30))) for q in queries]
+    return ncols, rows, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_row_sequences())
+def test_integer_rows_match_fraction_reference(case):
+    ncols, rows, queries = case
+    red = linalg.SparseReducer()
+    ref = _FractionReducer()
+    for k, row in enumerate(rows):
+        assert red.add_return_pivot(dict(row)) == ref.add(row)
+        dense = [[row_.get(j, F(0)) for j in range(ncols)]
+                 for row_ in rows[:k + 1]]
+        ref_rows, ref_pivots = linalg.rref(dense, ncols)
+        assert red.basis == {
+            p: {j: c for j, c in enumerate(b) if c}
+            for b, p in zip(ref_rows, ref_pivots)}
+        for p, b in red.rows.items():
+            assert all(type(c) is int for c in b.values())
+            assert b[p] > 0
+            assert math.gcd(*b.values()) == 1
+            assert not any(q in b for q in red.rows if q != p)
+        for q in rows[:k + 1] + [_cleared(r, 7) for r in rows[:k + 1]] \
+                + queries:
+            assert red.reduce(q) == ref.reduce(q)
+
+
+class TestFractionContract:
+    """Every number the library returns is a Fraction, whatever the row
+    scale the reducer stores internally."""
+
+    def test_basis_values(self):
+        red = linalg.SparseReducer()
+        red.add({0: F(2), 1: F(3)})
+        red.add({1: F(4), 2: F(6)})
+        # back-substitution: 2 * (2, 3, 0) - 3 * (0, 2, 3)
+        assert red.rows == {0: {0: 4, 2: -9}, 1: {1: 2, 2: 3}}
+        assert red.basis == {0: {0: F(1), 2: F(-9, 4)},
+                             1: {1: F(1), 2: F(3, 2)}}
+        for b in red.basis.values():
+            assert all(isinstance(c, Fraction) for c in b.values())
+
+    def test_integral_fraction_multiplier(self):
+        red = linalg.SparseReducer()
+        red.add({0: F(2), 1: F(1)})
+        assert red.rows == {0: {0: 2, 1: 1}}
+        # multiplier F(4) / 2 is integral, yet the residual stays Fraction
+        resid = red.reduce({0: F(4), 1: F(1), 2: F(1)})
+        assert resid == {1: F(-1), 2: F(1)}
+        assert all(type(c) is Fraction for c in resid.values())
+
+    def test_normal_form_coefficients(self):
+        cl = closure(rtt_relations("so", 3, 3), 2, 3)
+        assert any(b[p] != 1 for p, b in cl.reducer.rows.items())
+        a = NCPoly.gen(1, 2, 1)
+        b = NCPoly.gen(2, 3, 2)
+        for p in (a * b, 3 * (a * b) - 2 * (b * a), b * a * F(1, 2)):
+            nf = normal_form(cl, p)
+            assert nf.terms
+            assert all(type(c) is Fraction for c in nf.terms.values())

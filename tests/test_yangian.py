@@ -2,6 +2,7 @@
 dimensions, central series, quantum determinant, Hopf and fixed-point
 verification, and evaluation modules."""
 
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 
@@ -132,6 +133,46 @@ class TestPBW:
         lie, rep = sl2.lie, vector_rep(sl2.lie)
         assert pbw_count(lie, rep, 1, 3) == 1 + 3 * 4
         assert pbw_count(lie, rep, 1, 3, quotient=True) == 1 + 3 * 3
+
+
+def _basis_digest(cl):
+    return hashlib.sha256(repr(
+        [(p, list(row.items())) for p, row in cl.reducer.basis.items()]
+    ).encode()).hexdigest()
+
+
+_slow = pytest.mark.slow
+
+
+@pytest.mark.parametrize("family,N,L,R,quotient,digest", [
+    ("sl", 2, 3, 4, False, "938c92b8346c12245e4c80e22ca9616a"
+                           "e4526dd8a8328fcc6af2b03e3917c8ac"),
+    ("sl", 2, 3, 4, True, "5521a523ddf27dbee236479a81a800a0"
+                          "cdce462470992d5d42868e58ff7a4526"),
+    ("sl", 2, 4, 5, False, "25110cbfea86112fdfe3079acd60e0e5"
+                           "cef60a0c93c279aabb1e0d6ac00fc77d"),
+    pytest.param("sl", 2, 4, 5, True, "408cabf5688a8d03a31ec1b6f5a2a233"
+                                      "6f2477f878b777c37fd30f766d2e6acb",
+                 marks=_slow),
+    ("so", 3, 2, 3, False, "a0a030bf8e093e866b7e61e630762901"
+                           "683eb2d032ff2245449e5ea345df4bf7"),
+    ("so", 3, 2, 3, True, "6828c98850a04d1b40ca8d2817406019"
+                          "5d3f2ac5bddb7b259a78bca146da2c24"),
+    pytest.param("sp", 4, 2, 3, False, "d73f5ead3e7e06f494f215d348932bda"
+                                       "e1f7d4f6c9472bf7cf7175045f35a9b6",
+                 marks=_slow),
+    pytest.param("sp", 4, 2, 3, True, "c37c55545de27272734dc612b98a7002"
+                                      "54bd1a107f9a6ecc4e1f91d75f9ab6f7",
+                 marks=_slow),
+], ids=["sl2-3-4-ext", "sl2-3-4-quot", "sl2-4-5-ext", "sl2-4-5-quot",
+        "so3-2-3-ext", "so3-2-3-quot", "sp4-2-3-ext", "sp4-2-3-quot"])
+def test_closure_basis_regression(family, N, L, R, quotient, digest):
+    """The normalized closure basis, key order and entry order included,
+    is pinned at K = 3: a change to the reducer's arithmetic must not
+    change the basis it returns."""
+    cl = closure_for_query(rtt_relations(family, N, 3), L, R,
+                           quotient=quotient)
+    assert _basis_digest(cl) == digest
 
 
 class TestCentralSeries:
