@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import RationalFunction, TruncSeries, rat_to_str
+from .exact import TruncSeries, rat_to_str
 from .freealg import NCPoly, gen_ijr
 from .liealg import (
     InvalidAlgebra,
@@ -34,11 +34,10 @@ from .rmatrix import (
     RMat,
     check_qybe,
     check_unitarity,
+    closed_form_r,
     expansion_check,
     proportional_to,
     solve_intertwiner,
-    sosp_r,
-    yang_r,
 )
 from .yangian import (
     BoundsTooLarge,
@@ -118,10 +117,6 @@ class RunConfig:
                 "suite": list(self.suite), "seed": self.seed}
 
 
-def _closed_form_r(family, N):
-    return yang_r(N) if family == "sl" else sosp_r(family, N)
-
-
 def _emit(report, output):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if output:
@@ -153,14 +148,13 @@ def _perturbed_r(R, rng):
     nn = R.N * R.N
     e = rng.randrange(nn)
     c = Fraction(rng.randint(1, 5))
-    bump = RationalFunction((c,), (ZERO, ZERO, ONE))
-    ent = R.entries.copy()
-    ent[e, e] = ent[e, e] + bump
-    return RMat(ent, R.N), e, c
+    bump = np.zeros((1, nn, nn), dtype=np.int64)
+    bump[0, e, e] = 1
+    return R + RMat.from_poly(R.N, (ZERO, ZERO, ONE), bump, c), e, c
 
 
 def _suite_rmatrix(cfg, ctx):
-    R = _closed_form_r(cfg.family, cfg.N)
+    R = closed_form_r(cfg.family, cfg.N)
     checks = []
     ok = check_qybe(R)
     checks.append({"check": "qybe", "family": cfg.family, "N": cfg.N,
@@ -414,7 +408,7 @@ def cmd_solve_r(cfg):
     data = build_lie(cfg.family, cfg.N)
     rep = vector_rep(data)
     series = solve_intertwiner(data, rep, cfg.K)
-    closed = _closed_form_r(cfg.family, cfg.N)
+    closed = closed_form_r(cfg.family, cfg.N)
     details = {"solution": series.to_json()}
     try:
         g = proportional_to(series, closed)

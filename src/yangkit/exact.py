@@ -246,6 +246,12 @@ def poly_gcd(p, q):
     return p
 
 
+def poly_lcm(p, q):
+    """Monic lcm of two nonzero polynomials."""
+    return poly_scale(poly_mul(p, poly_divmod(q, poly_gcd(p, q))[0]),
+                      ONE / (p[-1] * q[-1]))
+
+
 def poly_eval(p, x):
     acc = ZERO
     for c in reversed(p):

@@ -2,24 +2,30 @@
 unitarity certification, and the order-by-order intertwining-equation
 solver with its proportionality and expansion checks.
 
-R-matrices act on V (x) V with V the vector module; entries are
-RationalFunction in the spectral parameter u.  QYBE is certified by
-clearing denominators with the same scalar polynomial on both sides and
-comparing integer matrix products on an interpolation-complete grid.
+R-matrices act on V (x) V with V the vector module.  An R-matrix is held
+as one monic scalar denominator over an integer matrix polynomial,
+R(u) = s (C_0 + C_1 u + ... + C_d u^d) / D(u) (see RMat), so no check
+normalizes a rational function per entry.  QYBE is certified by clearing
+that one scalar on both sides and comparing integer matrix products on
+an interpolation-complete grid; unitarity multiplies the coefficient
+matrices; u^{-1}-expansions expand 1/D once.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, lcm
 
 import numpy as np
 
 from .exact import (ONE, ZERO, PoleError, RationalFunction, TruncSeries,
-                    certify_bivariate_identity, poly_divmod, poly_eval,
-                    poly_gcd, poly_mul, poly_trim, rat_to_str)
+                    certify_bivariate_identity, poly_compose_linear,
+                    poly_divmod, poly_eval, poly_gcd, poly_lcm, poly_mul,
+                    rat_to_str, series_inverse)
 from . import linalg
-from .liealg import (build_lie, casimir, checked_einsum, frac_kron,
-                     frac_matmul, permutation_matrix, q_matrix, safe_matmul,
-                     _ad_operators_int, _min_poly, _rational_roots)
+from .liealg import (_INT_LIMIT, build_lie, casimir, checked_einsum,
+                     frac_kron, frac_matmul, frac_to_int_array,
+                     int_to_frac_array, permutation_matrix, q_matrix,
+                     safe_axpy, safe_matmul, _ad_operators_int, _max_abs,
+                     _min_poly, _rational_roots)
 
 
 class UnitarityFailure(RuntimeError):
@@ -38,43 +44,173 @@ class NotProportional(RuntimeError):
     pass
 
 
-class RMat:
-    """N^2 x N^2 matrix of RationalFunction acting on V (x) V."""
+def _combine(rows, shape):
+    """Exact integer-matrix combinations with rational weights.
 
-    __slots__ = ("entries", "N")
+    ``rows[k]`` lists (weight, integer matrix) pairs.  Returns (S, s): S
+    stacks one integer matrix per row (int64, or Python ints where int64
+    could overflow) and s = 1/q with q the least common denominator, so
+    that s * S[k] is the sum of weight * matrix over ``rows[k]``.
+    """
+    q = 1
+    for row in rows:
+        for c, _ in row:
+            q = lcm(q, c.denominator)
+    mats = []
+    for row in rows:
+        acc = np.zeros(shape, dtype=np.int64)
+        for c, m in row:
+            if c:
+                acc = safe_axpy(acc, c.numerator * (q // c.denominator), m)
+        mats.append(acc)
+    S = np.array(mats)
+    g = gcd(q, int(np.gcd.reduce(S.ravel())))
+    if g > 1:
+        S //= g
+        q //= g
+    if S.dtype == object and _max_abs(S) < _INT_LIMIT:
+        S = S.astype(np.int64)
+    return S, Fraction(1, q)
+
+
+class RMat:
+    """R(u) = scale * (sum_m coeffs[m] u^m) / den(u) on V (x) V.
+
+    ``den`` is D(u), the monic lcm of the entry denominators (ascending
+    Fraction coefficients).  ``coeffs`` stacks the integer matrices C_0 ..
+    C_deg, shape (deg + 1, N^2, N^2), int64 or Python ints where int64
+    could overflow; C_deg is nonzero unless R = 0.  ``scale`` = 1/q with
+    q the least common denominator of scale * C, so the C_m are the
+    cleared integer matrices of q D(u) R(u).  ``RMat(entries, N)`` clears
+    an N^2 x N^2 array of RationalFunction once; ``from_poly`` takes
+    (D, C) directly.
+
+    Cost, with n = N^2 and d = deg D: check_qybe evaluates sum_m C_m w^m
+    with d integer axpys of n x n per grid value; check_unitarity takes
+    (d + 1)^2 integer n x n products; expand(K) and eval_at expand 1/D
+    once and take d + 1 axpys per output matrix.  Only the ``entries``
+    view builds a RationalFunction per entry.
+    """
+
+    __slots__ = ("N", "den", "coeffs", "scale")
 
     def __init__(self, entries, N):
-        self.entries = entries      # object array of RationalFunction
-        self.N = N
         nn = N * N
         if entries.shape != (nn, nn):
             raise ValueError("R-matrix must be N^2 x N^2")
+        den = (ONE,)
+        for d in {e.den for e in entries.flat}:
+            den = poly_lcm(den, d)
+        polys = [poly_mul(e.num, poly_divmod(den, e.den)[0])
+                 for e in entries.flat]
+        top = max(1, max(len(p) for p in polys))
+        stack = [[p[m] if m < len(p) else ZERO for p in polys]
+                 for m in range(top)]
+        ints, self.scale = frac_to_int_array(stack, wide=True)
+        self.coeffs = ints.reshape(top, nn, nn)
+        self.den = den
+        self.N = N
 
-    def eval_at(self, u):
-        """Exact Fraction matrix R(u); raises PoleError at poles."""
+    @classmethod
+    def from_poly(cls, N, den, coeffs, scale=ONE):
+        """R(u) = scale * (sum_m coeffs[m] u^m) / den(u) for integer
+        matrices ``coeffs`` over a monic common denominator ``den``, which
+        is reduced to the lcm of the entry denominators."""
+        coeffs = np.asarray(coeffs)
+        if coeffs.shape[1:] != (N * N, N * N) or den[-1] != 1:
+            raise ValueError("need N^2 x N^2 matrices over a monic "
+                             "denominator")
+        while len(coeffs) > 1 and not coeffs[-1].any():
+            coeffs = coeffs[:-1]
+        R = object.__new__(cls)
+        R.N = N
+        R.den = tuple(Fraction(c) for c in den)
+        R.coeffs, R.scale = _combine([[(Fraction(scale), c)]
+                                      for c in coeffs], (N * N, N * N))
+        # den is the lcm unless it shares a factor with every entry
+        g = R.den
+        for col in R.coeffs.reshape(len(R.coeffs), -1).T:
+            if len(g) == 1:
+                break
+            if col.any():
+                g = poly_gcd(g, tuple(Fraction(int(c)) for c in col))
+        if len(g) > 1:
+            # a pole cancels in every entry: clear the reduced entries
+            return cls(R.entries, N)
+        return R
+
+    def __add__(self, other):
+        den = poly_lcm(self.den, other.den)
+        rows = {}
+        for R in (self, other):
+            for j, qj in enumerate(poly_divmod(den, R.den)[0]):
+                for m, c in enumerate(R.coeffs):
+                    rows.setdefault(j + m, []).append((R.scale * qj, c))
+        C, s = _combine([rows[k] for k in range(max(rows) + 1)],
+                        self.coeffs.shape[1:])
+        return RMat.from_poly(self.N, den, C, s)
+
+    @property
+    def entries(self):
+        """Read-only N^2 x N^2 array of RationalFunction, built on each
+        read."""
         nn = self.N * self.N
         out = np.empty((nn, nn), dtype=object)
         for i in range(nn):
             for j in range(nn):
-                out[i, j] = self.entries[i, j](u)
+                out[i, j] = RationalFunction(
+                    [self.scale * int(c) for c in self.coeffs[:, i, j]],
+                    self.den)
+        out.flags.writeable = False
         return out
+
+    def numerator(self):
+        """Fraction matrices A_0 .. A_deg with D(u) R(u) = sum_m A_m u^m."""
+        return [int_to_frac_array(c, self.scale) for c in self.coeffs]
+
+    def shifted(self, a):
+        """R(u - a)."""
+        a = Fraction(a)
+        top = len(self.coeffs) - 1
+        # sum_m C_m (u - a)^m = sum_k u^k sum_{m >= k} binom(m, k)
+        # (-a)^(m - k) C_m
+        C, s = _combine(
+            [[(self.scale * comb(m, k) * (-a) ** (m - k), self.coeffs[m])
+              for m in range(k, top + 1)] for k in range(top + 1)],
+            self.coeffs.shape[1:])
+        return RMat.from_poly(
+            self.N, poly_compose_linear(self.den, ONE, -a), C, s)
+
+    def expand_scaled(self, K):
+        """(S, s) with R(u) = sum_{k <= K} s S[k] u^{-k} + O(u^{-K-1}):
+        S an integer stack of shape (K + 1, N^2, N^2) and s = 1/q, q the
+        least common denominator."""
+        d = len(self.den) - 1
+        if len(self.coeffs) - 1 > d:
+            raise ValueError("not proper at infinity")
+        # u^m / D(u) = u^(m - d) / rev D(1/u) with rev D(0) = 1 (D monic),
+        # so its u^-k coefficient is inv[k - d + m], inv = 1 / rev D
+        rev = tuple(reversed(self.den)) + (ZERO,) * K
+        inv = series_inverse(TruncSeries(rev[:K + 1])).coeffs
+        return _combine(
+            [[(self.scale * inv[k - d + m], c)
+              for m, c in enumerate(self.coeffs) if k - d + m >= 0]
+             for k in range(K + 1)], self.coeffs.shape[1:])
 
     def expand(self, K):
         """RSeries of the u^{-1}-expansion to order K."""
-        nn = self.N * self.N
-        coeffs = [np.full((nn, nn), ZERO, dtype=object) for _ in range(K + 1)]
-        for i in range(nn):
-            for j in range(nn):
-                s = self.entries[i, j].expand_at_infinity(K)
-                for k, c in enumerate(s.coeffs):
-                    coeffs[k][i, j] = c
-        return RSeries(coeffs)
+        S, s = self.expand_scaled(K)
+        return RSeries([int_to_frac_array(m, s) for m in S])
 
-    def to_json(self):
-        return {"N": self.N,
-                "entries": [[self.entries[i, j].to_json()
-                             for j in range(self.N * self.N)]
-                            for i in range(self.N * self.N)]}
+    def eval_at(self, u):
+        """Exact Fraction matrix R(u); raises PoleError at poles."""
+        d = poly_eval(self.den, u)
+        if d == 0:
+            raise PoleError("pole at u=%s" % (u,))
+        u = Fraction(u)
+        S, s = _combine([[(u ** m, c) for m, c in enumerate(self.coeffs)]],
+                        self.coeffs.shape[1:])
+        return int_to_frac_array(S[0], s * self.scale / d)
 
 
 class RSeries:
@@ -100,87 +236,38 @@ class RSeries:
                            for c in self.coeffs]}
 
 
-def _rf_const(c):
-    return RationalFunction.constant(c)
-
-
 def yang_r(N):
-    """R(u) = I - P u^{-1} on the N-dimensional vector module."""
+    """R(u) = I - P u^{-1} = (u I - P) / u on the N-dimensional vector
+    module."""
     if N < 2:
         raise ValueError("N >= 2 required")
-    nn = N * N
-    P = permutation_matrix(N)
-    inv_u = RationalFunction((ONE,), (ZERO, ONE))
-    ent = np.empty((nn, nn), dtype=object)
-    for i in range(nn):
-        for j in range(nn):
-            ent[i, j] = _rf_const(ONE if i == j else ZERO) - P[i, j] * inv_u
-    return RMat(ent, N)
+    P = permutation_matrix(N).astype(np.int64)
+    return RMat.from_poly(N, (ZERO, ONE),
+                          [-P, np.eye(N * N, dtype=np.int64)])
 
 
 def sosp_r(family, N):
-    """R(u) = I - P u^{-1} + Q (u - kappa)^{-1} for so_N / sp_N."""
+    """R(u) = I - P u^{-1} + Q (u - kappa)^{-1} for so_N / sp_N, that is
+    u (u - kappa) R(u) = u^2 I - u (kappa I + P - Q) + kappa P."""
     data = build_lie(family, N)
-    nn = N * N
-    P = permutation_matrix(N)
-    Q = q_matrix(data)
-    inv_u = RationalFunction((ONE,), (ZERO, ONE))
-    inv_uk = RationalFunction((ONE,), (-data.kappa, ONE))
-    ent = np.empty((nn, nn), dtype=object)
-    for i in range(nn):
-        for j in range(nn):
-            ent[i, j] = (_rf_const(ONE if i == j else ZERO)
-                         - P[i, j] * inv_u + Q[i, j] * inv_uk)
-    return RMat(ent, N)
+    # P and Q have entries 0 and +-1
+    P = permutation_matrix(N).astype(np.int64)
+    Q = q_matrix(data).astype(np.int64)
+    I = np.eye(N * N, dtype=np.int64)
+    k = data.kappa
+    p, q = k.numerator, k.denominator
+    return RMat.from_poly(N, (ZERO, -k, ONE),
+                          [p * P, -(p * I + q * P - q * Q), q * I],
+                          Fraction(1, q))
+
+
+def closed_form_r(family, N):
+    """The closed-form R-matrix of sl_N, so_N or sp_N."""
+    return yang_r(N) if family == "sl" else sosp_r(family, N)
 
 
 # ---------------------------------------------------------------------------
 # QYBE
-
-def _poly_lcm(p, q):
-    g = poly_gcd(p, q)
-    return poly_mul(p, poly_divmod(q, g)[0])
-
-
-def _cleared_int_polys(R):
-    """(integer-coefficient numerator polys, max degree) of c*D(u)*R(u).
-
-    D is the lcm of all entry denominators and c clears coefficient
-    denominators; the same scalar multiplies every QYBE factor, so the
-    cleared ternary identity is equivalent to the original one.
-    """
-    nn = R.N * R.N
-    D = (ONE,)
-    for i in range(nn):
-        for j in range(nn):
-            D = _poly_lcm(D, R.entries[i, j].den)
-    polys = {}
-    den_lcm = 1
-    deg = 0
-    for i in range(nn):
-        for j in range(nn):
-            e = R.entries[i, j]
-            p = poly_mul(e.num, poly_divmod(D, e.den)[0])
-            polys[(i, j)] = p
-            for c in p:
-                den_lcm = den_lcm * c.denominator // gcd(
-                    den_lcm, c.denominator)
-            deg = max(deg, len(p) - 1)
-    out = {}
-    for key, p in polys.items():
-        out[key] = tuple(int(c * den_lcm) for c in p)
-    return out, deg
-
-
-def _eval_int_matrix(polys, nn, w):
-    m = np.zeros((nn, nn), dtype=np.int64)
-    for (i, j), p in polys.items():
-        v = 0
-        for c in reversed(p):
-            v = v * w + c
-        m[i, j] = v
-    return m
-
 
 # einsum specs placing an N^2 x N^2 matrix on legs 12, 13 or 23 of V^(x)3
 _LEG_SPECS = {"12": "abxy,cz->abcxyz",
@@ -197,10 +284,14 @@ def _leg(m, N, leg):
 
 
 def check_qybe(R):
-    """Certify R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v) exactly."""
-    polys, deg = _cleared_int_polys(R)
+    """Certify R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v) exactly.
+
+    Both sides are multiplied by q^3 D(u-v) D(u) D(v), which turns every
+    factor R(w) into the integer matrix polynomial C(w) = sum_m C_m w^m.
+    """
+    C = R.coeffs
     N = R.N
-    nn = N * N
+    deg = len(C) - 1
     legs = {}
 
     def factor(leg, w):
@@ -208,7 +299,10 @@ def check_qybe(R):
         # so do all grid points with the same u, v or u - v
         key = (leg, w)
         if key not in legs:
-            legs[key] = _leg(_eval_int_matrix(polys, nn, w), N, leg)
+            m = C[deg]
+            for c in reversed(C[:deg]):
+                m = safe_axpy(c, w, m)
+            legs[key] = _leg(m, N, leg)
         return legs[key]
 
     def side(u, v, left):
@@ -231,29 +325,34 @@ def check_qybe(R):
 # unitarity
 
 def check_unitarity(R):
-    """R12(u) R21(-u); returns the scalar f(u) if the product is f(u) I."""
+    """R12(u) R21(-u); returns the scalar f(u) if the product is f(u) I.
+
+    The product is s^2 C(u) C21(-u) / (D(u) D(-u)) with C21 = P C P, so
+    its numerator coefficients are sums of the (d + 1)^2 integer products
+    C_m C21_k; each must be a scalar matrix.
+    """
     N = R.N
     nn = N * N
-    r21 = np.empty((nn, nn), dtype=object)
-    for a in range(N):
-        for b in range(N):
-            for c in range(N):
-                for d in range(N):
-                    r21[a * N + b, c * N + d] = \
-                        R.entries[b * N + a, d * N + c].compose_linear(
-                            Fraction(-1), ZERO)
-    prod = frac_matmul(R.entries, r21)
-    f = prod[0, 0]
-    for i in range(nn):
-        for j in range(nn):
-            want = f if i == j else RationalFunction((ZERO,))
-            got = prod[i, j]
-            if not isinstance(got, RationalFunction):
-                got = RationalFunction.constant(got)
-            if got != want:
-                raise UnitarityFailure(
-                    "product is not scalar at entry (%d, %d)" % (i, j))
-    return f
+    C = R.coeffs
+    n = len(C)
+    C21 = C.reshape(n, N, N, N, N).transpose(0, 2, 1, 4, 3).reshape(
+        n, nn, nn)
+    prod = [None] * (2 * n - 1)
+    for m in range(n):
+        for k in range(n):
+            prod[m + k] = safe_axpy(prod[m + k], (-1) ** k,
+                                    safe_matmul(C[m], C21[k]))
+    eye = np.eye(nn, dtype=bool)
+    bad = np.zeros((nn, nn), dtype=bool)
+    for p in prod:
+        bad |= np.where(eye, p != p[0, 0], p != 0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise UnitarityFailure(
+            "product is not scalar at entry (%d, %d)" % (i, j))
+    minus = tuple(-c if i % 2 else c for i, c in enumerate(R.den))
+    return RationalFunction([R.scale ** 2 * int(p[0, 0]) for p in prod],
+                            poly_mul(R.den, minus))
 
 
 # ---------------------------------------------------------------------------

@@ -39,15 +39,12 @@ from .freealg import (
 from .liealg import (
     build_lie,
     casimir,
-    frac_to_int_array,
     int_to_frac_array,
-    permutation_matrix,
-    q_matrix,
     safe_axpy,
     safe_matmul,
     vector_rep,
 )
-from .rmatrix import sosp_r, yang_r
+from .rmatrix import closed_form_r
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -108,21 +105,10 @@ def rtt_relations(family, N, K):
     data = build_lie(family, N)
     cas = casimir(data)
     nn = N * N
-    ident = np.full((nn, nn), ZERO, dtype=object)
-    for a in range(nn):
-        ident[a, a] = ONE
-    P = permutation_matrix(N)
-    if family == "sl":
-        R = yang_r(N)
-        A = [-P, ident]          # (u-v) R(u-v) = (u-v) I - P
-        d = 1
-    else:
-        R = sosp_r(family, N)
-        kap = data.kappa
-        Q = q_matrix(data)
-        # (u-v)(u-v-kappa) R(u-v) = w^2 I - w (kappa I + P - Q) + kappa P
-        A = [kap * P, -(kap * ident + P - Q), ident]
-        d = 2
+    R = closed_form_r(family, N)
+    # D(w) R(w) = sum_m A_m w^m with w = u - v and d = deg D
+    A = R.numerator()
+    d = len(R.den) - 1
     Kb = K + 1 + d
     T = t_matrix(N, Kb)
     Tc = T.coeffs
@@ -1203,24 +1189,19 @@ class EvalModule:
         """Coefficients of R_{0m}(u - a_m) at u^-r, r <= order, on
         V^{(x)(k+1)}: a list of integer matrices and their common scale."""
         N = self.N
-        R = self.pres.R
-        a_m = self.shifts[m - 1]
-        nn = N * N
-        expanded, scale = frac_to_int_array(
-            [[R.entries[a, b].compose_linear(ONE, -a_m)
-              .expand_at_infinity(self.order).coeffs for b in range(nn)]
-             for a in range(nn)], wide=True)
+        expanded, scale = self.pres.R.shifted(
+            self.shifts[m - 1]).expand_scaled(self.order)
         out = np.zeros((self.order + 1, dim, dim), dtype=expanded.dtype)
         k = self.k
         powers = [N ** (k - t) for t in range(k + 1)]  # digit place values
         for row in range(dim):
             rd = [(row // powers[t]) % N for t in range(k + 1)]
-            base = expanded[rd[0] * N + rd[m]]
+            base = expanded[:, rd[0] * N + rd[m]]
             for a in range(N):
                 for b in range(N):
                     col = row + (a - rd[0]) * powers[0] \
                         + (b - rd[m]) * powers[m]
-                    out[:, row, col] = base[a * N + b]
+                    out[:, row, col] = base[:, a * N + b]
         return list(out), scale
 
     def eval(self, p, scaled=False):

@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, usage errors, deterministic JSON
 reports, config files, and report merging."""
 
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,27 @@ class TestVerify:
                             "--suite", "rtt"])
         assert code == 1
         assert rep["status"] == "fail"
+
+    # the five commands of the classical benchmark workload, at --seed 0
+    @pytest.mark.parametrize("argv,digest", [
+        ("verify --family sl --n 3 --suite classical,rmatrix",
+         "94e3502c8ba7240fbeff548fad21930fdf0e9fb12e9e82494d6f8b39057f1b44"),
+        ("verify --family sl --n 6 --suite rmatrix",
+         "f8efcc148b11a16581084501cb05e4fbf04bed3ce166a55bda473906b99222d1"),
+        ("verify --family so --n 5 --suite rmatrix",
+         "a0c50c8e8f56e7ce4aa0fb7e98d4dfc13548d78d305c4bd04e4bb2884570f798"),
+        ("verify --family sp --n 4 --suite rmatrix",
+         "f511ef25dcf84a1cfacac587d0ad2d8966aa390f02f49b9034aa3a6bc49f696c"),
+        ("solve-r --family so --n 4 --order 3",
+         "a306377623d35c07ea145fd99ca1776cc9994e97375f6f605a47babbdfaa68e5"),
+    ], ids=["sl3-classical-rmatrix", "sl6-rmatrix", "so5-rmatrix",
+            "sp4-rmatrix", "so4-solve-r"])
+    def test_golden_reports(self, capsys, argv, digest):
+        """Report bytes on stdout are pinned, so a change to the exact,
+        liealg or rmatrix layers that alters a report shows here."""
+        assert main(argv.split() + ["--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestConfigFile:

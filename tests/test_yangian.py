@@ -175,6 +175,55 @@ def test_closure_basis_regression(family, N, L, R, quotient, digest):
     assert _basis_digest(cl) == digest
 
 
+@pytest.mark.parametrize("family,N,K,degree,count,digest", [
+    ("sl", 2, 2, 1, 160,
+     "347dead67ffa9527f17cd038cd922b80"
+     "fba4c8b6d41995fd7cd9e17c4050ab6a"),
+    ("sl", 2, 3, 1, 282,
+     "c9aba954bad6333441337a8bf69f4008"
+     "a45b7bef2bf509bc623850ad440b795a"),
+    ("sl", 2, 4, 1, 436,
+     "bf8b7c4e4970d4d319094106ac4beeee"
+     "42d3c1100702cf408e55935f3a3f38d8"),
+    ("sl", 3, 2, 1, 810,
+     "24b8463a91defa26415427084c4789a4"
+     "d00fef91abb9b5c8a7d20a5a7cb8cf8d"),
+    ("sl", 3, 3, 1, 1422,
+     "52e446cc7efe8a92801bb12bc0ed285f"
+     "b7b7bf5c08ead0046f7f69657b7b9125"),
+    ("sl", 3, 4, 1, 2196,
+     "379b333e114248a8e6b99e5685e3b89e"
+     "497c9cd45fdd756b4042f77913493a09"),
+    ("so", 3, 3, 2, 1967,
+     "395923952c0c944120267ef17e7e2c36"
+     "8d895a04dfab59639b2feb89513906cf"),
+    pytest.param("so", 4, 3, 2, 6232,
+                 "eb61e7ed19da427da5462c28fd4d41f7"
+                 "0daf0b98c25423dbe21a2e8d7517dec8",
+                 marks=_slow),
+    pytest.param("sp", 4, 3, 2, 6232,
+                 "c76244e9232e4384ea924859dbbb1e60"
+                 "7af87b7da77fca7d3386bdefb8a2c3ce",
+                 marks=_slow),
+    pytest.param("so", 5, 2, 2, 9634,
+                 "c10f82d9948ff5c7f304ad7b8e9469ac"
+                 "a42929a8148cb38af6c420f1dba8ce17",
+                 marks=_slow),
+], ids=["sl2-K2", "sl2-K3", "sl2-K4", "sl3-K2", "sl3-K3", "sl3-K4",
+        "so3-K3", "so4-K3", "sp4-K3", "so5-K2"])
+def test_relation_list_regression(family, N, K, degree, count, digest):
+    """The relation list, polynomial and term order included, is pinned.
+    rtt_relations reads the matrices A_m of D(w) R(w) = sum_m A_m w^m and
+    the clearing degree d = deg D from the closed-form R-matrix, so a
+    change to the R-matrix representation must not change a relation."""
+    pres = rtt_relations(family, N, K)
+    assert pres.clear_degree == degree
+    assert len(pres.relations) == count
+    assert hashlib.sha256(repr(
+        [list(p.terms.items()) for p in pres.relations]
+    ).encode()).hexdigest() == digest
+
+
 class TestCentralSeries:
     def test_z1_zero_and_centrality(self, sl2_cs):
         assert sl2_cs.report["status"] == "pass"
@@ -285,9 +334,10 @@ def _reference_images(pres, shifts, order):
     def digits(x):
         return [(x // N ** (k - t)) % N for t in range(k + 1)]
 
+    entries = pres.R.entries
     series = None
     for m, a in enumerate(shifts, 1):
-        exp = {(p, q): pres.R.entries[p, q].compose_linear(F(1), -a)
+        exp = {(p, q): entries[p, q].compose_linear(F(1), -a)
                .expand_at_infinity(order).coeffs
                for p in range(nn) for q in range(nn)}
         factor = []
