@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (ONE, ZERO, TruncSeries, rat_from_str, rat_to_str,
-                    series_inverse, series_mul, series_shift)
+from .exact import (ONE, ZERO, TruncSeries, frac_matmul, rat_from_str,
+                    rat_to_str, series_inverse, series_mul, series_shift)
 
 
 class NonInvertible(ValueError):
@@ -294,20 +294,6 @@ class MatSeries:
             raise ValueError("cannot extend truncation order")
         return MatSeries(self.coeffs[: K + 1], self.N)
 
-    def map_coeffs(self, fn):
-        out = []
-        for c in self.coeffs:
-            m = np.empty((self.N, self.N), dtype=object)
-            for i in range(self.N):
-                for j in range(self.N):
-                    m[i, j] = fn(c[i, j])
-            out.append(m)
-        return MatSeries(out, self.N)
-
-
-def _zeros(N):
-    return np.full((N, N), NCPoly.zero(), dtype=object)
-
 
 def _eye(N, one=None):
     one = NCPoly.one() if one is None else one
@@ -332,21 +318,6 @@ def t_matrix(N, K):
     return MatSeries(coeffs, N)
 
 
-def _mat_dot(a, b, N):
-    out = np.empty((N, N), dtype=object)
-    for i in range(N):
-        for j in range(N):
-            acc = None
-            for k in range(N):
-                if a[i, k] and b[k, j]:
-                    t = a[i, k] * b[k, j]
-                    acc = t if acc is None else acc + t
-            if acc is None:
-                acc = a[0, 0] - a[0, 0]
-            out[i, j] = acc
-    return out
-
-
 def mat_mul(A, B):
     K = min(A.order, B.order)
     N = A.N
@@ -354,7 +325,7 @@ def mat_mul(A, B):
     for k in range(K + 1):
         acc = None
         for a in range(k + 1):
-            t = _mat_dot(A.coeffs[a], B.coeffs[k - a], N)
+            t = frac_matmul(A.coeffs[a], B.coeffs[k - a])
             acc = t if acc is None else acc + t
         out.append(acc)
     return MatSeries(out, N)
@@ -363,17 +334,14 @@ def mat_mul(A, B):
 def mat_inverse(A):
     """Inverse via the geometric series; requires constant term I."""
     N = A.N
-    if isinstance(A.coeffs[0][0, 0], TensorNCPoly):
-        ident = _eye(N, one=TensorNCPoly.one())
-    else:
-        ident = _eye(N, one=NCPoly.one())
+    ident = _eye(N)
     if not (A.coeffs[0] == ident).all():
         raise NonInvertible("constant term is not the identity")
     out = [ident]
     for k in range(1, A.order + 1):
         acc = None
         for a in range(1, k + 1):
-            t = _mat_dot(A.coeffs[a], out[k - a], N)
+            t = frac_matmul(A.coeffs[a], out[k - a])
             acc = t if acc is None else acc + t
         out.append(-acc)
     return MatSeries(out, N)

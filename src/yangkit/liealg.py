@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from .exact import ONE, ZERO
+from .exact import ONE, ZERO, frac_matmul
 from . import linalg
 
 SL, SO, SP = "sl", "so", "sp"
@@ -159,22 +159,6 @@ def int_to_frac_array(a, scale):
     """Fraction array scale * a of an integer array (int64 or object)."""
     return np.array([Fraction(int(x)) * scale for x in a.flat],
                     dtype=object).reshape(a.shape)
-
-
-def frac_matmul(a, b):
-    """Matrix product of Fraction object arrays."""
-    n, m = a.shape
-    m2, p = b.shape
-    assert m == m2
-    out = np.full((n, p), ZERO, dtype=object)
-    for i in range(n):
-        for k in range(m):
-            c = a[i, k]
-            if c:
-                for j in range(p):
-                    if b[k, j]:
-                        out[i, j] += c * b[k, j]
-    return out
 
 
 def frac_kron(a, b):

@@ -21,9 +21,10 @@ from .exact import (ONE, ZERO, PoleError, RationalFunction, TruncSeries,
                     poly_divmod, poly_eval, poly_gcd, poly_lcm, poly_mul,
                     rat_to_str, series_inverse)
 from . import linalg
-from .liealg import (_INT_LIMIT, build_lie, casimir, checked_einsum,
-                     frac_kron, frac_matmul, frac_to_int_array,
-                     int_to_frac_array, permutation_matrix, q_matrix,
+from .liealg import (_INT_LIMIT, OverflowGuard, build_lie, casimir,
+                     checked_einsum, frac_kron, frac_matmul,
+                     frac_to_int_array, int_to_frac_array,
+                     permutation_matrix, q_matrix,
                      safe_axpy, safe_matmul, _ad_operators_int, _max_abs,
                      _min_poly, _rational_roots)
 
@@ -277,10 +278,15 @@ _LEG_SPECS = {"12": "abxy,cz->abcxyz",
 
 def _leg(m, N, leg):
     """Embed an N^2 x N^2 integer matrix as leg "12", "13" or "23" of
-    V^(x)3."""
+    V^(x)3: int64 while the guard proves the entries fit, Python ints
+    (dtype object) otherwise."""
     n3 = N ** 3
-    return checked_einsum(_LEG_SPECS[leg], m.reshape(N, N, N, N),
-                          np.eye(N, dtype=np.int64)).reshape(n3, n3)
+    ops = (m.reshape(N, N, N, N), np.eye(N, dtype=np.int64))
+    try:
+        out = checked_einsum(_LEG_SPECS[leg], *ops)
+    except OverflowGuard:
+        out = np.einsum(_LEG_SPECS[leg], *(o.astype(object) for o in ops))
+    return out.reshape(n3, n3)
 
 
 def check_qybe(R):

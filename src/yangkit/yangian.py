@@ -21,6 +21,7 @@ from .freealg import (
     NCPoly,
     TensorNCPoly,
     MatSeries,
+    _eye,
     antipode_poly,
     antipode_table,
     coproduct_poly,
@@ -109,71 +110,58 @@ def rtt_relations(family, N, K):
     # D(w) R(w) = sum_m A_m w^m with w = u - v and d = deg D
     A = R.numerator()
     d = len(R.den) - 1
-    Kb = K + 1 + d
-    T = t_matrix(N, Kb)
-    Tc = T.coeffs
-
-    def lr_product(x, y, reverse):
-        """T_1(u)-coeff-x times T_2(v)-coeff-y as an N^2 x N^2 matrix of
-        NCPoly; entry ((ik),(jl)) = T[x][i,j] * T[y][k,l] (or reversed)."""
-        out = np.empty((nn, nn), dtype=object)
-        for i in range(N):
-            for j in range(N):
-                for k in range(N):
-                    for l in range(N):
-                        p, q = Tc[x][i, j], Tc[y][k, l]
-                        out[i * N + k, j * N + l] = q * p if reverse else p * q
-        return out
-
-    M = {}
-    Mr = {}
-    for x in range(Kb + 1):
-        for y in range(Kb + 1):
-            M[x, y] = lr_product(x, y, False)
-            Mr[x, y] = lr_product(x, y, True)
-
-    def frac_times_poly_mat(F, G, right):
-        """F (Fraction matrix) times G (NCPoly matrix), or G times F."""
-        out = np.empty((nn, nn), dtype=object)
-        for i in range(nn):
-            for j in range(nn):
-                acc = None
-                for k in range(nn):
-                    c = F[i, k] if not right else F[k, j]
-                    g = G[k, j] if not right else G[i, k]
-                    if c and g:
-                        t = c * g
-                        acc = t if acc is None else acc + t
-                out[i, j] = acc if acc is not None else NCPoly.zero()
-        return out
+    # word of T^(r)_{ij}: T^(0) = I gives the empty word, None for a 0
+    W = [[[() if i == j else None for j in range(N)] for i in range(N)]]
+    W += [[[(gen_id(i + 1, j + 1, r),) for j in range(N)] for i in range(N)]
+          for r in range(1, K + 2 + d)]
+    # R(u-v) = sum_m A_m sum_s binom(m, s) u^(m-s) (-v)^s: for each (m, s),
+    # the nonzero entries of binom(m, s) (-1)^s A_m by row and by column,
+    # inner index (i, k) = divmod(flat index, N) ascending
+    parts = []
+    for m, Am in enumerate(A):
+        for s in range(m + 1):
+            cA = comb(m, s) * (-1) ** s * Am
+            parts.append((m - s, s,
+                          [[divmod(k, N) + (cA[e, k],) for k in range(nn)
+                            if cA[e, k]] for e in range(nn)],
+                          [[divmod(k, N) + (cA[k, f],) for k in range(nn)
+                            if cA[k, f]] for f in range(nn)]))
+    split = [divmod(e, N) for e in range(nn)]
 
     seen = set()
     relations = []
     for a in range(K + 2):
         for b in range(K + 2):
-            diff = None
-            for m, Am in enumerate(A):
-                for s in range(m + 1):
-                    c = Fraction(comb(m, s) * (-1) ** s)
-                    lhs = frac_times_poly_mat(Am, M[a + m - s, b + s], False)
-                    rhs = frac_times_poly_mat(Am, Mr[a + m - s, b + s], True)
-                    term = lhs - rhs
-                    if c != ONE:
-                        term = np.array(
-                            [[c * t for t in row] for row in term],
-                            dtype=object)
-                    diff = term if diff is None else diff + term
-            for e in range(nn):
-                for f in range(nn):
-                    p = diff[e, f]
-                    if not p:
-                        continue
-                    p = _canon_poly(p)
-                    key = tuple(sorted(p.terms.items()))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    relations.append(p)
+            # u^-a v^-b coefficient of sum_{m,s} binom(m,s) (-1)^s
+            # (A_m T1^(a+m-s) T2^(b+s) - T2^(b+s) T1^(a+m-s) A_m), summed
+            # (m, s) by (m, s) in NCPoly order
+            diff = [NCPoly.zero()] * (nn * nn)
+            for dx, s, rows, cols in parts:
+                Wx, Wy = W[a + dx], W[b + s]
+                for e, (i, k) in enumerate(split):
+                    for f, (j, l) in enumerate(split):
+                        # entry (ik, jl) of A T1 T2 and of T2 T1 A; the
+                        # words within each are distinct
+                        lhs, rhs = {}, {}
+                        for i2, k2, v in rows[e]:
+                            p, q = Wx[i2][j], Wy[k2][l]
+                            if p is not None and q is not None:
+                                lhs[p + q] = v
+                        for j2, l2, v in cols[f]:
+                            p, q = Wx[i][j2], Wy[k][l2]
+                            if p is not None and q is not None:
+                                rhs[q + p] = v
+                        if lhs or rhs:
+                            diff[e * nn + f] += NCPoly(lhs) - NCPoly(rhs)
+            for p in diff:
+                if not p:
+                    continue
+                p = _canon_poly(p)
+                key = tuple(sorted(p.terms.items()))
+                if key in seen:
+                    continue
+                seen.add(key)
+                relations.append(p)
     relations.sort(key=_poly_sort_key)
     pres = RTTPresentation(data, cas, R, K, relations, d)
     # sanity filter: every relation must die under the one-factor
@@ -922,6 +910,11 @@ def verify_hopf(pres, cl, cs, orders=3, max_relations=None):
 # ---------------------------------------------------------------------------
 # fixed-point verification
 
+def _scalar_mat(f, N):
+    """The series f(u) I as a MatSeries."""
+    return MatSeries([_eye(N, one=c) for c in f.coeffs], N)
+
+
 def verify_fixed_point(pres, cl, cs, f, orders=2):
     """m_f(T~) = T~ modulo the ideal for T~(u) = y(u)^{-1} T(u), and
     m_f(z(u)) = (f(u)/f(u + c_g/2)) z(u) modulo the ideal."""
@@ -941,18 +934,7 @@ def verify_fixed_point(pres, cl, cs, f, orders=2):
     yser = TruncSeries(ysub)
     yinv = series_inverse(yser)
     T = t_matrix(N, Ku)
-    tilde = []
-    for k in range(Ku + 1):
-        m = np.empty((N, N), dtype=object)
-        for i in range(N):
-            for j in range(N):
-                acc = NCPoly.zero()
-                for a in range(k + 1):
-                    if yinv.coeffs[a] and T.coeffs[k - a][i, j]:
-                        acc = acc + yinv.coeffs[a] * T.coeffs[k - a][i, j]
-                m[i, j] = acc
-        tilde.append(m)
-    Tt = MatSeries(tilde, N)
+    Tt = mat_mul(_scalar_mat(yinv, N), T)
 
     zmax = min(orders + 2, K)
     max_r = max(
@@ -994,19 +976,8 @@ def verify_fixed_point(pres, cl, cs, f, orders=2):
     # shift compatibility: forming T~ commutes with u -> u + 1 exactly
     c = ONE
     A = mat_shift(Tt, c)
-    yinv_sh = series_shift(yinv, c)
-    Tsh = mat_shift(T, c)
-    shift_ok = True
-    for k in range(Ku + 1):
-        for i in range(N):
-            for j in range(N):
-                acc = NCPoly.zero()
-                for a in range(k + 1):
-                    if yinv_sh.coeffs[a] and Tsh.coeffs[k - a][i, j]:
-                        acc = acc + (yinv_sh.coeffs[a]
-                                     * Tsh.coeffs[k - a][i, j])
-                if acc != A.coeffs[k][i, j]:
-                    shift_ok = False
+    B = mat_mul(_scalar_mat(series_shift(yinv, c), N), mat_shift(T, c))
+    shift_ok = all((a == b).all() for a, b in zip(A.coeffs, B.coeffs))
     det["shift_compatible"] = shift_ok
 
     if fixed_fail or scale_fail or not shift_ok:

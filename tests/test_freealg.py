@@ -3,9 +3,10 @@ series, coproduct/counit/antipode, and the scaling substitution."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from yangkit.exact import TruncSeries
+from yangkit.exact import TruncSeries, frac_matmul
 from yangkit.freealg import (
     MatSeries,
     NCPoly,
@@ -94,6 +95,16 @@ class TestMatSeries:
         TT = transpose_t(transpose_t(T, data), data)
         for k in range(3):
             assert (TT.coeffs[k] == T.coeffs[k]).all()
+
+    def test_frac_matmul_entry_without_terms_is_ncpoly_zero(self):
+        a, b, z = NCPoly.gen(1, 1, 1), NCPoly.gen(1, 2, 1), NCPoly.zero()
+        x = np.array([[a, z], [z, b]], dtype=object)
+        y = np.array([[b, a], [z, z]], dtype=object)
+        out = frac_matmul(x, y)
+        assert out[0, 0] == a * b and out[0, 1] == a * a
+        # row 1 of x meets only zero factors: no term, the NCPoly zero
+        for p in out[1]:
+            assert isinstance(p, NCPoly) and not p
 
 
 class TestHopfMaps:

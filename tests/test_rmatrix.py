@@ -13,7 +13,8 @@ from yangkit import rmatrix
 from yangkit.cli import _perturbed_r
 from yangkit.exact import (PoleError, RationalFunction, poly_divmod,
                            poly_gcd, poly_mul)
-from yangkit.liealg import build_lie, frac_matmul, vector_rep
+from yangkit.liealg import (build_lie, frac_matmul, permutation_matrix,
+                            vector_rep)
 from yangkit.rmatrix import (
     RMat,
     UnitarityFailure,
@@ -46,6 +47,26 @@ class TestQYBE:
         ent[0, 0] = ent[0, 0] + RationalFunction((F(1),),
                                                  (F(0), F(0), F(1)))
         assert not check_qybe(RMat(ent, 2))
+
+    @staticmethod
+    def _scaled_yang():
+        # R(u) = I - P / (2^70 u) is Yang's R-matrix at a rescaled
+        # spectral parameter; its cleared coefficients exceed the int64
+        # guard, so the leg factors must go on in Python ints
+        P = permutation_matrix(2)
+        eye = np.identity(4, dtype=object)
+        R = RMat.from_poly(2, (0, 1), [-P, 2 ** 70 * eye], F(1, 2 ** 70))
+        assert R.coeffs.dtype == object
+        return R
+
+    def test_large_coefficients_solution(self):
+        assert check_qybe(self._scaled_yang())
+
+    def test_large_coefficients_non_solution_fails(self):
+        bump = np.zeros((1, 4, 4), dtype=np.int64)
+        bump[0, 0, 0] = 1
+        bad = self._scaled_yang() + RMat.from_poly(2, (0, 0, 1), bump)
+        assert not check_qybe(bad)
 
     def test_leg_factors_built_once(self, monkeypatch):
         built = []

@@ -5,6 +5,7 @@ verification, and evaluation modules."""
 import hashlib
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from yangkit import yangian
 from yangkit.exact import TruncSeries, series_mul
 from yangkit.freealg import NCPoly, gen_id, gen_ijr, mat_shift, t_matrix
 from yangkit.liealg import build_lie, frac_matmul, vector_rep
+from yangkit.rmatrix import closed_form_r
 from yangkit.yangian import (
     BoundsTooLarge,
     OutOfBounds,
@@ -222,6 +224,81 @@ def test_relation_list_regression(family, N, K, degree, count, digest):
     assert hashlib.sha256(repr(
         [list(p.terms.items()) for p in pres.relations]
     ).encode()).hexdigest() == digest
+
+
+def _reference_relations(family, N, K):
+    """Reference relation list from dense NCPoly matrices: N^2 x N^2
+    tables of the products T1^(x) T2^(y) and T2^(y) T1^(x), each
+    multiplied by the Fraction matrix A_m entry by entry and summed as
+    NCPoly arrays."""
+    R = closed_form_r(family, N)
+    A = R.numerator()
+    d = len(R.den) - 1
+    nn = N * N
+    Tc = t_matrix(N, K + 1 + d).coeffs
+
+    def lr_product(x, y, reverse):
+        out = np.empty((nn, nn), dtype=object)
+        for i in range(N):
+            for j in range(N):
+                for k in range(N):
+                    for l in range(N):
+                        p, q = Tc[x][i, j], Tc[y][k, l]
+                        out[i * N + k, j * N + l] = q * p if reverse else p * q
+        return out
+
+    def frac_times_poly_mat(F_, G, right):
+        out = np.empty((nn, nn), dtype=object)
+        for i in range(nn):
+            for j in range(nn):
+                acc = None
+                for k in range(nn):
+                    c = F_[i, k] if not right else F_[k, j]
+                    g = G[k, j] if not right else G[i, k]
+                    if c and g:
+                        t = c * g
+                        acc = t if acc is None else acc + t
+                out[i, j] = acc if acc is not None else NCPoly.zero()
+        return out
+
+    seen = set()
+    relations = []
+    for a in range(K + 2):
+        for b in range(K + 2):
+            diff = None
+            for m, Am in enumerate(A):
+                for s in range(m + 1):
+                    c = F(comb(m, s) * (-1) ** s)
+                    x, y = a + m - s, b + s
+                    term = (frac_times_poly_mat(Am, lr_product(x, y, False),
+                                                False)
+                            - frac_times_poly_mat(Am, lr_product(x, y, True),
+                                                  True))
+                    if c != 1:
+                        term = np.array([[c * t for t in row]
+                                         for row in term], dtype=object)
+                    diff = term if diff is None else diff + term
+            for p in diff.flat:
+                if not p:
+                    continue
+                p = yangian._canon_poly(p)
+                key = tuple(sorted(p.terms.items()))
+                if key not in seen:
+                    seen.add(key)
+                    relations.append(p)
+    relations.sort(key=yangian._poly_sort_key)
+    return relations
+
+
+@pytest.mark.parametrize("family,N,K", [("sl", 2, 2), ("sl", 2, 3),
+                                        ("sl", 3, 2), ("so", 3, 2)])
+def test_relations_match_reference(family, N, K):
+    """Same polynomials, same list order and same term order as the
+    NCPoly-matrix construction."""
+    got = rtt_relations(family, N, K).relations
+    want = _reference_relations(family, N, K)
+    assert [list(p.terms.items()) for p in got] == \
+        [list(p.terms.items()) for p in want]
 
 
 class TestCentralSeries:
