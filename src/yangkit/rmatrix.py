@@ -21,10 +21,9 @@ from .exact import (ONE, ZERO, PoleError, RationalFunction, TruncSeries,
                     poly_divmod, poly_eval, poly_gcd, poly_lcm, poly_mul,
                     rat_to_str, series_inverse)
 from . import linalg
-from .liealg import (_INT_LIMIT, OverflowGuard, build_lie, casimir,
-                     checked_einsum, frac_kron, frac_matmul,
-                     frac_to_int_array, int_to_frac_array,
-                     permutation_matrix, q_matrix,
+from .liealg import (_INT_LIMIT, build_lie, casimir, checked_einsum,
+                     frac_kron, frac_matmul, frac_to_int_array,
+                     int_to_frac_array, permutation_matrix, q_matrix,
                      safe_axpy, safe_matmul, _ad_operators_int, _max_abs,
                      _min_poly, _rational_roots)
 
@@ -270,22 +269,23 @@ def closed_form_r(family, N):
 # ---------------------------------------------------------------------------
 # QYBE
 
-# einsum specs placing an N^2 x N^2 matrix on legs 12, 13 or 23 of V^(x)3
-_LEG_SPECS = {"12": "abxy,cz->abcxyz",
-              "13": "acxz,by->abcxyz",
-              "23": "bcyz,ax->abcxyz"}
+# the two axes of V^(x)3 (as (a, b, c, x, y, z)) that the identity factor
+# ties together when an N^2 x N^2 matrix sits on legs 12, 13 or 23
+_LEG_FREE = {"12": (2, 5), "13": (1, 4), "23": (0, 3)}
 
 
 def _leg(m, N, leg):
     """Embed an N^2 x N^2 integer matrix as leg "12", "13" or "23" of
-    V^(x)3: int64 while the guard proves the entries fit, Python ints
-    (dtype object) otherwise."""
+    V^(x)3.  The entries of m are copied, never combined, so the result
+    keeps m's dtype (int64 or Python ints)."""
     n3 = N ** 3
-    ops = (m.reshape(N, N, N, N), np.eye(N, dtype=np.int64))
-    try:
-        out = checked_einsum(_LEG_SPECS[leg], *ops)
-    except OverflowGuard:
-        out = np.einsum(_LEG_SPECS[leg], *(o.astype(object) for o in ops))
+    m4 = m.reshape(N, N, N, N)
+    out = np.zeros((N,) * 6, dtype=m.dtype)
+    p, q = _LEG_FREE[leg]
+    for i in range(N):
+        idx = [slice(None)] * 6
+        idx[p] = idx[q] = i
+        out[tuple(idx)] = m4
     return out.reshape(n3, n3)
 
 
