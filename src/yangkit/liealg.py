@@ -3,15 +3,19 @@ adjoint-module decompositions of gl(V), and the finite-dimensional
 verification reports (classical presentation, current presentation,
 extension split, Yangian module relations).
 
-All arithmetic is exact.  Heavy tensor contractions run on int64 numpy
-arrays carrying an explicit Fraction scale; every contraction is guarded
-by an a-priori overflow bound and falls back to an error (never silently
-wraps).  Small linear algebra runs directly over Fraction.
+All arithmetic is exact.  Tensor contractions run on int64 numpy arrays
+carrying an explicit Fraction scale; every contraction is guarded by an
+a-priori overflow bound and falls back to an error (never silently
+wraps).  The integer tensors of a representation (rho(X), its dual
+images, Omega_rho, the ad operators, the omega-operator on End V and c_g)
+are built in one place, ``_Tensors``, which every reader shares; the
+commutant of a representation is built in one place, ``commutant``.
+Kernels, minimal polynomials and inverses (``linalg``) run over
+Fraction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -350,7 +354,7 @@ def twisted_rep(data, c):
 
 
 # ---------------------------------------------------------------------------
-# Casimir data
+# representation tensors
 
 @dataclass(frozen=True)
 class CasimirData:
@@ -364,7 +368,8 @@ class CasimirData:
 
 
 def _ad_operators_int(px):
-    """kron(X, I) - kron(I, X^T) for each X in the stacked int array."""
+    """kron(X, I) - kron(I, X^T) for each X in the stacked int array: the
+    operator M -> XM - MX on End V, M flattened row-major."""
     g, d, _ = px.shape
     eye = np.eye(d, dtype=np.int64)
     left = checked_einsum("lik,jm->lijkm", px, eye).reshape(g, d * d, d * d)
@@ -372,46 +377,80 @@ def _ad_operators_int(px):
     return left - right
 
 
-def _dualize(stacked, scale, data):
-    """Contract a g-indexed int array with the inverse Gram matrix."""
-    ginv_int, ginv_scale = frac_to_int_array(
-        [list(r) for r in data.gram_inv])
-    spec = "l" + "abcdef"[: stacked.ndim - 1]
-    out = checked_einsum("nl,n" + spec[1:] + "->" + spec,
-                         ginv_int, stacked)
-    return out, scale * ginv_scale
+class _Tensors:
+    """The integer tensors of a representation rho, each an int array with
+    one Fraction scale: rho(X_l) (px, sx), the dual images rho(X^l) (pd,
+    sd), Omega_rho = sum_l rho(X_l) (x) rho(X^l) as [x, y, x', y'] (omt,
+    somt), the omega-operator sum_l ad rho(X_l) ad rho(X^l) on End V
+    (wop, swop; d^2 x d^2) and its eigenvalue c_g on ad(g), verified
+    constant.
+
+    The inverse Gram matrix is cleared to integers once; :meth:`dual`
+    applies it to any g-indexed array.  rho(J) is read with
+    ``rep.int_j()`` by the callers that need it.
+    """
+
+    def __init__(self, data, rep):
+        self.data = data
+        self.d = d = rep.dim
+        self.ginv, self.sginv = frac_to_int_array(
+            [list(r) for r in data.gram_inv])
+        self.px, self.sx = rep.int_x()
+        self.pd, self.sd = self.dual(self.px, self.sx)
+        self.omt = checked_einsum("lac,lbd->abcd", self.px, self.pd)
+        self.somt = self.sx * self.sd
+        # ad is linear, so ad rho(X^l) is ad of the dual images
+        self.wop = checked_einsum("lab,lbc->ac", _ad_operators_int(self.px),
+                                  _ad_operators_int(self.pd))
+        self.swop = self.sx * self.sd
+
+        c_g = None
+        for lam in range(data.dim):
+            v = self.px[lam].reshape(d * d)
+            w = checked_einsum("ab,b->a", self.wop, v)
+            nz = np.nonzero(v)[0]
+            if not len(nz):
+                raise InvalidAlgebra("zero basis element")
+            ratio = Fraction(int(w[nz[0]]), int(v[nz[0]])) * self.swop
+            if not scaled_equal(w, self.swop, v, ratio):
+                raise InvalidAlgebra("omega_op is not scalar on ad(g)")
+            if c_g is None:
+                c_g = ratio
+            elif c_g != ratio:
+                raise InvalidAlgebra(
+                    "omega_op eigenvalue differs across ad(g)")
+        self.c_g = c_g
+
+    def dual(self, stacked, scale):
+        """X_l -> X^l on the leading g-index of an int array with scale."""
+        spec = "abcdef"[: stacked.ndim - 1]
+        out = checked_einsum("nl,n" + spec + "->l" + spec, self.ginv, stacked)
+        return out, scale * self.sginv
+
+    def casimir_data(self):
+        dd = self.d * self.d
+        return CasimirData(int_to_frac_array(self.omt.reshape(dd, dd),
+                                             self.somt),
+                           self.wop, self.swop, self.c_g)
 
 
 def casimir(data, rep=None):
-    if rep is None:
-        rep = vector_rep(data)
-    px, sx = rep.int_x()
-    pd, sd = _dualize(px, sx, data)
-    d = rep.dim
-    om_int = checked_einsum("lac,lbd->abcd", px, pd).reshape(d * d, d * d)
-    omega_rho = int_to_frac_array(om_int, sx * sd)
+    return _Tensors(data, vector_rep(data) if rep is None
+                    else rep).casimir_data()
 
-    ad = _ad_operators_int(px)
-    ad_dual, sdual = _dualize(ad, sx, data)
-    op = checked_einsum("lab,lbc->ac", ad, ad_dual)
-    op_scale = sx * sdual
 
-    # eigenvalue of omega on the adjoint block, verified constant
-    c_g = None
-    for lam in range(data.dim):
-        v = px[lam].reshape(d * d)
-        w = checked_einsum("ab,b->a", op, v)
-        nz = np.nonzero(v)[0]
-        if not len(nz):
-            raise InvalidAlgebra("zero basis element")
-        ratio = Fraction(int(w[nz[0]]), int(v[nz[0]])) * op_scale
-        if not scaled_equal(w, op_scale, v, ratio):
-            raise InvalidAlgebra("omega_op is not scalar on ad(g)")
-        if c_g is None:
-            c_g = ratio
-        elif c_g != ratio:
-            raise InvalidAlgebra("omega_op eigenvalue differs across ad(g)")
-    return CasimirData(omega_rho, op, op_scale, c_g)
+def commutant(rep, with_j):
+    """Basis of the M in End V (flattened row-major) with XM = MX for
+    every rho(X), and for every rho(J(X)) as well when ``with_j``.  The
+    basis is read off the reduced echelon form, so it does not depend on
+    the order or the scale of the rows."""
+    mats = [rep.int_x()[0]]
+    if with_j:
+        mats.append(rep.int_j()[0])
+    dd = rep.dim * rep.dim
+    rows = [[Fraction(int(x)) for x in row] for m in mats if m.any()
+            for row in _ad_operators_int(m).reshape(-1, dd)]
+    return linalg.nullspace(rows, dd)
 
 
 def permutation_matrix(N):
@@ -557,16 +596,9 @@ def _divisors(n):
 
 
 def decompose_ad(data, rep):
-    px, sx = rep.int_x()
-    pj, sj = rep.int_j()
-    d = rep.dim
-    dd = d * d
-    ad = _ad_operators_int(px)
-    ad_dual, sdual = _dualize(ad, sx, data)
-    op_int = checked_einsum("lab,lbc->ac", ad, ad_dual)
-    op_scale = sx * sdual
-    op = [[Fraction(int(op_int[i, j])) * op_scale for j in range(dd)]
-          for i in range(dd)]
+    t = _Tensors(data, rep)
+    dd = rep.dim * rep.dim
+    op = [[Fraction(int(x)) * t.swop for x in row] for row in t.wop]
 
     mp = _min_poly(op, dd)
     roots, remainder = _rational_roots(mp)
@@ -586,19 +618,8 @@ def decompose_ad(data, rep):
     if total != dd:
         raise UnsupportedDecomposition("omega_op is not semisimple over Q")
 
-    # joint kernels
-    ad_rows = [list(ad[l, i, :].astype(object)) for l in range(data.dim)
-               for i in range(dd)]
-    eg = linalg.nullspace([[Fraction(int(x)) for x in row]
-                           for row in ad_rows], dd)
-    j_rows = _ad_operators_int(pj) if pj.any() else None
-    if j_rows is not None:
-        all_rows = ad_rows + [list(j_rows[l, i, :].astype(object))
-                              for l in range(data.dim) for i in range(dd)]
-        e_part = linalg.nullspace([[Fraction(int(x)) for x in row]
-                                   for row in all_rows], dd)
-    else:
-        e_part = eg
+    eg = commutant(rep, False)
+    e_part = commutant(rep, True) if rep.int_j()[0].any() else eg
 
     # E_g must be the 0-eigenspace
     zero_dim = len(eig_spaces.get(Fraction(0), []))
@@ -617,9 +638,8 @@ def decompose_ad(data, rep):
             ec_part.append(v)
 
     # ad(g) vectors and its eigenvalue block
-    cas = casimir(data, rep)
-    c_g = cas.c_g
-    ad_vecs = [[Fraction(int(x)) for x in px[l].reshape(dd)]
+    c_g = t.c_g
+    ad_vecs = [[Fraction(int(x)) for x in t.px[l].reshape(dd)]
                for l in range(data.dim)]
 
     w_parts = []
@@ -652,58 +672,62 @@ def decompose_ad(data, rep):
 
 
 # ---------------------------------------------------------------------------
-# shared scaled-int tensors for the verification layer
+# verification reports
 
-class _Tensors:
-    def __init__(self, data, rep):
-        self.data = data
-        self.rep = rep
-        self.px, self.sx = rep.int_x()
-        self.pj, self.sj = rep.int_j()
-        self.pd, self.sd = _dualize(self.px, self.sx, data)
-        self.d = rep.dim
-        g = data.dim
-        ginv_int, ginv_scale = frac_to_int_array(
-            [list(r) for r in data.gram_inv])
-        # F_{ij} = -(rho (x) 1) Omega: g-coordinates in the primal basis
-        self.fg = -checked_einsum("lij,nl->ijn", self.px, ginv_int)
-        self.sfg = self.sx * ginv_scale
-        # abstract bracket coordinates [X_l, X_n] = sum_g BRC[l,n,g] X_g
-        bx, sbx = frac_to_int_array(list(data.basis))
-        bd, sbd = _dualize(bx, sbx, data)
-        c1 = (checked_einsum("lab,nbc->lnac", bx, bx)
-              - checked_einsum("nab,lbc->lnac", bx, bx))
-        self.brc = checked_einsum("lnab,gba->lng", c1, bd)
-        self.sbrc = sbx * sbx * sbd * data.form_scale
-        # Omega_rho as a 4-index tensor [x, y, x', y']
-        self.omt = checked_einsum("lac,lbd->abcd", self.px, self.pd)
-        self.somt = self.sx * self.sd
-        # omega operator on gl(V) for this rep, 4-index [x, x', q, q']
-        ad = _ad_operators_int(self.px)
-        ad_dual, sdual = _dualize(ad, self.sx, data)
-        dd = self.d * self.d
-        self.wop = checked_einsum("lab,lbc->ac", ad, ad_dual).reshape(
-            self.d, self.d, self.d, self.d)
-        self.swop = self.sx * sdual
+def _bracket_constants(t):
+    """[X_l, X_n] = sum_g BRC[l, n, g] X_g, as (int array, scale)."""
+    bx, sbx = frac_to_int_array(list(t.data.basis))
+    bd, sbd = t.dual(bx, sbx)
+    c1 = (checked_einsum("lab,nbc->lnac", bx, bx)
+          - checked_einsum("nab,lbc->lnac", bx, bx))
+    return (checked_einsum("lnab,gba->lng", c1, bd),
+            sbx * sbx * sbd * t.data.form_scale)
 
-    def bracket_fg(self):
-        """B[a,b,c,d,g] = bracket(F_ab, F_cd) in g-coordinates."""
-        m1 = checked_einsum("abl,lng->abng", self.fg, self.brc)
-        b = checked_einsum("abng,cdn->abcdg", m1, self.fg)
-        return b, self.sfg * self.sfg * self.sbrc
 
-    def omega_f2_commutator(self):
-        """[Omega_rho, F_2] as a tensor [x, y, x', y', g]."""
-        t1 = checked_einsum("xyab,bcg->xyacg", self.omt, self.fg)
-        t2 = checked_einsum("ybg,xbpq->xypqg", self.fg, self.omt)
-        return t1 - t2, self.somt * self.sfg
+def _presentation_verdicts(data, rep, f_override=None):
+    """The identities of F = -(rho (x) 1) Omega that the classical and
+    the current presentation report, with F_1, F_2 its slot-1 and slot-2
+    copies and brackets taken in g-coordinates:
 
-    def omega_f1_commutator(self):
-        """[Omega_rho, F_1] as a tensor [x, y, x', y', g]."""
-        # F_1[x,y,a,b,g] = F[x,a,g] delta_{y,b}
-        t1 = checked_einsum("xyab,acg->xycbg", self.omt, self.fg)
-        t2 = checked_einsum("xag,aypq->xypqg", self.fg, self.omt)
-        return t1 - t2, self.somt * self.sfg
+    - F-br: [F_1, F_2] = [Omega_rho, F_2];
+    - F1-br: -[F_1, F_2] = [Omega_rho, F_1];
+    - F-sym: omega(F) = c_g F;
+    - sigma-sym: [Omega_rho, F_2] = -[Omega_rho, F_1];
+    - F-sym-explicit: sum_a [F_ia, F_aj] = (c_g / 2) F_ij.
+
+    f_override (g-coordinate tensor, scale) substitutes a perturbed F for
+    negative-control tests.
+    """
+    t = _Tensors(data, rep)
+    if f_override is None:
+        # F_ij = -sum_l rho(X_l)_ij X^l: g-coordinates in the primal basis
+        fg, sfg = (-checked_einsum("lij,nl->ijn", t.px, t.ginv),
+                   t.sx * t.sginv)
+    else:
+        fg, sfg = f_override
+    brc, sbrc = _bracket_constants(t)
+    # b[a,b,c,d,g] = [F_ab, F_cd]; lhs holds the [F_1, F_2] entries
+    b = checked_einsum("abng,cdn->abcdg",
+                       checked_einsum("abl,lng->abng", fg, brc), fg)
+    sb = sfg * sfg * sbrc
+    lhs = np.transpose(b, (0, 2, 1, 3, 4))
+    # [Omega_rho, F_2] and [Omega_rho, F_1] as [x, y, x', y', g], with
+    # F_1[x,y,a,b,g] = F[x,a,g] delta_{y,b}
+    com2 = (checked_einsum("xyab,bcg->xyacg", t.omt, fg)
+            - checked_einsum("ybg,xbpq->xypqg", fg, t.omt))
+    com1 = (checked_einsum("xyab,acg->xycbg", t.omt, fg)
+            - checked_einsum("xag,aypq->xypqg", fg, t.omt))
+    sc = t.somt * sfg
+    d = t.d
+    wf = checked_einsum("xpqr,qrg->xpg", t.wop.reshape(d, d, d, d), fg)
+    return {
+        "F-br": scaled_equal(lhs, sb, com2, sc),
+        "F1-br": scaled_equal(lhs, -sb, com1, sc),
+        "F-sym": scaled_equal(fg, sfg, wf, t.swop * sfg / t.c_g),
+        "sigma-sym": scaled_equal(com2, sc, -com1, sc),
+        "F-sym-explicit": scaled_equal(
+            fg, sfg, checked_einsum("iaajg->ijg", b), sb * 2 / t.c_g),
+    }
 
 
 def _report(check, data, status, details):
@@ -719,39 +743,11 @@ def verify_classical_presentation(data, rep, f_override=None):
     f_override (g-coordinate tensor, scale) substitutes a perturbed F for
     negative-control tests.
     """
-    t = _Tensors(data, rep)
-    if f_override is not None:
-        t.fg, t.sfg = f_override
-    details = {}
-
-    b, sb = t.bracket_fg()
-    lhs = np.transpose(b, (0, 2, 1, 3, 4))          # [F_1, F_2] entries
-    rhs, sr = t.omega_f2_commutator()
-    details["F-br"] = scaled_equal(lhs, sb, rhs, sr)
-
-    wf = checked_einsum("xpqr,qrg->xpg", t.wop, t.fg)
-    details["F-sym"] = scaled_equal(t.fg, t.sfg, wf,
-                                    t.swop * t.sfg / _cg(data, rep))
-
-    rhs1, sr1 = t.omega_f1_commutator()
-    details["sigma-sym"] = scaled_equal(rhs, sr, -rhs1, sr1)
-
-    comp = checked_einsum("iaajg->ijg", b)
-    details["F-sym-explicit"] = scaled_equal(
-        t.fg, t.sfg, comp, sb * 2 / _cg(data, rep))
-
-    ok = all(details.values())
-    return _report("classical_presentation", data, ok, details)
-
-
-@lru_cache(maxsize=None)
-def _cg_cached(family, N):
-    data = build_lie(family, N)
-    return casimir(data).c_g
-
-
-def _cg(data, rep):
-    return _cg_cached(data.family, data.N)
+    v = _presentation_verdicts(data, rep, f_override)
+    details = {k: v[k] for k in ("F-br", "F-sym", "sigma-sym",
+                                 "F-sym-explicit")}
+    return _report("classical_presentation", data, all(details.values()),
+                   details)
 
 
 def verify_current_presentation(data, rep, D):
@@ -759,33 +755,18 @@ def verify_current_presentation(data, rep, D):
     two series expansions of the denominator-cleared relation."""
     if D < 1:
         raise ValueError("D >= 1 required")
-    t = _Tensors(data, rep)
-    details = {}
-    b, sb = t.bracket_fg()
-    lhs = np.transpose(b, (0, 2, 1, 3, 4))
-    com2, sc2 = t.omega_f2_commutator()
-    com1, sc1 = t.omega_f1_commutator()
-
+    v = _presentation_verdicts(data, rep)
     # [F_1^{(r)}, F_2^{(s)}] = [Omega_rho, F_2^{(r+s)}] for r + s <= D: the
     # z-degree bookkeeping is r+s on both sides and the tensors are
-    # degree-free, so one comparison decides every (r, s)
-    f2_ok = scaled_equal(lhs, sb, com2, sc2)
-    details["gz-R"] = f2_ok
-
-    wf = checked_einsum("xpqr,qrg->xpg", t.wop, t.fg)
-    details["gz-sym"] = scaled_equal(t.fg, t.sfg, wf,
-                                     t.swop * t.sfg / _cg(data, rep))
-
-    # two expansions of (u-v) [F_1(u), F_2(v)] = [Omega, F_1(u) + F_2(v)]
-    # with F(u) = sum_{r<=D} F^{(r)} u^{-r-1}, compared on the
+    # degree-free, so one comparison decides every (r, s).
+    # The two expansions of (u-v) [F_1(u), F_2(v)] = [Omega, F_1(u) +
+    # F_2(v)] with F(u) = sum_{r<=D} F^{(r)} u^{-r-1}, compared on the
     # truncation-complete region a + b <= D + 1: the coefficients at b = 0
     # read -[F_1, F_2] = [Omega, F_1], those at a = 0 < b read
     # [F_1, F_2] = [Omega, F_2], and every other one compares 0 with 0
-    details["expansion-agreement"] = (
-        scaled_equal(lhs, -sb, com1, sc1) and f2_ok)
-
-    ok = all(details.values())
-    return _report("current_presentation", data, ok,
+    details = {"gz-R": v["F-br"], "gz-sym": v["F-sym"],
+               "expansion-agreement": v["F1-br"] and v["F-br"]}
+    return _report("current_presentation", data, all(details.values()),
                    {**details, "D": D})
 
 
@@ -793,57 +774,31 @@ def verify_extension_split(data, rep):
     """Dimension split of the one- and two-sided extensions, the K-matrix
     identities on E_g, and triviality of W(x) cap ad(g)."""
     t = _Tensors(data, rep)
+    pj, sj = rep.int_j()
     d = rep.dim
     dd = d * d
     details = {}
 
-    ad_rows = []
-    for l in range(data.dim):
-        A = _ad_operators_int(t.px[l:l + 1])[0]
-        for i in range(dd):
-            ad_rows.append([Fraction(int(x)) for x in A[i]])
-    eg = linalg.nullspace(ad_rows, dd)
-    if t.pj.any():
-        aj = _ad_operators_int(t.pj)
-        rows = ad_rows + [[Fraction(int(x)) for x in aj[l, i]]
-                          for l in range(data.dim) for i in range(dd)]
-        e = linalg.nullspace(rows, dd)
-    else:
-        e = eg
+    eg = commutant(rep, False)
+    e = commutant(rep, True) if pj.any() else eg
     details["dim_eg"] = len(eg)
     details["dim_e"] = len(e)
     details["dim_gJ"] = data.dim + len(eg)
     details["dim_gI"] = data.dim + len(e)
 
-    # K-matrix identities: [Omega_rho, 1 (x) x] = 0 and omega(x) = 0
-    # for every basis x of E_g
-    ok_k = True
-    omt_obj = int_to_frac_array(t.omt, t.somt)
-    wop_obj = int_to_frac_array(t.wop.reshape(dd, dd), t.swop)
-    for v in eg:
-        x = np.array(v, dtype=object).reshape(d, d)
-        c1 = np.full((d, d, d, d), ZERO, dtype=object)
-        for a in range(d):
-            for b_ in range(d):
-                for c in range(d):
-                    for e_ in range(d):
-                        s = ZERO
-                        for q in range(d):
-                            s += omt_obj[a, b_, c, q] * x[q, e_]
-                            s -= x[b_, q] * omt_obj[a, q, c, e_]
-                        c1[a, b_, c, e_] = s
-        if any(c1.flatten()):
-            ok_k = False
-        wv = [sum((wop_obj[i][j] * v[j] for j in range(dd) if v[j]), ZERO)
-              for i in range(dd)]
-        if any(wv):
-            ok_k = False
+    # K-matrix identities: [Omega_rho, 1 (x) x] = 0 and omega(x) = 0 for
+    # every basis x of E_g, cleared to integers (a zero test ignores scale)
+    xs = frac_to_int_array(eg)[0]
+    x4 = xs.reshape(len(eg), d, d)
+    ok_k = (bool((checked_einsum("abcq,kqe->kabce", t.omt, x4)
+                  == checked_einsum("kbq,aqce->kabce", x4, t.omt)).all())
+            and not checked_einsum("ab,kb->ka", t.wop, xs).any())
     details["K-identities"] = ok_k
 
     # W(x) = span{[x, rho(J(X_l))]}; must meet ad(g) trivially
     ok_w = True
     w_dims = []
-    pj_obj = [int_to_frac_array(t.pj[l], t.sj) for l in range(data.dim)]
+    pj_obj = [int_to_frac_array(pj[l], sj) for l in range(data.dim)]
     ad_red = linalg.SparseReducer()
     for l in range(data.dim):
         ad_red.add({k: Fraction(int(x)) for k, x in
@@ -930,20 +885,22 @@ def verify_yangian_module(data, rep, max_quartic=40000):
     identity sum_l (X_l, W) X^l = W.
     """
     t = _Tensors(data, rep)
+    pj, sj = rep.int_j()
+    brc, sbrc = _bracket_constants(t)
     g, d = data.dim, rep.dim
     details = {}
 
     # YJ:1 — bracket representation and J([X,Y]) = [J(X), Y]
     c_xx = (checked_einsum("lab,nbc->lnac", t.px, t.px)
             - checked_einsum("nab,lbc->lnac", t.px, t.px))
-    lin = checked_einsum("lng,gab->lnab", t.brc, t.px)
+    lin = checked_einsum("lng,gab->lnab", brc, t.px)
     details["YJ1-bracket"] = scaled_equal(c_xx, t.sx * t.sx, lin,
-                                          t.sbrc * t.sx)
-    c_jx = (checked_einsum("lab,nbc->lnac", t.pj, t.px)
-            - checked_einsum("nab,lbc->lnac", t.px, t.pj))
-    lin_j = checked_einsum("lng,gab->lnab", t.brc, t.pj)
-    details["YJ1-Jlinear"] = scaled_equal(c_jx, t.sj * t.sx, lin_j,
-                                          t.sbrc * t.sj)
+                                          sbrc * t.sx)
+    c_jx = (checked_einsum("lab,nbc->lnac", pj, t.px)
+            - checked_einsum("nab,lbc->lnac", t.px, pj))
+    lin_j = checked_einsum("lng,gab->lnab", brc, pj)
+    details["YJ1-Jlinear"] = scaled_equal(c_jx, sj * t.sx, lin_j,
+                                          sbrc * sj)
     details["YJ2"] = True  # linearity is structural in the matrix model
 
     # dual-contracted current tensors: OmA[b] = sum_m rho([X_b,X_m]) (x)
@@ -954,19 +911,19 @@ def verify_yangian_module(data, rep, max_quartic=40000):
     s_oma = t.sx * t.sx * t.sd
 
     ok3 = True
-    jj = (checked_einsum("bik,ckj->bcij", t.pj, t.pj)
-          - checked_einsum("cik,bkj->bcij", t.pj, t.pj))
-    jx = (checked_einsum("bik,ckj->bcij", t.pj, t.px)
-          - checked_einsum("cik,bkj->bcij", t.px, t.pj))
+    jj = (checked_einsum("bik,ckj->bcij", pj, pj)
+          - checked_einsum("cik,bkj->bcij", pj, pj))
+    jx = (checked_einsum("bik,ckj->bcij", pj, t.px)
+          - checked_einsum("cik,bkj->bcij", t.px, pj))
     s_rhs = -Fraction(1, 24) * s_oma * s_oma * t.sx
-    s_lhs = t.sj * t.sj * t.sx
+    s_lhs = sj * sj * t.sx
 
     def lhs3(beta, gam):
         # [J_a, [J_beta, X_gam]] - [X_a, [J_beta, J_gam]]
         inner1 = jx[beta, gam]
         inner2 = jj[beta, gam]
-        return ((checked_einsum("aik,kj->aij", t.pj, inner1)
-                 - checked_einsum("ik,akj->aij", inner1, t.pj))
+        return ((checked_einsum("aik,kj->aij", pj, inner1)
+                 - checked_einsum("ik,akj->aij", inner1, pj))
                 - (checked_einsum("aik,kj->aij", t.px, inner2)
                    - checked_einsum("ik,akj->aij", inner2, t.px)))
 
@@ -990,7 +947,7 @@ def verify_yangian_module(data, rep, max_quartic=40000):
     details["YJ3"] = ok3
 
     # YJ:4
-    if not t.pj.any():
+    if not pj.any():
         # every symmetrized monomial on the right contains rho(J(X^nu)) = 0,
         # and the left side is identically zero: exact, no loop needed
         details["YJ4"] = True
@@ -999,7 +956,7 @@ def verify_yangian_module(data, rep, max_quartic=40000):
         details["YJ4"] = False
         details["YJ4-mode"] = "skipped: size guard (would not complete)"
     else:
-        pdj, s_pdj = _dualize(t.pj, t.sj, data)
+        pdj, s_pdj = t.dual(pj, sj)
         ok4 = True
         # term1[a, b, g, dl] with B = [X_g, X_dl]; term2 = role swap
         term1 = np.zeros((g, g, g, g, d, d), dtype=np.int64)
@@ -1018,13 +975,13 @@ def verify_yangian_module(data, rep, max_quartic=40000):
         rhs4 = term1.astype(object) + np.transpose(
             term1, (2, 3, 0, 1, 4, 5)).astype(object)
         # LHS[a,b,g,dl] = [[J_a,J_b],[X_g,J_dl]] + [[J_g,J_dl],[X_a,J_b]]
-        xj = (checked_einsum("bik,ckj->bcij", t.px, t.pj)
-              - checked_einsum("cik,bkj->bcij", t.pj, t.px))
+        xj = (checked_einsum("bik,ckj->bcij", t.px, pj)
+              - checked_einsum("cik,bkj->bcij", pj, t.px))
         l1 = (checked_einsum("abik,cdkj->abcdij", jj, xj)
               - checked_einsum("cdik,abkj->abcdij", xj, jj))
         lhs4 = l1.astype(object) + np.transpose(
             l1, (2, 3, 0, 1, 4, 5)).astype(object)
-        s_lhs4 = t.sj * t.sj * t.sx * t.sj
+        s_lhs4 = sj * sj * t.sx * sj
         q = s_lhs4 / s_term1
         ok4 = bool((lhs4 * q.numerator == rhs4 * q.denominator).all())
         details["YJ4"] = ok4

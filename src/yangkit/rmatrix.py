@@ -22,10 +22,10 @@ from .exact import (ONE, ZERO, PoleError, RationalFunction, TruncSeries,
                     rat_to_str, series_inverse)
 from . import linalg
 from .liealg import (_INT_LIMIT, build_lie, casimir, checked_einsum,
-                     frac_kron, frac_matmul, frac_to_int_array,
+                     commutant, frac_kron, frac_matmul, frac_to_int_array,
                      int_to_frac_array, permutation_matrix, q_matrix,
-                     safe_axpy, safe_matmul, _ad_operators_int, _max_abs,
-                     _min_poly, _rational_roots)
+                     safe_axpy, safe_matmul, _max_abs, _min_poly,
+                     _rational_roots, _Tensors)
 
 
 class UnitarityFailure(RuntimeError):
@@ -402,12 +402,8 @@ def solve_intertwiner(data, rep, K):
     d = rep.dim
     dd = d * d
 
-    # irreducibility of V over g: the joint ad-kernel on End V is scalar
-    px, _sx = rep.int_x()
-    ad = _ad_operators_int(px)
-    ad_rows = [[Fraction(int(x)) for x in ad[l, i]]
-               for l in range(data.dim) for i in range(dd)]
-    if len(linalg.nullspace(ad_rows, dd)) != 1:
+    # irreducibility of V over g: the commutant of rho(g) is scalar
+    if len(commutant(rep, False)) != 1:
         raise NonIrreducible("V is not irreducible over g")
 
     omega = casimir(data, rep).omega_rho
@@ -526,20 +522,16 @@ def proportional_to(r1, r2):
 def expansion_check(R, data, rep):
     """Check R's expansion against I - Omega u^{-1} +
     ((J (x) 1 - 1 (x) J)(Omega) + Omega^2/2) u^{-2} up to a scalar series."""
-    cas = casimir(data, rep)
-    omega = cas.omega_rho
-    d = rep.dim
-    dd = d * d
+    t = _Tensors(data, rep)
+    omega = t.casimir_data().omega_rho
+    dd = rep.dim * rep.dim
     # (J (x) 1 - 1 (x) J)(Omega) with Omega = sum X_l (x) X^l
-    from .liealg import int_to_frac_array, _dualize
-    px, sx = rep.int_x()
     pj, sj = rep.int_j()
-    pd, sd = _dualize(px, sx, data)
-    pjd, sjd = _dualize(pj, sj, data)
-    t1 = checked_einsum("lac,lbd->abcd", pj, pd).reshape(dd, dd)
-    t2 = checked_einsum("lac,lbd->abcd", px, pjd).reshape(dd, dd)
-    jterm = (int_to_frac_array(t1, sj * sd)
-             - int_to_frac_array(t2, sx * sjd))
+    pjd, sjd = t.dual(pj, sj)
+    t1 = checked_einsum("lac,lbd->abcd", pj, t.pd).reshape(dd, dd)
+    t2 = checked_einsum("lac,lbd->abcd", t.px, pjd).reshape(dd, dd)
+    jterm = (int_to_frac_array(t1, sj * t.sd)
+             - int_to_frac_array(t2, t.sx * sjd))
     target = RSeries([
         _identity(dd),
         -omega,

@@ -38,8 +38,12 @@ from .freealg import (
     word_sum_r,
 )
 from .liealg import (
+    _Tensors,
     build_lie,
     casimir,
+    checked_einsum,
+    commutant,
+    frac_to_int_array,
     int_to_frac_array,
     safe_axpy,
     safe_matmul,
@@ -454,29 +458,11 @@ def slice_dimension(cl, length, sum_r):
     return nwords - (cl.reducer.rank - outside_rank)
 
 
-def _commutant_dim(lie, rep):
-    """dim of the joint commutant of rho(g) (and rho(J) images) in End V."""
-    d = rep.dim
-    rows = []
-    mats = list(rep.rho_X) + [m for m in rep.rho_J
-                              if any(x for x in m.flat)]
-    for X in mats:
-        for i in range(d):
-            for j in range(d):
-                # entry (i,j) of X M - M X as a linear functional of M
-                row = [ZERO] * (d * d)
-                for k in range(d):
-                    row[k * d + j] += Fraction(X[i, k])
-                    row[i * d + k] -= Fraction(X[k, j])
-                rows.append(row)
-    return len(linalg.nullspace(rows, d * d))
-
-
 def pbw_count(lie, rep, L, R_ord, quotient=False):
     """Multisets from a weighted alphabet: one letter per basis element of
     the current Lie algebra per weight w >= 1, total weight <= R_ord, size
     <= L.  Extended mode adds the commutant dimension per weight."""
-    D = lie.dim + (0 if quotient else _commutant_dim(lie, rep))
+    D = lie.dim + (0 if quotient else len(commutant(rep, True)))
     # dp[(size, weight)] = count of multisets using weights processed so far
     dp = {(0, 0): 1}
     for w in range(1, R_ord + 1):
@@ -1077,25 +1063,16 @@ def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
     # J-coupling table: b^{(ij)} = rho_J applied to F_ij = -sum_l X_l[i,j] X^l
     b_table = {}
     all_zero = True
-    rho_j_dual = []
-    for lam in range(lie.dim):
-        acc = np.full((rep.dim, rep.dim), ZERO, dtype=object)
-        for nu in range(lie.dim):
-            g = lie.gram_inv[nu][lam]
-            if g:
-                acc = acc + g * np.array(rep.rho_J[nu])
-        rho_j_dual.append(acc)
+    pjd, sjd = _Tensors(lie, rep).dual(*rep.int_j())
+    bx, sbx = frac_to_int_array(list(lie.basis))
+    bj = -checked_einsum("lij,lab->ijab", bx, pjd)
     for i in range(N):
         for j in range(N):
-            m = np.full((rep.dim, rep.dim), ZERO, dtype=object)
-            for lam in range(lie.dim):
-                coef = lie.basis[lam][i, j]
-                if coef:
-                    m = m - coef * rho_j_dual[lam]
-            if any(x for x in m.flat):
+            if bj[i, j].any():
                 all_zero = False
                 b_table["%d,%d" % (i + 1, j + 1)] = [
-                    [rat_to_str(Fraction(x)) for x in row] for row in m]
+                    [rat_to_str(Fraction(int(x)) * sbx * sjd) for x in row]
+                    for row in bj[i, j]]
     det["b_table_all_zero"] = all_zero
     if not all_zero:
         det["b_table"] = b_table

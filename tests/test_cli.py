@@ -104,7 +104,8 @@ class TestVerify:
         assert code == 1
         assert rep["status"] == "fail"
 
-    # the five commands of the classical benchmark workload, at --seed 0
+    # the five commands of the classical benchmark workload, then the
+    # so/sp extension split (W != 0) and the sp4 solver, at --seed 0
     @pytest.mark.parametrize("argv,digest", [
         ("verify --family sl --n 3 --suite classical,rmatrix",
          "94e3502c8ba7240fbeff548fad21930fdf0e9fb12e9e82494d6f8b39057f1b44"),
@@ -116,8 +117,15 @@ class TestVerify:
          "f511ef25dcf84a1cfacac587d0ad2d8966aa390f02f49b9034aa3a6bc49f696c"),
         ("solve-r --family so --n 4 --order 3",
          "a306377623d35c07ea145fd99ca1776cc9994e97375f6f605a47babbdfaa68e5"),
+        ("verify --family so --n 3 --suite classical,rmatrix",
+         "81c6fe6a8a7620167ad3aca7b94d2210d81e79943679e14f5483904fefcdcc88"),
+        ("verify --family sp --n 4 --suite classical,rmatrix",
+         "f5f3d5f457aca55b7ec3c1ab4a1f01fc790eb968916af5701c3aaf1ff4977dad"),
+        ("solve-r --family sp --n 4 --order 3",
+         "48a72f77b21366cbc873e6a76d305248e0e32b8ca59823d75a33fb77afcdf7b1"),
     ], ids=["sl3-classical-rmatrix", "sl6-rmatrix", "so5-rmatrix",
-            "sp4-rmatrix", "so4-solve-r"])
+            "sp4-rmatrix", "so4-solve-r", "so3-classical-rmatrix",
+            "sp4-classical-rmatrix", "sp4-solve-r"])
     def test_golden_reports(self, capsys, argv, digest):
         """Report bytes on stdout are pinned, so a change to the exact,
         liealg or rmatrix layers that alters a report shows here."""

@@ -10,19 +10,23 @@ from hypothesis import given, settings, strategies as st
 from yangkit import liealg
 from yangkit.liealg import (
     InvalidAlgebra,
+    Representation,
     build_lie,
     casimir,
+    commutant,
     decompose_ad,
     frac_matmul,
     permutation_matrix,
     q_matrix,
     safe_matmul,
+    twisted_rep,
     vector_rep,
     verify_classical_presentation,
     verify_current_presentation,
     verify_extension_split,
     verify_yangian_module,
 )
+from yangkit.rmatrix import NonIrreducible, solve_intertwiner
 
 F = Fraction
 
@@ -95,6 +99,63 @@ class TestVerification:
                    verify_yangian_module):
             assert fn(data, rep)["status"] == "pass"
         assert verify_current_presentation(data, rep, 3)["status"] == "pass"
+
+
+class TestTwistedRep:
+    """rho(J(X)) = 2 rho(X), the tau_2 shift of the vector representation:
+    the paths that only a nonzero rho(J) reaches (YJ4 computed, the
+    commutant with rho(J), the E part of decompose_ad)."""
+
+    @pytest.mark.parametrize("family,N", [("sl", 2), ("so", 3), ("sp", 4)])
+    def test_reports_and_commutants(self, family, N):
+        data = build_lie(family, N)
+        rep = twisted_rep(data, 2)
+        for fn in (verify_classical_presentation,
+                   verify_extension_split,
+                   verify_yangian_module):
+            assert fn(data, rep)["status"] == "pass"
+        assert verify_current_presentation(data, rep, 3)["status"] == "pass"
+        ym = verify_yangian_module(data, rep)
+        assert ym["details"]["YJ4-mode"] == "computed"
+        assert len(commutant(rep, False)) == len(commutant(rep, True)) == 1
+        assert (decompose_ad(data, rep).dims()
+                == decompose_ad(data, vector_rep(data)).dims())
+
+
+def _vector_plus_trivial(data):
+    """V (+) C with rho(X) = X (+) 0 and rho(J) = 0."""
+    def pad(X):
+        m = np.full((data.N + 1, data.N + 1), F(0), dtype=object)
+        m[:data.N, :data.N] = X
+        return m
+    zero = np.full((data.N, data.N), F(0), dtype=object)
+    return Representation(tuple(pad(X) for X in data.basis),
+                          tuple(pad(zero) for _ in data.basis), data.N + 1)
+
+
+class TestPlantedDefects:
+    def test_reducible_rep_is_refused(self):
+        data = build_lie("sl", 2)
+        rep = _vector_plus_trivial(data)
+        assert len(commutant(rep, False)) == 2
+        assert len(commutant(rep, True)) == 2
+        with pytest.raises(NonIrreducible):
+            solve_intertwiner(data, rep, 2)
+
+    def test_k_identities_fail_on_noncommuting_eg(self, monkeypatch):
+        # E_g gains E_11, which commutes neither with Omega_rho's second
+        # slot nor is killed by the omega-operator
+        real = liealg.commutant
+
+        def planted(rep, with_j):
+            e11 = [F(1)] + [F(0)] * (rep.dim * rep.dim - 1)
+            return real(rep, with_j) + [e11]
+
+        monkeypatch.setattr(liealg, "commutant", planted)
+        data = build_lie("sl", 2)
+        report = verify_extension_split(data, vector_rep(data))
+        assert report["details"]["K-identities"] is False
+        assert report["status"] == "fail"
 
 
 @st.composite
