@@ -221,17 +221,23 @@ def _suite_pbw(cfg, ctx):
 
 def _with_retry(cfg, ctx, run):
     """Run a membership-based check on the run's closure and z-series; on
-    failure, retry once at bounds (L+1, R_ord+1) before reporting
+    failure, retry once on a larger closure before reporting
     (bound-relative non-membership can be an artifact of too-small
-    bounds).  The enlarged closure and its z-series are built at most
-    once per run and shared by every suite that retries."""
+    bounds).  The retry closure has order R_ord+1 and length
+    max(L+1, 2) + d - 1, d the clearing degree: like closure_for_query,
+    it gives the letter-multiples of the degree-d cleared relations the
+    extra length their cross-cancellations need.  ``retried_at_bounds``
+    reports that closure's bounds.  The enlarged closure and its z-series
+    are built at most once per run and shared by every suite that
+    retries."""
     checks = run(ctx["cl"], ctx["cs"])
     if _status(checks) == "pass":
         return checks
     if "retry" not in ctx:
+        pres = ctx["pres"]
         try:
-            big = closure(ctx["pres"], cfg.L + 1, cfg.R_ord + 1,
-                          quotient_mode=False)
+            big = closure(pres, max(cfg.L + 1, 2) + pres.clear_degree - 1,
+                          cfg.R_ord + 1, quotient_mode=False)
         except BoundsTooLarge:
             ctx["retry"] = None
         else:
@@ -241,7 +247,7 @@ def _with_retry(cfg, ctx, run):
     retried = run(*ctx["retry"])
     for c in retried:
         c.setdefault("details", {})["retried_at_bounds"] = \
-            [cfg.L + 1, cfg.R_ord + 1]
+            list(ctx["retry"][0].bounds)
     return retried
 
 

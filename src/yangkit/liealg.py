@@ -16,7 +16,7 @@ Fraction.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -75,10 +75,6 @@ def checked_einsum(spec, *ops):
     return np.einsum(spec, *ops, optimize=True)
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 def frac_to_int_array(mats, wide=False):
     """Stack Fraction matrices into (int64 array, Fraction scale).
 
@@ -86,10 +82,9 @@ def frac_to_int_array(mats, wide=False):
     ``wide`` makes the whole array exact Python ints (dtype object).
     """
     arr = np.asarray(mats, dtype=object)
-    den = 1
-    for x in arr.flat:
-        den = _lcm(den, Fraction(x).denominator)
-    nums = [(Fraction(x) * den).numerator for x in arr.flat]
+    flat = arr.ravel().tolist()
+    den = lcm(*[x.denominator for x in flat])
+    nums = [x.numerator * (den // x.denominator) for x in flat]
     big = any(abs(v) >= _INT_LIMIT for v in nums)
     if big and not wide:
         raise OverflowGuard("entry too large for int64 fast path")
@@ -161,21 +156,9 @@ def scaled_equal(a, sa, b, sb):
 
 def int_to_frac_array(a, scale):
     """Fraction array scale * a of an integer array (int64 or object)."""
-    return np.array([Fraction(int(x)) * scale for x in a.flat],
+    p, q = scale.numerator, scale.denominator
+    return np.array([Fraction(x * p, q) for x in a.ravel().tolist()],
                     dtype=object).reshape(a.shape)
-
-
-def frac_kron(a, b):
-    n, m = a.shape
-    p, q = b.shape
-    out = np.full((n * p, m * q), ZERO, dtype=object)
-    for i in range(n):
-        for j in range(m):
-            if a[i, j]:
-                for k in range(p):
-                    for l in range(q):
-                        out[i * p + k, j * q + l] = a[i, j] * b[k, l]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +287,16 @@ def build_lie(family, N):
         raise InvalidAlgebra("basis construction produced wrong dimension")
 
     dim = len(basis)
-    data0 = LieAlgebraData(family, N, dim, tuple(basis), tuple(labels),
-                           (), (), (), form_scale, kappa, indices, simple,
-                           tuple(warnings))
-    gram = [[data0.form(basis[a], basis[b]) for b in range(dim)]
-            for a in range(dim)]
+    # the Gram matrix form_scale * tr(X_a X_b) and the dual basis X^g =
+    # sum_nu gram_inv[nu][g] X_nu, contracted on the cleared integers
+    bx, sbx = frac_to_int_array(basis)
+    sg = form_scale * sbx * sbx
+    gram = int_to_frac_array(checked_einsum("aij,bji->ab", bx, bx),
+                             sg).tolist()
     gram_inv = linalg.invert(gram)
-    dual = []
-    for g in range(dim):
-        D = np.full((N, N), ZERO, dtype=object)
-        for nu in range(dim):
-            c = gram_inv[nu][g]
-            if c:
-                D = D + c * basis[nu]
-        dual.append(D)
+    ginv, sginv = frac_to_int_array(gram_inv)
+    dual = list(int_to_frac_array(checked_einsum("ng,nij->gij", ginv, bx),
+                                  sginv * sbx))
     return LieAlgebraData(family, N, dim, tuple(basis), tuple(labels),
                           tuple(dual), tuple(tuple(r) for r in gram),
                           tuple(tuple(r) for r in gram_inv), form_scale,
@@ -564,7 +543,7 @@ def _rational_roots(poly):
         changed = False
         den = 1
         for c in p:
-            den = _lcm(den, c.denominator)
+            den = lcm(den, c.denominator)
         ip = [int(c * den) for c in p]
         if ip[0] == 0:
             cand = [Fraction(0)]

@@ -8,7 +8,10 @@ R(u) = s (C_0 + C_1 u + ... + C_d u^d) / D(u) (see RMat), so no check
 normalizes a rational function per entry.  QYBE is certified by clearing
 that one scalar on both sides and comparing integer matrix products on
 an interpolation-complete grid; unitarity multiplies the coefficient
-matrices; u^{-1}-expansions expand 1/D once.
+matrices; u^{-1}-expansions expand 1/D once.  A truncated expansion
+(RSeries) is likewise one integer stack over one scale, and the
+intertwiner solver, the proportionality test and the expansion check
+run on integer matrices throughout; Fractions appear only in reports.
 """
 
 from fractions import Fraction
@@ -21,11 +24,10 @@ from .exact import (ONE, ZERO, PoleError, RationalFunction, TruncSeries,
                     poly_divmod, poly_eval, poly_gcd, poly_lcm, poly_mul,
                     rat_to_str, series_inverse)
 from . import linalg
-from .liealg import (_INT_LIMIT, build_lie, casimir, checked_einsum,
-                     commutant, frac_kron, frac_matmul, frac_to_int_array,
-                     int_to_frac_array, permutation_matrix, q_matrix,
-                     safe_axpy, safe_matmul, _max_abs, _min_poly,
-                     _rational_roots, _Tensors)
+from .liealg import (_INT_LIMIT, build_lie, checked_einsum, commutant,
+                     frac_to_int_array, int_to_frac_array, permutation_matrix,
+                     q_matrix, safe_axpy, safe_matmul, scaled_equal,
+                     _max_abs, _min_poly, _rational_roots, _Tensors)
 
 
 class UnitarityFailure(RuntimeError):
@@ -71,6 +73,13 @@ def _combine(rows, shape):
     if S.dtype == object and _max_abs(S) < _INT_LIMIT:
         S = S.astype(np.int64)
     return S, Fraction(1, q)
+
+
+def _is_scalar(m):
+    """Whether the square integer matrix m is a multiple of I."""
+    diag = np.diagonal(m)
+    return bool((diag == diag[0]).all()) and \
+        np.count_nonzero(m) == np.count_nonzero(diag)
 
 
 class RMat:
@@ -199,8 +208,7 @@ class RMat:
 
     def expand(self, K):
         """RSeries of the u^{-1}-expansion to order K."""
-        S, s = self.expand_scaled(K)
-        return RSeries([int_to_frac_array(m, s) for m in S])
+        return RSeries(*self.expand_scaled(K))
 
     def eval_at(self, u):
         """Exact Fraction matrix R(u); raises PoleError at poles."""
@@ -214,21 +222,31 @@ class RMat:
 
 
 class RSeries:
-    """Truncated expansion R(u) = sum_k R^(k) u^{-k}, R^(0) = I."""
+    """Truncated expansion R(u) = scale * sum_k S[k] u^{-k}, R^(0) = I.
 
-    __slots__ = ("coeffs",)
+    ``S`` stacks the integer matrices (int64, or Python ints where int64
+    could overflow), shape (K + 1, n, n), over one Fraction ``scale``: the
+    (S, s) of :meth:`RMat.expand_scaled`.  ``coeffs``, the Fraction
+    matrices R^(k), is a view built on each read.
+    """
 
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-        nn = self.coeffs[0].shape[0]
-        if not (self.coeffs[0] == np.array(
-                [[ONE if i == j else ZERO for j in range(nn)]
-                 for i in range(nn)], dtype=object)).all():
+    __slots__ = ("S", "scale")
+
+    def __init__(self, S, scale):
+        self.S = np.asarray(S)
+        self.scale = Fraction(scale)
+        lead = self.S[0]
+        if not (_is_scalar(lead) and self.scale * int(lead[0, 0]) == 1):
             raise ValueError("leading coefficient must be the identity")
 
     @property
     def order(self):
-        return len(self.coeffs) - 1
+        return len(self.S) - 1
+
+    @property
+    def coeffs(self):
+        """The Fraction matrices R^(0) .. R^(K), built on each read."""
+        return [int_to_frac_array(m, self.scale) for m in self.S]
 
     def to_json(self):
         return {"order": self.order,
@@ -364,30 +382,34 @@ def check_unitarity(R):
 # ---------------------------------------------------------------------------
 # intertwiner solver
 
-def _identity(nn):
-    return np.array([[ONE if i == j else ZERO for j in range(nn)]
-                     for i in range(nn)], dtype=object)
+def _bracket(a, b):
+    """Exact commutator ab - ba of integer matrices."""
+    return safe_axpy(safe_matmul(a, b), -1, safe_matmul(b, a))
 
 
-def _commutant_projections(omega, nn):
-    """Spectral projections of Omega_rho: a commutant basis when V (x) V
-    is multiplicity-free over g."""
-    rows = [list(omega[i]) for i in range(nn)]
-    mp = _min_poly(rows, nn)
+def _commutant_projections(om, nn):
+    """Spectral projections of Omega_rho, given as an integer matrix om
+    with Omega_rho = s om (the scale s moves no projection): a commutant
+    basis when V (x) V is multiplicity-free over g.  Returns the
+    projections as (integer matrix, Fraction scale) pairs."""
+    mp = _min_poly(om.tolist(), nn)
     roots, rem = _rational_roots(mp)
     if len(rem) > 1:
         raise NonIrreducible(
             "Omega_rho has irrational eigenvalues on V (x) V")
+    eye = np.eye(nn, dtype=np.int64)
     projs = []
-    I = _identity(nn)
     for lam in roots:
-        P = I
+        P, s = eye, ONE
         for mu in roots:
             if mu == lam:
                 continue
-            P = frac_matmul(P, omega - mu * I) * (ONE / (lam - mu))
-        projs.append(P)
-    return projs, roots
+            # (om - mu) / (lam - mu) = (q om - p) / (q (lam - mu)), mu = p/q
+            p, q = mu.numerator, mu.denominator
+            P = safe_matmul(P, safe_axpy(safe_axpy(None, q, om), -p, eye))
+            s /= q * (lam - mu)
+        projs.append((P, s))
+    return projs
 
 
 def solve_intertwiner(data, rep, K):
@@ -398,6 +420,13 @@ def solve_intertwiner(data, rep, K):
     [X_1, R^(k+1)] = R^(k) C'_X - C_X R^(k); the scalar line is fixed by
     the traceless normalization.  All equations are re-verified exactly
     after each solve.
+
+    Every matrix is an integer matrix with one Fraction scale.  The
+    unknown R^(k+1) = sum_i c_i P_i runs over the spectral projections P_i
+    of Omega_rho; the system's column i is the integer commutator table
+    of P_i, with scale s_i, and its right-hand side has scale s_rhs, so
+    the integer solution x of sum_i x_i [X_1, P_i] = rhs gives c_i =
+    x_i s_rhs / s_i.
     """
     d = rep.dim
     dd = d * d
@@ -406,46 +435,50 @@ def solve_intertwiner(data, rep, K):
     if len(commutant(rep, False)) != 1:
         raise NonIrreducible("V is not irreducible over g")
 
-    omega = casimir(data, rep).omega_rho
-    I = _identity(dd)
-    eye = _identity(d)
-
-    projs, _roots = _commutant_projections(omega, dd)
+    t = _Tensors(data, rep)
+    om, som = t.omt.reshape(dd, dd), t.somt
+    projs = _commutant_projections(om, dd)
     r = len(projs)
 
-    xs1 = [frac_kron(X, eye) for X in rep.rho_X]
-    xs2 = [frac_kron(eye, X) for X in rep.rho_X]
-    cs = []
-    cps = []
-    for X, X1, X2, J in zip(rep.rho_X, xs1, xs2, rep.rho_J):
-        jsum = frac_kron(J, eye) + frac_kron(eye, J)
-        half = Fraction(1, 2)
-        cs.append(jsum + half * (frac_matmul(X1, omega)
-                                 - frac_matmul(omega, X1)))
-        cps.append(jsum + half * (frac_matmul(X2, omega)
-                                  - frac_matmul(omega, X2)))
-        # v-linear constraint holds for the whole commutant candidate set
-        dx = X1 + X2
-        if (frac_matmul(dx, omega) != frac_matmul(omega, dx)).any():
+    eye = np.eye(d, dtype=np.int64)
+    pj, sj = rep.int_j()
+    xs1 = [np.kron(X, eye) for X in t.px]
+    xs2 = [np.kron(eye, X) for X in t.px]
+    # C_X = J(X)_1 + J(X)_2 + [X_1, Omega_rho]/2 and C'_X the same with
+    # X_2, all on one scale sc
+    jsum = [np.kron(J, eye) + np.kron(eye, J) for J in pj]
+    half = t.sx * som / 2
+    g = len(xs1)
+    both, sc = _combine(
+        [[(sj, J), (half, _bracket(X, om))]
+         for xs in (xs1, xs2) for X, J in zip(xs, jsum)], (dd, dd))
+    cs, cps = both[:g], both[g:]
+    # the v-linear constraint holds for the whole commutant candidate set
+    dxs = [X1 + X2 for X1, X2 in zip(xs1, xs2)]
+    for dx in dxs:
+        if (safe_matmul(dx, om) != safe_matmul(om, dx)).any():
             raise NotAModule("Omega_rho does not commute with the "
                              "diagonal action")
 
-    coms = [[frac_matmul(X1, P) - frac_matmul(P, X1)
-             for P in projs] for X1 in xs1]
+    # system rows: one per (X, p, q), the entries [X_1, P_i][p, q]
+    table = np.array([[_bracket(X1, P) for P, _ in projs] for X1 in xs1])
+    col_rows = [{i: c for i, c in enumerate(row) if c} for row in
+                table.transpose(0, 2, 3, 1).reshape(-1, r).tolist()]
+    col_scale = [t.sx * sp for _, sp in projs]
 
-    coeffs = [I]
+    series = [(np.eye(dd, dtype=np.int64), ONE)]
     for k in range(K):
+        cur, scur = series[k]
+        rhs = np.array([safe_axpy(safe_matmul(cur, Cp), -1,
+                                  safe_matmul(C, cur))
+                        for C, Cp in zip(cs, cps)])
+        srhs = scur * sc
         red = linalg.SparseReducer()
-        for X1, C, Cp, com in zip(xs1, cs, cps, coms):
-            rhs = frac_matmul(coeffs[k], Cp) - frac_matmul(C, coeffs[k])
-            for p in range(dd):
-                for q in range(dd):
-                    row = {i: com[i][p, q] for i in range(r)
-                           if com[i][p, q]}
-                    if rhs[p, q]:
-                        row[r] = rhs[p, q]
-                    if row:
-                        red.add(row)
+        for row, v in zip(col_rows, rhs.reshape(-1).tolist()):
+            if v:
+                row = {**row, r: v}
+            if row:
+                red.add(row)
         if r in red.rows:
             raise NotAModule("intertwining system inconsistent at order %d"
                              % (k + 1,))
@@ -454,93 +487,92 @@ def solve_intertwiner(data, rep, K):
             raise NonIrreducible(
                 "solution ambiguity exceeds the scalar line at order %d"
                 % (k + 1,))
+        # a reduced row reads beta x_piv + e x_free = rho: x_free = 0
         c = [ZERO] * r
         for piv, row in red.rows.items():
-            c[piv] = Fraction(row.get(r, 0), row[piv])
-        nxt = np.full((dd, dd), ZERO, dtype=object)
-        for ci, P in zip(c, projs):
-            if ci:
-                nxt = nxt + ci * P
-        tr = sum(nxt[i, i] for i in range(dd))
+            c[piv] = Fraction(row.get(r, 0), row[piv]) * srhs / col_scale[piv]
+        terms = [(ci * sp, P) for ci, (P, sp) in zip(c, projs) if ci]
+        tr = sum((w * int(np.trace(P)) for w, P in terms), ZERO)
         if tr:
-            nxt = nxt - (tr / dd) * I
+            terms.append((-tr / dd, np.eye(dd, dtype=np.int64)))
+        nxt, snxt = _combine([terms], (dd, dd))
+        nxt = nxt[0]
         # unconditional re-verification of the order-(k+1) equations
-        for X1, C, Cp in zip(xs1, cs, cps):
-            lhs = frac_matmul(X1, nxt) - frac_matmul(nxt, X1)
-            rhs = frac_matmul(coeffs[k], Cp) - frac_matmul(C, coeffs[k])
-            if (lhs != rhs).any():
-                raise NotAModule("re-verification failed at order %d"
-                                 % (k + 1,))
-        for X1, X2 in zip(xs1, xs2):
-            dx = X1 + X2
-            if (frac_matmul(dx, nxt) != frac_matmul(nxt, dx)).any():
+        lhs = np.array([_bracket(X1, nxt) for X1 in xs1])
+        if not scaled_equal(lhs, t.sx * snxt, rhs, srhs):
+            raise NotAModule("re-verification failed at order %d"
+                             % (k + 1,))
+        for dx in dxs:
+            if (safe_matmul(dx, nxt) != safe_matmul(nxt, dx)).any():
                 raise NotAModule("v-linear constraint failed at order %d"
                                  % (k + 1,))
-        coeffs.append(nxt)
-    if K >= 1 and (coeffs[1] != -omega).any():
+        series.append((nxt, snxt))
+    if K >= 1 and not scaled_equal(*series[1], om, -som):
         raise NotAModule("normalization failed to reproduce -Omega_rho")
-    return RSeries(coeffs)
+    return RSeries(*_combine([[(s, m)] for m, s in series], (dd, dd)))
 
 
 # ---------------------------------------------------------------------------
 # proportionality and expansion
 
 def proportional_to(r1, r2):
-    """Scalar series g(u) with r1 = g(u) * r2 through r1's order."""
+    """Scalar series g(u) with r1 = g(u) * r2 through r1's order.
+
+    Order k brings r1[k] and the g_a r2[k - a] (a < k) to one integer
+    matrix over one denominator; it must be scalar, and since r2[0] = I
+    its [0, 0] entry is g_k.  The back-multiplication check compares
+    sum_{a <= k} g_a r2[k - a] with r1[k] the same way.
+    """
     if isinstance(r2, RMat):
         r2 = r2.expand(r1.order)
     if r2.order < r1.order:
         raise ValueError("second series has lower order")
     K = r1.order
-    nn = r1.coeffs[0].shape[0]
+    A, a = r1.S, r1.scale
+    B, b = r2.S, r2.scale
+    shape = A.shape[1:]
     g = [ONE]
     for k in range(1, K + 1):
-        M = r1.coeffs[k].copy()
-        for a in range(k):
-            if g[a]:
-                M = M - g[a] * r2.coeffs[k - a]
-        scal = M[0, 0]
-        for i in range(nn):
-            for j in range(nn):
-                want = scal if i == j else ZERO
-                if M[i, j] != want:
-                    raise NotProportional(
-                        "ratio is not scalar at order %d" % k)
-        g.append(scal)
+        M, s = _combine([[(a, A[k])] + [(-g[i] * b, B[k - i])
+                                         for i in range(k)]], shape)
+        if not _is_scalar(M[0]):
+            raise NotProportional("ratio is not scalar at order %d" % k)
+        g.append(s * int(M[0, 0, 0]))
     # back-multiplication check
     for k in range(K + 1):
-        acc = np.full((nn, nn), ZERO, dtype=object)
-        for a in range(k + 1):
-            if g[a]:
-                acc = acc + g[a] * r2.coeffs[k - a]
-        if (acc != r1.coeffs[k]).any():
+        M, _ = _combine([[(-a, A[k])] + [(g[i] * b, B[k - i])
+                                          for i in range(k + 1)]], shape)
+        if M.any():
             raise NotProportional("back-multiplication failed at order %d"
                                   % k)
     return TruncSeries(g)
 
 
-def expansion_check(R, data, rep):
-    """Check R's expansion against I - Omega u^{-1} +
-    ((J (x) 1 - 1 (x) J)(Omega) + Omega^2/2) u^{-2} up to a scalar series."""
+def _expansion_target(data, rep):
+    """I - Omega u^{-1} + ((J (x) 1 - 1 (x) J)(Omega) + Omega^2/2) u^{-2}
+    as an RSeries, from the integer tensors of rho."""
     t = _Tensors(data, rep)
-    omega = t.casimir_data().omega_rho
     dd = rep.dim * rep.dim
+    om = t.omt.reshape(dd, dd)
     # (J (x) 1 - 1 (x) J)(Omega) with Omega = sum X_l (x) X^l
     pj, sj = rep.int_j()
     pjd, sjd = t.dual(pj, sj)
     t1 = checked_einsum("lac,lbd->abcd", pj, t.pd).reshape(dd, dd)
     t2 = checked_einsum("lac,lbd->abcd", t.px, pjd).reshape(dd, dd)
-    jterm = (int_to_frac_array(t1, sj * t.sd)
-             - int_to_frac_array(t2, t.sx * sjd))
-    target = RSeries([
-        _identity(dd),
-        -omega,
-        jterm + Fraction(1, 2) * frac_matmul(omega, omega),
-    ])
-    got = R.expand(2)
+    return RSeries(*_combine([
+        [(ONE, np.eye(dd, dtype=np.int64))],
+        [(-t.somt, om)],
+        [(sj * t.sd, t1), (-t.sx * sjd, t2),
+         (t.somt ** 2 / 2, safe_matmul(om, om))],
+    ], (dd, dd)))
+
+
+def expansion_check(R, data, rep):
+    """Check R's expansion against I - Omega u^{-1} +
+    ((J (x) 1 - 1 (x) J)(Omega) + Omega^2/2) u^{-2} up to a scalar series."""
     details = {}
     try:
-        g = proportional_to(got, target)
+        g = proportional_to(R.expand(2), _expansion_target(data, rep))
         details["ratio"] = [rat_to_str(c) for c in g.coeffs]
         status = "pass"
     except NotProportional as exc:

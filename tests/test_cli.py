@@ -244,6 +244,28 @@ class TestSharedClosureState:
                 for c in rep["checks"]] == [("hopf", [3, 4]),
                                             ("qdet", [3, 4])]
 
+    def test_retry_adds_the_clearing_length(self, tmp_path, monkeypatch):
+        # sp4 clears denominators of degree d = 2, so the retry closure
+        # needs length max(L + 1, 2) + d - 1 = 3; at (L + 1, R + 1) = (2, 4)
+        # the symmetry series still fails
+        built = []
+        real_closure = climod.closure
+
+        def closure_spy(pres, L, R_ord, **kw):
+            built.append((L, R_ord))
+            return real_closure(pres, L, R_ord, **kw)
+
+        monkeypatch.setattr(climod, "closure", closure_spy)
+        code, rep, _ = run(tmp_path, "r.json",
+                           ["verify", "--family", "sp", "--n", "4",
+                            "--order", "2", "--len", "1", "--sumr", "3",
+                            "--suite", "symmetry"])
+        assert built == [(1, 3), (3, 4)]
+        (check,) = rep["checks"]
+        assert check["details"]["retried_at_bounds"] == [3, 4]
+        assert check["bounds"] == [3, 4]
+        assert code == 0
+
 
 class TestOtherCommands:
     def test_build(self, tmp_path):

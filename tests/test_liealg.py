@@ -2,6 +2,7 @@
 the finite-dimensional verification reports."""
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -49,6 +50,26 @@ class TestBuild:
                     "so": N * (N - 1) // 2,
                     "sp": n * (2 * n + 1)}[family]
         assert data.dim == expected
+
+    @pytest.mark.parametrize("family,N", ALL_CASES)
+    def test_gram_and_dual_basis(self, family, N):
+        # the Gram matrix and the dual basis, contracted on integers, equal
+        # the form() table and sum_nu gram_inv[nu][g] X_nu built on
+        # Fractions
+        data = build_lie(family, N)
+        B = data.basis
+        gram = tuple(tuple(data.form(X, Y) for Y in B) for X in B)
+        assert data.gram == gram
+        assert all(type(x) is F for row in data.gram for x in row)
+        for g, D in enumerate(data.dual_basis):
+            want = np.full((N, N), F(0), dtype=object)
+            for nu, X in enumerate(B):
+                want = want + data.gram_inv[nu][g] * X
+            assert D.shape == (N, N)
+            assert all(type(x) is F for x in D.flat)
+            assert (D == want).all()
+            assert all(data.form(D, X) == (g == nu)
+                       for nu, X in enumerate(B))
 
     @pytest.mark.parametrize("family,N", [("sl", 1), ("so", 2), ("sp", 3),
                                           ("xx", 3)])
@@ -213,6 +234,26 @@ class TestSafeMatmul:
         got = safe_matmul(a, b)
         assert float_casts.casts == 0
         assert int(got[0, 0]) == 32 * x * y + x == 2 ** 53 + 3 * 2 ** 26 + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(-2 ** 60, 2 ** 60),
+                          st.fractions(max_denominator=10 ** 6)),
+                min_size=1, max_size=12),
+       st.fractions(max_denominator=50).filter(bool))
+def test_scaled_int_round_trip(entries, scale):
+    """frac_to_int_array clears to the least common denominator;
+    int_to_frac_array reads the integers back over any scale."""
+    ints, s = liealg.frac_to_int_array(entries, wide=True)
+    assert s == F(1, lcm(*[F(x).denominator for x in entries]))
+    back = liealg.int_to_frac_array(ints, s)
+    assert all(type(x) is F for x in back) and list(back) == entries
+    assert list(liealg.int_to_frac_array(ints, scale)) == [
+        F(int(x)) * scale for x in ints]
+    if any(abs(x) >= liealg._INT_LIMIT for x in ints):
+        assert ints.dtype == object
+        with pytest.raises(liealg.OverflowGuard):
+            liealg.frac_to_int_array(entries)
 
 
 class TestDecomposeAd:

@@ -12,9 +12,13 @@ from hypothesis import given, settings, strategies as st
 from yangkit import rmatrix
 from yangkit.cli import _perturbed_r
 from yangkit.exact import (PoleError, RationalFunction, poly_divmod,
-                           poly_gcd, poly_mul)
-from yangkit.liealg import (build_lie, frac_matmul, permutation_matrix,
-                            vector_rep)
+                           poly_gcd, poly_mul, rat_to_str)
+from yangkit.liealg import (_Tensors, _min_poly, _rational_roots, build_lie,
+                            casimir, checked_einsum, frac_matmul,
+                            frac_to_int_array,
+                            int_to_frac_array, permutation_matrix,
+                            twisted_rep, vector_rep)
+from yangkit.linalg import SparseReducer
 from yangkit.rmatrix import (
     RMat,
     UnitarityFailure,
@@ -341,3 +345,276 @@ def test_from_poly_reduces_to_the_lcm():
     assert np.array_equal(R.coeffs, [ident])
     with pytest.raises(ValueError):
         RMat.from_poly(2, (0, 2), [ident])
+
+
+# -- the integer R-series against the former Fraction code --------------
+
+def _frac_identity(nn):
+    return np.array([[F(int(i == j)) for j in range(nn)] for i in range(nn)],
+                    dtype=object)
+
+
+def _frac_kron(a, b):
+    n, m = a.shape
+    p, q = b.shape
+    out = np.full((n * p, m * q), F(0), dtype=object)
+    for i in range(n):
+        for j in range(m):
+            if a[i, j]:
+                for k in range(p):
+                    for l in range(q):
+                        out[i * p + k, j * q + l] = a[i, j] * b[k, l]
+    return out
+
+
+def _reference_proportional_to(c1, c2):
+    """Fraction matrices c1, c2 of two series: the ratio g, entry by
+    entry, or NotProportional with the same message."""
+    K = len(c1) - 1
+    nn = c1[0].shape[0]
+    g = [F(1)]
+    for k in range(1, K + 1):
+        M = c1[k].copy()
+        for a in range(k):
+            if g[a]:
+                M = M - g[a] * c2[k - a]
+        scal = M[0, 0]
+        for i in range(nn):
+            for j in range(nn):
+                want = scal if i == j else F(0)
+                if M[i, j] != want:
+                    raise rmatrix.NotProportional(
+                        "ratio is not scalar at order %d" % k)
+        g.append(scal)
+    for k in range(K + 1):
+        acc = np.full((nn, nn), F(0), dtype=object)
+        for a in range(k + 1):
+            if g[a]:
+                acc = acc + g[a] * c2[k - a]
+        if (acc != c1[k]).any():
+            raise rmatrix.NotProportional(
+                "back-multiplication failed at order %d" % k)
+    return g
+
+
+def _reference_expansion_target(data, rep):
+    """I, -Omega and (J (x) 1 - 1 (x) J)(Omega) + Omega^2/2 as Fraction
+    matrices."""
+    t = _Tensors(data, rep)
+    omega = casimir(data, rep).omega_rho
+    dd = rep.dim * rep.dim
+    pj, sj = rep.int_j()
+    pjd, sjd = t.dual(pj, sj)
+    t1 = checked_einsum("lac,lbd->abcd", pj, t.pd).reshape(dd, dd)
+    t2 = checked_einsum("lac,lbd->abcd", t.px, pjd).reshape(dd, dd)
+    jterm = (int_to_frac_array(t1, sj * t.sd)
+             - int_to_frac_array(t2, t.sx * sjd))
+    return [_frac_identity(dd), -omega,
+            jterm + F(1, 2) * frac_matmul(omega, omega)]
+
+
+def _reference_solve_intertwiner(data, rep, K):
+    """The order-by-order solver on Fraction matrices."""
+    d = rep.dim
+    dd = d * d
+    omega = casimir(data, rep).omega_rho
+    I = _frac_identity(dd)
+    eye = _frac_identity(d)
+    mp = _min_poly([list(omega[i]) for i in range(dd)], dd)
+    roots, _rem = _rational_roots(mp)
+    projs = []
+    for lam in roots:
+        P = I
+        for mu in roots:
+            if mu != lam:
+                P = frac_matmul(P, omega - mu * I) * (F(1) / (lam - mu))
+        projs.append(P)
+    r = len(projs)
+    xs1 = [_frac_kron(X, eye) for X in rep.rho_X]
+    cs, cps = [], []
+    for X, X1, J in zip(rep.rho_X, xs1, rep.rho_J):
+        X2 = _frac_kron(eye, X)
+        jsum = _frac_kron(J, eye) + _frac_kron(eye, J)
+        cs.append(jsum + F(1, 2) * (frac_matmul(X1, omega)
+                                    - frac_matmul(omega, X1)))
+        cps.append(jsum + F(1, 2) * (frac_matmul(X2, omega)
+                                     - frac_matmul(omega, X2)))
+    coms = [[frac_matmul(X1, P) - frac_matmul(P, X1) for P in projs]
+            for X1 in xs1]
+    coeffs = [I]
+    for k in range(K):
+        red = SparseReducer()
+        for C, Cp, com in zip(cs, cps, coms):
+            rhs = frac_matmul(coeffs[k], Cp) - frac_matmul(C, coeffs[k])
+            for p in range(dd):
+                for q in range(dd):
+                    row = {i: com[i][p, q] for i in range(r)
+                           if com[i][p, q]}
+                    if rhs[p, q]:
+                        row[r] = rhs[p, q]
+                    if row:
+                        red.add(row)
+        assert r not in red.rows and r - red.rank <= 1
+        c = [F(0)] * r
+        for piv, row in red.rows.items():
+            c[piv] = F(row.get(r, 0), row[piv])
+        nxt = np.full((dd, dd), F(0), dtype=object)
+        for ci, P in zip(c, projs):
+            if ci:
+                nxt = nxt + ci * P
+        tr = sum(nxt[i, i] for i in range(dd))
+        if tr:
+            nxt = nxt - (tr / dd) * I
+        coeffs.append(nxt)
+    return coeffs
+
+
+def _assert_frac_series(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert all(type(x) is F for x in a.flat)
+        assert (a == b).all()
+
+
+_ORACLE_ALGEBRAS = [("sl", 2), ("sl", 3), ("so", 3), ("sp", 4)]
+
+
+class TestAgainstFractionReference:
+    @pytest.mark.parametrize("family,N", _ORACLE_ALGEBRAS)
+    def test_solver_series(self, family, N):
+        data = build_lie(family, N)
+        rep = vector_rep(data)
+        series = solve_intertwiner(data, rep, 3)
+        _assert_frac_series(series.coeffs,
+                            _reference_solve_intertwiner(data, rep, 3))
+        closed = closed_form_r(family, N).expand(3)
+        ratio = proportional_to(series, closed)
+        assert list(ratio.coeffs) == _reference_proportional_to(
+            series.coeffs, closed.coeffs)
+
+    @pytest.mark.parametrize("family,N", [("sl", 2), ("so", 3)])
+    def test_solver_series_twisted(self, family, N):
+        data = build_lie(family, N)
+        rep = twisted_rep(data, 2)
+        _assert_frac_series(solve_intertwiner(data, rep, 3).coeffs,
+                            _reference_solve_intertwiner(data, rep, 3))
+
+    @pytest.mark.parametrize("family,N", _ORACLE_ALGEBRAS)
+    def test_expansion_target_and_ratio(self, family, N):
+        data = build_lie(family, N)
+        rep = vector_rep(data)
+        want = _reference_expansion_target(data, rep)
+        _assert_frac_series(rmatrix._expansion_target(data, rep).coeffs,
+                            want)
+        R = closed_form_r(family, N)
+        ratio = _reference_proportional_to(R.expand(2).coeffs, want)
+        assert expansion_check(R, data, rep)["details"] == {
+            "ratio": [rat_to_str(c) for c in ratio]}
+
+    @pytest.mark.parametrize("family,N", _ORACLE_ALGEBRAS)
+    def test_perturbed_expansion_errors(self, family, N):
+        data = build_lie(family, N)
+        rep = vector_rep(data)
+        want = _reference_expansion_target(data, rep)
+        R = closed_form_r(family, N)
+        for seed in range(6):
+            bad, _entry, _c = _perturbed_r(R, random.Random(seed))
+            with pytest.raises(rmatrix.NotProportional) as exc:
+                _reference_proportional_to(bad.expand(2).coeffs, want)
+            assert expansion_check(bad, data, rep)["details"] == {
+                "error": str(exc.value)}, seed
+
+
+@st.composite
+def _ratio_cases(draw):
+    """(g, r2): a rational scalar series g with g_0 = 1 and a scaled
+    integer series r2 = s S with s S[0] = I."""
+    n = draw(st.sampled_from([1, 2, 4]))
+    K = draw(st.integers(0, 3))
+    g = [F(1)] + draw(st.lists(st.fractions(-4, 4, max_denominator=6),
+                               min_size=K, max_size=K))
+    q = draw(st.integers(1, 12))
+    S = [q * np.eye(n, dtype=np.int64)] + [
+        np.array(draw(st.lists(st.integers(-30, 30), min_size=n * n,
+                               max_size=n * n)),
+                 dtype=np.int64).reshape(n, n) for _ in range(K)]
+    return g, rmatrix.RSeries(S, F(1, q))
+
+
+def _times(g, r2):
+    """g * r2 as an RSeries, on Fraction matrices."""
+    c2 = r2.coeffs
+    prod = [sum((g[a] * c2[k - a] for a in range(k + 1)),
+                np.zeros(c2[0].shape, dtype=object))
+            for k in range(len(g))]
+    return rmatrix.RSeries(*frac_to_int_array(prod, wide=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ratio_cases(), st.data())
+def test_proportional_to_recovers_the_ratio(case, data):
+    g, r2 = case
+    r1 = _times(g, r2)
+    assert list(proportional_to(r1, r2).coeffs) == g
+    n = r2.S.shape[1]
+    if n == 1:
+        return
+    i, j = data.draw(st.sampled_from(
+        [(i, j) for i in range(n) for j in range(n) if i != j]))
+    # an off-diagonal bump of r1 at order k >= 1 breaks the forward path
+    # at k
+    if r1.order:
+        k = data.draw(st.integers(1, r1.order))
+        bad = rmatrix.RSeries(r1.S.astype(object), r1.scale)
+        bad.S[k, i, j] += 1
+        with pytest.raises(rmatrix.NotProportional,
+                           match="^ratio is not scalar at order %d$" % k):
+            proportional_to(bad, r2)
+    # the forward path never reads the leading terms (r2[0] = I is taken
+    # as given), so a bump there, set after construction, is what only
+    # back-multiplication sees, at order 0
+    bad = rmatrix.RSeries(r2.S.astype(object), r2.scale)
+    bad.S[0, i, j] += 1
+    with pytest.raises(rmatrix.NotProportional,
+                       match="^back-multiplication failed at order 0$"):
+        proportional_to(r1, bad)
+
+
+class TestNoObjectEinsum:
+    """numpy 1.24, the oldest supported numpy, has no object-dtype einsum:
+    the R-series readers must contract Python-int matrices with matmul
+    only."""
+
+    @pytest.fixture(autouse=True)
+    def int_only_einsum(self, monkeypatch):
+        real = np.einsum
+
+        def guard(*args, **kwargs):
+            assert not any(isinstance(a, np.ndarray) and a.dtype == object
+                           for a in args), "object-dtype einsum"
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", guard)
+
+    @pytest.mark.parametrize("family,N", [("sl", 2), ("so", 3), ("sp", 4)])
+    def test_closed_forms(self, family, N):
+        data = build_lie(family, N)
+        rep = vector_rep(data)
+        R = closed_form_r(family, N)
+        assert expansion_check(R, data, rep)["status"] == "pass"
+        proportional_to(solve_intertwiner(data, rep, 3), R)
+
+    def test_large_coefficients(self):
+        R = TestQYBE._scaled_yang()
+        data = build_lie("sl", 2)
+        rep = vector_rep(data)
+        # the rescaled spectral parameter moves R off I - Omega u^{-1}
+        with pytest.raises(rmatrix.NotProportional) as exc:
+            _reference_proportional_to(
+                R.expand(2).coeffs, _reference_expansion_target(data, rep))
+        assert expansion_check(R, data, rep)["details"] == {
+            "error": str(exc.value)}
+        series = R.expand(3)
+        assert series.S.dtype == object
+        assert proportional_to(series, R).coeffs == (F(1),) + (F(0),) * 3
