@@ -10,8 +10,8 @@ wraps).  The integer tensors of a representation (rho(X), its dual
 images, Omega_rho, the ad operators, the omega-operator on End V and c_g)
 are built in one place, ``_Tensors``, which every reader shares; the
 commutant of a representation is built in one place, ``commutant``.
-Kernels, minimal polynomials and inverses (``linalg``) run over
-Fraction.
+Kernels and inverses (``linalg``) run over Fraction; minimal
+polynomials run their Krylov iteration on integers.
 """
 
 from dataclasses import dataclass
@@ -477,60 +477,60 @@ class Decomposition:
                 "w": [(len(b), ev) for b, ev in self.w_parts]}
 
 
-def _mat_vec(mat_rows, v, dim):
-    return [sum((mat_rows[i][j] * v[j] for j in range(dim) if v[j]), ZERO)
-            for i in range(dim)]
-
-
 def _min_poly(mat_rows, dim):
     """Minimal polynomial (monic Fraction tuple, ascending) of a matrix.
 
-    Krylov iteration from standard basis vectors; the lcm of the per-vector
-    annihilators stops as soon as it annihilates the whole matrix.
+    The matrix M is cleared once to an integer matrix A with M = s A.
+    Krylov iteration runs on A from integer unit vectors, so its vectors
+    stay integer; a start vector's annihilator for A, x^k - sum_t a_t x^t,
+    is that of M as x^k - sum_t a_t s^(k-t) x^t.  The lcm of the
+    per-vector annihilators stops as soon as it annihilates the whole
+    matrix.
     """
     from .exact import poly_trim, poly_mul, poly_divmod, poly_gcd
+    A, s = frac_to_int_array(mat_rows, wide=True)
+    powers = [np.eye(dim, dtype=np.int64)]
     poly = (ONE,)
     for start in range(dim):
-        v = [ZERO] * dim
-        v[start] = ONE
-        krylov = [v]
+        v = np.zeros((dim, 1), dtype=np.int64)
+        v[start, 0] = 1
+        krylov = [v.ravel().tolist()]
         red = linalg.SparseReducer()
-        red.add({j: c for j, c in enumerate(v) if c})
+        red.add({start: 1})
         while True:
-            nxt = _mat_vec(mat_rows, krylov[-1], dim)
-            if not red.add({j: c for j, c in enumerate(nxt) if c}):
-                krylov.append(nxt)
-                break
+            v = safe_matmul(A, v)
+            nxt = v.ravel().tolist()
             krylov.append(nxt)
+            if not red.add({j: c for j, c in enumerate(nxt) if c}):
+                break
         k = len(krylov) - 1
         rows = [[krylov[t][i] for t in range(k)] for i in range(dim)]
         rhs = [krylov[k][i] for i in range(dim)]
         sol = linalg.solve(rows, rhs, k)
         if sol is None:
             raise UnsupportedDecomposition("Krylov dependence solve failed")
-        ann = poly_trim([-c for c in sol] + [ONE])
+        ann = poly_trim([-c * s ** (k - t) for t, c in enumerate(sol)]
+                        + [ONE])
         g = poly_gcd(poly, ann)
         poly = poly_mul(poly, poly_divmod(ann, g)[0])
-        if _poly_annihilates(poly, mat_rows, dim):
+        if _poly_annihilates(poly, A, s, powers):
             return poly
     raise UnsupportedDecomposition("minimal polynomial not found")
 
 
-def _poly_annihilates(poly, mat_rows, dim):
-    for start in range(dim):
-        v = [ZERO] * dim
-        v[start] = ONE
-        acc = [ZERO] * dim
-        cur = v
-        for c in poly:
-            if c:
-                for i in range(dim):
-                    acc[i] += c * cur[i]
-            cur = [sum((mat_rows[i][j] * cur[j] for j in range(dim)
-                        if cur[j]), ZERO) for i in range(dim)]
-        if any(acc):
-            return False
-    return True
+def _poly_annihilates(poly, A, s, powers):
+    """Whether poly(s A) = 0, tested as one integer matrix sum_t e_t A^t
+    with e_t = D c_t s^t cleared by the common denominator D.  ``powers``
+    caches A^0, A^1, ... across calls and is extended here."""
+    coeffs = [c * s ** t for t, c in enumerate(poly)]
+    den = lcm(*[c.denominator for c in coeffs])
+    while len(powers) < len(coeffs):
+        powers.append(safe_matmul(powers[-1], A))
+    acc = None
+    for c, P in zip(coeffs, powers):
+        if c:
+            acc = safe_axpy(acc, c.numerator * (den // c.denominator), P)
+    return not acc.any()
 
 
 def _rational_roots(poly):

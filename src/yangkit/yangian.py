@@ -342,8 +342,12 @@ def closure_for_query(pres, L, R_ord, quotient=False):
     themselves have length 2, so the length is enlarged from at least 2;
     quotient-mode generators carry one extra order and length themselves.
     Query results through :func:`slice_dimension` are monotone in the
-    internal bounds and stabilize at these choices (checked against
-    independent counts)."""
+    internal bounds.  The bounds were checked against independent counts
+    (``pbw_count``) only for clearing degree d <= 2: sl, so, sp and the
+    spin-1 representation of sl2.  At d = 3 the quotient bound is too
+    small: for the spin-3/2 representation of sl2 (not yet built by this
+    library), the quotient slice (1, 2) reads 12 at internal (3, 3)
+    against 7 at (3, 4) and (4, 4)."""
     d = pres.clear_degree
     if quotient:
         m = max(L, R_ord) + 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yangkit import liealg
+from yangkit import liealg, linalg
 from yangkit.liealg import (
     InvalidAlgebra,
     Representation,
@@ -254,6 +254,50 @@ def test_scaled_int_round_trip(entries, scale):
         assert ints.dtype == object
         with pytest.raises(liealg.OverflowGuard):
             liealg.frac_to_int_array(entries)
+
+
+def _reference_min_poly(m):
+    """Least-degree monic p with p(M) = 0, from the first power of M that
+    depends on the lower ones (dense Fraction arithmetic)."""
+    n = len(m)
+    M = np.array(m, dtype=object)
+    powers = [frac_eye(n)]
+    while True:
+        nxt = frac_matmul(powers[-1], M)
+        rows = [[P.flat[i] for P in powers] for i in range(n * n)]
+        sol = linalg.solve(rows, list(nxt.flat), len(powers))
+        if sol is not None:
+            return tuple([-c for c in sol] + [F(1)])
+        powers.append(nxt)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Small rational matrices; half of them bidiagonal with eigenvalues
+    from three values, so that eigenvalues repeat and Jordan blocks occur,
+    conjugated by a unimodular matrix."""
+    n = draw(st.integers(1, 4))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if draw(st.booleans()):
+        return [[draw(small) for _ in range(n)] for _ in range(n)]
+    eig = [draw(st.sampled_from([F(1, 2), F(-2), F(3)])) for _ in range(n)]
+    T = np.array([[eig[i] if i == j else (draw(small) if j == i + 1 else F(0))
+                   for j in range(n)] for i in range(n)], dtype=object)
+    U = np.array([[F(int(i <= j)) for j in range(n)] for i in range(n)],
+                 dtype=object)
+    U_inv = np.array([[F(1) if i == j else (F(-1) if j == i + 1 else F(0))
+                       for j in range(n)] for i in range(n)], dtype=object)
+    return frac_matmul(frac_matmul(U, T), U_inv).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_matrices())
+def test_min_poly_matches_reference(m):
+    """The integer Krylov iteration returns the exact monic Fraction
+    minimal polynomial of a rational matrix, scale included."""
+    got = liealg._min_poly(m, len(m))
+    assert got == _reference_min_poly(m)
+    assert all(type(c) is F for c in got)
 
 
 class TestDecomposeAd:

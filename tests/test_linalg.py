@@ -250,7 +250,122 @@ def test_integer_rows_match_fraction_reference(case):
             assert not any(q in b for q in red.rows if q != p)
         for q in rows[:k + 1] + [_cleared(r, 7) for r in rows[:k + 1]] \
                 + queries:
-            assert red.reduce(q) == ref.reduce(q)
+            exact = red.reduce(q)
+            assert exact == ref.reduce(q)
+            # the insert path: a positive int multiple, same key order
+            scaled = red.reduce(q, scaled=True)
+            assert all(type(c) is int for c in scaled.values())
+            assert list(scaled) == list(exact)
+            if exact:
+                j0 = next(iter(exact))
+                lam = F(scaled[j0]) / exact[j0]
+                assert lam > 0
+                assert scaled == {j: lam * c for j, c in exact.items()}
+
+
+class _FractionSpy:
+    """Counts every Fraction the code under test constructs."""
+
+    def __init__(self, monkeypatch):
+        self.made = 0
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            self.made += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        # Python 3.12+ builds arithmetic results without __new__
+        made_from = getattr(Fraction, "_from_coprime_ints", None)
+        if made_from is not None:
+            def counting_from(cls, *args):
+                self.made += 1
+                return made_from(*args)
+
+            monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                                classmethod(counting_from))
+
+
+class TestInsertPath:
+    """Inserts run fraction-free and reach ``reduce`` once each."""
+
+    SEEDS = [{0: F(2, 3), 1: F(1, 2), 3: F(5, 7)},
+             {1: F(3, 4), 2: F(-5, 6), 3: F(1, 5)},
+             {0: 6, 2: 9, 4: -4},
+             {2: 10, 3: 4, 4: 15}]
+
+    def _rows(self):
+        """The seed rows, then dependent Fraction and int combinations."""
+        a, b = self.SEEDS[:2]
+        combo = {j: 2 * a.get(j, 0) - b.get(j, 0) for j in {**a, **b}}
+        combo = {j: c for j, c in combo.items() if c}
+        return [dict(row) for row in self.SEEDS] + [combo,
+                                                    _cleared(combo, -3)]
+
+    @staticmethod
+    def _insert_all(red, rows):
+        return [red.add(row) if k % 2 else red.add_return_pivot(row)
+                for k, row in enumerate(rows)]
+
+    @staticmethod
+    def _non_unit_pivots():
+        red = linalg.SparseReducer()
+        red.add({0: 3, 1: 5})
+        red.add({1: 2, 3: 7})
+        return red
+
+    def test_no_fraction_is_made(self, monkeypatch):
+        twin = self._non_unit_pivots()
+        want = self._insert_all(twin, self._rows())
+        red = self._non_unit_pivots()
+        probe = self._non_unit_pivots()
+        assert all(b[p] > 1 for p, b in red.rows.items())
+        rows = self._rows()
+        spy = _FractionSpy(monkeypatch)
+        got = self._insert_all(red, rows)
+        assert spy.made == 0
+        # a query still answers in Fractions, and the spy sees them
+        resid = probe.reduce({0: 1, 1: 1})
+        assert spy.made > 0
+        monkeypatch.undo()
+        assert got == want and None in got and False in got
+        assert red.rows == twin.rows
+        for b in red.rows.values():
+            assert all(type(c) is int for c in b.values())
+        assert resid and all(type(c) is F for c in resid.values())
+
+    def test_one_reduce_per_insert(self, monkeypatch):
+        calls = []
+        reduce = linalg.SparseReducer.reduce
+
+        def spy(self, row, *args, **kwargs):
+            calls.append(kwargs.get("scaled", args[0] if args else False))
+            return reduce(self, row, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.SparseReducer, "reduce", spy)
+        red = self._non_unit_pivots()
+        for row in self._rows():
+            for insert in (red.add_return_pivot, red.add):
+                before = len(calls)
+                insert(dict(row))
+                assert calls[before:] == [True]
+        red.reduce({0: 1})
+        assert calls[-1] is False
+        # a closure: one reduce per insert, whether it enlarges the span
+        inserts = []
+        add_return_pivot = linalg.SparseReducer.add_return_pivot
+
+        def count_insert(self, row):
+            inserts.append(row)
+            return add_return_pivot(self, row)
+
+        monkeypatch.setattr(linalg.SparseReducer, "add_return_pivot",
+                            count_insert)
+        pres = rtt_relations("sl", 2, 2)
+        calls.clear()
+        cl = closure(pres, 2, 3)
+        assert cl.rank < len(inserts) == len(calls)
+        assert all(calls)
 
 
 class TestFractionContract:
