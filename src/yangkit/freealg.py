@@ -4,9 +4,12 @@ antipode), tensor squares, and the m_f substitution endomorphisms.
 
 Generators are interned into single integers encoding (r, i, j) so that
 integer order equals the (r, i, j) generator order; words are tuples of
-these integers.  All coefficients are Fraction.
+these integers.  All coefficients are Fraction.  NCPoly, TensorNCPoly and
+yangian.CPoly share one arithmetic, TermAlgebra, and differ only in their
+unit key and key product.
 """
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -47,67 +50,49 @@ def word_sum_r(w):
 
 
 # ---------------------------------------------------------------------------
-# noncommutative polynomials
+# term algebras: NCPoly, TensorNCPoly (and yangian.CPoly)
 
-def _term_key(w):
-    return (len(w), w)
+class TermAlgebra:
+    """Finite Q-linear combination of basis keys, held as a dict
+    {key: nonzero Fraction}.  A subclass sets the unit key ``UNIT`` and
+    the key product ``join``; the arithmetic is shared.
 
-
-class NCPoly:
-    """Finite Q-linear combination of words in the generators."""
+    Term order is part of the output (relation lists and closure bases
+    are pinned by hash, key order included): a sum or product pops a key
+    that cancels and appends a new key at the end.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {} if terms is None else terms
 
-    @staticmethod
-    def zero():
-        return NCPoly({})
+    @classmethod
+    def zero(cls):
+        return cls({})
 
-    @staticmethod
-    def one():
-        return NCPoly({(): ONE})
+    @classmethod
+    def one(cls):
+        return cls({cls.UNIT: ONE})
 
-    @staticmethod
-    def constant(c):
+    @classmethod
+    def constant(cls, c):
         c = Fraction(c)
-        return NCPoly({(): c} if c else {})
-
-    @staticmethod
-    def gen(i, j, r):
-        return NCPoly({(gen_id(i, j, r),): ONE})
-
-    @staticmethod
-    def from_word(w, c=ONE):
-        c = Fraction(c)
-        return NCPoly({tuple(w): c} if c else {})
+        return cls({cls.UNIT: c} if c else {})
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = NCPoly.constant(other)
-        return isinstance(other, NCPoly) and self.terms == other.terms
+        other = self._coerce(other)
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __repr__(self):
-        if not self.terms:
-            return "NCPoly(0)"
-        bits = []
-        for w in sorted(self.terms, key=_term_key)[:6]:
-            mono = "*".join("t[%d,%d;%d]" % gen_ijr(g) for g in w) or "1"
-            bits.append("%s*%s" % (self.terms[w], mono))
-        if len(self.terms) > 6:
-            bits.append("...")
-        return "NCPoly(%s)" % " + ".join(bits)
-
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
-            return NCPoly.constant(other)
+            return self.constant(other)
         return other
 
     def __add__(self, other):
@@ -119,7 +104,7 @@ class NCPoly:
                 out[w] = v
             else:
                 out.pop(w, None)
-        return NCPoly(out)
+        return type(self)(out)
 
     __radd__ = __add__
 
@@ -130,24 +115,25 @@ class NCPoly:
         return self._coerce(other) + (-self)
 
     def __neg__(self):
-        return NCPoly({w: -c for w, c in self.terms.items()})
+        return type(self)({w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
-                return NCPoly.zero()
-            return NCPoly({w: c * x for w, x in self.terms.items()})
+                return type(self)({})
+            return type(self)({w: c * x for w, x in self.terms.items()})
+        join = self.join
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
+                w = join(w1, w2)
                 v = out.get(w, ZERO) + c1 * c2
                 if v:
                     out[w] = v
                 else:
                     out.pop(w, None)
-        return NCPoly(out)
+        return type(self)(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -155,13 +141,47 @@ class NCPoly:
         return NotImplemented
 
     def unit_inverse(self):
-        """Inverse when the polynomial is a nonzero constant."""
-        if list(self.terms) != [()]:
+        """Inverse when the element is a nonzero constant."""
+        if list(self.terms) != [self.UNIT]:
             raise NonInvertible("constant term is not scalar")
-        return NCPoly.constant(ONE / self.terms[()])
+        return type(self)({self.UNIT: ONE / self.terms[self.UNIT]})
 
     def constant_coeff(self):
-        return self.terms.get((), ZERO)
+        return self.terms.get(self.UNIT, ZERO)
+
+
+def _term_key(w):
+    return (len(w), w)
+
+
+class NCPoly(TermAlgebra):
+    """Finite Q-linear combination of words in the generators; words
+    multiply by concatenation."""
+
+    __slots__ = ()
+
+    UNIT = ()
+    join = operator.add
+
+    @staticmethod
+    def gen(i, j, r):
+        return NCPoly({(gen_id(i, j, r),): ONE})
+
+    @staticmethod
+    def from_word(w, c=ONE):
+        c = Fraction(c)
+        return NCPoly({tuple(w): c} if c else {})
+
+    def __repr__(self):
+        if not self.terms:
+            return "NCPoly(0)"
+        bits = []
+        for w in sorted(self.terms, key=_term_key)[:6]:
+            mono = "*".join("t[%d,%d;%d]" % gen_ijr(g) for g in w) or "1"
+            bits.append("%s*%s" % (self.terms[w], mono))
+        if len(self.terms) > 6:
+            bits.append("...")
+        return "NCPoly(%s)" % " + ".join(bits)
 
     def max_len(self):
         return max((len(w) for w in self.terms), default=0)
@@ -185,87 +205,23 @@ class NCPoly:
         return NCPoly(terms)
 
 
-class TensorNCPoly:
+class TensorNCPoly(TermAlgebra):
     """Q-linear combination of word (x) word; the legs commute."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {} if terms is None else terms
+    UNIT = ((), ())
 
     @staticmethod
-    def one():
-        return TensorNCPoly({((), ()): ONE})
+    def join(a, b):
+        return (a[0] + b[0], a[1] + b[1])
 
     @staticmethod
     def of(left, right):
         """left (x) right for NCPoly legs."""
-        out = {}
-        for w1, c1 in left.terms.items():
-            for w2, c2 in right.terms.items():
-                v = c1 * c2
-                if v:
-                    out[(w1, w2)] = out.get((w1, w2), ZERO) + v
-                    if not out[(w1, w2)]:
-                        del out[(w1, w2)]
-        return TensorNCPoly(out)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorNCPoly) and self.terms == other.terms
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TensorNCPoly(
-                {((), ()): Fraction(other)} if other else {})
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, ZERO) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return TensorNCPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TensorNCPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TensorNCPoly(
-                {((), ()): Fraction(other)} if other else {})
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return TensorNCPoly({})
-            return TensorNCPoly({k: c * x for k, x in self.terms.items()})
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                v = out.get(k, ZERO) + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-        return TensorNCPoly(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def unit_inverse(self):
-        if list(self.terms) != [((), ())]:
-            raise NonInvertible("constant term is not scalar")
-        return TensorNCPoly({((), ()): ONE / self.terms[((), ())]})
+        return TensorNCPoly({(w1, w2): c1 * c2
+                             for w1, c1 in left.terms.items()
+                             for w2, c2 in right.terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from math import lcm
 
 import numpy as np
 
-from .exact import ONE, ZERO, frac_matmul
+from .exact import ONE, ZERO
 from . import linalg
 
 SL, SO, SP = "sl", "so", "sp"
@@ -753,7 +753,7 @@ def verify_extension_split(data, rep):
     """Dimension split of the one- and two-sided extensions, the K-matrix
     identities on E_g, and triviality of W(x) cap ad(g)."""
     t = _Tensors(data, rep)
-    pj, sj = rep.int_j()
+    pj = rep.int_j()[0]
     d = rep.dim
     dd = d * d
     details = {}
@@ -774,26 +774,28 @@ def verify_extension_split(data, rep):
             and not checked_einsum("ab,kb->ka", t.wop, xs).any())
     details["K-identities"] = ok_k
 
-    # W(x) = span{[x, rho(J(X_l))]}; must meet ad(g) trivially
+    # W(x) = span{[x, rho(J(X_l))]}; must meet ad(g) trivially.  Ranks
+    # do not depend on row scale, so the rows are the cleared integers
+    # [x4[k], pj[l]] and the integer ad rows rho(X_l)
     ok_w = True
     w_dims = []
-    pj_obj = [int_to_frac_array(pj[l], sj) for l in range(data.dim)]
+    comm = (checked_einsum("kab,lbc->klac", x4, pj)
+            - checked_einsum("lab,kbc->klac", pj, x4)).reshape(
+                len(eg), data.dim, dd)
+    ad_rows = [{k: int(x) for k, x in enumerate(t.px[l].reshape(dd)) if x}
+               for l in range(data.dim)]
     ad_red = linalg.SparseReducer()
-    for l in range(data.dim):
-        ad_red.add({k: Fraction(int(x)) for k, x in
-                    enumerate(t.px[l].reshape(dd)) if x})
+    for row in ad_rows:
+        ad_red.add(row)
     ad_rank = ad_red.rank
-    for v in eg:
-        x = np.array(v, dtype=object).reshape(d, d)
+    for cx in comm:
         wx = linalg.SparseReducer()
-        for J in pj_obj:
-            c = frac_matmul(x, J) - frac_matmul(J, x)
-            wx.add({k: val for k, val in enumerate(c.reshape(dd)) if val})
+        for c in cx:
+            wx.add({k: int(val) for k, val in enumerate(c) if val})
         w_dims.append(wx.rank)
         joint = linalg.SparseReducer()
-        for l in range(data.dim):
-            joint.add({k: Fraction(int(y)) for k, y in
-                       enumerate(t.px[l].reshape(dd)) if y})
+        for row in ad_rows:
+            joint.add(row)
         for row in wx.rows.values():
             joint.add(row)
         if joint.rank != ad_rank + wx.rank:

@@ -21,6 +21,7 @@ from .freealg import (
     NCPoly,
     TensorNCPoly,
     MatSeries,
+    TermAlgebra,
     _eye,
     antipode_poly,
     antipode_table,
@@ -170,7 +171,7 @@ def rtt_relations(family, N, K):
     pres = RTTPresentation(data, cas, R, K, relations, d)
     # sanity filter: every relation must die under the one-factor
     # evaluation homomorphism T(u) -> R(u)
-    ev = evaluation_module(pres, 1, [ZERO])
+    ev = EvalModule(pres, 1, [ZERO])
     for p in relations:
         if ev.eval(p, scaled=True)[0].any():
             raise AssertionError("relation fails the evaluation zero filter")
@@ -566,41 +567,21 @@ def z_series(pres, cl):
 # ---------------------------------------------------------------------------
 # commutative polynomials in z-symbols (for y(u))
 
-class CPoly:
+class CPoly(TermAlgebra):
     """Commutative polynomial in symbols z_r; monomial = sorted tuple of
     r-indices, e.g. z2^2 z3 = (2, 2, 3)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def zero():
-        return CPoly({})
+    UNIT = ()
 
     @staticmethod
-    def one():
-        return CPoly({(): ONE})
-
-    @staticmethod
-    def constant(c):
-        return CPoly({(): Fraction(c)})
+    def join(m1, m2):
+        return tuple(sorted(m1 + m2))
 
     @staticmethod
     def symbol(r):
         return CPoly({(r,): ONE})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, CPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -610,57 +591,6 @@ class CPoly:
             mono = "*".join("z%d" % r for r in m) or "1"
             bits.append("%s*%s" % (c, mono))
         return " + ".join(bits)
-
-    def _coerce(self, other):
-        if isinstance(other, CPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CPoly.constant(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in o.terms.items():
-            out[m] = out.get(m, ZERO) + c
-        return CPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, ZERO) + c1 * c2
-        return CPoly(out)
-
-    __rmul__ = __mul__
-
-    def unit_inverse(self):
-        if list(self.terms) != [()]:
-            raise ValueError("only constants are invertible here")
-        return CPoly({(): ONE / self.terms[()]})
-
-    def constant_coeff(self):
-        return self.terms.get((), ZERO)
 
     def to_json(self):
         return [{"coeff": rat_to_str(c), "monomial": list(m)}
@@ -1213,10 +1143,6 @@ class EvalModule:
         return int(d) * s
 
 
-def evaluation_module(pres, k, shifts, order=None):
-    return EvalModule(pres, k, shifts, order)
-
-
 def central_monomial_certificate(pres, cs, degree=2, symbols=(2, 3)):
     """Independence of monomials in the z-symbols of bounded degree modulo
     the true ideal, certified by a full-rank value matrix over a family of
@@ -1250,8 +1176,8 @@ def central_monomial_certificate(pres, cs, degree=2, symbols=(2, 3)):
     used = []
     target = len(mons)
     for k, shifts, f in module_specs:
-        ev = evaluation_module(pres, k, [Fraction(s) for s in shifts],
-                               order=order)
+        ev = EvalModule(pres, k, [Fraction(s) for s in shifts],
+                        order=order)
         if f is None:
             row = [ev.eval_scalar(p) for p in polys]
         else:
@@ -1264,9 +1190,9 @@ def central_monomial_certificate(pres, cs, degree=2, symbols=(2, 3)):
         rows.append(row)
         used.append([k, [rat_to_str(Fraction(s)) for s in shifts],
                      None if f is None else [str(c) for c in f]])
-        if linalg.rank(rows, target) == target:
+        rk = linalg.rank(rows, target)
+        if rk == target:
             break
-    rk = linalg.rank(rows, target)
     return {
         "check": "central_monomial_independence",
         "family": pres.family, "N": pres.N, "K": pres.K,

@@ -105,7 +105,9 @@ class TestVerify:
         assert rep["status"] == "fail"
 
     # the five commands of the classical benchmark workload, then the
-    # so/sp extension split (W != 0) and the sp4 solver, at --seed 0
+    # so/sp extension split (W != 0) and the sp4 solver, then the
+    # yangian-layer suites (NCPoly, TensorNCPoly in hopf, CPoly in y(u)),
+    # at --seed 0
     @pytest.mark.parametrize("argv,digest", [
         ("verify --family sl --n 3 --suite classical,rmatrix",
          "94e3502c8ba7240fbeff548fad21930fdf0e9fb12e9e82494d6f8b39057f1b44"),
@@ -123,12 +125,21 @@ class TestVerify:
          "f5f3d5f457aca55b7ec3c1ab4a1f01fc790eb968916af5701c3aaf1ff4977dad"),
         ("solve-r --family sp --n 4 --order 3",
          "48a72f77b21366cbc873e6a76d305248e0e32b8ca59823d75a33fb77afcdf7b1"),
+        ("verify --family sl --n 2 --order 3 --len 3 --sumr 4 "
+         "--suite rtt,center,hopf,fixedpoint,qdet",
+         "5dedac96e544ac44d72bf7c9ea8a2321733422514498e70b893f503540262b79"),
+        ("qdet --family sl --n 2 --order 3 --len 3 --sumr 3",
+         "205a5bf7a30ddb9520a2f9e2d919baf9368f8cbea1acf617e025d50cf6e2f2a9"),
+        ("verify --family sp --n 2 --order 3 --len 2 --sumr 3 "
+         "--suite pbw,symmetry",
+         "db510cbe86f67af2a6c10c64c715b8ca5f44de2b7e09f541689afe27b4e9d90a"),
     ], ids=["sl3-classical-rmatrix", "sl6-rmatrix", "so5-rmatrix",
             "sp4-rmatrix", "so4-solve-r", "so3-classical-rmatrix",
-            "sp4-classical-rmatrix", "sp4-solve-r"])
+            "sp4-classical-rmatrix", "sp4-solve-r", "sl2-yangian-suites",
+            "sl2-qdet", "sp2-pbw-symmetry"])
     def test_golden_reports(self, capsys, argv, digest):
-        """Report bytes on stdout are pinned, so a change to the exact,
-        liealg or rmatrix layers that alters a report shows here."""
+        """Report bytes on stdout are pinned, so a change to any layer
+        that alters a report shows here."""
         assert main(argv.split() + ["--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest

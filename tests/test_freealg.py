@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangkit.exact import TruncSeries, frac_matmul
 from yangkit.freealg import (
     MatSeries,
     NCPoly,
+    NonInvertible,
     TensorNCPoly,
     antipode_poly,
     antipode_table,
@@ -27,6 +29,7 @@ from yangkit.freealg import (
     word_sum_r,
 )
 from yangkit.liealg import build_lie
+from yangkit.yangian import CPoly
 
 F = Fraction
 
@@ -74,6 +77,164 @@ class TestNCPoly:
     def test_json_roundtrip(self):
         p = F(5, 3) * NCPoly.gen(1, 2, 1) * NCPoly.gen(2, 1, 4) - F(7)
         assert NCPoly.from_json(p.to_json()) == p
+
+
+# Reference arithmetic on plain {key: Fraction} dicts: the loops that
+# NCPoly, TensorNCPoly and CPoly each carried before they shared one term
+# algebra.  NCPoly and TensorNCPoly pop a key that cancels and append a
+# new key at the end, so their key order is compared too; CPoly filtered
+# zeros at the end and every CPoly reader sorts, so only its terms are.
+
+def _ref_add(a, b):
+    out = dict(a)
+    for w, c in b.items():
+        v = out.get(w, F(0)) + c
+        if v:
+            out[w] = v
+        else:
+            out.pop(w, None)
+    return out
+
+
+def _ref_mul(a, b, join):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = join(w1, w2)
+            v = out.get(w, F(0)) + c1 * c2
+            if v:
+                out[w] = v
+            else:
+                out.pop(w, None)
+    return out
+
+
+def _ref_cpoly_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, F(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_cpoly_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(sorted(m1 + m2))
+            out[m] = out.get(m, F(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _neg(a):
+    return {w: -c for w, c in a.items()}
+
+
+_COEFFS = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-3, 2)])
+# two letters and short words, so that keys collide and cancel often
+_WORDS = st.lists(st.sampled_from([gen_id(1, 1, 1), gen_id(1, 2, 1)]),
+                  max_size=2).map(tuple)
+_KEYS = {
+    NCPoly: _WORDS,
+    TensorNCPoly: st.tuples(_WORDS, _WORDS),
+    CPoly: st.lists(st.sampled_from([2, 3, 4]), max_size=2).map(
+        lambda m: tuple(sorted(m))),
+}
+_REF = {
+    NCPoly: (_ref_add, lambda a, b: _ref_mul(a, b, lambda x, y: x + y)),
+    TensorNCPoly: (_ref_add, lambda a, b: _ref_mul(
+        a, b, lambda x, y: (x[0] + y[0], x[1] + y[1]))),
+    CPoly: (_ref_cpoly_add, _ref_cpoly_mul),
+}
+_TERM_CLASSES = pytest.mark.parametrize(
+    "cls", [NCPoly, TensorNCPoly, CPoly],
+    ids=["NCPoly", "TensorNCPoly", "CPoly"])
+
+
+def _elements(data, cls, n):
+    terms = st.dictionaries(_KEYS[cls], _COEFFS, max_size=4)
+    return [cls(data.draw(terms)) for _ in range(n)]
+
+
+def _same(cls, got, want):
+    """got (an element) has the reference terms want, in the same key
+    order where the term order is part of the output."""
+    if cls is CPoly:
+        return got.terms == want
+    return list(got.terms.items()) == list(want.items())
+
+
+class TestTermAlgebra:
+    """NCPoly, TensorNCPoly and CPoly share one arithmetic; each must
+    still compute what its own loops did."""
+
+    @_TERM_CLASSES
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_loops(self, cls, data):
+        add, mul = _REF[cls]
+        a, b = _elements(data, cls, 2)
+        c = data.draw(_COEFFS | st.sampled_from([0, 3, -1]))
+        cd = {cls.UNIT: F(c)} if c else {}
+        assert _same(cls, a + b, add(a.terms, b.terms))
+        assert _same(cls, a - b, add(a.terms, _neg(b.terms)))
+        assert _same(cls, -a, _neg(a.terms))
+        assert _same(cls, a * b, mul(a.terms, b.terms))
+        assert _same(cls, a + c, add(a.terms, cd))
+        assert _same(cls, c + a, add(a.terms, cd))
+        assert _same(cls, a - c, add(a.terms, _neg(cd)))
+        assert _same(cls, c * a, mul(cd, a.terms))
+        assert _same(cls, a * c, mul(a.terms, cd))
+        assert _same(cls, c - a, add(cd, _neg(a.terms)))
+
+    def test_cancelled_key_reappears_at_the_end(self):
+        # in (1 + g + g^2)(g^2 - g + 1) the key g^2 cancels at the second
+        # left term and comes back at the third, so it moves to the end
+        g = NCPoly.gen(1, 1, 1)
+        a = 1 + g + g * g
+        b = g * g - g + 1
+        w = gen_id(1, 1, 1)
+        assert list((a * b).terms) == [(), (w,) * 4, (w,) * 2]
+        assert _same(NCPoly, a * b, _REF[NCPoly][1](a.terms, b.terms))
+
+    @_TERM_CLASSES
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_ring_axioms(self, cls, data):
+        a, b, c = _elements(data, cls, 3)
+        assert (a * b) * c == a * (b * c)
+        assert (a + b) + c == a + (b + c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+        assert a - a == cls.zero() and not (a - a)
+        assert a * cls.one() == a == cls.one() * a
+        assert not (a * cls.zero())
+        if cls is CPoly:
+            assert a * b == b * a
+
+    @_TERM_CLASSES
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_unit_inverse(self, cls, data):
+        c = data.draw(_COEFFS)
+        p = cls.constant(c)
+        assert p.unit_inverse() == cls.constant(1 / c)
+        assert p * p.unit_inverse() == cls.one()
+        assert p.constant_coeff() == c
+        (a,) = _elements(data, cls, 1)
+        if list(a.terms) != [cls.UNIT]:
+            with pytest.raises(NonInvertible):
+                a.unit_inverse()
+
+    @pytest.mark.parametrize("p", [
+        NCPoly.zero(), 1 + NCPoly.gen(1, 2, 1),
+        TensorNCPoly.zero(), 1 + TensorNCPoly.of(NCPoly.one(),
+                                                 NCPoly.gen(1, 2, 1)),
+        CPoly.zero(), 1 + CPoly.symbol(2)],
+        ids=["NCPoly-0", "NCPoly-1+t", "TensorNCPoly-0", "TensorNCPoly-1+t",
+             "CPoly-0", "CPoly-1+z"])
+    def test_only_nonzero_constants_are_invertible(self, p):
+        with pytest.raises(NonInvertible):
+            p.unit_inverse()
 
 
 class TestMatSeries:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yangkit import liealg, linalg
+from yangkit.exact import frac_matmul
 from yangkit.liealg import (
     InvalidAlgebra,
     Representation,
@@ -16,7 +17,6 @@ from yangkit.liealg import (
     casimir,
     commutant,
     decompose_ad,
-    frac_matmul,
     permutation_matrix,
     q_matrix,
     safe_matmul,

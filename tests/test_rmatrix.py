@@ -11,11 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from yangkit import rmatrix
 from yangkit.cli import _perturbed_r
-from yangkit.exact import (PoleError, RationalFunction, poly_divmod,
-                           poly_gcd, poly_mul, rat_to_str)
+from yangkit.exact import (PoleError, RationalFunction, frac_matmul,
+                           poly_divmod, poly_gcd, poly_mul, rat_to_str)
 from yangkit.liealg import (_Tensors, _min_poly, _rational_roots, build_lie,
-                            casimir, checked_einsum, frac_matmul,
-                            frac_to_int_array,
+                            casimir, checked_einsum, frac_to_int_array,
                             int_to_frac_array, permutation_matrix,
                             twisted_rep, vector_rep)
 from yangkit.linalg import SparseReducer

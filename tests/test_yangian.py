@@ -12,18 +12,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yangkit import yangian
-from yangkit.exact import TruncSeries, series_mul
+from yangkit.exact import TruncSeries, frac_matmul, series_mul
 from yangkit.freealg import NCPoly, gen_id, gen_ijr, mat_shift, t_matrix
-from yangkit.liealg import build_lie, frac_matmul, vector_rep
+from yangkit.liealg import build_lie, vector_rep
 from yangkit.rmatrix import closed_form_r
 from yangkit.yangian import (
     BoundsTooLarge,
+    EvalModule,
     OutOfBounds,
     WrongFamily,
     central_monomial_certificate,
     closure,
     closure_for_query,
-    evaluation_module,
     is_in_ideal,
     normal_form,
     pbw_count,
@@ -383,17 +383,17 @@ class TestLowOrder:
 class TestEvaluation:
     def test_z_scalar_on_vector_module(self, sl2, sl2_cl, sl2_cs):
         # z(u) acts on the vector evaluation module as 1 - u^{-2}
-        ev = evaluation_module(sl2, 1, [F(0)], order=3)
+        ev = EvalModule(sl2, 1, [F(0)], order=3)
         vals = [ev.eval_scalar(sl2_cs.z[r]) for r in range(4)]
         assert vals == [F(1), F(0), F(-1), F(0)]
 
     def test_relations_die(self, sl2):
-        ev = evaluation_module(sl2, 2, [F(0), F(1)], order=3)
+        ev = EvalModule(sl2, 2, [F(0), F(1)], order=3)
         for p in sl2.relations[:20]:
             assert not any(x for x in ev.eval(p).flat)
 
     def test_generator_image_nonzero(self, sl2):
-        ev = evaluation_module(sl2, 1, [F(0)], order=3)
+        ev = EvalModule(sl2, 1, [F(0)], order=3)
         assert any(x for x in ev.eval(NCPoly.gen(1, 1, 1)).flat)
 
 
@@ -489,7 +489,7 @@ class TestEvalEngine:
     def test_eval_matches_reference(self, sl2, so3, case):
         family, k, shifts, order, p = case
         pres = sl2 if family == "sl" else so3
-        ev = evaluation_module(pres, k, shifts, order=order)
+        ev = EvalModule(pres, k, shifts, order=order)
         want = _reference_eval(_reference_images(pres, shifts, order),
                                ev.Nk, p)
         assert (ev.eval(p) == want).all()
@@ -507,7 +507,7 @@ class TestEvalEngine:
 
         monkeypatch.setattr(yangian, "safe_matmul", spy)
         shifts, order = (F(10 ** 6), F(-10 ** 6, 3)), 2
-        ev = evaluation_module(sl2, 2, shifts, order=order)
+        ev = EvalModule(sl2, 2, shifts, order=order)
         t = {(i, j, r): NCPoly.gen(i, j, r) for r in (1, 2)
              for i in (1, 2) for j in (1, 2)}
         p = (t[1, 1, 2] * t[1, 2, 2] * t[2, 1, 2] * t[2, 2, 2]
@@ -552,7 +552,7 @@ class TestEvalEngine:
         assert planted
 
     def test_eval_scalar_rejects_non_scalar(self, sl2):
-        ev = evaluation_module(sl2, 1, [F(1, 2)], order=3)
+        ev = EvalModule(sl2, 1, [F(1, 2)], order=3)
         assert ev.eval_scalar(NCPoly.constant(F(3, 4))) == F(3, 4)
         for i, j in ((1, 2), (1, 1)):   # off-diagonal, diagonal
             with pytest.raises(ValueError, match="not a scalar"):
