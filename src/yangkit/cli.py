@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import TruncSeries, rat_to_str
+from .exact import TruncSeries, check_report, rat_to_str
 from .freealg import NCPoly, gen_ijr
 from .liealg import (
     InvalidAlgebra,
@@ -45,7 +45,6 @@ from .yangian import (
     central_monomial_certificate,
     closure,
     closure_for_query,
-    is_in_ideal,
     pbw_count,
     qdet,
     rtt_relations,
@@ -117,13 +116,18 @@ class RunConfig:
                 "suite": list(self.suite), "seed": self.seed}
 
 
-def _emit(report, output):
+def _emit(report, output, key="checks"):
+    """Set the report's status from its ``key`` list, write the report to
+    ``output`` (stdout if None) and return the exit code: 0 on "pass",
+    1 on "fail"."""
+    report["status"] = _status(report[key])
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0 if report["status"] == "pass" else 1
 
 
 def _status(checks):
@@ -155,23 +159,19 @@ def _perturbed_r(R, rng):
 
 def _suite_rmatrix(cfg, ctx):
     R = closed_form_r(cfg.family, cfg.N)
-    checks = []
-    ok = check_qybe(R)
-    checks.append({"check": "qybe", "family": cfg.family, "N": cfg.N,
-                   "status": "pass" if ok else "fail", "details": {}})
+    checks = [check_report("qybe", check_qybe(R), {}, cfg.family, cfg.N)]
     f = check_unitarity(R)
-    checks.append({"check": "unitarity", "family": cfg.family, "N": cfg.N,
-                   "status": "pass", "details": {"scalar": f.to_json()}})
+    checks.append(check_report("unitarity", True, {"scalar": f.to_json()},
+                               cfg.family, cfg.N))
     data = build_lie(cfg.family, cfg.N)
     checks.append(expansion_check(R, data, vector_rep(data)))
     rng = random.Random(cfg.seed)
     bad, entry, c = _perturbed_r(R, rng)
     bad_ok = check_qybe(bad)
-    checks.append({
-        "check": "qybe_negative_control", "family": cfg.family, "N": cfg.N,
-        "status": "fail" if bad_ok else "pass",
-        "details": {"perturbed_entry": entry, "bump": rat_to_str(c),
-                    "qybe_held": bad_ok}})
+    checks.append(check_report(
+        "qybe_negative_control", not bad_ok,
+        {"perturbed_entry": entry, "bump": rat_to_str(c),
+         "qybe_held": bad_ok}, cfg.family, cfg.N))
     return checks
 
 
@@ -186,18 +186,19 @@ def _suite_rtt(cfg, ctx):
     pres, cl = ctx["pres"], ctx["cl"]
     rng = random.Random(cfg.seed)
     i, j, r = _random_generator(cfg, rng)
-    gen_free = not is_in_ideal(cl, NCPoly.gen(i, j, r))
+    # t_ij^(r) fits the closure (r <= R_ord), so it is always tested
+    _, _, outside = _check_members(cl, [("gen", NCPoly.gen(i, j, r))])
+    gen_free = bool(outside)
     fitting = sum(1 for p in pres.relations
                   if p.max_len() <= cl.L and p.max_sum_r() <= cl.R_ord)
-    return [{
-        "check": "rtt_closure", "family": cfg.family, "N": cfg.N,
-        "K": cfg.K, "bounds": [cl.L, cl.R_ord],
-        "status": "pass" if gen_free else "fail",
-        "details": {"relations": len(pres.relations),
-                    "relations_in_bounds": fitting,
-                    "closure_rank": cl.rank,
-                    "negative_control_generator": [i, j, r],
-                    "generator_outside_ideal": gen_free}}]
+    return [check_report(
+        "rtt_closure", gen_free,
+        {"relations": len(pres.relations),
+         "relations_in_bounds": fitting,
+         "closure_rank": cl.rank,
+         "negative_control_generator": [i, j, r],
+         "generator_outside_ideal": gen_free},
+        cfg.family, cfg.N, cfg.K, cl.bounds)]
 
 
 def _suite_pbw(cfg, ctx):
@@ -209,13 +210,11 @@ def _suite_pbw(cfg, ctx):
         cl = closure_for_query(pres, cfg.L, cfg.R_ord, quotient=quotient)
         sd = slice_dimension(cl, cfg.L, cfg.R_ord)
         pc = pbw_count(lie, rep, cfg.L, cfg.R_ord, quotient=quotient)
-        checks.append({
-            "check": "pbw_quotient" if quotient else "pbw_extended",
-            "family": cfg.family, "N": cfg.N, "K": cfg.K,
-            "bounds": [cfg.L, cfg.R_ord],
-            "status": "pass" if sd == pc else "fail",
-            "details": {"slice_dimension": sd, "pbw_count": pc,
-                        "internal_bounds": [cl.L, cl.R_ord]}})
+        checks.append(check_report(
+            "pbw_quotient" if quotient else "pbw_extended", sd == pc,
+            {"slice_dimension": sd, "pbw_count": pc,
+             "internal_bounds": [cl.L, cl.R_ord]},
+            cfg.family, cfg.N, cfg.K, [cfg.L, cfg.R_ord]))
     return checks
 
 
@@ -246,8 +245,7 @@ def _with_retry(cfg, ctx, run):
         return checks
     retried = run(*ctx["retry"])
     for c in retried:
-        c.setdefault("details", {})["retried_at_bounds"] = \
-            list(ctx["retry"][0].bounds)
+        c["details"]["retried_at_bounds"] = list(ctx["retry"][0].bounds)
     return retried
 
 
@@ -297,14 +295,12 @@ def _center_checks(cfg, cl, cs):
     pres = cl.pres
     checks = [cs.report]
     y_from_z(cs, pres.K - 1)
-    checks.append({
-        "check": "y_recursion", "family": cfg.family, "N": cfg.N,
-        "K": pres.K, "status": "pass"
-        if cs.report["details"].get("y_recursion_verified_to", -1) >= 0
-        else "fail",
-        "details": {"verified_to": cs.report["details"]
-                    .get("y_recursion_verified_to"),
-                    "y1": cs.y[1].to_json() if len(cs.y) > 1 else None}})
+    verified_to = cs.report["details"]["y_recursion_verified_to"]
+    checks.append(check_report(
+        "y_recursion", verified_to >= 0,
+        {"verified_to": verified_to,
+         "y1": cs.y[1].to_json() if len(cs.y) > 1 else None},
+        cfg.family, cfg.N, pres.K))
     if pres.K >= 3:
         checks.append(central_monomial_certificate(pres, cs))
     checks.append(_centrality_negative_control(cfg, cl, cs))
@@ -320,16 +316,12 @@ def _centrality_negative_control(cfg, cl, cs):
     tested, _, failures = _check_members(cl, [("com", bad * t - t * bad)])
     if tested:
         central = not failures
-        return {
-            "check": "centrality_negative_control", "family": cfg.family,
-            "N": cfg.N, "K": pres.K,
-            "status": "fail" if central else "pass",
-            "details": {"perturbation_generator": [i, j, 2],
-                        "perturbed_element_central": central}}
-    return {
-        "check": "centrality_negative_control", "family": cfg.family,
-        "N": cfg.N, "K": pres.K, "status": "pass",
-        "details": {"skipped_out_of_bounds": True}}
+        ok, details = not central, {"perturbation_generator": [i, j, 2],
+                                    "perturbed_element_central": central}
+    else:
+        ok, details = True, {"skipped_out_of_bounds": True}
+    return check_report("centrality_negative_control", ok, details,
+                        cfg.family, cfg.N, pres.K)
 
 
 def _suite_center(cfg, ctx):
@@ -384,12 +376,11 @@ def cmd_verify(cfg):
     checks = [c for s in SUITES if s in cfg.suite
               for c in _SUITE_FNS[s](cfg, ctx)]
     report = {"schema": SCHEMA, "command": "verify",
-              "config": cfg.to_json(), "checks": checks,
-              "status": _status(checks)}
-    _emit(report, cfg.output)
+              "config": cfg.to_json(), "checks": checks}
+    code = _emit(report, cfg.output)
     print("verify: %s in %.1fs" % (report["status"], time.monotonic() - t0),
           file=sys.stderr)
-    return 0 if report["status"] == "pass" else 1
+    return code
 
 
 def cmd_build(cfg):
@@ -401,13 +392,10 @@ def cmd_build(cfg):
         details["bounds"] = [cfg.L, cfg.R_ord]
         details["words"] = len(cl.id2word)
         details["closure_rank"] = cl.rank
-    report = {"schema": SCHEMA, "command": "build",
-              "config": cfg.to_json(), "status": "pass",
-              "checks": [{"check": "build", "family": cfg.family,
-                          "N": cfg.N, "K": cfg.K, "status": "pass",
-                          "details": details}]}
-    _emit(report, cfg.output)
-    return 0
+    return _emit({"schema": SCHEMA, "command": "build",
+                  "config": cfg.to_json(),
+                  "checks": [check_report("build", True, details, cfg.family,
+                                          cfg.N, cfg.K)]}, cfg.output)
 
 
 def cmd_solve_r(cfg):
@@ -418,18 +406,15 @@ def cmd_solve_r(cfg):
     details = {"solution": series.to_json()}
     try:
         g = proportional_to(series, closed)
-        details["ratio_to_closed_form"] = [rat_to_str(c) for c in g.coeffs]
-        status = "pass"
     except NotProportional as exc:
-        details["error"] = str(exc)
-        status = "fail"
-    report = {"schema": SCHEMA, "command": "solve-r",
-              "config": cfg.to_json(), "status": status,
-              "checks": [{"check": "solve_r", "family": cfg.family,
-                          "N": cfg.N, "K": cfg.K, "status": status,
-                          "details": details}]}
-    _emit(report, cfg.output)
-    return 0 if status == "pass" else 1
+        ok, details["error"] = False, str(exc)
+    else:
+        ok = True
+        details["ratio_to_closed_form"] = [rat_to_str(c) for c in g.coeffs]
+    return _emit({"schema": SCHEMA, "command": "solve-r",
+                  "config": cfg.to_json(),
+                  "checks": [check_report("solve_r", ok, details, cfg.family,
+                                          cfg.N, cfg.K)]}, cfg.output)
 
 
 def cmd_qdet(cfg):
@@ -442,11 +427,8 @@ def cmd_qdet(cfg):
     cs = z_series(pres, cl)
     qd, rep = qdet(pres, cl, cs)
     rep["details"]["coefficients"] = [p.to_json() for p in qd.coeffs]
-    report = {"schema": SCHEMA, "command": "qdet",
-              "config": cfg.to_json(), "status": rep["status"],
-              "checks": [rep]}
-    _emit(report, cfg.output)
-    return 0 if rep["status"] == "pass" else 1
+    return _emit({"schema": SCHEMA, "command": "qdet",
+                  "config": cfg.to_json(), "checks": [rep]}, cfg.output)
 
 
 def cmd_report_merge(inputs, output):
@@ -454,12 +436,9 @@ def cmd_report_merge(inputs, output):
     for path in inputs:
         with open(path) as fh:
             reports.append(json.load(fh))
-    status = "pass" if all(r.get("status") == "pass" for r in reports) \
-        else "fail"
-    merged = {"schema": SCHEMA, "command": "report-merge",
-              "inputs": list(inputs), "reports": reports, "status": status}
-    _emit(merged, output)
-    return 0 if status == "pass" else 1
+    return _emit({"schema": SCHEMA, "command": "report-merge",
+                  "inputs": list(inputs), "reports": reports}, output,
+                 key="reports")
 
 
 # ---------------------------------------------------------------------------

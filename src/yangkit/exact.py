@@ -30,6 +30,9 @@ class GridExhausted(RuntimeError):
     pass
 
 
+GRID_MAX_ATTEMPTS = 400  # grid points certify_bivariate_identity tries
+
+
 def rat_to_str(x):
     """Serialize a rational as "p/q"."""
     return "%d/%d" % (x.numerator, x.denominator)
@@ -37,6 +40,19 @@ def rat_to_str(x):
 
 def rat_from_str(s):
     return Fraction(s)
+
+
+def check_report(check, ok, details, family, N, K=None, bounds=None):
+    """The report of one check, "pass" or "fail" by ``ok``; K and the
+    closure bounds are keyed only when given.  Every check report is
+    built here."""
+    report = {"check": check, "family": family, "N": N,
+              "status": "pass" if ok else "fail", "details": details}
+    if K is not None:
+        report["K"] = K
+    if bounds is not None:
+        report["bounds"] = list(bounds)
+    return report
 
 
 ZERO = Fraction(0)
@@ -408,7 +424,7 @@ class RationalFunction:
                 "den": [rat_to_str(c) for c in self.den]}
 
 
-def certify_bivariate_identity(lhs, rhs, degree_bound, max_attempts=400):
+def certify_bivariate_identity(lhs, rhs, degree_bound):
     """Certify lhs(u,v) == rhs(u,v) for matrix-valued rational expressions.
 
     lhs and rhs are callables mapping exact rational points (u, v) to
@@ -440,7 +456,7 @@ def certify_bivariate_identity(lhs, rhs, degree_bound, max_attempts=400):
     attempts = 0
     while len(us) < need_u or len(vs) < need_v:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > GRID_MAX_ATTEMPTS:
             raise GridExhausted("could not build a pole-free evaluation grid")
         if len(us) < need_u:
             u = next(cu)

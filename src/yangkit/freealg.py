@@ -88,6 +88,9 @@ class TermAlgebra:
         return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
+        # __eq__ equates a constant with its scalar, so their hashes agree
+        if self.terms.keys() <= {self.UNIT}:
+            return hash(self.constant_coeff())
         return hash(frozenset(self.terms.items()))
 
     def _coerce(self, other):
@@ -222,6 +225,13 @@ class TensorNCPoly(TermAlgebra):
         return TensorNCPoly({(w1, w2): c1 * c2
                              for w1, c1 in left.terms.items()
                              for w2, c2 in right.terms.items()})
+
+    def max_len(self):
+        return max((len(w) for legs in self.terms for w in legs), default=0)
+
+    def max_sum_r(self):
+        return max((word_sum_r(w) for legs in self.terms for w in legs),
+                   default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from math import lcm
 
 import numpy as np
 
-from .exact import ONE, ZERO
+from .exact import ONE, ZERO, check_report
 from . import linalg
 
 SL, SO, SP = "sl", "so", "sp"
@@ -709,11 +709,6 @@ def _presentation_verdicts(data, rep, f_override=None):
     }
 
 
-def _report(check, data, status, details):
-    return {"check": check, "family": data.family, "N": data.N,
-            "status": "pass" if status else "fail", "details": details}
-
-
 def verify_classical_presentation(data, rep, f_override=None):
     """Check the defining identities of the one-generator presentation
     carried by F = -(rho (x) 1) Omega: the bracket relation, the
@@ -725,8 +720,8 @@ def verify_classical_presentation(data, rep, f_override=None):
     v = _presentation_verdicts(data, rep, f_override)
     details = {k: v[k] for k in ("F-br", "F-sym", "sigma-sym",
                                  "F-sym-explicit")}
-    return _report("classical_presentation", data, all(details.values()),
-                   details)
+    return check_report("classical_presentation", all(details.values()),
+                        details, data.family, data.N)
 
 
 def verify_current_presentation(data, rep, D):
@@ -745,8 +740,8 @@ def verify_current_presentation(data, rep, D):
     # [F_1, F_2] = [Omega, F_2], and every other one compares 0 with 0
     details = {"gz-R": v["F-br"], "gz-sym": v["F-sym"],
                "expansion-agreement": v["F1-br"] and v["F-br"]}
-    return _report("current_presentation", data, all(details.values()),
-                   {**details, "D": D})
+    return check_report("current_presentation", all(details.values()),
+                        {**details, "D": D}, data.family, data.N)
 
 
 def verify_extension_split(data, rep):
@@ -803,8 +798,8 @@ def verify_extension_split(data, rep):
     details["W(x)-trivial-intersection"] = ok_w
     details["W-dims"] = w_dims
 
-    ok = ok_k and ok_w
-    return _report("extension_split", data, ok, details)
+    return check_report("extension_split", ok_k and ok_w, details,
+                        data.family, data.N)
 
 
 def _msym_batched(T, px_all):
@@ -858,7 +853,10 @@ def _msym_order(T, px_all, order, sub, outer_row, outer_col):
     return left - right
 
 
-def verify_yangian_module(data, rep, max_quartic=40000):
+YJ4_MAX_QUARTIC = 40000  # YJ:4 is reported false, not computed, past g^3 d
+
+
+def verify_yangian_module(data, rep):
     """Check the defining Yangian relations on (rho(X), rho(J(X))) matrices.
 
     The right-hand sides' orthonormal triple sums are contracted through
@@ -933,7 +931,7 @@ def verify_yangian_module(data, rep, max_quartic=40000):
         # and the left side is identically zero: exact, no loop needed
         details["YJ4"] = True
         details["YJ4-mode"] = "rho_J = 0: both sides vanish identically"
-    elif g ** 3 * d * d > max_quartic * d:
+    elif g ** 3 * d > YJ4_MAX_QUARTIC:
         details["YJ4"] = False
         details["YJ4-mode"] = "skipped: size guard (would not complete)"
     else:
@@ -968,6 +966,5 @@ def verify_yangian_module(data, rep, max_quartic=40000):
         details["YJ4"] = ok4
         details["YJ4-mode"] = "computed"
 
-    ok = all(v for k, v in details.items()
-             if isinstance(v, bool))
-    return _report("yangian_module", data, ok, details)
+    ok = all(v for v in details.values() if isinstance(v, bool))
+    return check_report("yangian_module", ok, details, data.family, data.N)

@@ -20,7 +20,8 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from .exact import (ONE, ZERO, PoleError, RationalFunction, TruncSeries,
-                    certify_bivariate_identity, poly_compose_linear,
+                    certify_bivariate_identity, check_report,
+                    poly_compose_linear,
                     poly_divmod, poly_eval, poly_gcd, poly_lcm, poly_mul,
                     rat_to_str, series_inverse)
 from . import linalg
@@ -570,13 +571,10 @@ def _expansion_target(data, rep):
 def expansion_check(R, data, rep):
     """Check R's expansion against I - Omega u^{-1} +
     ((J (x) 1 - 1 (x) J)(Omega) + Omega^2/2) u^{-2} up to a scalar series."""
-    details = {}
     try:
         g = proportional_to(R.expand(2), _expansion_target(data, rep))
-        details["ratio"] = [rat_to_str(c) for c in g.coeffs]
-        status = "pass"
     except NotProportional as exc:
-        details["error"] = str(exc)
-        status = "fail"
-    return {"check": "expansion", "family": data.family, "N": data.N,
-            "status": status, "details": details}
+        ok, details = False, {"error": str(exc)}
+    else:
+        ok, details = True, {"ratio": [rat_to_str(c) for c in g.coeffs]}
+    return check_report("expansion", ok, details, data.family, data.N)

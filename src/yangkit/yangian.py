@@ -16,7 +16,8 @@ from math import comb, lcm
 import numpy as np
 
 from . import linalg
-from .exact import TruncSeries, series_inverse, series_mul, series_shift, rat_to_str
+from .exact import (TruncSeries, check_report, rat_to_str, series_inverse,
+                    series_mul, series_shift)
 from .freealg import (
     NCPoly,
     TensorNCPoly,
@@ -36,7 +37,6 @@ from .freealg import (
     substitute_poly,
     t_matrix,
     transpose_t,
-    word_sum_r,
 )
 from .liealg import (
     _Tensors,
@@ -374,19 +374,22 @@ def _fits(cl, p):
     return p.max_len() <= cl.L and p.max_sum_r() <= cl.R_ord
 
 
-def _check_members(cl, items):
-    """Bounded membership checks over (key, NCPoly) items, one policy for
-    every verdict: an item that does not fit the closure bounds is
-    skipped; a zero item is tested and passes without a reduction; any
-    other item is tested and fails when it is not in the ideal.  Returns
-    the key lists (tested, skipped, failures), each in item order."""
+def _check_members(cl, items, tensor=False):
+    """Bounded membership checks over (key, NCPoly) items, or (key,
+    TensorNCPoly) items with ``tensor``, one policy for every verdict: an
+    item that does not fit the closure bounds is skipped; a zero item is
+    tested and passes without a reduction; any other item is tested and
+    fails when it is not in the ideal.  Returns the key lists (tested,
+    skipped, failures), each in item order."""
+    # looked up per call, so a rebound module normal_form is the one used
+    reduce = tensor_normal_form if tensor else normal_form
     tested, skipped, failures = [], [], []
     for key, p in items:
         if p and not _fits(cl, p):
             skipped.append(key)
             continue
         tested.append(key)
-        if p and not is_in_ideal(cl, p):
+        if p and reduce(cl, p):
             failures.append(key)
     return tested, skipped, failures
 
@@ -422,11 +425,9 @@ def _commutators(cl, N, coeffs):
                     yield [r, s, k, l], c * t - t * c
 
 
-def _report(check, pres, cl, details=None):
-    """Header of a bounded check report; "pass" until a failure is set."""
-    return {"check": check, "family": pres.family, "N": pres.N,
-            "K": pres.K, "bounds": list(cl.bounds), "status": "pass",
-            "details": {} if details is None else details}
+def _report(check, pres, cl, ok, details):
+    return check_report(check, ok, details, pres.family, pres.N, pres.K,
+                        cl.bounds)
 
 
 def slice_dimension(cl, length, sum_r):
@@ -537,13 +538,8 @@ def z_series(pres, cl):
     K = pres.K
     N = pres.N
     Z = _z_matrix(pres, K)
-    report = _report("z_series", pres, cl)
-    det = report["details"]
-
     z1_zero = all(not Z.coeffs[1][i, j] for i in range(N) for j in range(N))
-    det["z1_zero_free_algebra"] = z1_zero
-    if not z1_zero:
-        report["status"] = "fail"
+    det = {"z1_zero_free_algebra": z1_zero}
 
     scalar_tested, _, scalar_fail = _check_members(
         cl, _nonzero_entries(K, N, _off_scalar(Z)))
@@ -559,9 +555,9 @@ def z_series(pres, cl):
         [r, s, (r, s) not in failed]
         for r, s in dict.fromkeys((r, s) for r, s, _, _ in tested)]
     det["centrality_failures"] = central_fail
-    if scalar_fail or central_fail:
-        report["status"] = "fail"
-    return CentralSeries(z, Z, pres.casimir.c_g, report)
+    ok = z1_zero and not (scalar_fail or central_fail)
+    return CentralSeries(z, Z, pres.casimir.c_g,
+                         _report("z_series", pres, cl, ok, det))
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +618,7 @@ def y_from_z(cs, K):
     yser = TruncSeries(cs.y + [CPoly.zero()] * (K + 2 - len(cs.y)))
     lhs = series_mul(yser, series_inverse(series_shift(yser, half)))
     ok = all(lhs.coeffs[r] == zser.coeffs[r] for r in range(K + 1))
-    cs.report.setdefault("details", {})["y_recursion_verified_to"] = (
-        K if ok else -1)
+    cs.report["details"]["y_recursion_verified_to"] = K if ok else -1
     if not ok:
         cs.report["status"] = "fail"
     return cs
@@ -685,14 +680,10 @@ def qdet(pres, cl, cs=None):
             term = fac if term is None else series_mul(term, fac)
         term = term.scale(sign)
         qd = term if qd is None else qd + term
-    report = _report("qdet", pres, cl)
-    det = report["details"]
 
     orders = range(1, min(3, K) + 1)
     tested, _, central_fail = _check_members(
         cl, _commutators(cl, N, ((r, qd.coeffs[r]) for r in orders)))
-    det["centrality_tested"] = len(tested)
-    det["centrality_failures"] = central_fail
 
     # zdet(u) = qdet T(u-1) (qdet T(u))^{-1}; z(u) = zdet(u+N) mod ideal
     zdet = series_mul(series_shift(qd, Fraction(-1)), series_inverse(qd))
@@ -700,11 +691,11 @@ def qdet(pres, cl, cs=None):
     shifted = series_shift(zdet, Fraction(N))
     match_tested, _, match_fail = _check_members(
         cl, ((r, zlist[r] - shifted.coeffs[r]) for r in orders))
-    det["z_equals_shifted_zdet_orders"] = match_tested
-    det["z_match_failures"] = match_fail
-    if central_fail or match_fail:
-        report["status"] = "fail"
-    return qd, report
+    return qd, _report("qdet", pres, cl, not (central_fail or match_fail), {
+        "centrality_tested": len(tested),
+        "centrality_failures": central_fail,
+        "z_equals_shifted_zdet_orders": match_tested,
+        "z_match_failures": match_fail})
 
 
 def symmetry_series(pres, cl, cs=None):
@@ -719,30 +710,26 @@ def symmetry_series(pres, cl, cs=None):
     Tt = transpose_t(mat_shift(T, kap), pres.lie)
     M = mat_mul(Tt, T)
     M2 = mat_mul(T, Tt)
-    report = _report("symmetry_series", pres, cl)
-    det = report["details"]
 
     scalar_tested, _, scalar_fail = _check_members(
         cl, _nonzero_entries(K, N, _off_scalar(M)))
-    det["scalar_tested"] = len(scalar_tested)
-    det["scalar_failures"] = scalar_fail
-
     two_sided_tested, _, two_sided_fail = _check_members(
         cl, _nonzero_entries(
             K, N, lambda r, i, j: M.coeffs[r][i, j] - M2.coeffs[r][i, j]))
-    det["two_sided_tested"] = len(two_sided_tested)
-    det["two_sided_failures"] = two_sided_fail
 
     zdet = TruncSeries([M.coeffs[r][0, 0] for r in range(K + 1)])
     zlist = _z_list(pres, cs)
     rhs = series_mul(zdet, series_inverse(series_shift(zdet, kap)))
     match_tested, _, match_fail = _check_members(
         cl, ((r, zlist[r] - rhs.coeffs[r]) for r in range(1, K + 1)))
-    det["z_equals_zdet_ratio_orders"] = match_tested
-    det["z_match_failures"] = match_fail
-    if scalar_fail or two_sided_fail or match_fail:
-        report["status"] = "fail"
-    return zdet, report
+    ok = not (scalar_fail or two_sided_fail or match_fail)
+    return zdet, _report("symmetry_series", pres, cl, ok, {
+        "scalar_tested": len(scalar_tested),
+        "scalar_failures": scalar_fail,
+        "two_sided_tested": len(two_sided_tested),
+        "two_sided_failures": two_sided_fail,
+        "z_equals_zdet_ratio_orders": match_tested,
+        "z_match_failures": match_fail})
 
 
 # ---------------------------------------------------------------------------
@@ -778,53 +765,41 @@ def verify_hopf(pres, cl, cs, orders=3, max_relations=None):
     the counit values, and well-definedness of the coproduct."""
     N = pres.N
     K = pres.K
-    report = _report("hopf", pres, cl)
-    det = report["details"]
+    rs = range(1, min(orders, K) + 1)
 
-    grouplike_fail = []
-    grouplike_tested = []
-    for r in range(1, min(orders, K) + 1):
-        target = TensorNCPoly({})
-        for a in range(r + 1):
-            target = target + TensorNCPoly.of(cs.z[a], cs.z[r - a])
-        diff = coproduct_poly(cs.z[r], N) - target
-        legs_fit = all(
-            len(w1) <= cl.L and word_sum_r(w1) <= cl.R_ord
-            and len(w2) <= cl.L and word_sum_r(w2) <= cl.R_ord
-            for (w1, w2) in diff.terms)
-        if not legs_fit:
-            continue
-        grouplike_tested.append(r)
-        if tensor_normal_form(cl, diff):
-            grouplike_fail.append(r)
-    det["grouplike_orders"] = grouplike_tested
-    det["grouplike_failures"] = grouplike_fail
+    def grouplike_defect(r):
+        target = sum((TensorNCPoly.of(cs.z[a], cs.z[r - a])
+                      for a in range(r + 1)), TensorNCPoly.zero())
+        return coproduct_poly(cs.z[r], N) - target
+
+    grouplike_tested, _, grouplike_fail = _check_members(
+        cl, ((r, grouplike_defect(r)) for r in rs), tensor=True)
 
     table = antipode_table(N, K)
     sz = TruncSeries([antipode_poly(p, table) for p in cs.z[: K + 1]])
     prod = series_mul(sz, cs.z_truncseries(K))
     antipode_tested, _, antipode_fail = _check_members(
-        cl, ((r, prod.coeffs[r]) for r in range(1, min(orders, K) + 1)))
-    det["antipode_orders"] = antipode_tested
-    det["antipode_failures"] = antipode_fail
+        cl, ((r, prod.coeffs[r]) for r in rs))
+    counit_ok = all(counit_poly(cs.z[r]) == 0 for r in rs)
 
-    counit_ok = all(counit_poly(cs.z[r]) == 0
-                    for r in range(1, min(orders, K) + 1))
-    det["counit_zero"] = counit_ok
-
+    # p (x) 1 is a term of the coproduct of p, so the coproduct of a
+    # relation fits the bounds exactly when the relation does
     rels = [p for p in pres.relations if _fits(cl, p)]
     if max_relations is not None:
         rels = rels[:max_relations]
-    coproduct_fail = 0
-    for p in rels:
-        if tensor_normal_form(cl, coproduct_poly(p, N)):
-            coproduct_fail += 1
-    det["coproduct_relations_tested"] = len(rels)
-    det["coproduct_relation_failures"] = coproduct_fail
+    coproduct_tested, _, coproduct_fail = _check_members(
+        cl, ((n, coproduct_poly(p, N)) for n, p in enumerate(rels)),
+        tensor=True)
 
-    if grouplike_fail or antipode_fail or not counit_ok or coproduct_fail:
-        report["status"] = "fail"
-    return report
+    ok = counit_ok and not (grouplike_fail or antipode_fail or coproduct_fail)
+    return _report("hopf", pres, cl, ok, {
+        "grouplike_orders": grouplike_tested,
+        "grouplike_failures": grouplike_fail,
+        "antipode_orders": antipode_tested,
+        "antipode_failures": antipode_fail,
+        "counit_zero": counit_ok,
+        "coproduct_relations_tested": len(coproduct_tested),
+        "coproduct_relation_failures": len(coproduct_fail)})
 
 
 # ---------------------------------------------------------------------------
@@ -846,9 +821,6 @@ def verify_fixed_point(pres, cl, cs, f, orders=2):
         y_from_z(cs, K - 1)
     # y_r involves z-symbols up to r+1, and cs.z stops at K
     Ku = min(orders, len(cs.y) - 1, K - 1)
-    report = _report("fixed_point", pres, cl,
-                     {"f": [rat_to_str(c) for c in f.coeffs]})
-    det = report["details"]
 
     ysub = [_cpoly_to_ncpoly(cs.y[r], cs) for r in range(Ku + 1)]
     yser = TruncSeries(ysub)
@@ -867,13 +839,9 @@ def verify_fixed_point(pres, cl, cs, f, orders=2):
                        max(max_r, f.order))
     table = mf_table(N, max_r, fext)
 
-    # an order counts as tested when none of its entries was skipped
     _, skipped, fixed_fail = _check_members(cl, _nonzero_entries(
         Ku, N, lambda k, i, j: substitute_poly(Tt.coeffs[k][i, j], table)
         - Tt.coeffs[k][i, j]))
-    det["fixed_orders"] = [k for k in range(1, Ku + 1)
-                           if all(key[0] != k for key in skipped)]
-    det["fixed_failures"] = fixed_fail
 
     # m_f(z(u)) = (f(u) / f(u + c_g/2)) z(u) mod ideal
     half = cs.c_g / 2
@@ -890,19 +858,22 @@ def verify_fixed_point(pres, cl, cs, f, orders=2):
     scale_tested, _, scale_fail = _check_members(
         cl, ((r, substitute_poly(cs.z[r], table) - scaled_z(r))
              for r in range(2, min(orders + 2, K) + 1)))
-    det["z_scaling_orders"] = scale_tested
-    det["z_scaling_failures"] = scale_fail
 
     # shift compatibility: forming T~ commutes with u -> u + 1 exactly
     c = ONE
     A = mat_shift(Tt, c)
     B = mat_mul(_scalar_mat(series_shift(yinv, c), N), mat_shift(T, c))
     shift_ok = all((a == b).all() for a, b in zip(A.coeffs, B.coeffs))
-    det["shift_compatible"] = shift_ok
-
-    if fixed_fail or scale_fail or not shift_ok:
-        report["status"] = "fail"
-    return report
+    ok = shift_ok and not (fixed_fail or scale_fail)
+    return _report("fixed_point", pres, cl, ok, {
+        "f": [rat_to_str(c) for c in f.coeffs],
+        # an order counts as tested when none of its entries was skipped
+        "fixed_orders": [k for k in range(1, Ku + 1)
+                         if all(key[0] != k for key in skipped)],
+        "fixed_failures": fixed_fail,
+        "z_scaling_orders": scale_tested,
+        "z_scaling_failures": scale_fail,
+        "shift_compatible": shift_ok})
 
 
 # ---------------------------------------------------------------------------
@@ -920,8 +891,7 @@ def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
     c_g = cas.c_g
     om4 = np.array(cas.omega_rho).reshape(N, N, N, N)
     wop4 = np.array(cas.omega_op_frac()).reshape(N, N, N, N)
-    report = _report("low_order_structure", pres, cl)
-    det = report["details"]
+    det = {}
 
     Z = cs.zmat
     phi = [[NCPoly.gen(i + 1, j + 1, 1) - (2 / c_g) * Z.coeffs[2][i, j]
@@ -1011,10 +981,9 @@ def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
     if not all_zero:
         det["b_table"] = b_table
 
-    if bracket_fail or sym_fail or (gen3 is not None
-                                    and not all(g[2] for g in gen3)):
-        report["status"] = "fail"
-    return report
+    ok = not (bracket_fail or sym_fail
+              or (gen3 is not None and not all(g[2] for g in gen3)))
+    return _report("low_order_structure", pres, cl, ok, det)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,17 +1112,17 @@ class EvalModule:
         return int(d) * s
 
 
-def central_monomial_certificate(pres, cs, degree=2, symbols=(2, 3)):
-    """Independence of monomials in the z-symbols of bounded degree modulo
-    the true ideal, certified by a full-rank value matrix over a family of
-    evaluation modules (each z-monomial acts by an exact scalar)."""
-    mons = [()]
-    for a in symbols:
-        mons.append((a,))
-    if degree >= 2:
-        for ai, a in enumerate(symbols):
-            for b in symbols[ai:]:
-                mons.append((a, b))
+CERTIFICATE_SYMBOLS = (2, 3)  # z-symbols of central_monomial_certificate
+
+
+def central_monomial_certificate(pres, cs):
+    """Independence of the monomials of degree <= 2 in the z-symbols
+    CERTIFICATE_SYMBOLS modulo the true ideal, certified by a full-rank
+    value matrix over a family of evaluation modules (each z-monomial acts
+    by an exact scalar)."""
+    symbols = CERTIFICATE_SYMBOLS
+    mons = [()] + [(a,) for a in symbols]
+    mons += [(a, b) for ai, a in enumerate(symbols) for b in symbols[ai:]]
     polys = []
     for m in mons:
         p = NCPoly.one()
@@ -1193,15 +1162,10 @@ def central_monomial_certificate(pres, cs, degree=2, symbols=(2, 3)):
         rk = linalg.rank(rows, target)
         if rk == target:
             break
-    return {
-        "check": "central_monomial_independence",
-        "family": pres.family, "N": pres.N, "K": pres.K,
-        "status": "pass" if rk == target else "fail",
-        "details": {
-            "monomials": [list(m) for m in mons],
-            "modules": used,
-            "rank": rk,
-            "target": target,
-            "values": [[rat_to_str(v) for v in row] for row in rows],
-        },
-    }
+    return check_report("central_monomial_independence", rk == target, {
+        "monomials": [list(m) for m in mons],
+        "modules": used,
+        "rank": rk,
+        "target": target,
+        "values": [[rat_to_str(v) for v in row] for row in rows],
+    }, pres.family, pres.N, pres.K)

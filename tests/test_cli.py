@@ -3,6 +3,10 @@ reports, config files, and report merging."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,21 @@ def run(tmp_path, name, argv):
     code = main(argv + ["--output", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report, out
+
+
+def write_failing_merge_inputs(directory):
+    """a.json, a passing rmatrix report, and b.json, the same report with
+    its status set to "fail"; report-merge of the two exits 1."""
+    a = directory / "a.json"
+    assert main(["verify", "--family", "sl", "--n", "2", "--suite",
+                 "rmatrix", "--output", str(a)]) == 0
+    rep = json.loads(a.read_text())
+    rep["status"] = "fail"
+    (directory / "b.json").write_text(json.dumps(rep))
+
+
+FAILING_MERGE_DIGEST = (
+    "949f53500162ddc37083202369d09595132cec8c6daabbd04671134a7a920e79")
 
 
 class TestUsageErrors:
@@ -107,7 +126,8 @@ class TestVerify:
     # the five commands of the classical benchmark workload, then the
     # so/sp extension split (W != 0) and the sp4 solver, then the
     # yangian-layer suites (NCPoly, TensorNCPoly in hopf, CPoly in y(u)),
-    # at --seed 0
+    # then build, checks that test nothing at tiny bounds, and a check
+    # that passes only on its retry closure, at --seed 0
     @pytest.mark.parametrize("argv,digest", [
         ("verify --family sl --n 3 --suite classical,rmatrix",
          "94e3502c8ba7240fbeff548fad21930fdf0e9fb12e9e82494d6f8b39057f1b44"),
@@ -133,16 +153,37 @@ class TestVerify:
         ("verify --family sp --n 2 --order 3 --len 2 --sumr 3 "
          "--suite pbw,symmetry",
          "db510cbe86f67af2a6c10c64c715b8ca5f44de2b7e09f541689afe27b4e9d90a"),
+        ("build --family sl --n 2 --order 3 --len 2 --sumr 3",
+         "76d348e58382ee9da7fa868a7b12ed19ec44f7cb4a86e55e7c60bd2e121950f1"),
+        ("verify --family sl --n 2 --order 3 --len 1 --sumr 2 "
+         "--suite center,hopf,qdet",
+         "81b022c149b9aa408433f21fb8ace2d75cbced278a043c153faac806cc4c06c4"),
+        ("verify --family sp --n 4 --order 3 --len 1 --sumr 3 "
+         "--suite symmetry",
+         "31f2af05a2a3fa51f985619d9f0c6184d9b8c054874f36468b09b08796b95742"),
     ], ids=["sl3-classical-rmatrix", "sl6-rmatrix", "so5-rmatrix",
             "sp4-rmatrix", "so4-solve-r", "so3-classical-rmatrix",
             "sp4-classical-rmatrix", "sp4-solve-r", "sl2-yangian-suites",
-            "sl2-qdet", "sp2-pbw-symmetry"])
+            "sl2-qdet", "sp2-pbw-symmetry", "sl2-build",
+            "sl2-vacuous-center-hopf-qdet", "sp4-symmetry-retried"])
     def test_golden_reports(self, capsys, argv, digest):
         """Report bytes on stdout are pinned, so a change to any layer
         that alters a report shows here."""
         assert main(argv.split() + ["--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_golden_failing_merge(self, tmp_path, capsys, monkeypatch):
+        """A merge with one failing input: status "fail" and exit 1, with
+        the report bytes pinned (input names are relative)."""
+        monkeypatch.chdir(tmp_path)
+        write_failing_merge_inputs(tmp_path)
+        capsys.readouterr()
+        assert main(["report-merge", "a.json", "b.json"]) == 1
+        out = capsys.readouterr().out
+        assert json.loads(out)["status"] == "fail"
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            FAILING_MERGE_DIGEST
 
 
 class TestConfigFile:
@@ -359,3 +400,44 @@ class TestCentralityNegativeControl:
             y = climod._first_order_image(
                 pres.lie, *climod._noncommuting_probe(pres.lie, i, j))
             assert x.any() and (x @ y != y @ x).any(), (seed, i, j)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(argv, cwd):
+    """Run the CLI module in a new interpreter with src on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "yangkit.cli"] + argv,
+                          cwd=cwd, env=env, capture_output=True, timeout=300)
+
+
+class TestProcessExitCodes:
+    """The exit code crosses sys.exit(main()) in a real process."""
+
+    def test_pass_exits_0_with_in_process_bytes(self, tmp_path, capsys):
+        argv = ["verify", "--family", "sl", "--n", "2", "--suite", "rmatrix"]
+        proc = run_process(argv, tmp_path)
+        assert proc.returncode == 0
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_failing_merge_exits_1(self, tmp_path):
+        write_failing_merge_inputs(tmp_path)
+        proc = run_process(["report-merge", "a.json", "b.json"], tmp_path)
+        assert proc.returncode == 1
+        assert hashlib.sha256(proc.stdout).hexdigest() == FAILING_MERGE_DIGEST
+
+    def test_usage_error_exits_2(self, tmp_path):
+        proc = run_process(["verify", "--family", "sp", "--n", "3",
+                            "--suite", "classical"], tmp_path)
+        assert proc.returncode == 2
+        assert b"usage error" in proc.stderr and not proc.stdout
+
+    def test_bounds_too_large_exits_3(self, tmp_path):
+        proc = run_process(["build", "--family", "sl", "--n", "2",
+                            "--len", "12", "--sumr", "12"], tmp_path)
+        assert proc.returncode == 3
+        assert b"bounds too large" in proc.stderr and not proc.stdout

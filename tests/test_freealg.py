@@ -78,6 +78,16 @@ class TestNCPoly:
         p = F(5, 3) * NCPoly.gen(1, 2, 1) * NCPoly.gen(2, 1, 4) - F(7)
         assert NCPoly.from_json(p.to_json()) == p
 
+    def test_tensor_degree_trackers_span_both_legs(self):
+        a = NCPoly.gen(1, 1, 2) * NCPoly.gen(1, 2, 3)
+        b = NCPoly.gen(2, 2, 1)
+        assert TensorNCPoly.of(a, b).max_len() == 2
+        assert TensorNCPoly.of(b, a).max_len() == 2
+        assert TensorNCPoly.of(b, a).max_sum_r() == 5
+        assert (TensorNCPoly.of(b, b) + TensorNCPoly.of(a, NCPoly.one())
+                ).max_sum_r() == 5
+        assert TensorNCPoly.zero().max_len() == 0
+
 
 # Reference arithmetic on plain {key: Fraction} dicts: the loops that
 # NCPoly, TensorNCPoly and CPoly each carried before they shared one term
@@ -224,6 +234,17 @@ class TestTermAlgebra:
         if list(a.terms) != [cls.UNIT]:
             with pytest.raises(NonInvertible):
                 a.unit_inverse()
+
+    @_TERM_CLASSES
+    @pytest.mark.parametrize("c", [0, 3, F(-1, 2)])
+    def test_hash_agrees_with_eq_on_constants(self, cls, c):
+        # __eq__ equates a constant with its scalar, so the hashes must
+        # agree for sets and dict keys to see them as one element
+        p = cls.constant(c)
+        assert p == c and hash(p) == hash(c)
+        assert c in {p} and p in {c}
+        assert hash(p) == hash(cls.constant(c))
+        assert 1 + p - 1 in {p}
 
     @pytest.mark.parametrize("p", [
         NCPoly.zero(), 1 + NCPoly.gen(1, 2, 1),

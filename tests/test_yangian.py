@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from yangkit import yangian
 from yangkit.exact import TruncSeries, frac_matmul, series_mul
-from yangkit.freealg import NCPoly, gen_id, gen_ijr, mat_shift, t_matrix
+from yangkit.freealg import (NCPoly, TensorNCPoly, gen_id, gen_ijr, mat_shift,
+                             t_matrix)
 from yangkit.liealg import build_lie, vector_rep
 from yangkit.rmatrix import closed_form_r
 from yangkit.yangian import (
@@ -113,6 +114,35 @@ class TestCheckMembers:
         assert failures == ["generator"]
         # the zero item is decided without a reduction
         assert calls == [b, a * b - b * a - b]
+
+    def test_tensor_policy(self, sl2_cl, monkeypatch):
+        # the same policy on tensors: an item is skipped when either leg
+        # leaves the bounds, and reduced leg by leg through the module's
+        # normal_form as bound at call time
+        calls = []
+        real = yangian.normal_form
+
+        def spy(cl, p):
+            calls.append(p)
+            return real(cl, p)
+        monkeypatch.setattr(yangian, "normal_form", spy)
+        a = NCPoly.gen(1, 1, 1)
+        b = NCPoly.gen(1, 2, 1)
+        one = NCPoly.one()
+        of = TensorNCPoly.of
+        items = [("long_right", of(one, a * a * a * a)),
+                 ("high_left", of(NCPoly.gen(1, 1, 5), b)),
+                 ("generator", of(b, one)),
+                 ("zero", of(a - a, b)),
+                 ("bracket", of(one, a * b - b * a - b))]
+        tested, skipped, failures = yangian._check_members(
+            sl2_cl, items, tensor=True)
+        assert tested == ["generator", "zero", "bracket"]
+        assert skipped == ["long_right", "high_left"]
+        assert failures == ["generator"]
+        # one reduction per distinct right word, then one per distinct left
+        # word: 1 + 1 for the generator, 3 + 1 for the bracket
+        assert len(calls) == 6
 
 
 class TestPBW:
