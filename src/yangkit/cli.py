@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import TruncSeries, check_report, rat_to_str
-from .freealg import NCPoly, gen_ijr
+from .freealg import NCPoly
 from .liealg import (
     InvalidAlgebra,
     build_lie,
@@ -329,15 +329,13 @@ def _suite_center(cfg, ctx):
 
 
 def _suite_hopf(cfg, ctx):
-    return _with_retry(cfg, ctx, lambda cl, cs: [
-        verify_hopf(cl.pres, cl, cs, orders=min(3, cfg.K),
-                    max_relations=50)])
+    return _with_retry(cfg, ctx, lambda cl, cs: [verify_hopf(cl.pres, cl, cs)])
 
 
 def _suite_fixedpoint(cfg, ctx):
     fs = [TruncSeries([ONE, ONE]), TruncSeries([ONE, ONE, ONE])]
     return _with_retry(cfg, ctx, lambda cl, cs: [
-        verify_fixed_point(cl.pres, cl, cs, f, orders=2) for f in fs])
+        verify_fixed_point(cl.pres, cl, cs, f) for f in fs])
 
 
 def _suite_qdet(cfg, ctx):

@@ -1,9 +1,10 @@
 """Exact scalar kernel.
 
 Rationals are stdlib Fraction (always lowest terms, positive denominator).
-On top of that: the matrix product of object arrays over any exact ring,
-truncated power series in u^-1, univariate rational functions, and grid
-certification of bivariate rational-matrix identities.
+On top of that: truncated power series in u^-1, univariate rational
+functions, and grid certification of bivariate rational-matrix
+identities.  Matrices of exact ring elements (Fraction, NCPoly,
+RationalFunction) are numpy object arrays and multiply by ``@``.
 
 Series coefficients are not restricted to Fraction: anything with +, -, *
 and Fraction-scalar multiplication works (noncommutative polynomial
@@ -57,25 +58,6 @@ def check_report(check, ok, details, family, N, K=None, bounds=None):
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def frac_matmul(a, b):
-    """Matrix product of object arrays over an exact ring: Fraction,
-    NCPoly, TensorNCPoly or RationalFunction entries.  Zero factors are
-    skipped, and an entry with no nonzero term is the ring's zero,
-    ZERO * a[0, 0]."""
-    n, m = a.shape
-    m2, p = b.shape
-    assert m == m2
-    out = np.full((n, p), ZERO * a.flat[0], dtype=object)
-    for i in range(n):
-        for k in range(m):
-            c = a[i, k]
-            if c:
-                for j in range(p):
-                    if b[k, j]:
-                        out[i, j] += c * b[k, j]
-    return out
 
 
 class TruncSeries:

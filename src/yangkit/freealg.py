@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (ONE, ZERO, TruncSeries, frac_matmul, rat_from_str,
-                    rat_to_str, series_inverse, series_mul, series_shift)
+from .exact import (ONE, ZERO, TruncSeries, rat_from_str, rat_to_str,
+                    series_shift)
 
 
 class NonInvertible(ValueError):
@@ -285,13 +285,17 @@ def t_matrix(N, K):
 
 
 def mat_mul(A, B):
+    """A(u) B(u) to the lower of the two orders.  Coefficient matrices
+    multiply by numpy's object ``@``, which sums the entry products in k
+    order starting from the first, so NCPoly entries keep a fixed term
+    order."""
     K = min(A.order, B.order)
     N = A.N
     out = []
     for k in range(K + 1):
         acc = None
         for a in range(k + 1):
-            t = frac_matmul(A.coeffs[a], B.coeffs[k - a])
+            t = A.coeffs[a] @ B.coeffs[k - a]
             acc = t if acc is None else acc + t
         out.append(acc)
     return MatSeries(out, N)
@@ -307,7 +311,7 @@ def mat_inverse(A):
     for k in range(1, A.order + 1):
         acc = None
         for a in range(1, k + 1):
-            t = frac_matmul(A.coeffs[a], out[k - a])
+            t = A.coeffs[a] @ out[k - a]
             acc = t if acc is None else acc + t
         out.append(-acc)
     return MatSeries(out, N)

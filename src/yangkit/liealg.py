@@ -427,9 +427,22 @@ def commutant(rep, with_j):
     if with_j:
         mats.append(rep.int_j()[0])
     dd = rep.dim * rep.dim
-    rows = [[Fraction(int(x)) for x in row] for m in mats if m.any()
-            for row in _ad_operators_int(m).reshape(-1, dd)]
+    rows = [row for m in mats if m.any()
+            for row in _ad_operators_int(m).reshape(-1, dd).tolist()]
     return linalg.nullspace(rows, dd)
+
+
+def on_legs(m, d, n, legs):
+    """The operator m on the tensor legs ``legs`` of V^(x)n, dim V = d,
+    and the identity on the other legs: kron(m, I) with its tensor axes
+    moved into place.  Entries of m are copied, never combined, so the
+    result keeps m's dtype (int64 or Python ints)."""
+    rest = [t for t in range(n) if t not in legs]
+    full = np.kron(m, np.eye(d ** len(rest), dtype=m.dtype))
+    # axis t of the result is axis perm[t] of kron's (legs, rest) order
+    perm = np.argsort(list(legs) + rest).tolist()
+    full = full.reshape((d,) * (2 * n)).transpose(perm + [n + t for t in perm])
+    return full.reshape(d ** n, d ** n)
 
 
 def permutation_matrix(N):

@@ -1,13 +1,13 @@
-"""Exact linear algebra over Fraction: dense RREF, nullspaces, inverses,
-and an incremental sparse row-reducer used for ideal closures.
+"""Exact linear algebra: one fraction-free row elimination behind the
+incremental sparse row-reducer of ideal closures and the dense helpers
+(RREF, rank, nullspaces, solutions, inverses).
 
-Dense matrices are lists of lists of Fraction (or numpy object arrays);
-sparse rows are dicts {column index: Fraction or int}.  The sparse
-reducer inserts fraction-free: it clears an input row's denominators once
-and eliminates on Python ints, storing primitive int rows with a
-positive, non-normalized pivot.  Queries are answered in ``Fraction``
-values as before: exact rational residuals from ``reduce`` and a
-normalized ``basis`` view built on read.
+Sparse rows are dicts {column index: Fraction or int}; dense matrices are
+lists of lists of Python ints or Fractions.  ``_eliminate`` and
+``_place`` clear a row's denominators once and eliminate on Python ints,
+storing primitive int rows with a positive, non-normalized pivot.
+``SparseReducer`` calls them from its methods; ``rref`` runs them on a
+basis of its own.  Answers are ``Fraction`` values.
 """
 
 from fractions import Fraction
@@ -17,38 +17,118 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form.
+def _eliminate(rows, row, scaled=False):
+    """Fully reduce a row dict against the fraction-free basis ``rows``
+    {pivot: primitive int row}; returns the exact rational residual, or
+    with ``scaled`` a positive integer multiple of it.
 
-    Returns (basis, pivots): basis is a list of reduced rows (lists),
-    pivots the pivot column of each row.  Deterministic: first-column
-    pivoting in input order.
+    Basis rows are mutually reduced (no basis row contains another's
+    pivot), so one elimination pass per pivot present is complete.  The
+    multiplier of a hit pivot is ``r[hit] / beta``: an int when an int
+    entry is divisible by the pivot coefficient ``beta``, a ``Fraction``
+    otherwise.  With ``scaled`` the row's denominators are cleared once
+    and each hit pivot eliminates by ``r <- (beta/g) r - (c/g) b`` with
+    ``c = r[hit]`` and ``g = gcd(c, beta)``, so no ``Fraction`` is made
+    and the residual keeps the same keys in the same order.
     """
-    basis = []
-    pivots = []
-    for row in rows:
-        row = list(row)
-        for b, p in zip(basis, pivots):
-            c = row[p]
-            if c:
-                for j in range(ncols):
-                    if b[j]:
-                        row[j] -= c * b[j]
-        piv = next((j for j in range(ncols) if row[j]), None)
-        if piv is None:
+    if scaled:
+        den = lcm(*[c.denominator for c in row.values()])
+        r = {j: c.numerator * (den // c.denominator)
+             for j, c in row.items() if c}
+    else:
+        r = {j: c for j, c in row.items() if c}
+    for hit in [j for j in r if j in rows]:
+        c = r.get(hit)
+        if not c:
             continue
-        inv = ONE / row[piv]
-        row = [x * inv for x in row]
-        for b in basis:
-            c = b[piv]
-            if c:
-                for j in range(ncols):
-                    if row[j]:
-                        b[j] -= c * row[j]
-        basis.append(row)
-        pivots.append(piv)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [basis[i] for i in order], [pivots[i] for i in order]
+        b = rows[hit]
+        beta = b[hit]
+        if beta != 1:
+            if scaled:
+                g = gcd(c, beta)
+                if g != beta:
+                    mb = beta // g
+                    r = {j: mb * v for j, v in r.items()}
+                c //= g
+            elif type(c) is not int:
+                c = c / beta
+            elif c % beta:
+                c = Fraction(c, beta)
+            else:
+                c //= beta
+        m = -c
+        for j, bj in b.items():
+            rj = r.get(j)
+            if rj is None:
+                r[j] = m * bj
+            else:
+                nv = rj + m * bj
+                if nv:
+                    r[j] = nv
+                else:
+                    del r[j]
+    return r
+
+
+def _place(rows, holders, r):
+    """Insert a scaled residual ``r`` of :func:`_eliminate` into ``rows``,
+    primitive with a positive pivot, and back-substitute it into the rows
+    ``holders`` lists for that pivot; returns the pivot or None."""
+    if not r:
+        return None
+    piv = min(r)
+    g = gcd(*r.values())
+    if r[piv] < 0:
+        g = -g
+    # stored as a fresh dict: the working one keeps the table slots of
+    # entries that cancelled, about 12% more memory per closure row
+    r = {j: c // g for j, c in r.items()}
+    beta = r[piv]
+    for j in r:
+        if j != piv:
+            holders.setdefault(j, []).append(piv)
+    # back-substitute into the rows holding piv to keep the basis reduced
+    for p in holders.pop(piv, ()):
+        b = rows[p]
+        c = b.get(piv)
+        if not c:
+            continue
+        g = gcd(c, beta)
+        m = -(c // g)
+        mb = beta // g
+        if mb != 1:
+            b = {j: mb * bj for j, bj in b.items()}
+        for j, rj in r.items():
+            bj = b.get(j)
+            if bj is None:
+                b[j] = m * rj
+                holders[j].append(p)
+            else:
+                nv = bj + m * rj
+                if nv:
+                    b[j] = nv
+                else:
+                    del b[j]
+        g = gcd(*b.values())
+        if g != 1:
+            b = {j: bj // g for j, bj in b.items()}
+        rows[p] = b
+    rows[piv] = r
+    return piv
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form: (basis, pivots), basis the reduced rows
+    as lists of Fraction with pivot entries 1, pivots ascending.  The
+    reduced echelon form of a span is unique, so it is read off the
+    fraction-free rows of the shared elimination."""
+    basis, holders = {}, {}
+    for row in rows:
+        _place(basis, holders, _eliminate(
+            basis, {j: c for j, c in enumerate(row) if c}, True))
+    pivots = sorted(basis)
+    return [[Fraction(basis[p].get(j, 0), basis[p][p]) for j in range(ncols)]
+            for p in pivots], pivots
 
 
 def rank(rows, ncols):
@@ -139,109 +219,14 @@ class SparseReducer:
                 for p, b in self.rows.items()}
 
     def reduce(self, row, scaled=False):
-        """Fully reduce a row dict against the basis; returns the exact
-        rational residual, or with ``scaled`` a positive integer multiple
-        of it.
-
-        Basis rows are mutually reduced (no basis row contains another's
-        pivot), so one elimination pass per pivot present is complete.
-        The multiplier of a hit pivot is ``r[hit] / beta``: an int when an
-        int entry is divisible by the pivot coefficient ``beta``, a
-        ``Fraction`` otherwise, so int rows stay int where they can and
-        ``Fraction`` rows stay ``Fraction``.
-
-        With ``scaled`` the row's denominators are cleared once and each
-        hit pivot eliminates by ``r <- (beta/g) r - (c/g) b`` with ``c =
-        r[hit]`` and ``g = gcd(c, beta)``, so no ``Fraction`` is made; the
-        residual keeps the same keys in the same order.  Inserts need it
-        only up to a positive scale; queries get the exact residual.
-        """
-        rows = self.rows
-        if scaled:
-            den = lcm(*[c.denominator for c in row.values()])
-            r = {j: c.numerator * (den // c.denominator)
-                 for j, c in row.items() if c}
-        else:
-            r = {j: c for j, c in row.items() if c}
-        for hit in [j for j in r if j in rows]:
-            c = r.get(hit)
-            if not c:
-                continue
-            b = rows[hit]
-            beta = b[hit]
-            if beta != 1:
-                if scaled:
-                    g = gcd(c, beta)
-                    if g != beta:
-                        mb = beta // g
-                        r = {j: mb * v for j, v in r.items()}
-                    c //= g
-                elif type(c) is not int:
-                    c = c / beta
-                elif c % beta:
-                    c = Fraction(c, beta)
-                else:
-                    c //= beta
-            m = -c
-            for j, bj in b.items():
-                rj = r.get(j)
-                if rj is None:
-                    r[j] = m * bj
-                else:
-                    nv = rj + m * bj
-                    if nv:
-                        r[j] = nv
-                    else:
-                        del r[j]
-        return r
+        """The residual of a row dict against the basis: exact, or with
+        ``scaled`` a positive integer multiple (see :func:`_eliminate`)."""
+        return _eliminate(self.rows, row, scaled)
 
     def _insert(self, row):
         """Reduce a row fraction-free, make it primitive and insert it;
         returns its pivot or None."""
-        r = self.reduce(row, scaled=True)
-        if not r:
-            return None
-        piv = min(r)
-        g = gcd(*r.values())
-        if r[piv] < 0:
-            g = -g
-        # stored as a fresh dict: the working one keeps the table slots of
-        # entries that cancelled, about 12% more memory per closure row
-        r = {j: c // g for j, c in r.items()}
-        beta = r[piv]
-        rows = self.rows
-        holders = self._holders
-        for j in r:
-            if j != piv:
-                holders.setdefault(j, []).append(piv)
-        # back-substitute into the rows holding piv to keep the basis reduced
-        for p in holders.pop(piv, ()):
-            b = rows[p]
-            c = b.get(piv)
-            if not c:
-                continue
-            g = gcd(c, beta)
-            m = -(c // g)
-            mb = beta // g
-            if mb != 1:
-                b = {j: mb * bj for j, bj in b.items()}
-            for j, rj in r.items():
-                bj = b.get(j)
-                if bj is None:
-                    b[j] = m * rj
-                    holders[j].append(p)
-                else:
-                    nv = bj + m * rj
-                    if nv:
-                        b[j] = nv
-                    else:
-                        del b[j]
-            g = gcd(*b.values())
-            if g != 1:
-                b = {j: bj // g for j, bj in b.items()}
-            rows[p] = b
-        rows[piv] = r
-        return piv
+        return _place(self.rows, self._holders, self.reduce(row, scaled=True))
 
     def add(self, row):
         """Insert a row; returns True if it enlarged the span."""

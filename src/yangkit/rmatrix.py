@@ -26,9 +26,10 @@ from .exact import (ONE, ZERO, PoleError, RationalFunction, TruncSeries,
                     rat_to_str, series_inverse)
 from . import linalg
 from .liealg import (_INT_LIMIT, build_lie, checked_einsum, commutant,
-                     frac_to_int_array, int_to_frac_array, permutation_matrix,
-                     q_matrix, safe_axpy, safe_matmul, scaled_equal,
-                     _max_abs, _min_poly, _rational_roots, _Tensors)
+                     frac_to_int_array, int_to_frac_array, on_legs,
+                     permutation_matrix, q_matrix, safe_axpy, safe_matmul,
+                     scaled_equal, _max_abs, _min_poly, _rational_roots,
+                     _Tensors)
 
 
 class UnitarityFailure(RuntimeError):
@@ -288,26 +289,6 @@ def closed_form_r(family, N):
 # ---------------------------------------------------------------------------
 # QYBE
 
-# the two axes of V^(x)3 (as (a, b, c, x, y, z)) that the identity factor
-# ties together when an N^2 x N^2 matrix sits on legs 12, 13 or 23
-_LEG_FREE = {"12": (2, 5), "13": (1, 4), "23": (0, 3)}
-
-
-def _leg(m, N, leg):
-    """Embed an N^2 x N^2 integer matrix as leg "12", "13" or "23" of
-    V^(x)3.  The entries of m are copied, never combined, so the result
-    keeps m's dtype (int64 or Python ints)."""
-    n3 = N ** 3
-    m4 = m.reshape(N, N, N, N)
-    out = np.zeros((N,) * 6, dtype=m.dtype)
-    p, q = _LEG_FREE[leg]
-    for i in range(N):
-        idx = [slice(None)] * 6
-        idx[p] = idx[q] = i
-        out[tuple(idx)] = m4
-    return out.reshape(n3, n3)
-
-
 def check_qybe(R):
     """Certify R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v) exactly.
 
@@ -327,13 +308,13 @@ def check_qybe(R):
             m = C[deg]
             for c in reversed(C[:deg]):
                 m = safe_axpy(c, w, m)
-            legs[key] = _leg(m, N, leg)
+            legs[key] = on_legs(m, N, 3, leg)
         return legs[key]
 
     def side(u, v, left):
-        a12 = factor("12", int(u - v))
-        a13 = factor("13", int(u))
-        a23 = factor("23", int(v))
+        a12 = factor((0, 1), int(u - v))
+        a13 = factor((0, 2), int(u))
+        a23 = factor((1, 2), int(v))
         if left:
             return safe_matmul(safe_matmul(a12, a13), a23)
         return safe_matmul(safe_matmul(a23, a13), a12)

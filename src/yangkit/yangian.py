@@ -46,6 +46,7 @@ from .liealg import (
     commutant,
     frac_to_int_array,
     int_to_frac_array,
+    on_legs,
     safe_axpy,
     safe_matmul,
     vector_rep,
@@ -231,15 +232,14 @@ def _universe(N, L, R_ord):
 class RelationClosure:
     """Row-reduced basis of (two-sided relation ideal) ∩ (bounded slice)."""
 
-    __slots__ = ("pres", "L", "R_ord", "quotient_mode", "reducer",
-                 "id2word", "word2id", "col_sum_r")
+    __slots__ = ("pres", "L", "R_ord", "reducer", "id2word", "word2id",
+                 "col_sum_r")
 
-    def __init__(self, pres, L, R_ord, quotient_mode, reducer, id2word,
-                 word2id, col_sum_r):
+    def __init__(self, pres, L, R_ord, reducer, id2word, word2id,
+                 col_sum_r):
         self.pres = pres
         self.L = L
         self.R_ord = R_ord
-        self.quotient_mode = quotient_mode
         self.reducer = reducer
         self.id2word = id2word
         self.word2id = word2id
@@ -329,8 +329,7 @@ def closure(pres, L, R_ord, quotient_mode=False):
                     npiv = red.add_return_pivot(prod)
                     if npiv is not None:
                         queue.append(npiv)
-    return RelationClosure(pres, L, R_ord, quotient_mode, red, id2word,
-                           word2id, col_sum_r)
+    return RelationClosure(pres, L, R_ord, red, id2word, word2id, col_sum_r)
 
 
 def closure_for_query(pres, L, R_ord, quotient=False):
@@ -760,12 +759,18 @@ def tensor_normal_form(cl, tp):
     return TensorNCPoly(out)
 
 
-def verify_hopf(pres, cl, cs, orders=3, max_relations=None):
+# the z-series orders of the grouplike, antipode and counit checks, and
+# the number of fitting relations whose coproduct is checked
+HOPF_ORDERS = 3
+HOPF_MAX_RELATIONS = 50
+
+
+def verify_hopf(pres, cl, cs):
     """Grouplike property of z(u), the antipode identity S(z(u)) z(u) = 1,
     the counit values, and well-definedness of the coproduct."""
     N = pres.N
     K = pres.K
-    rs = range(1, min(orders, K) + 1)
+    rs = range(1, min(HOPF_ORDERS, K) + 1)
 
     def grouplike_defect(r):
         target = sum((TensorNCPoly.of(cs.z[a], cs.z[r - a])
@@ -784,9 +789,7 @@ def verify_hopf(pres, cl, cs, orders=3, max_relations=None):
 
     # p (x) 1 is a term of the coproduct of p, so the coproduct of a
     # relation fits the bounds exactly when the relation does
-    rels = [p for p in pres.relations if _fits(cl, p)]
-    if max_relations is not None:
-        rels = rels[:max_relations]
+    rels = [p for p in pres.relations if _fits(cl, p)][:HOPF_MAX_RELATIONS]
     coproduct_tested, _, coproduct_fail = _check_members(
         cl, ((n, coproduct_poly(p, N)) for n, p in enumerate(rels)),
         tensor=True)
@@ -810,7 +813,10 @@ def _scalar_mat(f, N):
     return MatSeries([_eye(N, one=c) for c in f.coeffs], N)
 
 
-def verify_fixed_point(pres, cl, cs, f, orders=2):
+FIXED_POINT_ORDERS = 2  # orders of T~(u) checked for m_f-fixedness
+
+
+def verify_fixed_point(pres, cl, cs, f):
     """m_f(T~) = T~ modulo the ideal for T~(u) = y(u)^{-1} T(u), and
     m_f(z(u)) = (f(u)/f(u + c_g/2)) z(u) modulo the ideal."""
     if f.coeffs[0] != ONE:
@@ -820,7 +826,7 @@ def verify_fixed_point(pres, cl, cs, f, orders=2):
     if cs.y is None:
         y_from_z(cs, K - 1)
     # y_r involves z-symbols up to r+1, and cs.z stops at K
-    Ku = min(orders, len(cs.y) - 1, K - 1)
+    Ku = min(FIXED_POINT_ORDERS, len(cs.y) - 1, K - 1)
 
     ysub = [_cpoly_to_ncpoly(cs.y[r], cs) for r in range(Ku + 1)]
     yser = TruncSeries(ysub)
@@ -828,16 +834,10 @@ def verify_fixed_point(pres, cl, cs, f, orders=2):
     T = t_matrix(N, Ku)
     Tt = mat_mul(_scalar_mat(yinv, N), T)
 
-    zmax = min(orders + 2, K)
-    max_r = max(
-        1, zmax,
-        max((gen_ijr(g)[2] for c in Tt.coeffs for p in c.flat
-             for w in p.terms for g in w), default=1),
-        max((gen_ijr(g)[2] for r in range(2, zmax + 1)
-             for w in cs.z[r].terms for g in w), default=1))
-    fext = TruncSeries(list(f.coeffs) + [ZERO] * max(0, max_r - f.order),
-                       max(max_r, f.order))
-    table = mf_table(N, max_r, fext)
+    # T~ and z_2..z_K hold generators of order at most K
+    fext = TruncSeries(list(f.coeffs) + [ZERO] * max(0, K - f.order),
+                       max(K, f.order))
+    table = mf_table(N, K, fext)
 
     _, skipped, fixed_fail = _check_members(cl, _nonzero_entries(
         Ku, N, lambda k, i, j: substitute_poly(Tt.coeffs[k][i, j], table)
@@ -857,7 +857,7 @@ def verify_fixed_point(pres, cl, cs, f, orders=2):
 
     scale_tested, _, scale_fail = _check_members(
         cl, ((r, substitute_poly(cs.z[r], table) - scaled_z(r))
-             for r in range(2, min(orders + 2, K) + 1)))
+             for r in range(2, min(FIXED_POINT_ORDERS + 2, K) + 1)))
 
     # shift compatibility: forming T~ commutes with u -> u + 1 exactly
     c = ONE
@@ -1012,11 +1012,10 @@ class EvalModule:
         Nk = self.Nk = N ** k
         self.order = (pres.K + 1 + pres.clear_degree
                       if order is None else order)
-        dim = N ** (k + 1)
         series = None
         scale = ONE
         for m in range(1, k + 1):
-            factor, fscale = self._embedded_factor(m, dim)
+            factor, fscale = self._embedded_factor(m)
             scale *= fscale
             if series is None:
                 series = factor
@@ -1036,24 +1035,13 @@ class EvalModule:
             for r in range(1, self.order + 1)
             for i in range(1, N + 1) for j in range(1, N + 1)}
 
-    def _embedded_factor(self, m, dim):
+    def _embedded_factor(self, m):
         """Coefficients of R_{0m}(u - a_m) at u^-r, r <= order, on
         V^{(x)(k+1)}: a list of integer matrices and their common scale."""
-        N = self.N
         expanded, scale = self.pres.R.shifted(
             self.shifts[m - 1]).expand_scaled(self.order)
-        out = np.zeros((self.order + 1, dim, dim), dtype=expanded.dtype)
-        k = self.k
-        powers = [N ** (k - t) for t in range(k + 1)]  # digit place values
-        for row in range(dim):
-            rd = [(row // powers[t]) % N for t in range(k + 1)]
-            base = expanded[:, rd[0] * N + rd[m]]
-            for a in range(N):
-                for b in range(N):
-                    col = row + (a - rd[0]) * powers[0] \
-                        + (b - rd[m]) * powers[m]
-                    out[:, row, col] = base[:, a * N + b]
-        return list(out), scale
+        return [on_legs(c, self.N, self.k + 1, (0, m))
+                for c in expanded], scale
 
     def eval(self, p, scaled=False):
         """Image of an NCPoly under the homomorphism, as a Fraction matrix;

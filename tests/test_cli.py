@@ -126,8 +126,9 @@ class TestVerify:
     # the five commands of the classical benchmark workload, then the
     # so/sp extension split (W != 0) and the sp4 solver, then the
     # yangian-layer suites (NCPoly, TensorNCPoly in hopf, CPoly in y(u)),
-    # then build, checks that test nothing at tiny bounds, and a check
-    # that passes only on its retry closure, at --seed 0
+    # then build, checks that test nothing at tiny bounds, a check that
+    # passes only on its retry closure, and the so3 Yangian suites
+    # (evaluation modules on a degree-2 R-matrix), at --seed 0
     @pytest.mark.parametrize("argv,digest", [
         ("verify --family sl --n 3 --suite classical,rmatrix",
          "94e3502c8ba7240fbeff548fad21930fdf0e9fb12e9e82494d6f8b39057f1b44"),
@@ -161,11 +162,15 @@ class TestVerify:
         ("verify --family sp --n 4 --order 3 --len 1 --sumr 3 "
          "--suite symmetry",
          "31f2af05a2a3fa51f985619d9f0c6184d9b8c054874f36468b09b08796b95742"),
+        ("verify --family so --n 3 --order 3 --len 3 --sumr 4 "
+         "--suite center,hopf,fixedpoint,symmetry",
+         "c6d06cd3951cb290462f0efbf1a3caba3caa01b540c87d836bc792fa15ff9142"),
     ], ids=["sl3-classical-rmatrix", "sl6-rmatrix", "so5-rmatrix",
             "sp4-rmatrix", "so4-solve-r", "so3-classical-rmatrix",
             "sp4-classical-rmatrix", "sp4-solve-r", "sl2-yangian-suites",
             "sl2-qdet", "sp2-pbw-symmetry", "sl2-build",
-            "sl2-vacuous-center-hopf-qdet", "sp4-symmetry-retried"])
+            "sl2-vacuous-center-hopf-qdet", "sp4-symmetry-retried",
+            "so3-yangian-suites"])
     def test_golden_reports(self, capsys, argv, digest):
         """Report bytes on stdout are pinned, so a change to any layer
         that alters a report shows here."""

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yangkit import liealg, linalg
-from yangkit.exact import frac_matmul
 from yangkit.liealg import (
     InvalidAlgebra,
     Representation,
@@ -17,6 +16,7 @@ from yangkit.liealg import (
     casimir,
     commutant,
     decompose_ad,
+    on_legs,
     permutation_matrix,
     q_matrix,
     safe_matmul,
@@ -256,6 +256,49 @@ def test_scaled_int_round_trip(entries, scale):
             liealg.frac_to_int_array(entries)
 
 
+def _on_legs_by_index(m, d, n, legs):
+    """Index-loop reference for on_legs: the entry at (row, col) of
+    V^(x)n is m at the digits of ``legs`` when row and col agree on
+    every other leg, and 0 otherwise."""
+    out = np.zeros((d ** n, d ** n), dtype=m.dtype)
+    digits = list(np.ndindex(*(d,) * n))
+    for row, a in enumerate(digits):
+        for col, b in enumerate(digits):
+            if all(a[t] == b[t] for t in range(n) if t not in legs):
+                i = j = 0
+                for t in legs:
+                    i, j = i * d + a[t], j * d + b[t]
+                out[row, col] = m[i, j]
+    return out
+
+
+@st.composite
+def _leg_placements(draw):
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    legs = tuple(draw(st.permutations(range(n)))[:draw(st.integers(1, n))])
+    size = d ** len(legs)
+    big = draw(st.booleans())
+    bound = 2 ** 70 if big else 2 ** 40
+    entries = draw(st.lists(st.integers(-bound, bound), min_size=size * size,
+                            max_size=size * size))
+    m = np.array(entries, dtype=object if big else np.int64)
+    return m.reshape(size, size), d, n, legs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_leg_placements())
+def test_on_legs_matches_index_loop(case):
+    """on_legs copies m's entries into place, on any legs in any order,
+    and keeps int64 or Python-int entries as they are."""
+    m, d, n, legs = case
+    got = on_legs(m, d, n, legs)
+    want = _on_legs_by_index(m, d, n, legs)
+    assert got.dtype == m.dtype and got.shape == want.shape
+    assert (got == want).all()
+    if m.dtype == object:
+        assert all(type(x) is int for x in got.flat)
+
+
 def _reference_min_poly(m):
     """Least-degree monic p with p(M) = 0, from the first power of M that
     depends on the lower ones (dense Fraction arithmetic)."""
@@ -263,7 +306,7 @@ def _reference_min_poly(m):
     M = np.array(m, dtype=object)
     powers = [frac_eye(n)]
     while True:
-        nxt = frac_matmul(powers[-1], M)
+        nxt = powers[-1] @ M
         rows = [[P.flat[i] for P in powers] for i in range(n * n)]
         sol = linalg.solve(rows, list(nxt.flat), len(powers))
         if sol is not None:
@@ -287,7 +330,7 @@ def _rational_matrices(draw):
                  dtype=object)
     U_inv = np.array([[F(1) if i == j else (F(-1) if j == i + 1 else F(0))
                        for j in range(n)] for i in range(n)], dtype=object)
-    return frac_matmul(frac_matmul(U, T), U_inv).tolist()
+    return (U @ T @ U_inv).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -318,4 +361,4 @@ class TestDecomposeAd:
         assert casimir(data, rep).c_g in dec.eigenvalues
         c = np.array(dec.c_table, dtype=object)
         a = np.array(dec.a_table, dtype=object)
-        assert (frac_matmul(c, a) == np.identity(N * N, dtype=int)).all()
+        assert (c @ a == np.identity(N * N, dtype=int)).all()

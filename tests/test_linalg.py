@@ -13,6 +13,37 @@ from yangkit.yangian import closure, normal_form, rtt_relations
 F = Fraction
 
 
+def _dense_rref(rows, ncols):
+    """Reference reduced row echelon form: dense Gauss-Jordan on
+    Fractions, first-column pivoting in input order; (basis, pivots) with
+    pivots ascending."""
+    basis = []
+    pivots = []
+    for row in rows:
+        row = list(row)
+        for b, p in zip(basis, pivots):
+            c = row[p]
+            if c:
+                for j in range(ncols):
+                    if b[j]:
+                        row[j] -= c * b[j]
+        piv = next((j for j in range(ncols) if row[j]), None)
+        if piv is None:
+            continue
+        inv = F(1) / row[piv]
+        row = [x * inv for x in row]
+        for b in basis:
+            c = b[piv]
+            if c:
+                for j in range(ncols):
+                    if row[j]:
+                        b[j] -= c * row[j]
+        basis.append(row)
+        pivots.append(piv)
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return [basis[i] for i in order], [pivots[i] for i in order]
+
+
 class TestDense:
     def test_rank(self):
         rows = [[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]]
@@ -40,6 +71,102 @@ class TestDense:
         assert prod == [[F(1), F(0)], [F(0), F(1)]]
         with pytest.raises(ValueError):
             linalg.invert([[F(1), F(2)], [F(2), F(4)]])
+
+
+_entries = (st.integers(-2, 2) | st.integers(-2, 2).map(F)
+            | st.sampled_from([F(1, 2), F(-2, 3), F(7, 5)]))
+
+
+@st.composite
+def _dense_rows(draw, nrows, ncols):
+    """Dense rows of ints and Fractions, some of them zero, repeats or
+    combinations of earlier rows, so spans are often rank deficient."""
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat",
+                                     "combination"]))
+        if kind == "zero":
+            row = [F(0)] * ncols
+        elif kind == "fresh" or not rows:
+            row = draw(st.lists(_entries, min_size=ncols, max_size=ncols))
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ca, cb = draw(_entries), draw(_entries)
+            row = [ca * x + cb * y for x, y in zip(a, b)]
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def _dense_systems(draw):
+    """(rows, ncols, rhs): rhs is M x for a drawn x (consistent) or a
+    drawn vector (often inconsistent when M is singular)."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(_dense_rows(nrows, ncols))
+    if draw(st.booleans()):
+        x = draw(st.lists(_entries, min_size=ncols, max_size=ncols))
+        rhs = [sum((a * b for a, b in zip(r, x)), F(0)) for r in rows]
+    else:
+        rhs = draw(st.lists(_entries, min_size=nrows, max_size=nrows))
+    return rows, ncols, rhs
+
+
+def _typed(x):
+    """x with each leaf paired with its type, so == compares both."""
+    if isinstance(x, (list, tuple)):
+        return [_typed(y) for y in x]
+    return (type(x), x)
+
+
+def _run(fn, *args):
+    """fn(*args), or the type of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _on_dense_rref(fn, *args):
+    """_run with linalg.rref replaced by the dense reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "rref", _dense_rref)
+        return _run(fn, *args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dense_systems(), st.data())
+def test_dense_helpers_match_dense_rref(system, data):
+    """rref, nullspace, solve and invert on the shared elimination give
+    the values and types of the dense Gauss-Jordan reference, over
+    singular, rank-deficient and inconsistent inputs."""
+    rows, ncols, rhs = system
+    want = _dense_rref(rows, ncols)
+    assert _typed(linalg.rref(rows, ncols)) == _typed(want)
+    for fn, args in [(linalg.nullspace, (rows, ncols)),
+                     (linalg.rank, (rows, ncols)),
+                     (linalg.solve, (rows, rhs, ncols))]:
+        assert _typed(_run(fn, *args)) == _typed(_on_dense_rref(fn, *args))
+    n = data.draw(st.integers(1, 5))
+    square = data.draw(_dense_rows(n, n))
+    assert _typed(_run(linalg.invert, square)) == \
+        _typed(_on_dense_rref(linalg.invert, square))
+
+
+def test_dense_helpers_leave_the_traced_reducer_alone(monkeypatch):
+    """The dense helpers share the reducer's elimination functions, not
+    its methods, whose calls are counted per insert and query."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense helper called a SparseReducer method")
+
+    for name in ("reduce", "add", "add_return_pivot"):
+        monkeypatch.setattr(linalg.SparseReducer, name, refuse)
+    rows = [[F(1), F(2), 3], [2, F(4), F(6)], [0, F(1, 2), 1]]
+    assert linalg.rank(rows, 3) == 2
+    assert linalg.nullspace(rows, 3)
+    assert linalg.solve(rows, [1, 2, 0], 3) is not None
+    assert linalg.invert([[F(1), 2], [3, F(4)]])
 
 
 class TestSparseReducer:
@@ -125,7 +252,7 @@ def test_sparse_reducer_matches_dense_rref(case):
         assert by_add.basis == by_pivot.basis
         dense = [[row_.get(j, F(0)) for j in range(ncols)]
                  for row_ in rows[:k + 1]]
-        ref_rows, ref_pivots = linalg.rref(dense, ncols)
+        ref_rows, ref_pivots = _dense_rref(dense, ncols)
         assert by_pivot.basis == {
             p: {j: c for j, c in enumerate(b) if c}
             for b, p in zip(ref_rows, ref_pivots)}
@@ -239,7 +366,7 @@ def test_integer_rows_match_fraction_reference(case):
         assert red.add_return_pivot(dict(row)) == ref.add(row)
         dense = [[row_.get(j, F(0)) for j in range(ncols)]
                  for row_ in rows[:k + 1]]
-        ref_rows, ref_pivots = linalg.rref(dense, ncols)
+        ref_rows, ref_pivots = _dense_rref(dense, ncols)
         assert red.basis == {
             p: {j: c for j, c in enumerate(b) if c}
             for b, p in zip(ref_rows, ref_pivots)}
