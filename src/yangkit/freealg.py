@@ -52,6 +52,23 @@ def word_sum_r(w):
 # ---------------------------------------------------------------------------
 # term algebras: NCPoly, TensorNCPoly (and yangian.CPoly)
 
+def _add_term(out, w, c):
+    """out[w] += c in the term order of TermAlgebra: a new key takes c
+    itself, as a Fraction, at the end; a key that cancels is popped."""
+    v = out.get(w)
+    if v is None:
+        if type(c) is not Fraction:
+            c = ZERO + c
+        if c:
+            out[w] = c
+        return
+    v += c
+    if v:
+        out[w] = v
+    else:
+        del out[w]
+
+
 class TermAlgebra:
     """Finite Q-linear combination of basis keys, held as a dict
     {key: nonzero Fraction}.  A subclass sets the unit key ``UNIT`` and
@@ -102,11 +119,7 @@ class TermAlgebra:
         other = self._coerce(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            v = out.get(w, ZERO) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
+            _add_term(out, w, c)
         return type(self)(out)
 
     __radd__ = __add__
@@ -130,12 +143,7 @@ class TermAlgebra:
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = join(w1, w2)
-                v = out.get(w, ZERO) + c1 * c2
-                if v:
-                    out[w] = v
-                else:
-                    out.pop(w, None)
+                _add_term(out, join(w1, w2), c1 * c2)
         return type(self)(out)
 
     def __rmul__(self, other):

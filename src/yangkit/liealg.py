@@ -111,16 +111,26 @@ _FLOAT_LIMIT = 2 ** 53
 _FLOAT_MIN_INNER = 32
 
 
-def safe_matmul(a, b):
+def safe_matmul(a, b, amax=None, bmax=None):
     """Exact product of integer matrices: float64 BLAS while every partial
     sum provably stays below 2**53 (inner dimension at least
     _FLOAT_MIN_INNER), int64 while the checked_einsum guard proves that
     the result fits, Python ints (dtype object) otherwise.  Never wraps
-    or rounds."""
+    or rounds.
+
+    ``amax`` and ``bmax`` are optional upper bounds on max|a| and max|b|.
+    When they prove the route, they replace the scan of both operands;
+    otherwise the operands are scanned as without them, so the route and
+    the dtype of the result never depend on the bounds."""
     if a.dtype != object and b.dtype != object:
-        bound = a.shape[1] * _max_abs(a) * _max_abs(b)
-        if (bound < _FLOAT_LIMIT and a.shape[1] >= _FLOAT_MIN_INNER
-                and a.dtype == np.int64 and b.dtype == np.int64):
+        inner = a.shape[1]
+        floatable = (inner >= _FLOAT_MIN_INNER and a.dtype == np.int64
+                     and b.dtype == np.int64)
+        if (amax is None or bmax is None or inner * amax * bmax
+                >= (_FLOAT_LIMIT if floatable else _INT_LIMIT)):
+            amax, bmax = _max_abs(a), _max_abs(b)
+        bound = inner * amax * bmax
+        if bound < _FLOAT_LIMIT and floatable:
             return (a.astype(np.float64)
                     @ b.astype(np.float64)).astype(np.int64)
         if bound < _INT_LIMIT:
@@ -132,14 +142,23 @@ def safe_matmul(a, b):
     return a.astype(object) @ b.astype(object)
 
 
-def safe_axpy(acc, c, m):
+def safe_axpy(acc, c, m, accmax=None, mmax=None):
     """Exact acc + c * m for integer matrices and an int c (acc None reads
     as zero): int64 while the magnitudes provably fit, Python ints
-    (dtype object) otherwise.  Never wraps."""
+    (dtype object) otherwise.  Never wraps.
+
+    ``accmax`` and ``mmax`` are optional upper bounds on max|acc| and
+    max|m|, used as in safe_matmul: they replace the scans only when they
+    prove that the int64 route fits."""
     if (m.dtype != object and abs(c) < _INT_LIMIT
             and (acc is None or acc.dtype != object)):
-        bound = abs(c) * _max_abs(m) + (0 if acc is None else _max_abs(acc))
-        if bound < _INT_LIMIT:
+        if acc is None:
+            accmax = 0
+        if (accmax is None or mmax is None
+                or abs(c) * mmax + accmax >= _INT_LIMIT):
+            mmax = _max_abs(m)
+            accmax = 0 if acc is None else _max_abs(acc)
+        if abs(c) * mmax + accmax < _INT_LIMIT:
             t = m if c == 1 else m * c
             return t if acc is None else acc + t
     t = m.astype(object) * c

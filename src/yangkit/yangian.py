@@ -39,6 +39,7 @@ from .freealg import (
     transpose_t,
 )
 from .liealg import (
+    _max_abs,
     _Tensors,
     build_lie,
     casimir,
@@ -996,6 +997,8 @@ class EvalModule:
     The image of each generator t_ij^(r) is an integer matrix (int64, or
     Python ints where int64 could overflow), and all of them share one
     scale ``self.scale`` = 1/D: the image is ``self.scale`` times it.
+    Each image is held with the maximum of its absolute entries, the
+    bound that ``eval`` carries through its products.
     """
 
     __slots__ = ("pres", "k", "shifts", "N", "Nk", "order", "scale",
@@ -1029,11 +1032,12 @@ class EvalModule:
                 out.append(acc)
             series = out
         self.scale = scale
-        self._images = {
+        blocks = {
             gen_id(i, j, r): np.ascontiguousarray(
                 series[r][(i - 1) * Nk: i * Nk, (j - 1) * Nk: j * Nk])
             for r in range(1, self.order + 1)
             for i in range(1, N + 1) for j in range(1, N + 1)}
+        self._images = {g: (m, _max_abs(m)) for g, m in blocks.items()}
 
     def _embedded_factor(self, m):
         """Coefficients of R_{0m}(u - a_m) at u^-r, r <= order, on
@@ -1052,14 +1056,19 @@ class EvalModule:
         products, so a word reuses the products of the prefix it shares
         with the previous word.  The coefficients are brought to one
         denominator and the integer products are summed per word length,
-        so Fractions appear only in the result.
+        so Fractions appear only in the result.  Every product and sum
+        carries an upper bound on its entries (Nk * bound * bound for a
+        product, bound + |c| * bound for a sum), which spares the
+        overflow guards of safe_matmul and safe_axpy their scans while it
+        proves the int64 route.
         """
         images = self._images
+        Nk = self.Nk
         clear = 1
         for c in p.terms.values():
             clear = lcm(clear, c.denominator)
-        acc = {}     # word length -> sum of numerator * word product
-        stack = []   # stack[t]: product of the first t + 1 letters of prev
+        acc = {}     # word length -> (sum of numerator * word product, bound)
+        stack = []   # stack[t]: (product of prev's first t + 1 letters, bound)
         prev = ()
         for w in sorted(p.terms):
             n = 0
@@ -1069,23 +1078,29 @@ class EvalModule:
                 n += 1
             del stack[n:]
             for g in w[n:]:
-                img = images.get(g)
-                if img is None:
+                hit = images.get(g)
+                if hit is None:
                     raise OutOfBounds("generator outside the module's "
                                       "expansion order")
-                stack.append(safe_matmul(stack[-1], img) if stack else img)
+                if stack:
+                    m, mb = stack[-1]
+                    img, ib = hit
+                    hit = safe_matmul(m, img, mb, ib), Nk * mb * ib
+                stack.append(hit)
             prev = w
             c = p.terms[w]
             L = len(w)
-            prod = stack[-1] if L else np.eye(self.Nk, dtype=np.int64)
-            acc[L] = safe_axpy(acc.get(L),
-                               c.numerator * (clear // c.denominator), prod)
+            prod, pb = stack[-1] if L else (np.eye(Nk, dtype=np.int64), 1)
+            k = c.numerator * (clear // c.denominator)
+            a, ab = acc.get(L, (None, 0))
+            acc[L] = safe_axpy(a, k, prod, ab, pb), ab + abs(k) * pb
         # sum_L acc[L] / (clear * D^L) over the denominator clear * D^top
         D = self.scale.denominator
         top = max(acc, default=0)
-        S = np.zeros((self.Nk, self.Nk), dtype=np.int64)
-        for L, a in acc.items():
-            S = safe_axpy(S, D ** (top - L), a)
+        S, sb = np.zeros((Nk, Nk), dtype=np.int64), 0
+        for L, (a, ab) in acc.items():
+            f = D ** (top - L)
+            S, sb = safe_axpy(S, f, a, sb, ab), sb + f * ab
         s = Fraction(1, clear * D ** top)
         return (S, s) if scaled else int_to_frac_array(S, s)
 

@@ -209,6 +209,24 @@ class TestTermAlgebra:
     @_TERM_CLASSES
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
+    def test_int_coefficients_come_out_as_fractions(self, cls, data):
+        # terms built from int dicts, with zeros on the right: a key that
+        # is new to a sum, and every key of a product, holds a nonzero
+        # Fraction
+        add, mul = _REF[cls]
+        a, b = (cls(data.draw(st.dictionaries(_KEYS[cls], coeffs,
+                                              max_size=4)))
+                for coeffs in (st.sampled_from([1, -1, 2, -2]),
+                               st.integers(-2, 2)))
+        for got, want, old in ((a + b, add(a.terms, b.terms), a.terms),
+                               (a * b, mul(a.terms, b.terms), {})):
+            assert _same(cls, got, want)
+            assert all(type(c) is Fraction and c
+                       for w, c in got.terms.items() if w not in old)
+
+    @_TERM_CLASSES
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
     def test_ring_axioms(self, cls, data):
         a, b, c = _elements(data, cls, 3)
         assert (a * b) * c == a * (b * c)

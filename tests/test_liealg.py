@@ -6,7 +6,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from yangkit import liealg, linalg
 from yangkit.liealg import (
@@ -180,15 +180,15 @@ class TestPlantedDefects:
 
 
 @st.composite
-def _near_float_limit(draw):
+def _near_float_limit(draw, limit=2 ** 53):
     """int64 matrices whose bound inner * max|a| * max|b| lies just below
-    or just above 2**53.  Entries are near-maximal and, in about half of
-    the matrices, all of one sign, so that the true sums come close to the
-    bound."""
+    or just above ``limit``.  Entries are near-maximal and, in about half
+    of the matrices, all of one sign, so that the true sums come close to
+    the bound."""
     inner = draw(st.integers(2, 64))
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     amax = 2 ** 26 + draw(st.integers(-2 ** 10, 2 ** 10))
-    bmax = (2 ** 53 // (inner * amax)
+    bmax = (limit // (inner * amax)
             + draw(st.sampled_from([-2, -1, 0, 1, 2, 4, 8, 16])))
 
     def matrix(shape, top):
@@ -224,6 +224,16 @@ class TestSafeMatmul:
         assert (safe_matmul(a, a.T.copy()) == 9 * a.shape[1]).all()
         assert float_casts.casts == 0
 
+    def test_bound_that_proves_nothing_is_rescanned(self, float_casts):
+        # true bound 2**53 - 2**31, hinted bound above 2**53: the guard
+        # scans and keeps the float route
+        a = np.full((1, 32), 2 ** 26, dtype=np.int64)
+        b = np.full((32, 1), 2 ** 22 - 1, dtype=np.int64)
+        got = safe_matmul(a, b, 2 ** 26 + 2 ** 20, 2 ** 22 - 1)
+        assert float_casts.casts == 2
+        assert got.dtype == np.int64
+        assert int(got[0, 0]) == 32 * 2 ** 26 * (2 ** 22 - 1)
+
     def test_odd_sum_above_limit_is_not_rounded(self, float_casts):
         # 32 x (2**26 + 1) * 2**22 + (2**26 + 1) = 2**53 + 3 * 2**26 + 1:
         # odd and above 2**53, so a float64 sum would round it
@@ -234,6 +244,56 @@ class TestSafeMatmul:
         got = safe_matmul(a, b)
         assert float_casts.casts == 0
         assert int(got[0, 0]) == 32 * x * y + x == 2 ** 53 + 3 * 2 ** 26 + 1
+
+
+# the float64, int64 and Python-int crossovers of safe_matmul and safe_axpy
+_ROUTE_LIMITS = st.sampled_from([liealg._FLOAT_LIMIT, liealg._INT_LIMIT,
+                                 2 ** 63])
+
+
+# the fixtures only count calls, so they may span the examples
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ab=_ROUTE_LIMITS.flatmap(_near_float_limit), data=st.data())
+def test_bound_hints_change_no_route(float_casts, monkeypatch, ab, data):
+    """Any valid upper bounds, tight or far above every limit, give the
+    route, the values and the dtype of the unhinted call."""
+    guards = []
+    real = liealg.checked_einsum
+
+    def spy(*args):
+        guards.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(liealg, "checked_einsum", spy)
+
+    def product(*args):
+        casts, n = float_casts.casts, len(guards)
+        out = safe_matmul(*args)
+        return out, float_casts.casts - casts, len(guards) - n
+
+    a, b = ab
+    if data.draw(st.booleans()):
+        a = a.astype(object)
+    # 2**20 moves a bound near a limit just past it
+    slack = st.sampled_from([0, 2 ** 20, 2 ** 70])
+    amax = liealg._max_abs(a) + data.draw(slack)
+    bmax = liealg._max_abs(b) + data.draw(slack)
+    want, *want_route = product(a, b)
+    got, *got_route = product(a, b, amax, bmax)
+    assert got_route == want_route
+    assert got.dtype == want.dtype and (got == want).all()
+
+    # acc + c * m with |c| * max|m| + max|acc| near 2**57
+    m, acc = a, (None if data.draw(st.booleans()) else a[:, ::-1].copy())
+    near = liealg._INT_LIMIT // 2 ** 26
+    c = data.draw(st.sampled_from([1, 3])
+                  | st.integers(near - 2 ** 12, near + 2 ** 12))
+    c *= data.draw(st.sampled_from([1, -1]))
+    accmax = (0 if acc is None else liealg._max_abs(acc)) + data.draw(slack)
+    want = liealg.safe_axpy(acc, c, m)
+    got = liealg.safe_axpy(acc, c, m, accmax, amax)
+    assert got.dtype == want.dtype and (got == want).all()
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,7 +15,7 @@ from yangkit import yangian
 from yangkit.exact import TruncSeries, series_mul
 from yangkit.freealg import (NCPoly, TensorNCPoly, gen_id, gen_ijr, mat_shift,
                              t_matrix)
-from yangkit.liealg import vector_rep
+from yangkit.liealg import _INT_LIMIT, vector_rep
 from yangkit.rmatrix import closed_form_r
 from yangkit.yangian import (
     BoundsTooLarge,
@@ -529,8 +529,8 @@ class TestEvalEngine:
         products = []
         real = yangian.safe_matmul
 
-        def spy(a, b):
-            out = real(a, b)
+        def spy(a, b, *bounds):
+            out = real(a, b, *bounds)
             products.append((a.dtype, b.dtype, out.dtype))
             return out
 
@@ -561,6 +561,34 @@ class TestEvalEngine:
         assert S.dtype == object
         assert max(abs(int(x)) for x in S.flat) > 2 ** 63
         assert (ev.eval(q) == _reference_eval(images, ev.Nk, q)).all()
+
+    def test_carried_bound_past_int_limit_stays_int64(self, sl2,
+                                                      monkeypatch):
+        # the carried bounds (Nk = 2 per product) pass 2**57 while the true
+        # entries stay below it: the guards must fall back to their scans
+        # and keep int64, not go on in Python ints
+        hinted = []
+        real = yangian.safe_matmul
+
+        def spy(a, b, amax, bmax):
+            out = real(a, b, amax, bmax)
+            hinted.append((a.shape[1] * amax * bmax, out.dtype))
+            return out
+
+        monkeypatch.setattr(yangian, "safe_matmul", spy)
+        shifts, order = (F(15000),), 2
+        ev = EvalModule(sl2, 1, shifts, order=order)
+        t = {(i, j): NCPoly.gen(i, j, 2) for i in (1, 2) for j in (1, 2)}
+        # t_11^(2) acts by -15000 E_11, t_12^(2) by a nilpotent matrix
+        p = (t[1, 1] * t[1, 1] * t[1, 1] * t[1, 1]
+             + t[1, 2] * t[1, 2] * t[1, 2] - NCPoly.gen(1, 1, 1))
+        S, _ = ev.eval(p, scaled=True)
+        assert any(b >= _INT_LIMIT and d == np.int64 for b, d in hinted)
+        assert S.dtype == np.int64
+        assert 2 ** 55 < max(abs(int(x)) for x in S.flat) < _INT_LIMIT
+        want = _reference_eval(_reference_images(sl2, shifts, order),
+                               ev.Nk, p)
+        assert (ev.eval(p) == want).all()
 
     def test_zero_filter_catches_planted_defect(self, monkeypatch):
         # a relation perturbed by + t_11^(1) no longer dies under the
