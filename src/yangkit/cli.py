@@ -22,6 +22,7 @@ from .freealg import NCPoly
 from .liealg import (
     InvalidAlgebra,
     build_lie,
+    safe_matmul,
     theta_value,
     vector_rep,
     verify_classical_presentation,
@@ -274,7 +275,7 @@ def _noncommuting_probe(lie, i, j):
                               for b in range(1, lie.N + 1)]
     for a, b in candidates:
         y = _first_order_image(lie, a, b)
-        if (x @ y != y @ x).any():
+        if (safe_matmul(x, y) != safe_matmul(y, x)).any():
             return a, b
     return default
 

@@ -47,32 +47,53 @@ class OverflowGuard(RuntimeError):
 _INT_LIMIT = 2 ** 57
 
 
+# numpy's optimize=True spends 20-30 us searching a contraction path,
+# which only pays when the naive loop is large.  Loop size (product of
+# every label's extent) against einsum with and without the path search,
+# best of 5 (2-vCPU x86-64, numpy 2.4, int64 operands):
+#       648  lac,lbd->abcd   (8,3,3)^2            31 vs  5.3 us
+#     1,944  aJz,zIKJkK->akI (8,3,3),(3,)*6       21 vs 17 us
+#     6,250  lik,jm->lijkm   (10,5,5),(5,5)       30 vs 19 us
+#     8,100  nl,nab->lab     (15,15),(15,6,6)     39 vs 13 us
+#    14,400  lab,nbc->lnac   (15,4,4)^2           30 vs 62 us
+#    15,360  aiz,zIIJJK->aiK (15,4,4),(4,)*6      32 vs 117 us
+#   116,640  aiz,zIIJJK->aiK (15,6,6),(6,)*6      24 vs 296 us
+# Contractions below the cut-over skip the search; larger ones keep it.
+_EINSUM_PATH_MIN_LOOP = 8192
+
+
 def checked_einsum(spec, *ops):
     """int64 einsum with an exact overflow guard on absolute values.
 
     A coarse bound (product of per-operand max magnitudes times the number
     of summed terms) is tried first; only if it is inconclusive is the
-    elementwise absolute-value einsum computed.
+    elementwise absolute-value einsum computed.  numpy's contraction path
+    search runs only when the naive loop (the product of every label's
+    extent) reaches _EINSUM_PATH_MIN_LOOP; below it the search costs more
+    than the contraction.  Integer sums are exact in any order, so the
+    path never changes the result.
     """
     ins, out = spec.split("->")
     sizes = {}
     for part, op in zip(ins.split(","), ops):
         for lab, n in zip(part, op.shape):
             sizes[lab] = n
-    terms = 1
+    terms = loop = 1
     for lab, n in sizes.items():
+        loop *= n
         if lab not in out:
             terms *= n
+    optimize = loop >= _EINSUM_PATH_MIN_LOOP
     coarse = terms
     for op in ops:
         coarse *= int(np.abs(op).max(initial=0))
     if coarse >= _INT_LIMIT:
         bound = np.einsum(spec, *[np.abs(o).astype(float) for o in ops],
-                          optimize=True)
+                          optimize=optimize)
         if bound.size and float(bound.max()) * 1.000001 > _INT_LIMIT:
             raise OverflowGuard("contraction may exceed int64 range: %s"
                                 % spec)
-    return np.einsum(spec, *ops, optimize=True)
+    return np.einsum(spec, *ops, optimize=optimize)
 
 
 def frac_to_int_array(mats, wide=False):
@@ -112,33 +133,50 @@ _FLOAT_MIN_INNER = 32
 
 
 def safe_matmul(a, b, amax=None, bmax=None):
-    """Exact product of integer matrices: float64 BLAS while every partial
-    sum provably stays below 2**53 (inner dimension at least
-    _FLOAT_MIN_INNER), int64 while the checked_einsum guard proves that
-    the result fits, Python ints (dtype object) otherwise.  Never wraps
-    or rounds.
+    """Exact product of integer matrices; never wraps or rounds.
 
-    ``amax`` and ``bmax`` are optional upper bounds on max|a| and max|b|.
-    When they prove the route, they replace the scan of both operands;
+    Operands are int64, Python ints (dtype object), or float64 arrays
+    that hold integers below 2**53.  The routes, first that applies:
+
+    * float64 BLAS while inner * max|a| * max|b| < 2**53, so that every
+      partial sum is an integer below 2**53.  int64 operands take it from
+      an inner dimension of _FLOAT_MIN_INNER on and get an int64 result.
+      A product with a float64 operand always tries it and gets a float64
+      result, so a chain of such products stays in float64 with no casts;
+    * int64 while the checked_einsum guard proves that the result fits
+      (float64 operands are cast to int64 first, which is exact);
+    * Python ints otherwise, also when the other operand is float64.
+
+    ``amax`` and ``bmax`` are optional upper bounds on max|a| and max|b|,
+    for example carried through a chain as inner * amax * bmax.  When
+    they prove the route, they replace the scan of both operands;
     otherwise the operands are scanned as without them, so the route and
     the dtype of the result never depend on the bounds."""
     if a.dtype != object and b.dtype != object:
         inner = a.shape[1]
-        floatable = (inner >= _FLOAT_MIN_INNER and a.dtype == np.int64
-                     and b.dtype == np.int64)
+        held = a.dtype.kind == "f" or b.dtype.kind == "f"
+        floatable = held or (inner >= _FLOAT_MIN_INNER
+                             and a.dtype == np.int64 and b.dtype == np.int64)
         if (amax is None or bmax is None or inner * amax * bmax
                 >= (_FLOAT_LIMIT if floatable else _INT_LIMIT)):
             amax, bmax = _max_abs(a), _max_abs(b)
         bound = inner * amax * bmax
         if bound < _FLOAT_LIMIT and floatable:
-            return (a.astype(np.float64)
-                    @ b.astype(np.float64)).astype(np.int64)
+            out = (a.astype(np.float64, copy=False)
+                   @ b.astype(np.float64, copy=False))
+            return out if held else out.astype(np.int64)
+        if held:
+            a = a.astype(np.int64, copy=False)
+            b = b.astype(np.int64, copy=False)
         if bound < _INT_LIMIT:
             return a @ b
         try:
             return checked_einsum("ij,jk->ik", a, b)
         except OverflowGuard:
             pass
+    # a float64 operand goes through int64 so that it becomes Python ints,
+    # not Python floats, which would round the products and the sums
+    a, b = (x.astype(np.int64) if x.dtype.kind == "f" else x for x in (a, b))
     return a.astype(object) @ b.astype(object)
 
 
@@ -174,9 +212,11 @@ def scaled_equal(a, sa, b, sb):
 
 
 def int_to_frac_array(a, scale):
-    """Fraction array scale * a of an integer array (int64 or object)."""
+    """Fraction array scale * a of an integer array (int64 or object).
+    Every entry is a Fraction; the zero entries are all the one ZERO."""
     p, q = scale.numerator, scale.denominator
-    return np.array([Fraction(x * p, q) for x in a.ravel().tolist()],
+    return np.array([Fraction(x * p, q) if x else ZERO
+                     for x in a.ravel().tolist()],
                     dtype=object).reshape(a.shape)
 
 

@@ -119,16 +119,17 @@ def _place(rows, holders, r):
 
 def rref(rows, ncols):
     """Reduced row echelon form: (basis, pivots), basis the reduced rows
-    as lists of Fraction with pivot entries 1, pivots ascending.  The
-    reduced echelon form of a span is unique, so it is read off the
-    fraction-free rows of the shared elimination."""
+    as lists of Fraction with pivot entries 1, pivots ascending; the zero
+    entries are all the one ZERO.  The reduced echelon form of a span is
+    unique, so it is read off the fraction-free rows of the shared
+    elimination."""
     basis, holders = {}, {}
     for row in rows:
         _place(basis, holders, _eliminate(
             basis, {j: c for j, c in enumerate(row) if c}, True))
     pivots = sorted(basis)
-    return [[Fraction(basis[p].get(j, 0), basis[p][p]) for j in range(ncols)]
-            for p in pivots], pivots
+    return [[Fraction(basis[p][j], basis[p][p]) if j in basis[p] else ZERO
+             for j in range(ncols)] for p in pivots], pivots
 
 
 def rank(rows, ncols):

@@ -25,11 +25,11 @@ from .exact import (ONE, ZERO, PoleError, RationalFunction, TruncSeries,
                     poly_divmod, poly_eval, poly_gcd, poly_lcm, poly_mul,
                     rat_to_str, series_inverse)
 from . import linalg
-from .liealg import (_INT_LIMIT, build_lie, checked_einsum, commutant,
-                     frac_to_int_array, int_to_frac_array, on_legs,
-                     permutation_matrix, q_matrix, safe_axpy, safe_matmul,
-                     scaled_equal, _max_abs, _min_poly, _rational_roots,
-                     _Tensors)
+from .liealg import (_FLOAT_LIMIT, _FLOAT_MIN_INNER, _INT_LIMIT, build_lie,
+                     checked_einsum, commutant, frac_to_int_array,
+                     int_to_frac_array, on_legs, permutation_matrix,
+                     q_matrix, safe_axpy, safe_matmul, scaled_equal,
+                     _max_abs, _min_poly, _rational_roots, _Tensors)
 
 
 class UnitarityFailure(RuntimeError):
@@ -62,10 +62,14 @@ def _combine(rows, shape):
             q = lcm(q, c.denominator)
     mats = []
     for row in rows:
-        acc = np.zeros(shape, dtype=np.int64)
+        # the sum carries its bound, so only each term's matrix is scanned
+        acc, accb = np.zeros(shape, dtype=np.int64), 0
         for c, m in row:
             if c:
-                acc = safe_axpy(acc, c.numerator * (q // c.denominator), m)
+                k = c.numerator * (q // c.denominator)
+                mb = _max_abs(m)
+                acc = safe_axpy(acc, k, m, accb, mb)
+                accb += abs(k) * mb
         mats.append(acc)
     S = np.array(mats)
     g = gcd(q, int(np.gcd.reduce(S.ravel())))
@@ -294,30 +298,44 @@ def check_qybe(R):
 
     Both sides are multiplied by q^3 D(u-v) D(u) D(v), which turns every
     factor R(w) into the integer matrix polynomial C(w) = sum_m C_m w^m.
+    Each leg factor is built once per call by Horner's rule, with the
+    bound sum_m max|C_m| |w|^m on its entries, and both sides are
+    safe_matmul chains that carry these bounds (n * b * b', n = N^3).
+    From n = _FLOAT_MIN_INNER on, a factor whose bound is below 2**53 is
+    held as float64, so a chain that its bounds prove runs in float64
+    BLAS with no cast or scan; safe_matmul takes any product they do not
+    prove to its int64 or Python-int route.
     """
     C = R.coeffs
     N = R.N
+    n = N ** 3
     deg = len(C) - 1
+    cmax = [_max_abs(c) for c in C]
     legs = {}
 
     def factor(leg, w):
-        # each leg factor is built once per call: lhs and rhs share it, and
-        # so do all grid points with the same u, v or u - v
+        # lhs and rhs share each factor, and so do all grid points with
+        # the same u, v or u - v
         key = (leg, w)
         if key not in legs:
-            m = C[deg]
-            for c in reversed(C[:deg]):
-                m = safe_axpy(c, w, m)
-            legs[key] = on_legs(m, N, 3, leg)
+            m, mb = C[deg], cmax[deg]
+            for i in range(deg - 1, -1, -1):
+                m = safe_axpy(C[i], w, m, cmax[i], mb)
+                mb = cmax[i] + abs(w) * mb
+            if n >= _FLOAT_MIN_INNER and mb < _FLOAT_LIMIT:
+                m = m.astype(np.float64)
+            legs[key] = on_legs(m, N, 3, leg), mb
         return legs[key]
+
+    def chain(x, y, z):
+        (a, ab), (b, bb), (c, cb) = x, y, z
+        return safe_matmul(safe_matmul(a, b, ab, bb), c, n * ab * bb, cb)
 
     def side(u, v, left):
         a12 = factor((0, 1), int(u - v))
         a13 = factor((0, 2), int(u))
         a23 = factor((1, 2), int(v))
-        if left:
-            return safe_matmul(safe_matmul(a12, a13), a23)
-        return safe_matmul(safe_matmul(a23, a13), a12)
+        return chain(a12, a13, a23) if left else chain(a23, a13, a12)
 
     # the cleared sides are polynomial in (u, v): every factor contributes
     # at most deg to each variable through u, v, or u - v

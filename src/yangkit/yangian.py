@@ -1015,6 +1015,9 @@ class EvalModule:
         Nk = self.Nk = N ** k
         self.order = (pres.K + 1 + pres.clear_degree
                       if order is None else order)
+        # the series products carry the bounds of their factors (dim *
+        # bound * bound for a product, the sum of the bounds for a sum)
+        dim = N * Nk
         series = None
         scale = ONE
         for m in range(1, k + 1):
@@ -1025,26 +1028,29 @@ class EvalModule:
                 continue
             out = []
             for r in range(self.order + 1):
-                acc = None
-                for a in range(r + 1):
-                    acc = safe_axpy(acc, 1,
-                                    safe_matmul(series[a], factor[r - a]))
-                out.append(acc)
+                acc, accb = None, 0
+                for (s, sb), (f, fb) in zip(series[:r + 1], factor[r::-1]):
+                    pb = dim * sb * fb
+                    acc = safe_axpy(acc, 1, safe_matmul(s, f, sb, fb),
+                                    accb, pb)
+                    accb += pb
+                out.append((acc, accb))
             series = out
         self.scale = scale
         blocks = {
             gen_id(i, j, r): np.ascontiguousarray(
-                series[r][(i - 1) * Nk: i * Nk, (j - 1) * Nk: j * Nk])
+                series[r][0][(i - 1) * Nk: i * Nk, (j - 1) * Nk: j * Nk])
             for r in range(1, self.order + 1)
             for i in range(1, N + 1) for j in range(1, N + 1)}
         self._images = {g: (m, _max_abs(m)) for g, m in blocks.items()}
 
     def _embedded_factor(self, m):
         """Coefficients of R_{0m}(u - a_m) at u^-r, r <= order, on
-        V^{(x)(k+1)}: a list of integer matrices and their common scale."""
+        V^{(x)(k+1)}: a list of (integer matrix, max of its absolute
+        entries) pairs and their common scale."""
         expanded, scale = self.pres.R.shifted(
             self.shifts[m - 1]).expand_scaled(self.order)
-        return [on_legs(c, self.N, self.k + 1, (0, m))
+        return [(on_legs(c, self.N, self.k + 1, (0, m)), _max_abs(c))
                 for c in expanded], scale
 
     def eval(self, p, scaled=False):

@@ -128,7 +128,8 @@ class TestVerify:
     # yangian-layer suites (NCPoly, TensorNCPoly in hopf, CPoly in y(u)),
     # then build, checks that test nothing at tiny bounds, a check that
     # passes only on its retry closure, and the so3 Yangian suites
-    # (evaluation modules on a degree-2 R-matrix), at --seed 0
+    # (evaluation modules on a degree-2 R-matrix), then sl4, whose
+    # contractions reach past the einsum path-search cut-over, at --seed 0
     @pytest.mark.parametrize("argv,digest", [
         ("verify --family sl --n 3 --suite classical,rmatrix",
          "94e3502c8ba7240fbeff548fad21930fdf0e9fb12e9e82494d6f8b39057f1b44"),
@@ -165,12 +166,14 @@ class TestVerify:
         ("verify --family so --n 3 --order 3 --len 3 --sumr 4 "
          "--suite center,hopf,fixedpoint,symmetry",
          "c6d06cd3951cb290462f0efbf1a3caba3caa01b540c87d836bc792fa15ff9142"),
+        ("verify --family sl --n 4 --suite classical,rmatrix",
+         "952643f780b937397ae02762cae9fadfb22fb577e858126606511b15d6054add"),
     ], ids=["sl3-classical-rmatrix", "sl6-rmatrix", "so5-rmatrix",
             "sp4-rmatrix", "so4-solve-r", "so3-classical-rmatrix",
             "sp4-classical-rmatrix", "sp4-solve-r", "sl2-yangian-suites",
             "sl2-qdet", "sp2-pbw-symmetry", "sl2-build",
             "sl2-vacuous-center-hopf-qdet", "sp4-symmetry-retried",
-            "so3-yangian-suites"])
+            "so3-yangian-suites", "sl4-classical-rmatrix"])
     def test_golden_reports(self, capsys, argv, digest):
         """Report bytes on stdout are pinned, so a change to any layer
         that alters a report shows here."""

@@ -296,6 +296,89 @@ def test_bound_hints_change_no_route(float_casts, monkeypatch, ab, data):
     assert got.dtype == want.dtype and (got == want).all()
 
 
+# the fixture only counts casts, so it may span the examples
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ab=_ROUTE_LIMITS.flatmap(_near_float_limit), data=st.data())
+def test_float64_held_operands(float_casts, ab, data):
+    """float64 operands that hold integers give the object-dtype product
+    with any valid bounds: in float64 while inner * max|a| * max|b| <
+    2**53, through the int64 or Python-int route otherwise.  Against a
+    Python-int operand the product is in Python ints, never floats."""
+    a, b = ab
+    want = a.astype(object) @ b.astype(object)
+    held = data.draw(st.sampled_from(["a", "b", "ab"]))
+    x = a.astype(np.float64) if "a" in held else a
+    y = b.astype(np.float64) if "b" in held else b
+    pyint = held != "ab" and data.draw(st.booleans())
+    if pyint:
+        x, y = (m if m.dtype.kind == "f" else m.astype(object)
+                for m in (x, y))
+    fits = (not pyint and a.shape[1] * liealg._max_abs(a)
+            * liealg._max_abs(b) < 2 ** 53)
+    bounds = []
+    if data.draw(st.booleans()):
+        slack = st.sampled_from([0, 2 ** 20, 2 ** 70])
+        bounds = [liealg._max_abs(a) + data.draw(slack),
+                  liealg._max_abs(b) + data.draw(slack)]
+    casts = float_casts.casts
+    got = safe_matmul(x, y, *bounds)
+    assert got.shape == want.shape
+    assert all(int(g) == w for g, w in zip(got.flat, want.flat))
+    if fits:
+        assert got.dtype == np.float64
+        assert float_casts.casts - casts == 2
+    else:
+        assert got.dtype in (np.int64, object)
+        assert float_casts.casts == casts
+    if pyint:
+        assert all(type(g) is int for g in got.flat)
+
+
+def _recorded_contractions(monkeypatch, cases):
+    """(spec, operands) of every checked_einsum call that _Tensors and
+    verify_yangian_module make; a case is (family, N, c) with c the
+    twist of twisted_rep, or None for the vector rep."""
+    calls = []
+    real = liealg.checked_einsum
+
+    def spy(spec, *ops):
+        calls.append((spec, ops))
+        return real(spec, *ops)
+
+    monkeypatch.setattr(liealg, "checked_einsum", spy)
+    for family, N, c in cases:
+        data = build_lie(family, N)
+        rep = vector_rep(data) if c is None else twisted_rep(data, c)
+        liealg._Tensors(data, rep)
+        assert verify_yangian_module(data, rep)["status"] == "pass"
+    monkeypatch.undo()
+    return calls
+
+
+def _loop_size(spec, ops):
+    sizes = {}
+    for part, op in zip(spec.split("->")[0].split(","), ops):
+        sizes.update(zip(part, op.shape))
+    return int(np.prod(list(sizes.values())))
+
+
+def test_einsum_path_cut_over_parity(monkeypatch):
+    """Contractions below and above _EINSUM_PATH_MIN_LOOP give the same
+    int64 arrays with and without numpy's path search."""
+    calls = _recorded_contractions(
+        monkeypatch, [("sl", 3, 2), ("so", 4, 2), ("sl", 4, None)])
+    loops = [_loop_size(spec, ops) for spec, ops in calls]
+    cut = liealg._EINSUM_PATH_MIN_LOOP
+    assert min(loops) < cut <= max(loops)
+    for spec, ops in calls:
+        got = liealg.checked_einsum(spec, *ops)
+        for optimize in (False, True):
+            want = np.einsum(spec, *ops, optimize=optimize)
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape and (got == want).all()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(st.integers(-2 ** 60, 2 ** 60),
                           st.fractions(max_denominator=10 ** 6)),

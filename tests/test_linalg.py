@@ -3,10 +3,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yangkit import linalg
+from yangkit import liealg, linalg
 from yangkit.freealg import NCPoly
 from yangkit.yangian import closure, normal_form, rtt_relations
 
@@ -528,3 +529,25 @@ class TestFractionContract:
             nf = normal_form(cl, p)
             assert nf.terms
             assert all(type(c) is Fraction for c in nf.terms.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -2, F(3, 2)]),
+                          min_size=n, max_size=n),
+                 min_size=1, max_size=5))),
+        st.fractions(max_denominator=6).filter(bool))
+    def test_dense_helpers_return_fractions(self, case, scale):
+        """rref, nullspace, invert and int_to_frac_array return nothing
+        but Fractions, the zero entries included."""
+        n, rows = case
+        basis, pivots = linalg.rref(rows, n)
+        out = basis + linalg.nullspace(rows, n)
+        if len(pivots) == n == len(rows):
+            out += linalg.invert(rows)
+        ints = np.array([[int(c * 2) for c in row] for row in rows])
+        for dtype in (np.int64, object):
+            out.append(liealg.int_to_frac_array(ints.astype(dtype),
+                                                scale).ravel())
+        assert all(len(row) == n for row in basis)
+        assert all(type(c) is Fraction for row in out for c in row)

@@ -88,32 +88,86 @@ class TestQYBE:
 
 class TestQYBEFloatRoute:
     """N = 4: the V^(x)3 products are 64 x 64, above the float64 cut-over
-    of safe_matmul."""
+    of safe_matmul, so the leg factors are held as float64 and both sides
+    are float64 chains whose carried bounds prove every product."""
 
     @pytest.fixture
     def products(self, monkeypatch, float_casts):
         calls = []
         real = rmatrix.safe_matmul
 
-        def spy(a, b):
-            calls.append((a.shape[1], a.dtype, b.dtype))
-            return real(a, b)
+        def spy(a, b, *bounds):
+            out = real(a, b, *bounds)
+            calls.append((a, b, out))
+            return out
 
         monkeypatch.setattr(rmatrix, "safe_matmul", spy)
         return calls, float_casts
+
+    @staticmethod
+    def _ints(m):
+        """The Python ints a float64 matrix holds; it must hold integers."""
+        assert (np.floor(m) == m).all()
+        return m.astype(np.int64).astype(object)
 
     @pytest.mark.parametrize("family", ["sl", "so", "sp"])
     def test_closed_form_and_controls(self, family, products):
         calls, float_casts = products
         R = yang_r(4) if family == "sl" else sosp_r(family, 4)
         assert check_qybe(R)
-        assert calls and all(n == 64 and a == b == np.int64
-                             for n, a, b in calls)
-        # every product of the grid took the float64 route
+        assert calls
+        for a, b, out in calls:
+            # every product of the grid took the float64 route on float64
+            # operands and left its result in float64
+            assert a.shape[1] == 64
+            assert a.dtype == b.dtype == out.dtype == np.float64
+            want = self._ints(a) @ self._ints(b)
+            assert (self._ints(out) == want).all()
         assert float_casts.casts == 2 * len(calls)
         for seed in range(6):
             bad, _entry, _c = _perturbed_r(R, random.Random(seed))
             assert not check_qybe(bad)
+
+    def test_python_int_product_with_float64_factor(self, products):
+        """R(u) = I - P / (2^30 u): every leg factor, below 68 * 2^30 + 1,
+        is held as float64, but each first product reaches about 2^72 and
+        goes on in Python ints, so each second product pairs Python ints
+        with a float64 factor.  It must stay in Python ints, not floats."""
+        calls, _ = products
+        P = permutation_matrix(4)
+        eye = np.identity(16, dtype=np.int64)
+        R = RMat.from_poly(4, (0, 1), [-P, 2 ** 30 * eye], F(1, 2 ** 30))
+        assert check_qybe(R)
+        assert {(a.dtype, b.dtype, out.dtype) for a, b, out in calls} == {
+            (np.dtype(np.float64), np.dtype(np.float64), np.dtype(object)),
+            (np.dtype(object), np.dtype(np.float64), np.dtype(object))}
+        for a, b, out in calls:
+            assert all(type(x) is int for x in out.flat)
+            want = (a if a.dtype == object else self._ints(a)) @ self._ints(b)
+            assert (out == want).all()
+        bump = np.zeros((1, 16, 16), dtype=np.int64)
+        bump[0, 0, 0] = 1
+        assert not check_qybe(R + RMat.from_poly(4, (0, 0, 1), bump))
+
+    def test_dense_chain_past_float_limit(self, products):
+        """A dense constant R(u) = C_0 with positive entries near
+        2**16.5: each side's second product passes 2**53, so it must
+        leave the float64 route, and every product stays exact."""
+        calls, _ = products
+        rng = np.random.default_rng(7)
+        C0 = rng.integers(92000, 92064, size=(16, 16))
+        R = RMat.from_poly(4, (1,), [C0])
+        legs = [rmatrix.on_legs(C0.astype(object), 4, 3, leg)
+                for leg in ((0, 1), (0, 2), (1, 2))]
+        lhs = legs[0] @ legs[1] @ legs[2]
+        rhs = legs[2] @ legs[1] @ legs[0]
+        assert check_qybe(R) == bool((lhs == rhs).all())
+        assert 2 ** 53 < max(abs(x) for x in lhs.flat) < 2 ** 57
+        assert {out.dtype for _, _, out in calls} == {
+            np.dtype(np.float64), np.dtype(np.int64)}
+        for a, b, out in calls:
+            want = self._ints(a) @ self._ints(b)
+            assert (self._ints(out) == want).all()
 
 
 class TestUnitarity:
