@@ -1,10 +1,10 @@
 """Exact scalar kernel.
 
 Rationals are stdlib Fraction (always lowest terms, positive denominator).
-On top of that: truncated power series in u^-1, univariate rational
-functions, and grid certification of bivariate rational-matrix
-identities.  Matrices of exact ring elements (Fraction, NCPoly,
-RationalFunction) are numpy object arrays and multiply by ``@``.
+On top of that: truncated power series in u^-1, univariate polynomials
+as ascending coefficient tuples, and grid certification of bivariate
+rational-matrix identities.  Matrices of exact ring elements (Fraction,
+NCPoly) are numpy object arrays and multiply by ``@``.
 
 Series coefficients are not restricted to Fraction: anything with +, -, *
 and Fraction-scalar multiplication works (noncommutative polynomial
@@ -131,10 +131,6 @@ class TruncSeries:
     def to_json(self):
         return {"order": self.order, "coeffs": [rat_to_str(c) for c in self.coeffs]}
 
-    @staticmethod
-    def from_json(d):
-        return TruncSeries([rat_from_str(s) for s in d["coeffs"]], d["order"])
-
 
 def series_mul(a, b):
     """Cauchy product truncated at min(K_a, K_b)."""
@@ -192,8 +188,7 @@ def series_shift(a, c):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials (ascending Fraction coefficient tuples) and
-# rational functions
+# univariate polynomials (ascending Fraction coefficient tuples)
 
 
 def poly_trim(p):
@@ -207,14 +202,6 @@ def poly_add(p, q):
     n = max(len(p), len(q))
     return poly_trim([(p[i] if i < len(p) else ZERO) + (q[i] if i < len(q) else ZERO)
                       for i in range(n)])
-
-
-def poly_neg(p):
-    return tuple(-c for c in p)
-
-
-def poly_sub(p, q):
-    return poly_add(p, poly_neg(q))
 
 
 def poly_mul(p, q):
@@ -281,129 +268,6 @@ def poly_compose_linear(p, a, b):
     for c in reversed(p):
         acc = poly_add(poly_mul(acc, lin), (c,))
     return acc
-
-
-class RationalFunction:
-    """num(u)/den(u) with Fraction coefficients; den monic, gcd(num,den)=1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(ONE,)):
-        num = poly_trim(tuple(Fraction(c) for c in num))
-        den = poly_trim(tuple(Fraction(c) for c in den))
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(num, den)
-        if g and len(g) > 1:
-            num = poly_divmod(num, g)[0]
-            den = poly_divmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = poly_scale(num, ONE / lead)
-            den = poly_scale(den, ONE / lead)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def constant(c):
-        return RationalFunction((Fraction(c),))
-
-    @staticmethod
-    def variable():
-        return RationalFunction((ZERO, ONE))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction.constant(other)
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __repr__(self):
-        return "RationalFunction(%r, %r)" % (self.num, self.den)
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.constant(other)
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(
-            poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-            poly_mul(self.den, other.den))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(
-            poly_sub(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-            poly_mul(self.den, other.den))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return RationalFunction(poly_neg(self.num), self.den)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(poly_mul(self.num, other.num),
-                                poly_mul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(poly_mul(self.num, other.den),
-                                poly_mul(self.den, other.num))
-
-    def __call__(self, x):
-        d = poly_eval(self.den, x)
-        if d == 0:
-            raise PoleError("pole at u=%s" % (x,))
-        return poly_eval(self.num, x) / d
-
-    def compose_linear(self, a, b):
-        """self(a*u + b) as a RationalFunction."""
-        return RationalFunction(poly_compose_linear(self.num, a, b),
-                                poly_compose_linear(self.den, a, b))
-
-    def degree(self):
-        return (len(self.num) - 1 if self.num else -1, len(self.den) - 1)
-
-    def expand_at_infinity(self, order):
-        """TruncSeries of the u^-1 expansion; requires deg num <= deg den."""
-        if not self.num:
-            return TruncSeries.constant(ZERO, order)
-        dn, dd = len(self.num) - 1, len(self.den) - 1
-        if dn > dd:
-            raise ValueError("not proper at infinity")
-        # substitute u = 1/x: num/den = x^(dd-dn) * rev(num)/rev(den)
-        shift = dd - dn
-        nrev = tuple(reversed(self.num))
-        drev = tuple(reversed(self.den))
-        nser = TruncSeries(tuple(nrev[i] if i < len(nrev) else ZERO
-                                 for i in range(order + 1)))
-        dser = TruncSeries(tuple(drev[i] if i < len(drev) else ZERO
-                                 for i in range(order + 1)))
-        q = series_mul(nser, series_inverse(dser))
-        out = [ZERO] * (order + 1)
-        for r, c in enumerate(q.coeffs):
-            if r + shift <= order:
-                out[r + shift] = c
-        return TruncSeries(out)
-
-    def to_json(self):
-        return {"num": [rat_to_str(c) for c in self.num],
-                "den": [rat_to_str(c) for c in self.den]}
 
 
 def certify_bivariate_identity(lhs, rhs, degree_bound):

@@ -19,11 +19,10 @@ from math import comb, gcd, lcm
 
 import numpy as np
 
-from .exact import (ONE, ZERO, PoleError, RationalFunction, TruncSeries,
-                    certify_bivariate_identity, check_report,
-                    poly_compose_linear,
-                    poly_divmod, poly_eval, poly_gcd, poly_lcm, poly_mul,
-                    rat_to_str, series_inverse)
+from .exact import (ONE, ZERO, TruncSeries, certify_bivariate_identity,
+                    check_report, poly_compose_linear, poly_divmod, poly_gcd,
+                    poly_lcm, poly_mul, poly_scale, poly_trim, rat_to_str,
+                    series_inverse)
 from . import linalg
 from .liealg import (_FLOAT_LIMIT, _FLOAT_MIN_INNER, _INT_LIMIT, build_lie,
                      checked_einsum, commutant, frac_to_int_array,
@@ -81,6 +80,11 @@ def _combine(rows, shape):
     return S, Fraction(1, q)
 
 
+def _int_poly(col):
+    """An integer coefficient column as an ascending Fraction polynomial."""
+    return tuple(Fraction(int(c)) for c in col)
+
+
 def _is_scalar(m):
     """Whether the square integer matrix m is a multiple of I."""
     diag = np.diagonal(m)
@@ -96,63 +100,52 @@ class RMat:
     C_deg, shape (deg + 1, N^2, N^2), int64 or Python ints where int64
     could overflow; C_deg is nonzero unless R = 0.  ``scale`` = 1/q with
     q the least common denominator of scale * C, so the C_m are the
-    cleared integer matrices of q D(u) R(u).  ``RMat(entries, N)`` clears
-    an N^2 x N^2 array of RationalFunction once; ``from_poly`` takes
-    (D, C) directly.
+    cleared integer matrices of q D(u) R(u).
 
     Cost, with n = N^2 and d = deg D: check_qybe evaluates sum_m C_m w^m
     with d integer axpys of n x n per grid value; check_unitarity takes
-    (d + 1)^2 integer n x n products; expand(K) and eval_at expand 1/D
-    once and take d + 1 axpys per output matrix.  Only the ``entries``
-    view builds a RationalFunction per entry.
+    (d + 1)^2 integer n x n products; expand(K) expands 1/D once and takes
+    d + 1 axpys per output matrix.  No reader builds a rational function
+    per entry.
     """
 
     __slots__ = ("N", "den", "coeffs", "scale")
 
-    def __init__(self, entries, N):
-        nn = N * N
-        if entries.shape != (nn, nn):
-            raise ValueError("R-matrix must be N^2 x N^2")
-        den = (ONE,)
-        for d in {e.den for e in entries.flat}:
-            den = poly_lcm(den, d)
-        polys = [poly_mul(e.num, poly_divmod(den, e.den)[0])
-                 for e in entries.flat]
-        top = max(1, max(len(p) for p in polys))
-        stack = [[p[m] if m < len(p) else ZERO for p in polys]
-                 for m in range(top)]
-        ints, self.scale = frac_to_int_array(stack, wide=True)
-        self.coeffs = ints.reshape(top, nn, nn)
-        self.den = den
-        self.N = N
-
-    @classmethod
-    def from_poly(cls, N, den, coeffs, scale=ONE):
+    def __init__(self, N, den, coeffs, scale=ONE):
         """R(u) = scale * (sum_m coeffs[m] u^m) / den(u) for integer
         matrices ``coeffs`` over a monic common denominator ``den``, which
         is reduced to the lcm of the entry denominators."""
+        nn = N * N
         coeffs = np.asarray(coeffs)
-        if coeffs.shape[1:] != (N * N, N * N) or den[-1] != 1:
+        if coeffs.shape[1:] != (nn, nn) or den[-1] != 1:
             raise ValueError("need N^2 x N^2 matrices over a monic "
                              "denominator")
-        while len(coeffs) > 1 and not coeffs[-1].any():
-            coeffs = coeffs[:-1]
-        R = object.__new__(cls)
-        R.N = N
-        R.den = tuple(Fraction(c) for c in den)
-        R.coeffs, R.scale = _combine([[(Fraction(scale), c)]
-                                      for c in coeffs], (N * N, N * N))
-        # den is the lcm unless it shares a factor with every entry
-        g = R.den
-        for col in R.coeffs.reshape(len(R.coeffs), -1).T:
+        den = tuple(Fraction(c) for c in den)
+        # den is the lcm unless a factor g of it divides every entry
+        cols = coeffs.reshape(len(coeffs), -1).T
+        g = den
+        for col in cols:
             if len(g) == 1:
                 break
             if col.any():
-                g = poly_gcd(g, tuple(Fraction(int(c)) for c in col))
+                g = poly_gcd(g, _int_poly(col))
         if len(g) > 1:
-            # a pole cancels in every entry: clear the reduced entries
-            return cls(R.entries, N)
-        return R
+            # a pole cancels in every entry: divide g out of D and out of
+            # each entry's numerator
+            den = poly_divmod(den, g)[0]
+            quots = [poly_divmod(_int_poly(col), g)[0] for col in cols]
+            top = max(1, max(len(p) for p in quots))
+            coeffs, s = frac_to_int_array(
+                [[p[m] if m < len(p) else ZERO for p in quots]
+                 for m in range(top)], wide=True)
+            coeffs = coeffs.reshape(top, nn, nn)
+            scale = scale * s
+        while len(coeffs) > 1 and not coeffs[-1].any():
+            coeffs = coeffs[:-1]
+        self.N = N
+        self.den = den
+        self.coeffs, self.scale = _combine(
+            [[(Fraction(scale), c)] for c in coeffs], (nn, nn))
 
     def __add__(self, other):
         den = poly_lcm(self.den, other.den)
@@ -163,21 +156,7 @@ class RMat:
                     rows.setdefault(j + m, []).append((R.scale * qj, c))
         C, s = _combine([rows[k] for k in range(max(rows) + 1)],
                         self.coeffs.shape[1:])
-        return RMat.from_poly(self.N, den, C, s)
-
-    @property
-    def entries(self):
-        """Read-only N^2 x N^2 array of RationalFunction, built on each
-        read."""
-        nn = self.N * self.N
-        out = np.empty((nn, nn), dtype=object)
-        for i in range(nn):
-            for j in range(nn):
-                out[i, j] = RationalFunction(
-                    [self.scale * int(c) for c in self.coeffs[:, i, j]],
-                    self.den)
-        out.flags.writeable = False
-        return out
+        return RMat(self.N, den, C, s)
 
     def numerator(self):
         """Fraction matrices A_0 .. A_deg with D(u) R(u) = sum_m A_m u^m."""
@@ -193,8 +172,7 @@ class RMat:
             [[(self.scale * comb(m, k) * (-a) ** (m - k), self.coeffs[m])
               for m in range(k, top + 1)] for k in range(top + 1)],
             self.coeffs.shape[1:])
-        return RMat.from_poly(
-            self.N, poly_compose_linear(self.den, ONE, -a), C, s)
+        return RMat(self.N, poly_compose_linear(self.den, ONE, -a), C, s)
 
     def expand_scaled(self, K):
         """(S, s) with R(u) = sum_{k <= K} s S[k] u^{-k} + O(u^{-K-1}):
@@ -215,16 +193,6 @@ class RMat:
     def expand(self, K):
         """RSeries of the u^{-1}-expansion to order K."""
         return RSeries(*self.expand_scaled(K))
-
-    def eval_at(self, u):
-        """Exact Fraction matrix R(u); raises PoleError at poles."""
-        d = poly_eval(self.den, u)
-        if d == 0:
-            raise PoleError("pole at u=%s" % (u,))
-        u = Fraction(u)
-        S, s = _combine([[(u ** m, c) for m, c in enumerate(self.coeffs)]],
-                        self.coeffs.shape[1:])
-        return int_to_frac_array(S[0], s * self.scale / d)
 
 
 class RSeries:
@@ -266,8 +234,7 @@ def yang_r(N):
     if N < 2:
         raise ValueError("N >= 2 required")
     P = permutation_matrix(N).astype(np.int64)
-    return RMat.from_poly(N, (ZERO, ONE),
-                          [-P, np.eye(N * N, dtype=np.int64)])
+    return RMat(N, (ZERO, ONE), [-P, np.eye(N * N, dtype=np.int64)])
 
 
 def sosp_r(family, N):
@@ -280,9 +247,8 @@ def sosp_r(family, N):
     I = np.eye(N * N, dtype=np.int64)
     k = data.kappa
     p, q = k.numerator, k.denominator
-    return RMat.from_poly(N, (ZERO, -k, ONE),
-                          [p * P, -(p * I + q * P - q * Q), q * I],
-                          Fraction(1, q))
+    return RMat(N, (ZERO, -k, ONE), [p * P, -(p * I + q * P - q * Q), q * I],
+                Fraction(1, q))
 
 
 def closed_form_r(family, N):
@@ -349,7 +315,9 @@ def check_qybe(R):
 # unitarity
 
 def check_unitarity(R):
-    """R12(u) R21(-u); returns the scalar f(u) if the product is f(u) I.
+    """R12(u) R21(-u); if the product is f(u) I, returns f = num / den
+    reduced: ascending Fraction tuples with den monic and gcd(num, den)
+    = 1.
 
     The product is s^2 C(u) C21(-u) / (D(u) D(-u)) with C21 = P C P, so
     its numerator coefficients are sums of the (d + 1)^2 integer products
@@ -375,8 +343,11 @@ def check_unitarity(R):
         raise UnitarityFailure(
             "product is not scalar at entry (%d, %d)" % (i, j))
     minus = tuple(-c if i % 2 else c for i, c in enumerate(R.den))
-    return RationalFunction([R.scale ** 2 * int(p[0, 0]) for p in prod],
-                            poly_mul(R.den, minus))
+    num = poly_trim([R.scale ** 2 * int(p[0, 0]) for p in prod])
+    den = poly_mul(R.den, minus)
+    g = poly_gcd(num, den)
+    num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+    return poly_scale(num, ONE / den[-1]), poly_scale(den, ONE / den[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,102 @@
+"""Entry-wise reference for R-matrices: univariate rational functions
+num(u)/den(u) over Fraction, one per matrix entry.
+
+The library holds R(u) as one denominator over an integer matrix
+polynomial (``rmatrix.RMat``); the tests check every reader of that form
+against the same operation done entry by entry here.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from yangkit.exact import (ONE, ZERO, PoleError, TruncSeries, poly_add,
+                           poly_compose_linear, poly_divmod, poly_eval,
+                           poly_gcd, poly_mul, poly_scale, poly_trim,
+                           series_inverse, series_mul)
+
+
+class RationalFunction:
+    """num(u)/den(u) with Fraction coefficients; den monic, gcd(num,den)=1."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=(ONE,)):
+        num = poly_trim(tuple(Fraction(c) for c in num))
+        den = poly_trim(tuple(Fraction(c) for c in den))
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        g = poly_gcd(num, den)
+        num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+        self.num = poly_scale(num, ONE / den[-1])
+        self.den = poly_scale(den, ONE / den[-1])
+
+    @staticmethod
+    def _coerce(x):
+        return x if isinstance(x, RationalFunction) else RationalFunction((x,))
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        return self.num == other.num and self.den == other.den
+
+    def __repr__(self):
+        return "RationalFunction(%r, %r)" % (self.num, self.den)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return RationalFunction(poly_add(poly_mul(self.num, other.den),
+                                         poly_mul(other.num, self.den)),
+                                poly_mul(self.den, other.den))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RationalFunction(poly_scale(self.num, -ONE), self.den)
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        return RationalFunction(poly_mul(self.num, other.num),
+                                poly_mul(self.den, other.den))
+
+    __rmul__ = __mul__
+
+    def __call__(self, x):
+        d = poly_eval(self.den, x)
+        if d == 0:
+            raise PoleError("pole at u=%s" % (x,))
+        return poly_eval(self.num, x) / d
+
+    def compose_linear(self, a, b):
+        """self(a*u + b)."""
+        return RationalFunction(poly_compose_linear(self.num, a, b),
+                                poly_compose_linear(self.den, a, b))
+
+    def expand_at_infinity(self, order):
+        """TruncSeries of the u^-1 expansion; requires deg num <= deg den."""
+        if not self.num:
+            return TruncSeries.constant(ZERO, order)
+        dn, dd = len(self.num) - 1, len(self.den) - 1
+        if dn > dd:
+            raise ValueError("not proper at infinity")
+        # substitute u = 1/x: num/den = x^(dd-dn) * rev(num)/rev(den)
+        nrev = tuple(reversed(self.num)) + (ZERO,) * order
+        drev = tuple(reversed(self.den)) + (ZERO,) * order
+        q = series_mul(TruncSeries(nrev[:order + 1]),
+                       series_inverse(TruncSeries(drev[:order + 1])))
+        shift = dd - dn
+        return TruncSeries((ZERO,) * min(shift, order + 1)
+                           + q.coeffs[:max(0, order + 1 - shift)])
+
+
+def rmat_entries(R):
+    """The N^2 x N^2 array of RationalFunction entries of an RMat."""
+    nn = R.N * R.N
+    out = np.empty((nn, nn), dtype=object)
+    for i in range(nn):
+        for j in range(nn):
+            out[i, j] = RationalFunction(
+                [R.scale * int(c) for c in R.coeffs[:, i, j]], R.den)
+    return out

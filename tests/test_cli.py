@@ -4,6 +4,7 @@ reports, config files, and report merging."""
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -122,6 +123,25 @@ class TestVerify:
                             "--suite", "rtt"])
         assert code == 1
         assert rep["status"] == "fail"
+
+    @pytest.mark.parametrize("family,N", [("sl", 2), ("so", 3), ("sp", 4)])
+    def test_non_unitary_r_fails_unitarity(self, tmp_path, monkeypatch,
+                                           family, N):
+        # plant the seeded u^{-2} bump of the QYBE negative control as R
+        real = climod.closed_form_r
+        monkeypatch.setattr(climod, "closed_form_r", lambda f, n:
+                            climod._perturbed_r(real(f, n),
+                                                random.Random(3))[0])
+        code, rep, _ = run(tmp_path, "u.json",
+                           ["verify", "--family", family, "--n", str(N),
+                            "--suite", "rmatrix"])
+        assert code == 1
+        assert rep["status"] == "fail"
+        unit = rep["checks"][1]
+        assert unit["check"] == "unitarity"
+        assert unit["status"] == "fail"
+        assert unit["details"]["error"].startswith(
+            "product is not scalar at entry (")
 
     # the five commands of the classical benchmark workload, then the
     # so/sp extension split (W != 0) and the sp4 solver, then the
@@ -344,6 +364,21 @@ class TestOtherCommands:
         assert code == 0
         det = rep["checks"][0]["details"]
         assert det["ratio_to_closed_form"][0] == "1/1"
+
+    def test_one_parser_for_successive_calls(self, tmp_path):
+        climod._parser.cache_clear()
+        _, rep, _ = run(tmp_path, "v.json",
+                        ["verify", "--family", "sl", "--n", "2", "--order",
+                         "4", "--seed", "5", "--suite", "rmatrix"])
+        parser = climod._parser()
+        _, rep2, _ = run(tmp_path, "s.json",
+                         ["solve-r", "--family", "sl", "--n", "2"])
+        assert climod._parser() is parser
+        assert climod._parser.cache_info().misses == 1
+        # the second call sees none of the first call's flags
+        assert (rep["config"]["K"], rep["config"]["seed"]) == (4, 5)
+        assert (rep2["config"]["K"], rep2["config"]["seed"]) == (3, 0)
+        assert rep2["config"]["suite"] == ["rmatrix"]
 
     def test_qdet(self, tmp_path):
         code, rep, _ = run(tmp_path, "q.json",

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rational_reference import rmat_entries
 from yangkit import yangian
 from yangkit.exact import TruncSeries, series_mul
 from yangkit.freealg import (NCPoly, TensorNCPoly, gen_id, gen_ijr, mat_shift,
@@ -440,7 +441,7 @@ def _reference_images(pres, shifts, order):
     def digits(x):
         return [(x // N ** (k - t)) % N for t in range(k + 1)]
 
-    entries = pres.R.entries
+    entries = rmat_entries(pres.R)
     series = None
     for m, a in enumerate(shifts, 1):
         exp = {(p, q): entries[p, q].compose_linear(F(1), -a)
