@@ -23,17 +23,6 @@ class NonInvertibleSeries(ValueError):
     pass
 
 
-class PoleError(ZeroDivisionError):
-    pass
-
-
-class GridExhausted(RuntimeError):
-    pass
-
-
-GRID_MAX_ATTEMPTS = 400  # grid points certify_bivariate_identity tries
-
-
 def rat_to_str(x):
     """Serialize a rational as "p/q"."""
     return "%d/%d" % (x.numerator, x.denominator)
@@ -271,54 +260,38 @@ def poly_compose_linear(p, a, b):
 
 
 def certify_bivariate_identity(lhs, rhs, degree_bound):
-    """Certify lhs(u,v) == rhs(u,v) for matrix-valued rational expressions.
+    """Certify lhs(u,v) == rhs(u,v) for matrix-valued polynomial
+    expressions.
 
     lhs and rhs are callables mapping exact rational points (u, v) to
-    comparable values (matrices); they raise PoleError at denominator zeros.
-    degree_bound = (d_u, d_v) must dominate the numerator bidegree after
-    clearing denominators; evaluation on a (d_u+1) x (d_v+1) grid of
-    distinct pole-free points is then complete by interpolation.
+    comparable values (matrices), defined everywhere (denominators already
+    cleared).  degree_bound = (d_u, d_v) must dominate the bidegree of
+    both sides; evaluation on a (d_u+1) x (d_v+1) grid of distinct points
+    is then complete by interpolation.
 
-    Each point is compared as soon as both sides are computed, and the
-    first pole-free point where they differ returns False: a true identity
-    holds at every pole-free point.  True needs the whole grid.
+    The grid grows one u and one v at a time, and each new point is
+    compared as soon as both sides are computed: the first point where
+    they differ returns False.  True needs the whole grid.
     """
     d_u, d_v = degree_bound
     need_u, need_v = d_u + 1, d_v + 1
-
-    def candidates(start):
-        k = start
-        while True:
-            yield Fraction(k)
-            k += 1
 
     def agree(u, v):
         return _values_equal(lhs(u, v), rhs(u, v))
 
     us = []
     vs = []
-    cu = candidates(1)
-    cv = candidates(10 * (need_u + need_v) + 7)
-    attempts = 0
+    v0 = 10 * (need_u + need_v) + 7
     while len(us) < need_u or len(vs) < need_v:
-        attempts += 1
-        if attempts > GRID_MAX_ATTEMPTS:
-            raise GridExhausted("could not build a pole-free evaluation grid")
         if len(us) < need_u:
-            u = next(cu)
-            try:
-                if not all(agree(u, v) for v in vs):
-                    return False
-            except PoleError:
-                continue
+            u = Fraction(len(us) + 1)
+            if not all(agree(u, v) for v in vs):
+                return False
             us.append(u)
         if len(vs) < need_v:
-            v = next(cv)
-            try:
-                if not all(agree(u, v) for u in us):
-                    return False
-            except PoleError:
-                continue
+            v = Fraction(v0 + len(vs))
+            if not all(agree(u, v) for u in us):
+                return False
             vs.append(v)
     return True
 

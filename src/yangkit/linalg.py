@@ -10,7 +10,9 @@ storing primitive int rows with a positive, non-normalized pivot.
 basis of its own.  Answers are ``Fraction`` values.
 """
 
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 ZERO = Fraction(0)
@@ -70,6 +72,12 @@ def _eliminate(rows, row, scaled=False):
     return r
 
 
+@lru_cache(maxsize=None)
+def _compact_size(n):
+    """The size of a dict of n entries built by insertion."""
+    return sys.getsizeof(dict.fromkeys(range(n)))
+
+
 def _place(rows, holders, r):
     """Insert a scaled residual ``r`` of :func:`_eliminate` into ``rows``,
     primitive with a positive pivot, and back-substitute it into the rows
@@ -112,6 +120,11 @@ def _place(rows, holders, r):
         g = gcd(*b.values())
         if g != 1:
             b = {j: bj // g for j, bj in b.items()}
+        elif sys.getsizeof(b) > _compact_size(len(b)):
+            # the edited dict keeps the table it grew to before entries
+            # cancelled: store a fresh one, same key order (dict(b) of
+            # such a dict can over-allocate; rebuilding from items cannot)
+            b = dict(b.items())
         rows[p] = b
     rows[piv] = r
     return piv

@@ -158,10 +158,6 @@ class RMat:
                         self.coeffs.shape[1:])
         return RMat(self.N, den, C, s)
 
-    def numerator(self):
-        """Fraction matrices A_0 .. A_deg with D(u) R(u) = sum_m A_m u^m."""
-        return [int_to_frac_array(c, self.scale) for c in self.coeffs]
-
     def shifted(self, a):
         """R(u - a)."""
         a = Fraction(a)

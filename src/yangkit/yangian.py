@@ -11,7 +11,7 @@ identities, automorphism fixed points, and low-order structure maps.
 from collections import deque
 from fractions import Fraction
 from itertools import permutations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -91,9 +91,13 @@ class RTTPresentation:
         self._zcache = {}
 
 
+def _word_key(w):
+    return len(w), w
+
+
 def _canon_poly(p):
     """Scale so the minimal term (shortest word, then lex) has coefficient 1."""
-    w0 = min(p.terms, key=lambda w: (len(w), w))
+    w0 = min(p.terms, key=_word_key)
     c = p.terms[w0]
     if c == ONE:
         return p
@@ -106,7 +110,14 @@ def _poly_sort_key(p):
 
 def rtt_relations(family, N, K):
     """Collect the (u^-a v^-b, matrix-entry) coefficients of the cleared
-    RTT identity for a, b <= K+1 into deduplicated relation polynomials."""
+    RTT identity for a, b <= K+1 into deduplicated relation polynomials.
+
+    The coefficients are built, cancelled and deduplicated on Python
+    ints: D(w) R(w) = scale * sum_m C_m w^m with integer C_m, and the
+    positive scale drops out because every relation is canonicalized.
+    Sums follow TermAlgebra's term order (a new word goes on the end, a
+    word that cancels is popped), so each relation equals, term order
+    included, the NCPoly sum of the same products."""
     family = family.lower()
     if K < 2:
         raise ValueError("K >= 2 required")
@@ -114,61 +125,93 @@ def rtt_relations(family, N, K):
     cas = casimir(data)
     nn = N * N
     R = closed_form_r(family, N)
-    # D(w) R(w) = sum_m A_m w^m with w = u - v and d = deg D
-    A = R.numerator()
+    # D(w) R(w) = scale * sum_m C_m w^m with w = u - v and d = deg D
     d = len(R.den) - 1
     # word of T^(r)_{ij}: T^(0) = I gives the empty word, None for a 0
     W = [[[() if i == j else None for j in range(N)] for i in range(N)]]
     W += [[[(gen_id(i + 1, j + 1, r),) for j in range(N)] for i in range(N)]
           for r in range(1, K + 2 + d)]
-    # R(u-v) = sum_m A_m sum_s binom(m, s) u^(m-s) (-v)^s: for each (m, s),
-    # the nonzero entries of binom(m, s) (-1)^s A_m by row and by column,
-    # inner index (i, k) = divmod(flat index, N) ascending
+    # sum_m C_m (u - v)^m = sum_m C_m sum_s binom(m, s) u^(m-s) (-v)^s: for
+    # each (m, s), the nonzero entries of binom(m, s) (-1)^s C_m as Python
+    # ints, by row and by column, inner index (i, k) = divmod(flat index,
+    # N) ascending
     parts = []
-    for m, Am in enumerate(A):
+    for m, Cm in enumerate(R.coeffs):
+        Cm = Cm.tolist()
         for s in range(m + 1):
-            cA = comb(m, s) * (-1) ** s * Am
+            k = comb(m, s) * (-1) ** s
             parts.append((m - s, s,
-                          [[divmod(k, N) + (cA[e, k],) for k in range(nn)
-                            if cA[e, k]] for e in range(nn)],
-                          [[divmod(k, N) + (cA[k, f],) for k in range(nn)
-                            if cA[k, f]] for f in range(nn)]))
+                          [[divmod(c, N) + (k * row[c],) for c in range(nn)
+                            if row[c]] for row in Cm],
+                          [[divmod(r, N) + (k * Cm[r][f],) for r in range(nn)
+                            if Cm[r][f]] for f in range(nn)]))
     split = [divmod(e, N) for e in range(nn)]
 
     seen = set()
+    frac = {}    # (v, c0) -> the one Fraction(v, c0)
     relations = []
     for a in range(K + 2):
         for b in range(K + 2):
             # u^-a v^-b coefficient of sum_{m,s} binom(m,s) (-1)^s
-            # (A_m T1^(a+m-s) T2^(b+s) - T2^(b+s) T1^(a+m-s) A_m), summed
-            # (m, s) by (m, s) in NCPoly order
-            diff = [NCPoly.zero()] * (nn * nn)
+            # (C_m T1^(a+m-s) T2^(b+s) - T2^(b+s) T1^(a+m-s) C_m), summed
+            # (m, s) by (m, s) as {word: int} dicts
+            diff = [{} for _ in range(nn * nn)]
             for dx, s, rows, cols in parts:
                 Wx, Wy = W[a + dx], W[b + s]
                 for e, (i, k) in enumerate(split):
                     for f, (j, l) in enumerate(split):
-                        # entry (ik, jl) of A T1 T2 and of T2 T1 A; the
-                        # words within each are distinct
-                        lhs, rhs = {}, {}
+                        # entry (ik, jl) of C T1 T2 minus T2 T1 C; the
+                        # words within each product are distinct
+                        term = {}
                         for i2, k2, v in rows[e]:
                             p, q = Wx[i2][j], Wy[k2][l]
                             if p is not None and q is not None:
-                                lhs[p + q] = v
+                                term[p + q] = v
                         for j2, l2, v in cols[f]:
                             p, q = Wx[i][j2], Wy[k][l2]
                             if p is not None and q is not None:
-                                rhs[q + p] = v
-                        if lhs or rhs:
-                            diff[e * nn + f] += NCPoly(lhs) - NCPoly(rhs)
+                                w = q + p
+                                c = term.get(w)
+                                if c is None:
+                                    term[w] = -v
+                                elif c != v:
+                                    term[w] = c - v
+                                else:
+                                    del term[w]
+                        if not term:
+                            continue
+                        acc = diff[e * nn + f]
+                        if not acc:
+                            diff[e * nn + f] = term
+                            continue
+                        for w, v in term.items():
+                            c = acc.get(w)
+                            if c is None:
+                                acc[w] = v
+                            elif c != -v:
+                                acc[w] = c + v
+                            else:
+                                del acc[w]
+            # canonicalize and deduplicate on ints: the key is the
+            # primitive vector, positive at the minimal word
             for p in diff:
                 if not p:
                     continue
-                p = _canon_poly(p)
-                key = tuple(sorted(p.terms.items()))
+                c0 = p[min(p, key=_word_key)]
+                g = gcd(*p.values())
+                if c0 < 0:
+                    g = -g
+                key = tuple(sorted([(w, v // g) for w, v in p.items()]))
                 if key in seen:
                     continue
                 seen.add(key)
-                relations.append(p)
+                terms = {}
+                for w, v in p.items():
+                    q = frac.get((v, c0))
+                    if q is None:
+                        q = frac[v, c0] = Fraction(v, c0)
+                    terms[w] = q
+                relations.append(_canon_poly(NCPoly(terms)))
     relations.sort(key=_poly_sort_key)
     pres = RTTPresentation(data, cas, R, K, relations, d)
     # sanity filter: every relation must die under the one-factor

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from yangkit.exact import (ONE, ZERO, PoleError, TruncSeries, poly_add,
+from yangkit.exact import (ONE, ZERO, TruncSeries, poly_add,
                            poly_compose_linear, poly_divmod, poly_eval,
                            poly_gcd, poly_mul, poly_scale, poly_trim,
                            series_inverse, series_mul)
@@ -66,7 +66,7 @@ class RationalFunction:
     def __call__(self, x):
         d = poly_eval(self.den, x)
         if d == 0:
-            raise PoleError("pole at u=%s" % (x,))
+            raise ZeroDivisionError("pole at u=%s" % (x,))
         return poly_eval(self.num, x) / d
 
     def compose_linear(self, a, b):

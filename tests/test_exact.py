@@ -3,14 +3,11 @@ reference, against hand oracles."""
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
 from yangkit.exact import (
-    GridExhausted,
     NonInvertibleSeries,
-    PoleError,
     TruncSeries,
     certify_bivariate_identity,
     rat_from_str,
@@ -142,27 +139,6 @@ class TestCertify:
         differ = lambda u, v: same(u, v) + ((u, v) == last)
         assert not certify_bivariate_identity(lhs, differ, (2, 2))
         assert len(seen) == 9
-
-    def test_poles_leave_a_full_grid(self):
-        # (u + v)^2 / ((u - 2)(v - 68)): poles at u = 2 and at v = 68
-        ok = []
-
-        def side(expand):
-            def f(u, v):
-                if u == 2 or v == 68:
-                    raise PoleError("pole at (%s, %s)" % (u, v))
-                num = (u * u + 2 * u * v + v * v) if expand else (u + v) ** 2
-                if expand:
-                    ok.append((u, v))
-                return num / ((u - 2) * (v - 68))
-            return f
-
-        assert certify_bivariate_identity(side(False), side(True), (2, 2))
-        us = sorted({u for u, _ in ok})
-        vs = sorted({v for _, v in ok})
-        assert len(us) == 3 and len(vs) == 3
-        assert 2 not in us and 68 not in vs
-        assert set(product(us, vs)) == set(ok)
 
 
 def test_rat_str_roundtrip():

@@ -1,6 +1,7 @@
 """Exact linear algebra: dense RREF helpers and the sparse reducer."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -209,6 +210,26 @@ class TestSparseReducer:
         assert red.add_return_pivot({2: F(1), 3: F(1)}) == 2
         assert red.basis == {0: {0: F(1)}, 1: {1: F(1), 3: F(-1)},
                              2: {2: F(1), 3: F(1)}}
+
+    def test_stored_rows_are_compact(self, monkeypatch):
+        # back-substitution cancels at least the pivot entry of each row
+        # it edits; no stored row keeps a table larger than a fresh dict
+        # of its entries needs
+        edited = []
+        place = linalg._place
+
+        def spy(rows, holders, r):
+            if r:
+                edited.extend(p for p in holders.get(min(r), ())
+                              if min(r) in rows[p])
+            return place(rows, holders, r)
+
+        monkeypatch.setattr(linalg, "_place", spy)
+        rows = closure(rtt_relations("sl", 2, 3), 3, 4).reducer.rows
+        assert len(set(edited)) > 50
+        for row in rows.values():
+            assert sys.getsizeof(row) <= min(sys.getsizeof(dict(row)),
+                                             sys.getsizeof(dict(row.items())))
 
 
 _coeffs = st.integers(-2, 2).map(F) | st.sampled_from([F(1, 2), F(-2, 3)])

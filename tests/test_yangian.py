@@ -16,8 +16,8 @@ from yangkit import yangian
 from yangkit.exact import TruncSeries, series_mul
 from yangkit.freealg import (NCPoly, TensorNCPoly, gen_id, gen_ijr, mat_shift,
                              t_matrix)
-from yangkit.liealg import _INT_LIMIT, vector_rep
-from yangkit.rmatrix import closed_form_r
+from yangkit.liealg import _INT_LIMIT, int_to_frac_array, vector_rep
+from yangkit.rmatrix import RMat, closed_form_r
 from yangkit.yangian import (
     BoundsTooLarge,
     EvalModule,
@@ -246,9 +246,10 @@ def test_closure_basis_regression(family, N, L, R, quotient, digest):
         "so3-K3", "so4-K3", "sp4-K3", "so5-K2"])
 def test_relation_list_regression(family, N, K, degree, count, digest):
     """The relation list, polynomial and term order included, is pinned.
-    rtt_relations reads the matrices A_m of D(w) R(w) = sum_m A_m w^m and
-    the clearing degree d = deg D from the closed-form R-matrix, so a
-    change to the R-matrix representation must not change a relation."""
+    rtt_relations reads the integer matrices C_m of D(w) R(w) = s sum_m
+    C_m w^m and the clearing degree d = deg D from the closed-form
+    R-matrix, so a change to the R-matrix representation must not change
+    a relation."""
     pres = rtt_relations(family, N, K)
     assert pres.clear_degree == degree
     assert len(pres.relations) == count
@@ -263,7 +264,8 @@ def _reference_relations(family, N, K):
     multiplied by the Fraction matrix A_m entry by entry and summed as
     NCPoly arrays."""
     R = closed_form_r(family, N)
-    A = R.numerator()
+    # Fraction matrices A_m with D(u) R(u) = sum_m A_m u^m
+    A = [int_to_frac_array(c, R.scale) for c in R.coeffs]
     d = len(R.den) - 1
     nn = N * N
     Tc = t_matrix(N, K + 1 + d).coeffs
@@ -608,6 +610,28 @@ class TestEvalEngine:
         with pytest.raises(AssertionError, match="zero filter"):
             rtt_relations("sl", 2, 3)
         assert planted
+
+    @pytest.mark.parametrize("family,N", [("sl", 2), ("so", 3)])
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_zero_filter_catches_planted_r_coefficient(self, family, N,
+                                                       data):
+        # rtt_relations builds its relations from the integer
+        # coefficients of R; with one entry changed, R breaks the
+        # Yang-Baxter equation, T(u) -> R(u) does not kill the relations
+        # and the zero filter refuses them
+        R = closed_form_r(family, N)
+        nn = N * N
+        m, e, f = data.draw(st.tuples(st.integers(0, len(R.coeffs) - 1),
+                                      st.integers(0, nn - 1),
+                                      st.integers(0, nn - 1)))
+        C = R.coeffs.copy()
+        C[m, e, f] += data.draw(st.sampled_from([-2, -1, 1, 3]))
+        planted = RMat(N, R.den, C, R.scale)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(yangian, "closed_form_r", lambda *args: planted)
+            with pytest.raises(AssertionError, match="zero filter"):
+                rtt_relations(family, N, 2)
 
     def test_eval_scalar_rejects_non_scalar(self, sl2):
         ev = EvalModule(sl2, 1, [F(1, 2)], order=3)
