@@ -263,11 +263,6 @@ class MatSeries:
         """TruncSeries of entry (i, j) (0-based)."""
         return TruncSeries([c[i, j] for c in self.coeffs])
 
-    def truncate(self, K):
-        if K > self.order:
-            raise ValueError("cannot extend truncation order")
-        return MatSeries(self.coeffs[: K + 1], self.N)
-
 
 def _eye(N, one=None):
     one = NCPoly.one() if one is None else one

@@ -6,10 +6,14 @@ extension split, Yangian module relations).
 All arithmetic is exact.  Tensor contractions run on int64 numpy arrays
 carrying an explicit Fraction scale; every contraction is guarded by an
 a-priori overflow bound and falls back to an error (never silently
-wraps).  The integer tensors of a representation (rho(X), its dual
-images, Omega_rho, the ad operators, the omega-operator on End V and c_g)
-are built in one place, ``_Tensors``, which every reader shares; the
-commutant of a representation is built in one place, ``commutant``.
+wraps).  The algebra's basis and inverse Gram matrix, and a
+representation's rho(X) and rho(J), are held once as read-only int64
+stacks over one Fraction scale each (``LieAlgebraData``,
+``Representation``), the form every reader takes as it is.  The
+integer tensors built from them (the dual images of rho(X), Omega_rho,
+the ad operators, the omega-operator on End V and c_g) are built in one
+place, ``_Tensors``, which every reader shares; the commutant of a
+representation is built in one place, ``commutant``.
 Kernels and inverses (``linalg``) run over Fraction; minimal
 polynomials run their Krylov iteration on integers.
 """
@@ -115,6 +119,13 @@ def frac_to_int_array(mats, wide=False):
 
 def _max_abs(a):
     return int(np.abs(a).max(initial=0))
+
+
+def _is_scalar(m):
+    """Whether the square integer matrix m is a multiple of I."""
+    diag = np.diagonal(m)
+    return bool((diag == diag[0]).all()) and \
+        np.count_nonzero(m) == np.count_nonzero(diag)
 
 
 # float64 holds every integer below 2**53 exactly.  If the inner dimension
@@ -243,52 +254,32 @@ def theta_value(family, i, j):
     raise InvalidAlgebra("theta is defined for so/sp only")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebraData:
+    """A classical Lie algebra in its vector representation.
+
+    ``basis`` stacks the basis matrices X_l as one read-only int64 array
+    of shape (dim, N, N); its entries are 0 and +-1 (and +-2 on the sp
+    basis elements 2 E_{i,-i}), so it carries no scale.  The
+    inverse of the Gram matrix (X_a, X_b) = form_scale tr(X_a X_b) is
+    ``sginv * ginv``, with ``ginv`` a read-only int64 (dim, dim) array."""
     family: str
     N: int
     dim: int
-    basis: tuple          # Fraction object arrays, N x N
-    labels: tuple         # basis labels: (i, j) pairs or ("h", k)
-    dual_basis: tuple     # Fraction object arrays, (X_l, X^g) = delta
-    gram: tuple           # Gram matrix of the form, rows of Fractions
-    gram_inv: tuple
+    basis: np.ndarray
+    ginv: np.ndarray
+    sginv: Fraction
     form_scale: Fraction  # trace-form multiplier: 1 (sl) or 1/2 (so/sp)
     kappa: object         # Fraction for so/sp, None for sl
     indices: tuple        # signed index set (or 1..N for sl)
-    simple: bool
-    warnings: tuple = ()
-
-    def form(self, X, Y):
-        acc = ZERO
-        n = self.N
-        for i in range(n):
-            for j in range(n):
-                if X[i, j] and Y[j, i]:
-                    acc += X[i, j] * Y[j, i]
-        return acc * self.form_scale
 
     def pos(self, i):
         return self.indices.index(i)
 
-    def to_json(self):
-        from .exact import rat_to_str
-        return {
-            "family": self.family,
-            "N": self.N,
-            "dim": self.dim,
-            "simple": self.simple,
-            "kappa": rat_to_str(self.kappa) if self.kappa is not None else None,
-            "indices": list(self.indices),
-            "warnings": list(self.warnings),
-            "basis": [[rat_to_str(Fraction(x)) for x in B.flatten()]
-                      for B in self.basis],
-        }
-
 
 def _e_matrix(N, a, b):
-    m = np.full((N, N), ZERO, dtype=object)
-    m[a, b] = ONE
+    m = np.zeros((N, N), dtype=np.int64)
+    m[a, b] = 1
     return m
 
 
@@ -296,21 +287,13 @@ def build_lie(family, N):
     family = family.lower()
     if family not in FAMILIES:
         raise InvalidAlgebra("unknown family %r" % (family,))
-    warnings = []
-    simple = True
     if family == SL:
         if N < 2:
             raise InvalidAlgebra("sl_N needs N >= 2")
-        basis = []
-        labels = []
-        for i in range(N):
-            for j in range(N):
-                if i != j:
-                    basis.append(_e_matrix(N, i, j))
-                    labels.append((i + 1, j + 1))
-        for k in range(N - 1):
-            basis.append(_e_matrix(N, k, k) - _e_matrix(N, k + 1, k + 1))
-            labels.append(("h", k + 1))
+        basis = [_e_matrix(N, i, j) for i in range(N) for j in range(N)
+                 if i != j]
+        basis += [_e_matrix(N, k, k) - _e_matrix(N, k + 1, k + 1)
+                  for k in range(N - 1)]
         kappa = None
         form_scale = ONE
         indices = tuple(range(1, N + 1))
@@ -320,24 +303,18 @@ def build_lie(family, N):
             raise InvalidAlgebra("so_N needs N >= 3")
         if family == SP and (N < 2 or N % 2):
             raise InvalidAlgebra("sp_N needs even N >= 2")
-        if family == SO and N == 4:
-            simple = False
-            warnings.append("so_4 is not simple (sl_2 x sl_2); "
-                            "formulas computed anyway")
         idx = signed_indices(family, N)
         pos = {i: k for k, i in enumerate(idx)}
         reducer = linalg.SparseReducer()
         basis = []
-        labels = []
         for i in idx:
             for j in idx:
                 F = _e_matrix(N, pos[i], pos[j])
-                F = F - Fraction(theta_value(family, i, j)) * _e_matrix(
+                F = F - theta_value(family, i, j) * _e_matrix(
                     N, pos[-j], pos[-i])
-                row = {k: Fraction(v) for k, v in enumerate(F.flatten()) if v}
+                row = {k: v for k, v in enumerate(F.ravel().tolist()) if v}
                 if row and reducer.add(row):
                     basis.append(F)
-                    labels.append((i, j))
         kappa = Fraction(N, 2) - 1 if family == SO else Fraction(N, 2) + 1
         form_scale = Fraction(1, 2)
         indices = tuple(idx)
@@ -345,50 +322,49 @@ def build_lie(family, N):
     if len(basis) != expected:
         raise InvalidAlgebra("basis construction produced wrong dimension")
 
-    dim = len(basis)
-    # the Gram matrix form_scale * tr(X_a X_b) and the dual basis X^g =
-    # sum_nu gram_inv[nu][g] X_nu, contracted on the cleared integers
-    bx, sbx = frac_to_int_array(basis)
-    sg = form_scale * sbx * sbx
-    gram = int_to_frac_array(checked_einsum("aij,bji->ab", bx, bx),
-                             sg).tolist()
-    gram_inv = linalg.invert(gram)
-    ginv, sginv = frac_to_int_array(gram_inv)
-    dual = list(int_to_frac_array(checked_einsum("ng,nij->gij", ginv, bx),
-                                  sginv * sbx))
-    return LieAlgebraData(family, N, dim, tuple(basis), tuple(labels),
-                          tuple(dual), tuple(tuple(r) for r in gram),
-                          tuple(tuple(r) for r in gram_inv), form_scale,
-                          kappa, indices, simple, tuple(warnings))
+    basis = np.array(basis)
+    # the Gram matrix form_scale * tr(X_a X_b), inverted once and held
+    # cleared to integers
+    gram = int_to_frac_array(checked_einsum("aij,bji->ab", basis, basis),
+                             form_scale).tolist()
+    ginv, sginv = frac_to_int_array(linalg.invert(gram))
+    basis.flags.writeable = ginv.flags.writeable = False
+    return LieAlgebraData(family, N, len(basis), basis, ginv, sginv,
+                          form_scale, kappa, indices)
 
 
 # ---------------------------------------------------------------------------
 # representations
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
-    rho_X: tuple   # Fraction object arrays
-    rho_J: tuple
-    dim: int
+    """rho(X_l) = sx * px[l] and rho(J(X_l)) = sj * pj[l]: two int64
+    stacks of shape (dim g, dim V, dim V), each over one Fraction scale.
+    The constructor makes both arrays read-only.  ``pj`` is all zero
+    exactly when rho(J) = 0."""
+    px: np.ndarray
+    sx: Fraction
+    pj: np.ndarray
+    sj: Fraction
 
-    def int_x(self):
-        return frac_to_int_array(list(self.rho_X))
+    def __post_init__(self):
+        self.px.flags.writeable = self.pj.flags.writeable = False
 
-    def int_j(self):
-        return frac_to_int_array(list(self.rho_J))
+    @property
+    def dim(self):
+        return self.px.shape[1]
 
 
 def vector_rep(data):
-    zero = np.full((data.N, data.N), ZERO, dtype=object)
-    return Representation(tuple(data.basis),
-                          tuple(zero.copy() for _ in data.basis), data.N)
+    return Representation(data.basis, ONE, np.zeros_like(data.basis), ONE)
 
 
 def twisted_rep(data, c):
-    """rho_J(X) = c * rho(X): the tau_c shift of the zero J-action."""
+    """rho_J(X) = c * rho(X): the tau_c shift of the zero J-action.  At
+    c = 0 this is the vector representation."""
     c = Fraction(c)
-    return Representation(tuple(data.basis),
-                          tuple(c * B for B in data.basis), data.N)
+    return Representation(data.basis, ONE, c.numerator * data.basis,
+                          Fraction(1, c.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -423,17 +399,17 @@ class _Tensors:
     (wop, swop; d^2 x d^2) and its eigenvalue c_g on ad(g), verified
     constant.
 
-    The inverse Gram matrix is cleared to integers once; :meth:`dual`
-    applies it to any g-indexed array.  rho(J) is read with
-    ``rep.int_j()`` by the callers that need it.
+    px, sx and the inverse Gram matrix (ginv, sginv) are the arrays that
+    ``rep`` and ``data`` hold; :meth:`dual` applies the inverse Gram
+    matrix to any g-indexed array.  rho(J) is read as ``rep.pj``,
+    ``rep.sj`` by the callers that need it.
     """
 
     def __init__(self, data, rep):
         self.data = data
         self.d = d = rep.dim
-        self.ginv, self.sginv = frac_to_int_array(
-            [list(r) for r in data.gram_inv])
-        self.px, self.sx = rep.int_x()
+        self.ginv, self.sginv = data.ginv, data.sginv
+        self.px, self.sx = rep.px, rep.sx
         self.pd, self.sd = self.dual(self.px, self.sx)
         self.omt = checked_einsum("lac,lbd->abcd", self.px, self.pd)
         self.somt = self.sx * self.sd
@@ -482,9 +458,7 @@ def commutant(rep, with_j):
     every rho(X), and for every rho(J(X)) as well when ``with_j``.  The
     basis is read off the reduced echelon form, so it does not depend on
     the order or the scale of the rows."""
-    mats = [rep.int_x()[0]]
-    if with_j:
-        mats.append(rep.int_j()[0])
+    mats = [rep.px, rep.pj] if with_j else [rep.px]
     dd = rep.dim * rep.dim
     rows = [row for m in mats if m.any()
             for row in _ad_operators_int(m).reshape(-1, dd).tolist()]
@@ -670,7 +644,7 @@ def decompose_ad(data, rep):
         raise UnsupportedDecomposition("omega_op is not semisimple over Q")
 
     eg = commutant(rep, False)
-    e_part = commutant(rep, True) if rep.int_j()[0].any() else eg
+    e_part = commutant(rep, True) if rep.pj.any() else eg
 
     # E_g must be the 0-eigenspace
     zero_dim = len(eig_spaces.get(Fraction(0), []))
@@ -727,12 +701,11 @@ def decompose_ad(data, rep):
 
 def _bracket_constants(t):
     """[X_l, X_n] = sum_g BRC[l, n, g] X_g, as (int array, scale)."""
-    bx, sbx = frac_to_int_array(list(t.data.basis))
-    bd, sbd = t.dual(bx, sbx)
+    bx = t.data.basis
+    bd, sbd = t.dual(bx, ONE)
     c1 = (checked_einsum("lab,nbc->lnac", bx, bx)
           - checked_einsum("nab,lbc->lnac", bx, bx))
-    return (checked_einsum("lnab,gba->lng", c1, bd),
-            sbx * sbx * sbd * t.data.form_scale)
+    return checked_einsum("lnab,gba->lng", c1, bd), sbd * t.data.form_scale
 
 
 def _presentation_verdicts(data, rep, f_override=None):
@@ -820,7 +793,7 @@ def verify_extension_split(data, rep):
     """Dimension split of the one- and two-sided extensions, the K-matrix
     identities on E_g, and triviality of W(x) cap ad(g)."""
     t = _Tensors(data, rep)
-    pj = rep.int_j()[0]
+    pj = rep.pj
     d = rep.dim
     dd = d * d
     details = {}
@@ -936,7 +909,7 @@ def verify_yangian_module(data, rep):
     identity sum_l (X_l, W) X^l = W.
     """
     t = _Tensors(data, rep)
-    pj, sj = rep.int_j()
+    pj, sj = rep.pj, rep.sj
     brc, sbrc = _bracket_constants(t)
     g, d = data.dim, rep.dim
     details = {}

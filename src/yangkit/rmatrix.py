@@ -28,7 +28,8 @@ from .liealg import (_FLOAT_LIMIT, _FLOAT_MIN_INNER, _INT_LIMIT, build_lie,
                      checked_einsum, commutant, frac_to_int_array,
                      int_to_frac_array, on_legs, permutation_matrix,
                      q_matrix, safe_axpy, safe_matmul, scaled_equal,
-                     _max_abs, _min_poly, _rational_roots, _Tensors)
+                     _is_scalar, _max_abs, _min_poly, _rational_roots,
+                     _Tensors)
 
 
 class UnitarityFailure(RuntimeError):
@@ -83,13 +84,6 @@ def _combine(rows, shape):
 def _int_poly(col):
     """An integer coefficient column as an ascending Fraction polynomial."""
     return tuple(Fraction(int(c)) for c in col)
-
-
-def _is_scalar(m):
-    """Whether the square integer matrix m is a multiple of I."""
-    diag = np.diagonal(m)
-    return bool((diag == diag[0]).all()) and \
-        np.count_nonzero(m) == np.count_nonzero(diag)
 
 
 class RMat:
@@ -408,7 +402,7 @@ def solve_intertwiner(data, rep, K):
     r = len(projs)
 
     eye = np.eye(d, dtype=np.int64)
-    pj, sj = rep.int_j()
+    pj, sj = rep.pj, rep.sj
     xs1 = [np.kron(X, eye) for X in t.px]
     xs2 = [np.kron(eye, X) for X in t.px]
     # C_X = J(X)_1 + J(X)_2 + [X_1, Omega_rho]/2 and C'_X the same with
@@ -522,7 +516,7 @@ def _expansion_target(data, rep):
     dd = rep.dim * rep.dim
     om = t.omt.reshape(dd, dd)
     # (J (x) 1 - 1 (x) J)(Omega) with Omega = sum X_l (x) X^l
-    pj, sj = rep.int_j()
+    pj, sj = rep.pj, rep.sj
     pjd, sjd = t.dual(pj, sj)
     t1 = checked_einsum("lac,lbd->abcd", pj, t.pd).reshape(dd, dd)
     t2 = checked_einsum("lac,lbd->abcd", t.px, pjd).reshape(dd, dd)

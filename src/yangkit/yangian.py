@@ -39,13 +39,13 @@ from .freealg import (
     transpose_t,
 )
 from .liealg import (
+    _is_scalar,
     _max_abs,
     _Tensors,
     build_lie,
     casimir,
     checked_einsum,
     commutant,
-    frac_to_int_array,
     int_to_frac_array,
     on_legs,
     safe_axpy,
@@ -782,25 +782,17 @@ def tensor_normal_form(cl, tp):
     """Reduce a TensorNCPoly modulo (ideal x A + A x ideal): left legs to
     normal form first, then right legs; zero iff membership (within
     bounds)."""
-    by_right = {}
-    for (w1, w2), c in tp.terms.items():
-        by_right.setdefault(w2, {})[w1] = c
-    mid = {}
-    for w2 in sorted(by_right):
-        nf = normal_form(cl, NCPoly(by_right[w2]))
-        for w1, c in nf.terms.items():
-            key = (w1, w2)
-            mid[key] = mid.get(key, ZERO) + c
-    by_left = {}
-    for (w1, w2), c in mid.items():
-        by_left.setdefault(w1, {})[w2] = c
-    out = {}
-    for w1 in sorted(by_left):
-        nf = normal_form(cl, NCPoly(by_left[w1]))
-        for w2, c in nf.terms.items():
-            key = (w1, w2)
-            out[key] = out.get(key, ZERO) + c
-    return TensorNCPoly(out)
+    terms = tp.terms
+    for leg in (0, 1):
+        # the words on this leg, grouped by the word on the other leg
+        groups = {}
+        for pair, c in terms.items():
+            groups.setdefault(pair[1 - leg], {})[pair[leg]] = c
+        terms = {}
+        for other in sorted(groups):
+            for w, c in normal_form(cl, NCPoly(groups[other])).terms.items():
+                terms[(w, other) if leg == 0 else (other, w)] = c
+    return TensorNCPoly(terms)
 
 
 # the z-series orders of the grouplike, antipode and counit checks, and
@@ -1011,15 +1003,14 @@ def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
     # J-coupling table: b^{(ij)} = rho_J applied to F_ij = -sum_l X_l[i,j] X^l
     b_table = {}
     all_zero = True
-    pjd, sjd = _Tensors(lie, rep).dual(*rep.int_j())
-    bx, sbx = frac_to_int_array(list(lie.basis))
-    bj = -checked_einsum("lij,lab->ijab", bx, pjd)
+    pjd, sjd = _Tensors(lie, rep).dual(rep.pj, rep.sj)
+    bj = -checked_einsum("lij,lab->ijab", lie.basis, pjd)
     for i in range(N):
         for j in range(N):
             if bj[i, j].any():
                 all_zero = False
                 b_table["%d,%d" % (i + 1, j + 1)] = [
-                    [rat_to_str(Fraction(int(x)) * sbx * sjd) for x in row]
+                    [rat_to_str(Fraction(int(x)) * sjd) for x in row]
                     for row in bj[i, j]]
     det["b_table_all_zero"] = all_zero
     if not all_zero:
@@ -1156,12 +1147,9 @@ class EvalModule:
     def eval_scalar(self, p):
         """Image of p, required to be a scalar matrix; returns the scalar."""
         S, s = self.eval(p, scaled=True)
-        d = S[0, 0]
-        off = S.copy()
-        np.fill_diagonal(off, 0)
-        if off.any() or (S.diagonal() != d).any():
+        if not _is_scalar(S):
             raise ValueError("image is not a scalar matrix")
-        return int(d) * s
+        return int(S[0, 0]) * s
 
 
 CERTIFICATE_SYMBOLS = (2, 3)  # z-symbols of central_monomial_certificate

@@ -1,6 +1,8 @@
 """Classical Lie algebra layer: dimensions, Casimir closed forms, and
 the finite-dimensional verification reports."""
 
+import hashlib
+import json
 from fractions import Fraction
 from math import lcm
 
@@ -16,6 +18,7 @@ from yangkit.liealg import (
     casimir,
     commutant,
     decompose_ad,
+    int_to_frac_array,
     on_legs,
     permutation_matrix,
     q_matrix,
@@ -27,7 +30,8 @@ from yangkit.liealg import (
     verify_extension_split,
     verify_yangian_module,
 )
-from yangkit.rmatrix import NonIrreducible, solve_intertwiner
+from yangkit.rmatrix import (NonIrreducible, closed_form_r, expansion_check,
+                             solve_intertwiner)
 
 F = Fraction
 
@@ -53,23 +57,36 @@ class TestBuild:
 
     @pytest.mark.parametrize("family,N", ALL_CASES)
     def test_gram_and_dual_basis(self, family, N):
-        # the Gram matrix and the dual basis, contracted on integers, equal
-        # the form() table and sum_nu gram_inv[nu][g] X_nu built on
-        # Fractions
+        # reference on Fractions: the trace form, its Gram matrix and the
+        # dual basis X^g with (X^g, X_nu) = delta; the held inverse Gram
+        # matrix and the dual images of _Tensors must match them
         data = build_lie(family, N)
-        B = data.basis
-        gram = tuple(tuple(data.form(X, Y) for Y in B) for X in B)
-        assert data.gram == gram
-        assert all(type(x) is F for row in data.gram for x in row)
-        for g, D in enumerate(data.dual_basis):
-            want = np.full((N, N), F(0), dtype=object)
-            for nu, X in enumerate(B):
-                want = want + data.gram_inv[nu][g] * X
-            assert D.shape == (N, N)
-            assert all(type(x) is F for x in D.flat)
-            assert (D == want).all()
-            assert all(data.form(D, X) == (g == nu)
-                       for nu, X in enumerate(B))
+        B = list(int_to_frac_array(data.basis, F(1)))
+
+        def form(X, Y):
+            return data.form_scale * np.trace(X @ Y)
+
+        gram = np.array([[form(X, Y) for Y in B] for X in B], dtype=object)
+        ginv = int_to_frac_array(data.ginv, data.sginv)
+        assert (gram @ ginv == frac_eye(data.dim)).all()
+        dual = [sum(ginv[nu, g] * X for nu, X in enumerate(B))
+                for g in range(data.dim)]
+        assert all(form(D, X) == (g == nu) for g, D in enumerate(dual)
+                   for nu, X in enumerate(B))
+        pd, sd = liealg._Tensors(data, vector_rep(data)).dual(data.basis,
+                                                              F(1))
+        assert (int_to_frac_array(pd, sd) == np.array(dual)).all()
+
+    def test_held_arrays_are_read_only(self):
+        data = build_lie("so", 4)
+        vec, tw = vector_rep(data), twisted_rep(data, F(-1, 3))
+        for a in (data.basis, data.ginv, vec.pj, tw.pj):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 7
+        assert vec.px is tw.px is data.basis and vec.dim == data.N
+        assert (tw.pj == -data.basis).all() and tw.sj == F(1, 3)
+        zero = twisted_rep(data, 0)
+        assert not zero.pj.any() and zero.sj == vec.sj == 1
 
     @pytest.mark.parametrize("family,N", [("sl", 1), ("so", 2), ("sp", 3),
                                           ("xx", 3)])
@@ -143,15 +160,61 @@ class TestTwistedRep:
                 == decompose_ad(data, vector_rep(data)).dims())
 
 
+def _report_json(family, N, c):
+    """The four liealg reports, expansion_check against the closed-form R
+    and decompose_ad(...).dims() for twisted_rep(data, c), or for the
+    vector rep when c is None, as one sorted-key JSON string."""
+    data = build_lie(family, N)
+    rep = vector_rep(data) if c is None else twisted_rep(data, c)
+    reports = [verify_classical_presentation(data, rep),
+               verify_current_presentation(data, rep, 3),
+               verify_extension_split(data, rep),
+               verify_yangian_module(data, rep),
+               expansion_check(closed_form_r(family, N), data, rep),
+               decompose_ad(data, rep).dims()]
+    return json.dumps(reports, sort_keys=True, default=str)
+
+
+# sha256 of _report_json; c = 0 gives the vector rep's bytes
+TWISTED_REPORT_DIGESTS = {
+    ("sl", 2, 0):
+        "2ee78bf1a9e891484f98efc060a1f4027b53bf8b0fbcba81649da912244be3b2",
+    ("sl", 2, 2):
+        "a37c89de38cc8cc9237a432c634fbf6e3b196a0721e6947642e7e8ad1fe6a1b1",
+    ("sl", 2, F(-1, 3)):
+        "a37c89de38cc8cc9237a432c634fbf6e3b196a0721e6947642e7e8ad1fe6a1b1",
+    ("so", 3, 0):
+        "f1e0e02abfb54af1abc8cf6dfbdc94921a8e000bae721d3cb915445239611bd4",
+    ("so", 3, 2):
+        "591fc841b28c3b98665d51addfb066f9bc5238f3ea37353d15d7672168042fcd",
+    ("so", 3, F(-1, 3)):
+        "591fc841b28c3b98665d51addfb066f9bc5238f3ea37353d15d7672168042fcd",
+    ("sp", 4, 0):
+        "4c9580dcd094938117914f296f0c54bf3d1ee8be1c9e16925cc1b8b0b8639735",
+    ("sp", 4, 2):
+        "d4095754e6f6ccd3f191c0264bc3f054e09b92ba0afda897df8899805eff9dde",
+    ("sp", 4, F(-1, 3)):
+        "d4095754e6f6ccd3f191c0264bc3f054e09b92ba0afda897df8899805eff9dde",
+}
+
+
+@pytest.mark.parametrize("family,N,c", list(TWISTED_REPORT_DIGESTS),
+                         ids=str)
+def test_twisted_report_goldens(family, N, c):
+    """Report bytes of twisted representations are pinned; the twist
+    c = 0 is the vector representation, rho(J) = 0."""
+    got = _report_json(family, N, c)
+    assert (hashlib.sha256(got.encode()).hexdigest()
+            == TWISTED_REPORT_DIGESTS[family, N, c])
+    if c == 0:
+        assert got == _report_json(family, N, None)
+
+
 def _vector_plus_trivial(data):
     """V (+) C with rho(X) = X (+) 0 and rho(J) = 0."""
-    def pad(X):
-        m = np.full((data.N + 1, data.N + 1), F(0), dtype=object)
-        m[:data.N, :data.N] = X
-        return m
-    zero = np.full((data.N, data.N), F(0), dtype=object)
-    return Representation(tuple(pad(X) for X in data.basis),
-                          tuple(pad(zero) for _ in data.basis), data.N + 1)
+    px = np.zeros((data.dim, data.N + 1, data.N + 1), dtype=np.int64)
+    px[:, :data.N, :data.N] = data.basis
+    return Representation(px, F(1), np.zeros_like(px), F(1))
 
 
 class TestPlantedDefects:

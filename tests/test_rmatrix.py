@@ -13,10 +13,9 @@ from yangkit import rmatrix
 from yangkit.cli import _perturbed_r
 from rational_reference import RationalFunction, rmat_entries
 from yangkit.exact import poly_divmod, poly_gcd, poly_mul, rat_to_str
-from yangkit.liealg import (_Tensors, _min_poly, _rational_roots, build_lie,
-                            casimir, checked_einsum, frac_to_int_array,
-                            int_to_frac_array, permutation_matrix,
-                            twisted_rep, vector_rep)
+from yangkit.liealg import (_min_poly, _rational_roots, build_lie, casimir,
+                            frac_to_int_array, int_to_frac_array,
+                            permutation_matrix, twisted_rep, vector_rep)
 from yangkit.linalg import SparseReducer
 from yangkit.rmatrix import (
     RMat,
@@ -435,16 +434,19 @@ def _reference_proportional_to(c1, c2):
 
 def _reference_expansion_target(data, rep):
     """I, -Omega and (J (x) 1 - 1 (x) J)(Omega) + Omega^2/2 as Fraction
-    matrices."""
-    t = _Tensors(data, rep)
+    matrices, with Omega = sum_l X_l (x) X^l and the dual basis X^l =
+    sum_nu gram_inv[nu][l] X_nu."""
     omega = casimir(data, rep).omega_rho
     dd = rep.dim * rep.dim
-    pj, sj = rep.int_j()
-    pjd, sjd = t.dual(pj, sj)
-    t1 = checked_einsum("lac,lbd->abcd", pj, t.pd).reshape(dd, dd)
-    t2 = checked_einsum("lac,lbd->abcd", t.px, pjd).reshape(dd, dd)
-    jterm = (int_to_frac_array(t1, sj * t.sd)
-             - int_to_frac_array(t2, t.sx * sjd))
+    rho_x = int_to_frac_array(rep.px, rep.sx)
+    rho_j = int_to_frac_array(rep.pj, rep.sj)
+    ginv = int_to_frac_array(data.ginv, data.sginv)
+    jterm = np.full((dd, dd), F(0), dtype=object)
+    for l in range(data.dim):
+        dual_x = sum(ginv[nu, l] * rho_x[nu] for nu in range(data.dim))
+        dual_j = sum(ginv[nu, l] * rho_j[nu] for nu in range(data.dim))
+        jterm = (jterm + _frac_kron(rho_j[l], dual_x)
+                 - _frac_kron(rho_x[l], dual_j))
     return [_frac_identity(dd), -omega,
             jterm + F(1, 2) * (omega @ omega)]
 
@@ -466,9 +468,11 @@ def _reference_solve_intertwiner(data, rep, K):
                 P = (P @ (omega - mu * I)) * (F(1) / (lam - mu))
         projs.append(P)
     r = len(projs)
-    xs1 = [_frac_kron(X, eye) for X in rep.rho_X]
+    rho_x = int_to_frac_array(rep.px, rep.sx)
+    rho_j = int_to_frac_array(rep.pj, rep.sj)
+    xs1 = [_frac_kron(X, eye) for X in rho_x]
     cs, cps = [], []
-    for X, X1, J in zip(rep.rho_X, xs1, rep.rho_J):
+    for X, X1, J in zip(rho_x, xs1, rho_j):
         X2 = _frac_kron(eye, X)
         jsum = _frac_kron(J, eye) + _frac_kron(eye, J)
         cs.append(jsum + F(1, 2) * (X1 @ omega - omega @ X1))

@@ -3,6 +3,7 @@ dimensions, central series, quantum determinant, Hopf and fixed-point
 verification, and evaluation modules."""
 
 import hashlib
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -16,7 +17,8 @@ from yangkit import yangian
 from yangkit.exact import TruncSeries, series_mul
 from yangkit.freealg import (NCPoly, TensorNCPoly, gen_id, gen_ijr, mat_shift,
                              t_matrix)
-from yangkit.liealg import _INT_LIMIT, int_to_frac_array, vector_rep
+from yangkit.liealg import (_INT_LIMIT, int_to_frac_array, twisted_rep,
+                            vector_rep)
 from yangkit.rmatrix import RMat, closed_form_r
 from yangkit.yangian import (
     BoundsTooLarge,
@@ -33,6 +35,7 @@ from yangkit.yangian import (
     rtt_relations,
     slice_dimension,
     symmetry_series,
+    tensor_normal_form,
     verify_fixed_point,
     verify_hopf,
     verify_low_order_structure,
@@ -144,6 +147,23 @@ class TestCheckMembers:
         # one reduction per distinct right word, then one per distinct left
         # word: 1 + 1 for the generator, 3 + 1 for the bracket
         assert len(calls) == 6
+
+
+class TestTensorNormalForm:
+    """tensor_normal_form reduces modulo (ideal x A + A x ideal): an
+    ideal element on either leg vanishes, whatever the other leg."""
+
+    def test_ideal_on_either_leg(self, sl2, sl2_cl):
+        rel = next(p for p in sl2.relations if yangian._fits(sl2_cl, p))
+        t, one = NCPoly.gen(1, 2, 1), NCPoly.one()
+        of = TensorNCPoly.of
+        assert not tensor_normal_form(sl2_cl, of(rel, one) + of(t, rel))
+        for tp in (of(rel, one), of(one, rel), of(rel, t), of(t, rel)):
+            assert not tensor_normal_form(sl2_cl, tp)
+        tt = tensor_normal_form(sl2_cl, of(t, t))
+        assert tt
+        assert tensor_normal_form(
+            sl2_cl, of(t, t) + of(t, rel) + of(rel, one)) == tt
 
 
 class TestPBW:
@@ -410,6 +430,29 @@ class TestLowOrder:
         assert report["details"]["b_table_all_zero"]
         gen3 = report["details"]["order3_generated_by_low_orders"]
         assert gen3 and all(flag for _, _, flag in gen3)
+
+
+# sha256 of the sorted-key JSON of verify_low_order_structure on sl2
+# with twisted_rep(lie, c): its b_table is where the scale of rho(J)
+# reaches a report; c = 0 gives the vector rep's bytes
+LOW_ORDER_TWISTED_DIGESTS = {
+    0: "5f8ad990f71588c75b4401617e6ee273b0d45e1f04c4ea8019825ade90bb6827",
+    2: "b2403f9c0d0318fddc126f2dab629f3274cb4fe1313e746f62c5c9a6b74b6e51",
+    F(-1, 3):
+        "5aeb003fb94801124b76adac996b4911363bb42219361b3c614ada38c0ff6456",
+}
+
+
+@pytest.mark.parametrize("c", list(LOW_ORDER_TWISTED_DIGESTS), ids=str)
+def test_low_order_twisted_goldens(sl2, sl2_cl, sl2_cs, c):
+    report = verify_low_order_structure(
+        sl2, sl2_cl, sl2_cs, rep=twisted_rep(sl2.lie, c))
+    got = json.dumps(report, sort_keys=True)
+    assert (hashlib.sha256(got.encode()).hexdigest()
+            == LOW_ORDER_TWISTED_DIGESTS[c])
+    if c == 0:
+        assert got == json.dumps(
+            verify_low_order_structure(sl2, sl2_cl, sl2_cs), sort_keys=True)
 
 
 class TestEvaluation:
