@@ -12,10 +12,11 @@ stacks over one Fraction scale each (``LieAlgebraData``,
 ``Representation``), the form every reader takes as it is.  The
 integer tensors built from them (the dual images of rho(X), Omega_rho,
 the ad operators, the omega-operator on End V and c_g) are built in one
-place, ``_Tensors``, which every reader shares; the commutant of a
+place, ``CasimirData``, which every reader shares; the commutant of a
 representation is built in one place, ``commutant``.
-Kernels and inverses (``linalg``) run over Fraction; minimal
-polynomials run their Krylov iteration on integers.
+Kernels and inverses (``linalg``) take integer or Fraction rows and
+answer in Fraction; minimal polynomials and eigenspaces are taken of
+integer matrices.
 """
 
 from dataclasses import dataclass
@@ -323,11 +324,11 @@ def build_lie(family, N):
         raise InvalidAlgebra("basis construction produced wrong dimension")
 
     basis = np.array(basis)
-    # the Gram matrix form_scale * tr(X_a X_b), inverted once and held
-    # cleared to integers
-    gram = int_to_frac_array(checked_einsum("aij,bji->ab", basis, basis),
-                             form_scale).tolist()
+    # the Gram matrix is form_scale times the integer traces tr(X_a X_b):
+    # those are inverted once and the inverse held cleared to integers
+    gram = checked_einsum("aij,bji->ab", basis, basis).tolist()
     ginv, sginv = frac_to_int_array(linalg.invert(gram))
+    sginv /= form_scale
     basis.flags.writeable = ginv.flags.writeable = False
     return LieAlgebraData(family, N, len(basis), basis, ginv, sginv,
                           form_scale, kappa, indices)
@@ -370,17 +371,6 @@ def twisted_rep(data, c):
 # ---------------------------------------------------------------------------
 # representation tensors
 
-@dataclass(frozen=True)
-class CasimirData:
-    omega_rho: object       # Fraction object array, (d^2, d^2)
-    omega_op: object        # int64 array (d^2, d^2)
-    omega_op_scale: object  # Fraction
-    c_g: object             # Fraction
-
-    def omega_op_frac(self):
-        return int_to_frac_array(self.omega_op, self.omega_op_scale)
-
-
 def _ad_operators_int(px):
     """kron(X, I) - kron(I, X^T) for each X in the stacked int array: the
     operator M -> XM - MX on End V, M flattened row-major."""
@@ -391,13 +381,13 @@ def _ad_operators_int(px):
     return left - right
 
 
-class _Tensors:
-    """The integer tensors of a representation rho, each an int array with
-    one Fraction scale: rho(X_l) (px, sx), the dual images rho(X^l) (pd,
-    sd), Omega_rho = sum_l rho(X_l) (x) rho(X^l) as [x, y, x', y'] (omt,
-    somt), the omega-operator sum_l ad rho(X_l) ad rho(X^l) on End V
-    (wop, swop; d^2 x d^2) and its eigenvalue c_g on ad(g), verified
-    constant.
+class CasimirData:
+    """The Casimir data of a representation rho, each tensor an int array
+    with one Fraction scale: rho(X_l) (px, sx), the dual images rho(X^l)
+    (pd, sd), Omega_rho = sum_l rho(X_l) (x) rho(X^l) as [x, y, x', y']
+    (omt, somt), the omega-operator sum_l ad rho(X_l) ad rho(X^l) on End
+    V (wop, swop; d^2 x d^2) and its eigenvalue c_g on ad(g), a Fraction
+    verified constant.
 
     px, sx and the inverse Gram matrix (ginv, sginv) are the arrays that
     ``rep`` and ``data`` hold; :meth:`dual` applies the inverse Gram
@@ -441,16 +431,10 @@ class _Tensors:
         out = checked_einsum("nl,n" + spec + "->l" + spec, self.ginv, stacked)
         return out, scale * self.sginv
 
-    def casimir_data(self):
-        dd = self.d * self.d
-        return CasimirData(int_to_frac_array(self.omt.reshape(dd, dd),
-                                             self.somt),
-                           self.wop, self.swop, self.c_g)
-
 
 def casimir(data, rep=None):
-    return _Tensors(data, vector_rep(data) if rep is None
-                    else rep).casimir_data()
+    """The CasimirData of rep, by default the vector representation."""
+    return CasimirData(data, vector_rep(data) if rep is None else rep)
 
 
 def commutant(rep, with_j):
@@ -479,24 +463,26 @@ def on_legs(m, d, n, legs):
 
 
 def permutation_matrix(N):
-    P = np.full((N * N, N * N), ZERO, dtype=object)
+    """P = sum E_ij (x) E_ji, the flip of V (x) V, as an int64 matrix."""
+    P = np.zeros((N * N, N * N), dtype=np.int64)
     for i in range(N):
         for j in range(N):
-            P[i * N + j, j * N + i] = ONE
+            P[i * N + j, j * N + i] = 1
     return P
 
 
 def q_matrix(data):
-    """Q = P^{t_2} = sum theta_ij E_ij (x) E_{-i,-j} for so/sp."""
+    """Q = P^{t_2} = sum theta_ij E_ij (x) E_{-i,-j} for so/sp, as an
+    int64 matrix."""
     if data.family == SL:
         raise InvalidAlgebra("Q is defined for so/sp only")
     N = data.N
-    Q = np.full((N * N, N * N), ZERO, dtype=object)
+    Q = np.zeros((N * N, N * N), dtype=np.int64)
     for i in data.indices:
         for j in data.indices:
             a, b = data.pos(i), data.pos(j)
             am, bm = data.pos(-i), data.pos(-j)
-            Q[a * N + am, b * N + bm] += Fraction(theta_value(data.family, i, j))
+            Q[a * N + am, b * N + bm] += theta_value(data.family, i, j)
     return Q
 
 
@@ -505,7 +491,7 @@ def q_matrix(data):
 
 @dataclass
 class Decomposition:
-    ad_part: list
+    ad_part: list       # the flattened rho(X_l) as int lists
     e_part: list        # E = End_{Y(g)} V (commutant of rho_X and rho_J)
     ec_part: list       # complement of E inside E_g
     w_parts: list       # (block basis, eigenvalue) by ascending eigenvalue
@@ -523,18 +509,18 @@ class Decomposition:
                 "w": [(len(b), ev) for b, ev in self.w_parts]}
 
 
-def _min_poly(mat_rows, dim):
-    """Minimal polynomial (monic Fraction tuple, ascending) of a matrix.
+def _min_poly(A):
+    """Minimal polynomial (monic Fraction tuple, ascending) of a square
+    integer matrix A (int64 or Python ints).
 
-    The matrix M is cleared once to an integer matrix A with M = s A.
     Krylov iteration runs on A from integer unit vectors, so its vectors
-    stay integer; a start vector's annihilator for A, x^k - sum_t a_t x^t,
-    is that of M as x^k - sum_t a_t s^(k-t) x^t.  The lcm of the
-    per-vector annihilators stops as soon as it annihilates the whole
-    matrix.
+    stay integer.  The lcm of the per-vector annihilators stops as soon
+    as it annihilates the whole matrix.  Every coefficient is an integer:
+    the polynomial is a monic factor of A's characteristic polynomial,
+    which is monic over Z (Gauss's lemma).
     """
     from .exact import poly_trim, poly_mul, poly_divmod, poly_gcd
-    A, s = frac_to_int_array(mat_rows, wide=True)
+    dim = len(A)
     powers = [np.eye(dim, dtype=np.int64)]
     poly = (ONE,)
     for start in range(dim):
@@ -555,27 +541,24 @@ def _min_poly(mat_rows, dim):
         sol = linalg.solve(rows, rhs, k)
         if sol is None:
             raise UnsupportedDecomposition("Krylov dependence solve failed")
-        ann = poly_trim([-c * s ** (k - t) for t, c in enumerate(sol)]
-                        + [ONE])
+        ann = poly_trim([-c for c in sol] + [ONE])
         g = poly_gcd(poly, ann)
         poly = poly_mul(poly, poly_divmod(ann, g)[0])
-        if _poly_annihilates(poly, A, s, powers):
+        if _poly_annihilates(poly, A, powers):
             return poly
     raise UnsupportedDecomposition("minimal polynomial not found")
 
 
-def _poly_annihilates(poly, A, s, powers):
-    """Whether poly(s A) = 0, tested as one integer matrix sum_t e_t A^t
-    with e_t = D c_t s^t cleared by the common denominator D.  ``powers``
-    caches A^0, A^1, ... across calls and is extended here."""
-    coeffs = [c * s ** t for t, c in enumerate(poly)]
-    den = lcm(*[c.denominator for c in coeffs])
-    while len(powers) < len(coeffs):
+def _poly_annihilates(poly, A, powers):
+    """Whether poly(A) = 0, tested as one integer matrix sum_t c_t A^t
+    (the coefficients of poly are integers).  ``powers`` caches A^0, A^1,
+    ... across calls and is extended here."""
+    while len(powers) < len(poly):
         powers.append(safe_matmul(powers[-1], A))
     acc = None
-    for c, P in zip(coeffs, powers):
+    for c, P in zip(poly, powers):
         if c:
-            acc = safe_axpy(acc, c.numerator * (den // c.denominator), P)
+            acc = safe_axpy(acc, c.numerator, P)
     return not acc.any()
 
 
@@ -621,24 +604,24 @@ def _divisors(n):
 
 
 def decompose_ad(data, rep):
-    t = _Tensors(data, rep)
+    t = CasimirData(data, rep)
     dd = rep.dim * rep.dim
-    op = [[Fraction(int(x)) * t.swop for x in row] for row in t.wop]
 
-    mp = _min_poly(op, dd)
-    roots, remainder = _rational_roots(mp)
+    # the minimal polynomial of the integer matrix wop is monic over Z,
+    # so its rational roots r are integers; the omega-operator swop * wop
+    # has eigenvalue swop * r on the nullspace of wop - r I
+    roots, remainder = _rational_roots(_min_poly(t.wop))
     if len(remainder) > 1:
         raise UnsupportedDecomposition(
             "non-rational eigenvalue; minimal polynomial remainder %r"
             % (remainder,))
 
+    eye = np.eye(dd, dtype=np.int64)
     eig_spaces = {}
     total = 0
     for r in roots:
-        rows = [[op[i][j] - (r if i == j else ZERO) for j in range(dd)]
-                for i in range(dd)]
-        ns = linalg.nullspace(rows, dd)
-        eig_spaces[r] = ns
+        ns = linalg.nullspace((t.wop - r.numerator * eye).tolist(), dd)
+        eig_spaces[t.swop * r] = ns
         total += len(ns)
     if total != dd:
         raise UnsupportedDecomposition("omega_op is not semisimple over Q")
@@ -664,8 +647,7 @@ def decompose_ad(data, rep):
 
     # ad(g) vectors and its eigenvalue block
     c_g = t.c_g
-    ad_vecs = [[Fraction(int(x)) for x in t.px[l].reshape(dd)]
-               for l in range(data.dim)]
+    ad_vecs = t.px.reshape(data.dim, dd).tolist()
 
     w_parts = []
     for r in sorted(eig_spaces):
@@ -722,7 +704,7 @@ def _presentation_verdicts(data, rep, f_override=None):
     f_override (g-coordinate tensor, scale) substitutes a perturbed F for
     negative-control tests.
     """
-    t = _Tensors(data, rep)
+    t = CasimirData(data, rep)
     if f_override is None:
         # F_ij = -sum_l rho(X_l)_ij X^l: g-coordinates in the primal basis
         fg, sfg = (-checked_einsum("lij,nl->ijn", t.px, t.ginv),
@@ -792,7 +774,7 @@ def verify_current_presentation(data, rep, D):
 def verify_extension_split(data, rep):
     """Dimension split of the one- and two-sided extensions, the K-matrix
     identities on E_g, and triviality of W(x) cap ad(g)."""
-    t = _Tensors(data, rep)
+    t = CasimirData(data, rep)
     pj = rep.pj
     d = rep.dim
     dd = d * d
@@ -908,7 +890,7 @@ def verify_yangian_module(data, rep):
     dual pairs; the form-summation index is collapsed with the invariance
     identity sum_l (X_l, W) X^l = W.
     """
-    t = _Tensors(data, rep)
+    t = CasimirData(data, rep)
     pj, sj = rep.pj, rep.sj
     brc, sbrc = _bracket_constants(t)
     g, d = data.dim, rep.dim

@@ -24,12 +24,11 @@ from .exact import (ONE, ZERO, TruncSeries, certify_bivariate_identity,
                     poly_lcm, poly_mul, poly_scale, poly_trim, rat_to_str,
                     series_inverse)
 from . import linalg
-from .liealg import (_FLOAT_LIMIT, _FLOAT_MIN_INNER, _INT_LIMIT, build_lie,
-                     checked_einsum, commutant, frac_to_int_array,
+from .liealg import (_FLOAT_LIMIT, _FLOAT_MIN_INNER, _INT_LIMIT, CasimirData,
+                     build_lie, checked_einsum, commutant, frac_to_int_array,
                      int_to_frac_array, on_legs, permutation_matrix,
                      q_matrix, safe_axpy, safe_matmul, scaled_equal,
-                     _is_scalar, _max_abs, _min_poly, _rational_roots,
-                     _Tensors)
+                     _is_scalar, _max_abs, _min_poly, _rational_roots)
 
 
 class UnitarityFailure(RuntimeError):
@@ -223,7 +222,7 @@ def yang_r(N):
     module."""
     if N < 2:
         raise ValueError("N >= 2 required")
-    P = permutation_matrix(N).astype(np.int64)
+    P = permutation_matrix(N)
     return RMat(N, (ZERO, ONE), [-P, np.eye(N * N, dtype=np.int64)])
 
 
@@ -231,9 +230,8 @@ def sosp_r(family, N):
     """R(u) = I - P u^{-1} + Q (u - kappa)^{-1} for so_N / sp_N, that is
     u (u - kappa) R(u) = u^2 I - u (kappa I + P - Q) + kappa P."""
     data = build_lie(family, N)
-    # P and Q have entries 0 and +-1
-    P = permutation_matrix(N).astype(np.int64)
-    Q = q_matrix(data).astype(np.int64)
+    P = permutation_matrix(N)
+    Q = q_matrix(data)
     I = np.eye(N * N, dtype=np.int64)
     k = data.kappa
     p, q = k.numerator, k.denominator
@@ -353,7 +351,7 @@ def _commutant_projections(om, nn):
     with Omega_rho = s om (the scale s moves no projection): a commutant
     basis when V (x) V is multiplicity-free over g.  Returns the
     projections as (integer matrix, Fraction scale) pairs."""
-    mp = _min_poly(om.tolist(), nn)
+    mp = _min_poly(om)
     roots, rem = _rational_roots(mp)
     if len(rem) > 1:
         raise NonIrreducible(
@@ -396,7 +394,7 @@ def solve_intertwiner(data, rep, K):
     if len(commutant(rep, False)) != 1:
         raise NonIrreducible("V is not irreducible over g")
 
-    t = _Tensors(data, rep)
+    t = CasimirData(data, rep)
     om, som = t.omt.reshape(dd, dd), t.somt
     projs = _commutant_projections(om, dd)
     r = len(projs)
@@ -512,7 +510,7 @@ def proportional_to(r1, r2):
 def _expansion_target(data, rep):
     """I - Omega u^{-1} + ((J (x) 1 - 1 (x) J)(Omega) + Omega^2/2) u^{-2}
     as an RSeries, from the integer tensors of rho."""
-    t = _Tensors(data, rep)
+    t = CasimirData(data, rep)
     dd = rep.dim * rep.dim
     om = t.omt.reshape(dd, dd)
     # (J (x) 1 - 1 (x) J)(Omega) with Omega = sum X_l (x) X^l

@@ -41,7 +41,7 @@ from .freealg import (
 from .liealg import (
     _is_scalar,
     _max_abs,
-    _Tensors,
+    CasimirData,
     build_lie,
     casimir,
     checked_einsum,
@@ -925,8 +925,10 @@ def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
     rep = vector_rep(lie) if rep is None else rep
     cas = pres.casimir
     c_g = cas.c_g
-    om4 = np.array(cas.omega_rho).reshape(N, N, N, N)
-    wop4 = np.array(cas.omega_op_frac()).reshape(N, N, N, N)
+    # Omega_rho = som * om4 as [x, y, x', y'] and the omega-operator
+    # swop * wop4 on End V, both integer
+    om4, som = cas.omt, cas.somt
+    wop4, swop = cas.wop.reshape(N, N, N, N), cas.swop
     det = {}
 
     Z = cs.zmat
@@ -942,9 +944,11 @@ def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
                         rhs = NCPoly.zero()
                         for b in range(N):
                             if om4[i, k, j, b]:
-                                rhs = rhs + om4[i, k, j, b] * phi[b][l]
+                                rhs = rhs + (som * int(om4[i, k, j, b])
+                                             * phi[b][l])
                             if om4[i, b, j, l]:
-                                rhs = rhs - om4[i, b, j, l] * phi[k][b]
+                                rhs = rhs - (som * int(om4[i, b, j, l])
+                                             * phi[k][b])
                         diff = lhs - rhs
                         if diff:
                             yield [i + 1, j + 1, k + 1, l + 1], diff
@@ -956,7 +960,8 @@ def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
                 for p in range(N):
                     for q in range(N):
                         if wop4[i, j, p, q]:
-                            acc = acc + wop4[i, j, p, q] * phi[p][q]
+                            acc = acc + (swop * int(wop4[i, j, p, q])
+                                         * phi[p][q])
                 diff = phi[i][j] - (1 / c_g) * acc
                 if diff:
                     yield [i + 1, j + 1], diff
@@ -1003,7 +1008,7 @@ def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
     # J-coupling table: b^{(ij)} = rho_J applied to F_ij = -sum_l X_l[i,j] X^l
     b_table = {}
     all_zero = True
-    pjd, sjd = _Tensors(lie, rep).dual(rep.pj, rep.sj)
+    pjd, sjd = CasimirData(lie, rep).dual(rep.pj, rep.sj)
     bj = -checked_einsum("lij,lab->ijab", lie.basis, pjd)
     for i in range(N):
         for j in range(N):

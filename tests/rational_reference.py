@@ -1,19 +1,27 @@
-"""Entry-wise reference for R-matrices: univariate rational functions
-num(u)/den(u) over Fraction, one per matrix entry.
+"""Dense Fraction references for the exact layers.
 
-The library holds R(u) as one denominator over an integer matrix
-polynomial (``rmatrix.RMat``); the tests check every reader of that form
-against the same operation done entry by entry here.
+Entry-wise reference for R-matrices: univariate rational functions
+num(u)/den(u) over Fraction, one per matrix entry.  The library holds
+R(u) as one denominator over an integer matrix polynomial
+(``rmatrix.RMat``); the tests check every reader of that form against
+the same operation done entry by entry here.
+
+The classical layer holds Omega_rho and the omega-operator as integer
+tensors over one scale (``liealg.CasimirData``); the minimal polynomial
+and the decomposition of End V are done here on dense Fraction matrices.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from yangkit import linalg
 from yangkit.exact import (ONE, ZERO, TruncSeries, poly_add,
                            poly_compose_linear, poly_divmod, poly_eval,
                            poly_gcd, poly_mul, poly_scale, poly_trim,
                            series_inverse, series_mul)
+from yangkit.liealg import (CasimirData, _rational_roots, commutant,
+                            int_to_frac_array)
 
 
 class RationalFunction:
@@ -100,3 +108,72 @@ def rmat_entries(R):
             out[i, j] = RationalFunction(
                 [R.scale * int(c) for c in R.coeffs[:, i, j]], R.den)
     return out
+
+
+def omega_rho(cas):
+    """Omega_rho of a CasimirData as a (d^2, d^2) Fraction matrix."""
+    dd = cas.d * cas.d
+    return int_to_frac_array(cas.omt.reshape(dd, dd), cas.somt)
+
+
+def frac_identity(n):
+    return np.array([[ONE if i == j else ZERO for j in range(n)]
+                     for i in range(n)], dtype=object)
+
+
+def min_poly(m):
+    """Least-degree monic p with p(M) = 0, from the first power of M that
+    depends on the lower ones (dense Fraction arithmetic)."""
+    n = len(m)
+    M = np.array(m, dtype=object)
+    powers = [frac_identity(n)]
+    while True:
+        nxt = powers[-1] @ M
+        rows = [[P.flat[i] for P in powers] for i in range(n * n)]
+        sol = linalg.solve(rows, list(nxt.flat), len(powers))
+        if sol is not None:
+            return tuple([-c for c in sol] + [ONE])
+        powers.append(nxt)
+
+
+def _independent(base, vecs):
+    """The vectors of ``vecs`` that raise the rank of ``base`` plus the
+    ones kept before them."""
+    kept = []
+    for v in vecs:
+        if (linalg.rank(base + kept + [v], len(v))
+                > linalg.rank(base + kept, len(v))):
+            kept.append(v)
+    return kept
+
+
+def decompose_ad(data, rep):
+    """liealg.decompose_ad on dense Fraction matrices.  The eigenvalues r
+    of the omega-operator swop * wop are the rational roots of its
+    minimal polynomial, and each eigenspace is the nullspace of
+    swop * wop - r I.  Returns the eigenvalues, the W blocks with their
+    eigenvalues, the rows of the change of basis (ad(g), E, the
+    complement of E in E_g, then W) and its inverse."""
+    cas = CasimirData(data, rep)
+    dd = rep.dim * rep.dim
+    op = int_to_frac_array(cas.wop, cas.swop)
+    roots, rem = _rational_roots(min_poly(op))
+    assert len(rem) == 1
+    eye = frac_identity(dd)
+    spaces = {r: linalg.nullspace((op - r * eye).tolist(), dd)
+              for r in roots}
+    eg = commutant(rep, False)
+    e = commutant(rep, True) if rep.pj.any() else eg
+    ad = [[Fraction(int(x)) for x in X.ravel()] for X in rep.px]
+    w_parts = []
+    for r in sorted(spaces):
+        if r == cas.c_g:
+            extra = _independent(ad, spaces[r])
+            if extra:
+                w_parts.append((extra, r))
+        elif r:
+            w_parts.append((spaces[r], r))
+    c_table = ad + e + _independent(e, eg) + [v for b, _ in w_parts
+                                              for v in b]
+    return {"eigenvalues": sorted(spaces), "w_parts": w_parts,
+            "c_table": c_table, "a_table": linalg.invert(c_table)}

@@ -5,11 +5,10 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import yangkit
-from rational_reference import RationalFunction
+from rational_reference import RationalFunction, frac_identity, omega_rho
 from yangkit.exact import TruncSeries
 from yangkit.freealg import NCPoly, mat_shift, t_matrix
 from yangkit.liealg import (
@@ -101,14 +100,12 @@ def test_casimir_closed_forms(family, N):
         data = build_lie(family, N)
         cas = casimir(data)
         P = permutation_matrix(N)
-        nn = N * N
         if family == "sl":
-            I = np.array([[F(1) if i == j else F(0) for j in range(nn)]
-                          for i in range(nn)], dtype=object)
-            assert (np.array(cas.omega_rho) == P - F(1, N) * I).all()
+            I = frac_identity(N * N)
+            assert (omega_rho(cas) == P - F(1, N) * I).all()
             assert cas.c_g == 2 * N
         else:
-            assert (np.array(cas.omega_rho) == P - q_matrix(data)).all()
+            assert (omega_rho(cas) == P - q_matrix(data)).all()
             kappa = F(N, 2) + (1 if family == "sp" else -1)
             assert data.kappa == kappa
             assert cas.c_g == 4 * kappa

@@ -3,6 +3,7 @@ the finite-dimensional verification reports."""
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from yangkit import liealg, linalg
+import rational_reference
+from rational_reference import frac_identity, min_poly, omega_rho
+from yangkit import cli, liealg, rmatrix
 from yangkit.liealg import (
     InvalidAlgebra,
     Representation,
@@ -40,11 +43,6 @@ ALL_CASES = ([("sl", n) for n in range(2, 7)]
              + [("sp", n) for n in (2, 4, 6)])
 
 
-def frac_eye(n):
-    return np.array([[F(1) if i == j else F(0) for j in range(n)]
-                     for i in range(n)], dtype=object)
-
-
 class TestBuild:
     @pytest.mark.parametrize("family,N", ALL_CASES)
     def test_dimension(self, family, N):
@@ -59,7 +57,7 @@ class TestBuild:
     def test_gram_and_dual_basis(self, family, N):
         # reference on Fractions: the trace form, its Gram matrix and the
         # dual basis X^g with (X^g, X_nu) = delta; the held inverse Gram
-        # matrix and the dual images of _Tensors must match them
+        # matrix and the dual images of CasimirData must match them
         data = build_lie(family, N)
         B = list(int_to_frac_array(data.basis, F(1)))
 
@@ -68,13 +66,13 @@ class TestBuild:
 
         gram = np.array([[form(X, Y) for Y in B] for X in B], dtype=object)
         ginv = int_to_frac_array(data.ginv, data.sginv)
-        assert (gram @ ginv == frac_eye(data.dim)).all()
+        assert (gram @ ginv == frac_identity(data.dim)).all()
         dual = [sum(ginv[nu, g] * X for nu, X in enumerate(B))
                 for g in range(data.dim)]
         assert all(form(D, X) == (g == nu) for g, D in enumerate(dual)
                    for nu, X in enumerate(B))
-        pd, sd = liealg._Tensors(data, vector_rep(data)).dual(data.basis,
-                                                              F(1))
+        cas = liealg.CasimirData(data, vector_rep(data))
+        pd, sd = cas.dual(data.basis, F(1))
         assert (int_to_frac_array(pd, sd) == np.array(dual)).all()
 
     def test_held_arrays_are_read_only(self):
@@ -111,8 +109,8 @@ class TestCasimir:
         data = build_lie("sl", N)
         cas = casimir(data)
         P = permutation_matrix(N)
-        target = P - F(1, N) * frac_eye(N * N)
-        assert (np.array(cas.omega_rho) == target).all()
+        target = P - F(1, N) * frac_identity(N * N)
+        assert (omega_rho(cas) == target).all()
         assert cas.c_g == 2 * N
 
     @pytest.mark.parametrize("family,N",
@@ -123,7 +121,7 @@ class TestCasimir:
         cas = casimir(data)
         P = permutation_matrix(N)
         Q = q_matrix(data)
-        assert (np.array(cas.omega_rho) == P - Q).all()
+        assert (omega_rho(cas) == P - Q).all()
         assert cas.c_g == 4 * data.kappa
 
 
@@ -399,7 +397,7 @@ def test_float64_held_operands(float_casts, ab, data):
 
 
 def _recorded_contractions(monkeypatch, cases):
-    """(spec, operands) of every checked_einsum call that _Tensors and
+    """(spec, operands) of every checked_einsum call that CasimirData and
     verify_yangian_module make; a case is (family, N, c) with c the
     twist of twisted_rep, or None for the vector rep."""
     calls = []
@@ -413,7 +411,7 @@ def _recorded_contractions(monkeypatch, cases):
     for family, N, c in cases:
         data = build_lie(family, N)
         rep = vector_rep(data) if c is None else twisted_rep(data, c)
-        liealg._Tensors(data, rep)
+        liealg.CasimirData(data, rep)
         assert verify_yangian_module(data, rep)["status"] == "pass"
     monkeypatch.undo()
     return calls
@@ -505,21 +503,6 @@ def test_on_legs_matches_index_loop(case):
         assert all(type(x) is int for x in got.flat)
 
 
-def _reference_min_poly(m):
-    """Least-degree monic p with p(M) = 0, from the first power of M that
-    depends on the lower ones (dense Fraction arithmetic)."""
-    n = len(m)
-    M = np.array(m, dtype=object)
-    powers = [frac_eye(n)]
-    while True:
-        nxt = powers[-1] @ M
-        rows = [[P.flat[i] for P in powers] for i in range(n * n)]
-        sol = linalg.solve(rows, list(nxt.flat), len(powers))
-        if sol is not None:
-            return tuple([-c for c in sol] + [F(1)])
-        powers.append(nxt)
-
-
 @st.composite
 def _rational_matrices(draw):
     """Small rational matrices; half of them bidiagonal with eigenvalues
@@ -542,11 +525,13 @@ def _rational_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(_rational_matrices())
 def test_min_poly_matches_reference(m):
-    """The integer Krylov iteration returns the exact monic Fraction
-    minimal polynomial of a rational matrix, scale included."""
-    got = liealg._min_poly(m, len(m))
-    assert got == _reference_min_poly(m)
-    assert all(type(c) is F for c in got)
+    """The integer Krylov iteration returns the exact monic minimal
+    polynomial of the cleared integer matrix, as Fractions that are all
+    integers (decompose_ad takes integer eigenspace rows from them)."""
+    A = liealg.frac_to_int_array(m, wide=True)[0]
+    got = liealg._min_poly(A)
+    assert got == min_poly(A)
+    assert all(type(c) is F and c.denominator == 1 for c in got)
 
 
 class TestDecomposeAd:
@@ -568,3 +553,74 @@ class TestDecomposeAd:
         c = np.array(dec.c_table, dtype=object)
         a = np.array(dec.a_table, dtype=object)
         assert (c @ a == np.identity(N * N, dtype=int)).all()
+
+    @pytest.mark.parametrize("family,N", [("sl", 2), ("sl", 3), ("so", 3),
+                                          ("so", 4), ("sp", 4), ("so", 5)])
+    @pytest.mark.parametrize("c", [None, F(-1, 3)])
+    def test_matches_fraction_reference(self, family, N, c):
+        """The integer eigenspaces give the blocks, eigenvalues and
+        change of basis of the dense Fraction reference, for the vector
+        rep and for twisted_rep(data, c)."""
+        data = build_lie(family, N)
+        rep = vector_rep(data) if c is None else twisted_rep(data, c)
+        dec = decompose_ad(data, rep)
+        want = rational_reference.decompose_ad(data, rep)
+        assert dec.eigenvalues == want["eigenvalues"]
+        assert dec.w_parts == want["w_parts"]
+        assert dec.c_table == want["c_table"]
+        assert dec.a_table == want["a_table"]
+
+
+# the commands of the classical benchmark workload (bench/workloads.py)
+CLASSICAL_COMMANDS = [
+    "verify --family sl --n 3 --suite classical,rmatrix",
+    "verify --family sl --n 6 --suite rmatrix",
+    "verify --family so --n 5 --suite rmatrix",
+    "verify --family sp --n 4 --suite rmatrix",
+    "solve-r --family so --n 4 --order 3",
+]
+
+
+def test_classical_pass_makes_no_fraction_round_trips(monkeypatch, capsys):
+    """The Gram inverse, the minimal polynomial, the Casimir data and
+    the decomposition of End V are built on integers: over one classical
+    pass, plus casimir and decompose_ad on sl3, build_lie clears its
+    inverse Gram matrix once and reads no integer array back as
+    Fractions, and _min_poly, casimir and decompose_ad convert
+    nothing."""
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            stack, frame = set(), sys._getframe(1)
+            while frame is not None:
+                stack.add(frame.f_code.co_name)
+                frame = frame.f_back
+            calls.append((name, stack))
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("frac_to_int_array", "int_to_frac_array"):
+        monkeypatch.setattr(liealg, name, spy(name, getattr(liealg, name)))
+    min_polys = []
+    real_min_poly = liealg._min_poly
+
+    def counted_min_poly(A):
+        min_polys.append(len(A))
+        return real_min_poly(A)
+
+    monkeypatch.setattr(liealg, "_min_poly", counted_min_poly)
+    monkeypatch.setattr(rmatrix, "_min_poly", counted_min_poly)
+    for argv in CLASSICAL_COMMANDS:
+        assert cli.main(argv.split() + ["--seed", "1"]) == 0
+    data = build_lie("sl", 3)
+    for rep in (vector_rep(data), twisted_rep(data, F(-1, 3))):
+        casimir(data, rep)
+        decompose_ad(data, rep)
+    capsys.readouterr()
+
+    in_build = [name for name, stack in calls if "build_lie" in stack]
+    assert in_build and set(in_build) == {"frac_to_int_array"}
+    assert min_polys
+    for name, stack in calls:
+        assert not stack & {"_min_poly", "casimir", "decompose_ad"}, name

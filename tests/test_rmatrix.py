@@ -11,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from yangkit import rmatrix
 from yangkit.cli import _perturbed_r
-from rational_reference import RationalFunction, rmat_entries
+from rational_reference import (RationalFunction, frac_identity, omega_rho,
+                                rmat_entries)
 from yangkit.exact import poly_divmod, poly_gcd, poly_mul, rat_to_str
-from yangkit.liealg import (_min_poly, _rational_roots, build_lie, casimir,
-                            frac_to_int_array, int_to_frac_array,
-                            permutation_matrix, twisted_rep, vector_rep)
+from yangkit.liealg import (Representation, _min_poly, _rational_roots,
+                            build_lie, casimir, frac_to_int_array,
+                            int_to_frac_array, permutation_matrix,
+                            twisted_rep, vector_rep)
 from yangkit.linalg import SparseReducer
 from yangkit.rmatrix import (
     RMat,
@@ -384,11 +386,6 @@ def test_constructor_reduces_to_the_lcm():
 
 # -- the integer R-series against the former Fraction code --------------
 
-def _frac_identity(nn):
-    return np.array([[F(int(i == j)) for j in range(nn)] for i in range(nn)],
-                    dtype=object)
-
-
 def _frac_kron(a, b):
     n, m = a.shape
     p, q = b.shape
@@ -436,7 +433,7 @@ def _reference_expansion_target(data, rep):
     """I, -Omega and (J (x) 1 - 1 (x) J)(Omega) + Omega^2/2 as Fraction
     matrices, with Omega = sum_l X_l (x) X^l and the dual basis X^l =
     sum_nu gram_inv[nu][l] X_nu."""
-    omega = casimir(data, rep).omega_rho
+    omega = omega_rho(casimir(data, rep))
     dd = rep.dim * rep.dim
     rho_x = int_to_frac_array(rep.px, rep.sx)
     rho_j = int_to_frac_array(rep.pj, rep.sj)
@@ -447,7 +444,7 @@ def _reference_expansion_target(data, rep):
         dual_j = sum(ginv[nu, l] * rho_j[nu] for nu in range(data.dim))
         jterm = (jterm + _frac_kron(rho_j[l], dual_x)
                  - _frac_kron(rho_x[l], dual_j))
-    return [_frac_identity(dd), -omega,
+    return [frac_identity(dd), -omega,
             jterm + F(1, 2) * (omega @ omega)]
 
 
@@ -455,11 +452,12 @@ def _reference_solve_intertwiner(data, rep, K):
     """The order-by-order solver on Fraction matrices."""
     d = rep.dim
     dd = d * d
-    omega = casimir(data, rep).omega_rho
-    I = _frac_identity(dd)
-    eye = _frac_identity(d)
-    mp = _min_poly([list(omega[i]) for i in range(dd)], dd)
-    roots, _rem = _rational_roots(mp)
+    omega = omega_rho(casimir(data, rep))
+    I = frac_identity(dd)
+    eye = frac_identity(d)
+    # the roots of the cleared matrix A, omega = s A, scaled back by s
+    A, s = frac_to_int_array(omega, wide=True)
+    roots = [s * r for r in _rational_roots(_min_poly(A))[0]]
     projs = []
     for lam in roots:
         P = I
@@ -549,6 +547,21 @@ class TestAgainstFractionReference:
         ratio = _reference_proportional_to(R.expand(2).coeffs, want)
         assert expansion_check(R, data, rep)["details"] == {
             "ratio": [rat_to_str(c) for c in ratio]}
+
+    @pytest.mark.parametrize("family,N", [("sl", 2), ("sl", 3), ("so", 4),
+                                          ("sp", 4)])
+    def test_expansion_target_planted_j(self, family, N):
+        """The vector and twisted reps make the J-term (J (x) 1 -
+        1 (x) J)(Omega) zero; a planted rho(J), a seeded integer stack in
+        [-3, 3] over 1/3, makes it nonzero.  closed_form_r is not the R
+        of this rho, so only the target is compared."""
+        data = build_lie(family, N)
+        pj = np.random.default_rng(5).integers(-3, 4, data.basis.shape)
+        rep = Representation(data.basis, F(1), pj, F(1, 3))
+        want = _reference_expansion_target(data, rep)
+        assert (want[2] != F(1, 2) * (want[1] @ want[1])).any()
+        _assert_frac_series(rmatrix._expansion_target(data, rep).coeffs,
+                            want)
 
     @pytest.mark.parametrize("family,N", _ORACLE_ALGEBRAS)
     def test_perturbed_expansion_errors(self, family, N):
