@@ -10,7 +10,6 @@ storing primitive int rows with a positive, non-normalized pivot.
 basis of its own.  Answers are ``Fraction`` values.
 """
 
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -29,11 +28,12 @@ def _eliminate(rows, row, scaled=False):
     multiplier of a hit pivot is ``r[hit] / beta``: an int when an int
     entry is divisible by the pivot coefficient ``beta``, a ``Fraction``
     otherwise.  With ``scaled`` the row's denominators are cleared once
-    and each hit pivot eliminates by ``r <- (beta/g) r - (c/g) b`` with
-    ``c = r[hit]`` and ``g = gcd(c, beta)``, so no ``Fraction`` is made
-    and the residual keeps the same keys in the same order.
+    (a row of ints, as every closure product is, is only copied) and each
+    hit pivot eliminates by ``r <- (beta/g) r - (c/g) b`` with ``c =
+    r[hit]`` and ``g = gcd(c, beta)``, so no ``Fraction`` is made and the
+    residual keeps the same keys in the same order.
     """
-    if scaled:
+    if scaled and set(map(type, row.values())) != {int}:
         den = lcm(*[c.denominator for c in row.values()])
         r = {j: c.numerator * (den // c.denominator)
              for j, c in row.items() if c}
@@ -74,23 +74,33 @@ def _eliminate(rows, row, scaled=False):
 
 @lru_cache(maxsize=None)
 def _compact_size(n):
-    """The size of a dict of n entries built by insertion."""
-    return sys.getsizeof(dict.fromkeys(range(n)))
+    """``__sizeof__`` of a dict of n entries built by insertion, the
+    smallest table that holds n entries.  (``sys.getsizeof`` adds the
+    same header to every dict and takes about twice as long to call.)"""
+    return dict.fromkeys(range(n)).__sizeof__()
 
 
 def _place(rows, holders, r):
     """Insert a scaled residual ``r`` of :func:`_eliminate` into ``rows``,
     primitive with a positive pivot, and back-substitute it into the rows
-    ``holders`` lists for that pivot; returns the pivot or None."""
+    ``holders`` lists for that pivot; returns the pivot or None.
+
+    Every stored row is primitive and compact: its table is no larger
+    than a fresh dict of its entries needs.  A row is copied into a fresh
+    dict only to restore that.  A held row whose pivot entry is 1 after
+    back-substitution is primitive without a gcd: ``r`` is reduced, so
+    it holds no other pivot and leaves that entry alone, and a rescaled
+    row's pivot entry is above 1."""
     if not r:
         return None
     piv = min(r)
     g = gcd(*r.values())
     if r[piv] < 0:
         g = -g
-    # stored as a fresh dict: the working one keeps the table slots of
-    # entries that cancelled, about 12% more memory per closure row
-    r = {j: c // g for j, c in r.items()}
+    if g != 1:
+        r = {j: c // g for j, c in r.items()}
+    elif r.__sizeof__() > _compact_size(len(r)):
+        r = dict(r.items())
     beta = r[piv]
     for j in r:
         if j != piv:
@@ -101,11 +111,13 @@ def _place(rows, holders, r):
         c = b.get(piv)
         if not c:
             continue
-        g = gcd(c, beta)
-        m = -(c // g)
-        mb = beta // g
-        if mb != 1:
-            b = {j: mb * bj for j, bj in b.items()}
+        if beta == 1:
+            m = -c
+        else:
+            g = gcd(c, beta)
+            m, mb = -(c // g), beta // g
+            if mb != 1:
+                b = {j: mb * bj for j, bj in b.items()}
         for j, rj in r.items():
             bj = b.get(j)
             if bj is None:
@@ -117,13 +129,12 @@ def _place(rows, holders, r):
                     b[j] = nv
                 else:
                     del b[j]
-        g = gcd(*b.values())
+        g = gcd(*b.values()) if b[p] != 1 else 1
         if g != 1:
             b = {j: bj // g for j, bj in b.items()}
-        elif sys.getsizeof(b) > _compact_size(len(b)):
-            # the edited dict keeps the table it grew to before entries
-            # cancelled: store a fresh one, same key order (dict(b) of
-            # such a dict can over-allocate; rebuilding from items cannot)
+        elif b.__sizeof__() > _compact_size(len(b)):
+            # same key order; dict(b) can keep the oversized table, a
+            # rebuild from the items cannot
             b = dict(b.items())
         rows[p] = b
     rows[piv] = r
@@ -205,20 +216,29 @@ class SparseReducer:
     zero pattern read :attr:`rows` directly.
 
     An insert makes no ``Fraction``.  It costs one :meth:`reduce` with
-    ``scaled`` (a positive integer multiple of the residual), one pass
-    over the residual to divide out its content, and, for each basis row
-    ``b`` that holds the new pivot column, one pass over the new row ``r``
-    and one over ``b``: ``b <- (beta/g) b - (c/g) r`` with ``beta =
-    r[pivot]``, ``c = b[pivot]`` and ``g = gcd(c, beta)``, followed by a
-    division of ``b`` by its content.  A query (:meth:`reduce` without
-    ``scaled``) returns the exact rational residual.  A column index
-    maps each non-pivot column to the pivots whose rows hold it, so
-    back-substitution touches only those rows (plus one lookup per stale
-    entry), not every basis row.  The index is append-only: an entry goes
-    stale when its row loses the column through cancellation (and a row
-    that regains a column is listed twice); stale entries are skipped
-    when read.  A column's list is dropped once the column becomes a
-    pivot, since no basis row can hold it again.
+    ``scaled`` (a positive integer multiple of the residual; a row of
+    ints is only copied), one content gcd over the residual, and, for
+    each basis row ``b`` that holds the new pivot column, one pass over
+    the new row ``r``: ``b <- (beta/g) b - (c/g) r`` with ``beta =
+    r[pivot]``, ``c = b[pivot]`` and ``g = gcd(c, beta)`` (no gcd when
+    ``beta`` is 1).  So back-substitution work is proportional to the
+    new row; ``b``'s other entries are read only by a rescale when
+    ``beta/g`` is not 1, by a content gcd when ``b``'s pivot entry is
+    not 1, and by a division or a copy when ``b`` is left with content
+    or with a table larger than a fresh dict of its entries.  The table
+    test is one ``dict.__sizeof__`` call after every in-place edit:
+    each back-substitution cancels the pivot entry, and a table can
+    outgrow the row whenever entries cancel.  A query (:meth:`reduce`
+    without ``scaled``) returns the exact rational residual.
+
+    A column index maps each non-pivot column to the pivots whose rows
+    hold it, so back-substitution touches only those rows (plus one
+    lookup per stale entry), not every basis row.  The index is
+    append-only: an entry goes stale when its row loses the column
+    through cancellation (and a row that regains a column is listed
+    twice); stale entries are skipped when read.  A column's list is
+    dropped once the column becomes a pivot, since no basis row can hold
+    it again.
     """
 
     def __init__(self):

@@ -250,7 +250,8 @@ def _universe(N, L, R_ord):
     """All bounded words, sorted so that the preferred pivot (smallest id)
     has the highest filtration grade (sum_r - len, then sum_r, then lex).
 
-    Returns (words, sum_r of each word, letters as (id, r) pairs)."""
+    Returns (words, sum_r of each word, length of each word, letters as
+    (id, r) pairs)."""
     letters = [(gen_id(i, j, r), r)
                for r in range(1, R_ord + 1)
                for i in range(1, N + 1)
@@ -270,17 +271,18 @@ def _universe(N, L, R_ord):
 
     rec(0)
     keyed.sort()
-    return [w for _, _, w in keyed], [-s for _, s, _ in keyed], letters
+    return ([w for _, _, w in keyed], [-s for _, s, _ in keyed],
+            [len(w) for _, _, w in keyed], letters)
 
 
 class RelationClosure:
     """Row-reduced basis of (two-sided relation ideal) ∩ (bounded slice)."""
 
     __slots__ = ("pres", "L", "R_ord", "reducer", "id2word", "word2id",
-                 "col_sum_r")
+                 "col_sum_r", "col_len")
 
     def __init__(self, pres, L, R_ord, reducer, id2word, word2id,
-                 col_sum_r):
+                 col_sum_r, col_len):
         self.pres = pres
         self.L = L
         self.R_ord = R_ord
@@ -288,6 +290,7 @@ class RelationClosure:
         self.id2word = id2word
         self.word2id = word2id
         self.col_sum_r = col_sum_r  # total series order of each column word
+        self.col_len = col_len  # length of each column word
 
     @property
     def bounds(self):
@@ -321,7 +324,7 @@ def closure(pres, L, R_ord, quotient_mode=False):
     est = _count_words(N, L, R_ord)
     if est > _MAX_UNIVERSE:
         raise BoundsTooLarge("bounded slice would hold %d words" % est)
-    id2word, col_sum_r, letters = _universe(N, L, R_ord)
+    id2word, col_sum_r, col_len, letters = _universe(N, L, R_ord)
     word2id = {w: k for k, w in enumerate(id2word)}
 
     seeds = [p for p in pres.relations
@@ -350,30 +353,24 @@ def closure(pres, L, R_ord, quotient_mode=False):
         base = red.rows.get(piv)
         if base is None:
             continue
-        items = list(base.items())
-        maxlen = max(len(id2word[i]) for i in base)
-        maxsr = max(col_sum_r[i] for i in base)
-        if maxlen + 1 > L:
+        if max(map(col_len.__getitem__, base)) + 1 > L:
             continue
+        maxsr = max(map(col_sum_r.__getitem__, base))
+        # past the length test above and the order test below, every
+        # product of a base word with a letter is a bounded word
+        words = [id2word[i] for i in base]
+        coeffs = list(base.values())
         for g, r in letters:
             if r + maxsr > R_ord:
-                continue
-            for side in (0, 1):
-                prod = {}
-                ok = True
-                for col, c in items:
-                    w = id2word[col]
-                    nw = (g,) + w if side == 0 else w + (g,)
-                    nid = word2id.get(nw)
-                    if nid is None:
-                        ok = False
-                        break
-                    prod[nid] = c
-                if ok and prod:
-                    npiv = red.add_return_pivot(prod)
-                    if npiv is not None:
-                        queue.append(npiv)
-    return RelationClosure(pres, L, R_ord, red, id2word, word2id, col_sum_r)
+                break  # letters ascend in r
+            gw = (g,)
+            for prod in ({word2id[gw + w]: c for w, c in zip(words, coeffs)},
+                         {word2id[w + gw]: c for w, c in zip(words, coeffs)}):
+                npiv = red.add_return_pivot(prod)
+                if npiv is not None:
+                    queue.append(npiv)
+    return RelationClosure(pres, L, R_ord, red, id2word, word2id, col_sum_r,
+                           col_len)
 
 
 def closure_for_query(pres, L, R_ord, quotient=False):
@@ -487,21 +484,16 @@ def slice_dimension(cl, length, sum_r):
     if length > cl.L or sum_r > cl.R_ord:
         raise OutOfBounds("queried slice exceeds closure bounds")
 
-    id2word, col_sum_r = cl.id2word, cl.col_sum_r
-
-    def inside(i):
-        return len(id2word[i]) <= length and col_sum_r[i] <= sum_r
-
-    nwords = sum(1 for i in range(len(id2word)) if inside(i))
+    grade = [s - n for s, n in zip(cl.col_sum_r, cl.col_len)]
+    outside = [n > length or s > sum_r
+               for s, n in zip(cl.col_sum_r, cl.col_len)]
+    nwords = len(outside) - sum(outside)
     outside_red = linalg.SparseReducer()
     outside_rank = 0
     for piv, row in cl.reducer.rows.items():
-        top_grade = col_sum_r[piv] - len(id2word[piv])
-        restricted = {}
-        for i, c in row.items():
-            if (col_sum_r[i] - len(id2word[i]) == top_grade
-                    and not inside(i)):
-                restricted[i] = c
+        top_grade = grade[piv]
+        restricted = {i: c for i, c in row.items()
+                      if outside[i] and grade[i] == top_grade}
         if restricted and outside_red.add(restricted):
             outside_rank += 1
     return nwords - (cl.reducer.rank - outside_rank)

@@ -9,6 +9,10 @@ the same operation done entry by entry here.
 The classical layer holds Omega_rho and the omega-operator as integer
 tensors over one scale (``liealg.CasimirData``); the minimal polynomial
 and the decomposition of End V are done here on dense Fraction matrices.
+
+PBW slice dimensions are read off a closure with per-column grade and
+inside/outside lists (``yangian.slice_dimension``); here every entry
+decodes its column's word instead.
 """
 
 from fractions import Fraction
@@ -177,3 +181,27 @@ def decompose_ad(data, rep):
                                               for v in b]
     return {"eigenvalues": sorted(spaces), "w_parts": w_parts,
             "c_table": c_table, "a_table": linalg.invert(c_table)}
+
+
+def slice_dimension(cl, length, sum_r):
+    """yangian.slice_dimension entry by entry: the length of each
+    column's word is read off the word, and an inside test runs per
+    entry."""
+    id2word, col_sum_r = cl.id2word, cl.col_sum_r
+
+    def inside(i):
+        return len(id2word[i]) <= length and col_sum_r[i] <= sum_r
+
+    nwords = sum(1 for i in range(len(id2word)) if inside(i))
+    outside_red = linalg.SparseReducer()
+    outside_rank = 0
+    for piv, row in cl.reducer.rows.items():
+        top_grade = col_sum_r[piv] - len(id2word[piv])
+        restricted = {}
+        for i, c in row.items():
+            if (col_sum_r[i] - len(id2word[i]) == top_grade
+                    and not inside(i)):
+                restricted[i] = c
+        if restricted and outside_red.add(restricted):
+            outside_rank += 1
+    return nwords - (cl.reducer.rank - outside_rank)

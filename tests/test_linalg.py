@@ -397,6 +397,9 @@ def test_integer_rows_match_fraction_reference(case):
             assert b[p] > 0
             assert math.gcd(*b.values()) == 1
             assert not any(q in b for q in red.rows if q != p)
+            # no stored table larger than a fresh dict of its entries
+            assert sys.getsizeof(b) <= sys.getsizeof(
+                dict.fromkeys(range(len(b))))
         for q in rows[:k + 1] + [_cleared(r, 7) for r in rows[:k + 1]] \
                 + queries:
             exact = red.reduce(q)

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rational_reference
 from rational_reference import rmat_entries
 from yangkit import yangian
 from yangkit.exact import TruncSeries, series_mul
 from yangkit.freealg import (NCPoly, TensorNCPoly, gen_id, gen_ijr, mat_shift,
-                             t_matrix)
+                             t_matrix, word_sum_r)
 from yangkit.liealg import (_INT_LIMIT, int_to_frac_array, twisted_rep,
                             vector_rep)
 from yangkit.rmatrix import RMat, closed_form_r
@@ -197,6 +198,12 @@ def _basis_digest(cl):
 _slow = pytest.mark.slow
 
 
+@lru_cache(maxsize=None)
+def _query_closure(family, N, K, L, R, quotient):
+    return closure_for_query(rtt_relations(family, N, K), L, R,
+                             quotient=quotient)
+
+
 @pytest.mark.parametrize("family,N,L,R,quotient,digest", [
     ("sl", 2, 3, 4, False, "938c92b8346c12245e4c80e22ca9616a"
                            "e4526dd8a8328fcc6af2b03e3917c8ac"),
@@ -223,9 +230,58 @@ def test_closure_basis_regression(family, N, L, R, quotient, digest):
     """The normalized closure basis, key order and entry order included,
     is pinned at K = 3: a change to the reducer's arithmetic must not
     change the basis it returns."""
-    cl = closure_for_query(rtt_relations(family, N, 3), L, R,
-                           quotient=quotient)
+    cl = _query_closure(family, N, 3, L, R, quotient)
     assert _basis_digest(cl) == digest
+
+
+@pytest.mark.parametrize("family,N,K,L,R,quotient", [
+    ("sl", 2, 3, 3, 4, False),
+    ("sl", 2, 3, 3, 4, True),
+    ("sl", 2, 3, 4, 5, False),
+    ("so", 3, 3, 2, 3, False),
+    ("so", 3, 3, 2, 3, True),
+    ("sp", 4, 3, 1, 2, False),
+    ("sp", 4, 3, 1, 2, True),
+    # internal (6,6): the longest held rows a back-substitution edits
+    pytest.param("sl", 2, 3, 4, 5, True, marks=_slow),
+    pytest.param("sl", 2, 4, 5, 5, True, marks=_slow),
+], ids=["sl2-3-4-ext", "sl2-3-4-quot", "sl2-4-5-ext", "so3-2-3-ext",
+        "so3-2-3-quot", "sp4-1-2-ext", "sp4-1-2-quot", "sl2-4-5-quot",
+        "sl2-K4-5-5-quot"])
+def test_slice_dimension_matches_reference(family, N, K, L, R, quotient):
+    """The per-column grade and inside/outside lists give the dimension
+    that decoding every entry's word gives, at every sub-slice."""
+    cl = _query_closure(family, N, K, L, R, quotient)
+    for length in range(L + 1):
+        for sum_r in range(R + 1):
+            assert slice_dimension(cl, length, sum_r) == \
+                rational_reference.slice_dimension(cl, length, sum_r)
+
+
+@pytest.mark.parametrize("N,L,R", [(2, 1, 2), (2, 3, 4), (2, 5, 5),
+                                   (3, 3, 3), (4, 2, 3)])
+def test_universe_columns(N, L, R):
+    """Each column's length and sum_r are its word's, the words are the
+    whole bounded slice, and the filtration grade sum_r - len does not
+    increase with the column id, which slice_dimension relies on."""
+    words, col_sum_r, col_len, letters = yangian._universe(N, L, R)
+    assert col_len == [len(w) for w in words]
+    assert col_sum_r == [word_sum_r(w) for w in words]
+    assert len(set(words)) == len(words) == yangian._count_words(N, L, R)
+    assert max(col_len) == L and max(col_sum_r) == R
+    grade = [s - n for s, n in zip(col_sum_r, col_len)]
+    assert all(a >= b for a, b in zip(grade, grade[1:]))
+    # letters ascend in r, as closure's order test assumes
+    assert [r for _, r in letters] == sorted(r for _, r in letters)
+    assert all(gen_ijr(g)[2] == r for g, r in letters)
+
+
+def test_closure_keeps_universe_columns(sl2_cl):
+    words, col_sum_r, col_len, _ = yangian._universe(2, sl2_cl.L,
+                                                     sl2_cl.R_ord)
+    assert sl2_cl.id2word == words
+    assert sl2_cl.col_sum_r == col_sum_r
+    assert sl2_cl.col_len == col_len
 
 
 @pytest.mark.parametrize("family,N,K,degree,count,digest", [
