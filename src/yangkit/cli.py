@@ -23,8 +23,8 @@ from .freealg import NCPoly
 from .liealg import (
     InvalidAlgebra,
     build_lie,
+    checked_einsum,
     safe_matmul,
-    theta_value,
     vector_rep,
     verify_classical_presentation,
     verify_current_presentation,
@@ -259,15 +259,11 @@ def _with_retry(cfg, ctx, run):
 
 
 def _first_order_image(lie, a, b):
-    """gl_N matrix through which t_ab^(1) acts on the t^(s) by commutator
-    at leading order: E_ab (sl) or E_ab − θ_ab E_{−b,−a} (so/sp), with
-    a, b the 1-based positions of the generator indices."""
-    m = np.zeros((lie.N, lie.N), dtype=int)
-    m[a - 1, b - 1] += 1
-    if lie.family != "sl":
-        i, j = lie.indices[a - 1], lie.indices[b - 1]
-        m[lie.pos(-j), lie.pos(-i)] -= theta_value(lie.family, i, j)
-    return m
+    """sum_l ρ(X_l)_ab X^l, the element of g through which t_ab^(1) acts
+    on the t^(s) by commutator at leading order, as an integer matrix
+    over a dropped positive scale (a, b the 1-based index positions)."""
+    return checked_einsum("l,nl,nij->ij", lie.basis[:, a - 1, b - 1],
+                          lie.ginv, lie.basis)
 
 
 def _noncommuting_probe(lie, i, j):
@@ -290,8 +286,8 @@ def _noncommuting_probe(lie, i, j):
 
 def _perturbation_indices(lie, rng):
     """Seeded (i, j) whose t_ij^(2) has a nonzero leading-order image.
-    so_N has t_ij with E_ij - θ_ij E_{-j,-i} = 0 (t_13 in so_3), which
-    commute with every first-order probe; those are drawn again.  Every
+    so_N has t_ij whose image is 0 (t_13 in so_3), which commute with
+    every first-order probe; those are drawn again.  Every
     sl_N draw qualifies, so sl keeps its first draw."""
     while True:
         i = rng.randint(1, lie.N)

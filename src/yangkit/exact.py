@@ -267,7 +267,8 @@ def certify_bivariate_identity(lhs, rhs, degree_bound):
     comparable values (matrices), defined everywhere (denominators already
     cleared).  degree_bound = (d_u, d_v) must dominate the bidegree of
     both sides; evaluation on a (d_u+1) x (d_v+1) grid of distinct points
-    is then complete by interpolation.
+    is then complete by interpolation.  Both coordinates take the
+    integers of least magnitude, 0, 1, -1, 2, -2, ...
 
     The grid grows one u and one v at a time, and each new point is
     compared as soon as both sides are computed: the first point where
@@ -279,17 +280,18 @@ def certify_bivariate_identity(lhs, rhs, degree_bound):
     def agree(u, v):
         return _values_equal(lhs(u, v), rhs(u, v))
 
+    grid = [Fraction(s * k) for k in range(max(need_u, need_v))
+            for s in (1, -1)][1:]
     us = []
     vs = []
-    v0 = 10 * (need_u + need_v) + 7
     while len(us) < need_u or len(vs) < need_v:
         if len(us) < need_u:
-            u = Fraction(len(us) + 1)
+            u = grid[len(us)]
             if not all(agree(u, v) for v in vs):
                 return False
             us.append(u)
         if len(vs) < need_v:
-            v = Fraction(v0 + len(vs))
+            v = grid[len(vs)]
             if not all(agree(u, v) for u in us):
                 return False
             vs.append(v)

@@ -14,9 +14,8 @@ integer tensors built from them (the dual images of rho(X), Omega_rho,
 the ad operators, the omega-operator on End V and c_g) are built in one
 place, ``CasimirData``, which every reader shares; the commutant of a
 representation is built in one place, ``commutant``.
-Kernels and inverses (``linalg``) take integer or Fraction rows and
-answer in Fraction; minimal polynomials and eigenspaces are taken of
-integer matrices.
+Kernels and inverses (``linalg``) answer on integers, so the commutant,
+minimal polynomials, eigenspaces and ``decompose_ad``'s blocks are too.
 """
 
 from dataclasses import dataclass
@@ -101,20 +100,23 @@ def checked_einsum(spec, *ops):
     return np.einsum(spec, *ops, optimize=optimize)
 
 
-def frac_to_int_array(mats, wide=False):
-    """Stack Fraction matrices into (int64 array, Fraction scale).
+def _int_array(ints):
+    """Nested lists of Python ints as an int64 array, or as exact Python
+    ints (dtype object) when an entry is beyond the int64 fast path."""
+    arr = np.array(ints, dtype=object)
+    if any(abs(v) >= _INT_LIMIT for v in arr.flat):
+        return arr
+    return arr.astype(np.int64)
 
-    An entry beyond the int64 fast path raises OverflowGuard, or with
-    ``wide`` makes the whole array exact Python ints (dtype object).
-    """
+
+def frac_to_int_array(mats):
+    """Stack Fraction matrices into (integer array, Fraction scale) over
+    their least common denominator: int64, or exact Python ints (dtype
+    object) when an entry is beyond the int64 fast path."""
     arr = np.asarray(mats, dtype=object)
     flat = arr.ravel().tolist()
     den = lcm(*[x.denominator for x in flat])
-    nums = [x.numerator * (den // x.denominator) for x in flat]
-    big = any(abs(v) >= _INT_LIMIT for v in nums)
-    if big and not wide:
-        raise OverflowGuard("entry too large for int64 fast path")
-    out = np.array(nums, dtype=object if big else np.int64)
+    out = _int_array([x.numerator * (den // x.denominator) for x in flat])
     return out.reshape(arr.shape), Fraction(1, den)
 
 
@@ -325,9 +327,12 @@ def build_lie(family, N):
 
     basis = np.array(basis)
     # the Gram matrix is form_scale times the integer traces tr(X_a X_b):
-    # those are inverted once and the inverse held cleared to integers
+    # those are inverted once, on integers
     gram = checked_einsum("aij,bji->ab", basis, basis).tolist()
-    ginv, sginv = frac_to_int_array(linalg.invert(gram))
+    ginv, sginv = linalg.invert(gram)
+    ginv = _int_array(ginv)
+    if ginv.dtype == object:
+        raise OverflowGuard("inverse Gram matrix too large for int64")
     sginv /= form_scale
     basis.flags.writeable = ginv.flags.writeable = False
     return LieAlgebraData(family, N, len(basis), basis, ginv, sginv,
@@ -439,9 +444,9 @@ def casimir(data, rep=None):
 
 def commutant(rep, with_j):
     """Basis of the M in End V (flattened row-major) with XM = MX for
-    every rho(X), and for every rho(J(X)) as well when ``with_j``.  The
-    basis is read off the reduced echelon form, so it does not depend on
-    the order or the scale of the rows."""
+    every rho(X), and for every rho(J(X)) as well when ``with_j``: the
+    primitive integer vectors read off the reduced echelon form, so they
+    do not depend on the order or the scale of the rows."""
     mats = [rep.px, rep.pj] if with_j else [rep.px]
     dd = rep.dim * rep.dim
     rows = [row for m in mats if m.any()
@@ -495,8 +500,8 @@ class Decomposition:
     e_part: list        # E = End_{Y(g)} V (commutant of rho_X and rho_J)
     ec_part: list       # complement of E inside E_g
     w_parts: list       # (block basis, eigenvalue) by ascending eigenvalue
-    c_table: list       # rows: flattened block bases in order
-    a_table: list       # exact inverse of c_table
+    c_table: list       # rows: flattened block bases in order, all ints
+    a_table: tuple      # (int rows, Fraction s): c_table^-1 = s * rows
     eigenvalues: list
 
     @property
@@ -516,10 +521,11 @@ def _min_poly(A):
     Krylov iteration runs on A from integer unit vectors, so its vectors
     stay integer.  The lcm of the per-vector annihilators stops as soon
     as it annihilates the whole matrix.  Every coefficient is an integer:
-    the polynomial is a monic factor of A's characteristic polynomial,
-    which is monic over Z (Gauss's lemma).
+    each annihilator is a monic factor of A's characteristic polynomial,
+    monic over Z (Gauss's lemma): the primitive kernel vector of [v, Av,
+    ..., A^k v], which ends in +-1, times that entry.
     """
-    from .exact import poly_trim, poly_mul, poly_divmod, poly_gcd
+    from .exact import poly_mul, poly_divmod, poly_gcd
     dim = len(A)
     powers = [np.eye(dim, dtype=np.int64)]
     poly = (ONE,)
@@ -535,13 +541,10 @@ def _min_poly(A):
             krylov.append(nxt)
             if not red.add({j: c for j, c in enumerate(nxt) if c}):
                 break
-        k = len(krylov) - 1
-        rows = [[krylov[t][i] for t in range(k)] for i in range(dim)]
-        rhs = [krylov[k][i] for i in range(dim)]
-        sol = linalg.solve(rows, rhs, k)
-        if sol is None:
-            raise UnsupportedDecomposition("Krylov dependence solve failed")
-        ann = poly_trim([-c for c in sol] + [ONE])
+        kernel = linalg.nullspace(list(zip(*krylov)), len(krylov))
+        if len(kernel) != 1 or kernel[0][-1] not in (1, -1):
+            raise UnsupportedDecomposition("Krylov dependence not monic")
+        ann = tuple(Fraction(c * kernel[0][-1]) for c in kernel[0])
         g = poly_gcd(poly, ann)
         poly = poly_mul(poly, poly_divmod(ann, g)[0])
         if _poly_annihilates(poly, A, powers):
@@ -603,6 +606,15 @@ def _divisors(n):
     return sorted(out)
 
 
+def _independent(base, vecs):
+    """The vectors of ``vecs`` that enlarge the span of ``base`` and of
+    the ones kept before them."""
+    red = linalg.SparseReducer()
+    for v in base:
+        red.add({j: c for j, c in enumerate(v) if c})
+    return [v for v in vecs if red.add({j: c for j, c in enumerate(v) if c})]
+
+
 def decompose_ad(data, rep):
     t = CasimirData(data, rep)
     dd = rep.dim * rep.dim
@@ -636,14 +648,7 @@ def decompose_ad(data, rep):
                                        "0-eigenspace of omega_op")
 
     # complement of E inside E_g
-    red = linalg.SparseReducer()
-    for v in e_part:
-        red.add({j: c for j, c in enumerate(v) if c})
-    ec_part = []
-    for v in eg:
-        row = {j: c for j, c in enumerate(v) if c}
-        if red.add(row):
-            ec_part.append(v)
+    ec_part = _independent(e_part, eg)
 
     # ad(g) vectors and its eigenvalue block
     c_g = t.c_g
@@ -655,13 +660,7 @@ def decompose_ad(data, rep):
             continue
         space = eig_spaces[r]
         if r == c_g:
-            red2 = linalg.SparseReducer()
-            for v in ad_vecs:
-                red2.add({j: c for j, c in enumerate(v) if c})
-            extra = []
-            for v in space:
-                if red2.add({j: c for j, c in enumerate(v) if c}):
-                    extra.append(v)
+            extra = _independent(ad_vecs, space)
             if extra:
                 w_parts.append((extra, r))
         else:
@@ -672,10 +671,8 @@ def decompose_ad(data, rep):
         blocks.extend(b)
     if len(blocks) != dd:
         raise UnsupportedDecomposition("blocks do not span gl(V)")
-    c_table = [list(v) for v in blocks]
-    a_table = linalg.invert(c_table)
-    return Decomposition(ad_vecs, e_part, ec_part, w_parts, c_table, a_table,
-                         sorted(eig_spaces))
+    return Decomposition(ad_vecs, e_part, ec_part, w_parts, blocks,
+                         linalg.invert(blocks), sorted(eig_spaces))
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +785,8 @@ def verify_extension_split(data, rep):
     details["dim_gI"] = data.dim + len(e)
 
     # K-matrix identities: [Omega_rho, 1 (x) x] = 0 and omega(x) = 0 for
-    # every basis x of E_g, cleared to integers (a zero test ignores scale)
-    xs = frac_to_int_array(eg)[0]
+    # every basis x of E_g
+    xs = _int_array(eg)
     x4 = xs.reshape(len(eg), d, d)
     ok_k = (bool((checked_einsum("abcq,kqe->kabce", t.omt, x4)
                   == checked_einsum("kbq,aqce->kabce", x4, t.omt)).all())
@@ -797,7 +794,7 @@ def verify_extension_split(data, rep):
     details["K-identities"] = ok_k
 
     # W(x) = span{[x, rho(J(X_l))]}; must meet ad(g) trivially.  Ranks
-    # do not depend on row scale, so the rows are the cleared integers
+    # do not depend on row scale, so the rows are the integers
     # [x4[k], pj[l]] and the integer ad rows rho(X_l)
     ok_w = True
     w_dims = []

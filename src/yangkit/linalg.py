@@ -1,13 +1,14 @@
 """Exact linear algebra: one fraction-free row elimination behind the
 incremental sparse row-reducer of ideal closures and the dense helpers
-(RREF, rank, nullspaces, solutions, inverses).
+(RREF, rank, nullspaces, inverses).
 
 Sparse rows are dicts {column index: Fraction or int}; dense matrices are
 lists of lists of Python ints or Fractions.  ``_eliminate`` and
 ``_place`` clear a row's denominators once and eliminate on Python ints,
 storing primitive int rows with a positive, non-normalized pivot.
-``SparseReducer`` calls them from its methods; ``rref`` runs them on a
-basis of its own.  Answers are ``Fraction`` values.
+``SparseReducer`` calls them from its methods; the dense helpers run
+them on a basis of their own.  ``rref`` and the reducer answer in
+``Fraction``, ``nullspace`` and ``invert`` on integers.
 """
 
 from fractions import Fraction
@@ -15,7 +16,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _eliminate(rows, row, scaled=False):
@@ -141,62 +141,67 @@ def _place(rows, holders, r):
     return piv
 
 
+def _span(rows):
+    """The fraction-free reduced basis {pivot: primitive int row} of the
+    span of dense rows (lists of ints or Fractions)."""
+    basis, holders = {}, {}
+    for row in rows:
+        _place(basis, holders, _eliminate(
+            basis, {j: c for j, c in enumerate(row) if c}, True))
+    return basis
+
+
 def rref(rows, ncols):
     """Reduced row echelon form: (basis, pivots), basis the reduced rows
     as lists of Fraction with pivot entries 1, pivots ascending; the zero
     entries are all the one ZERO.  The reduced echelon form of a span is
     unique, so it is read off the fraction-free rows of the shared
     elimination."""
-    basis, holders = {}, {}
-    for row in rows:
-        _place(basis, holders, _eliminate(
-            basis, {j: c for j, c in enumerate(row) if c}, True))
+    basis = _span(rows)
     pivots = sorted(basis)
     return [[Fraction(basis[p][j], basis[p][p]) if j in basis[p] else ZERO
              for j in range(ncols)] for p in pivots], pivots
 
 
 def rank(rows, ncols):
-    return len(rref(rows, ncols)[0])
+    return len(_span(rows))
 
 
 def nullspace(rows, ncols):
-    """Basis of {x : M x = 0} for M given by rows; vectors as lists."""
-    basis, pivots = rref(rows, ncols)
-    pivset = set(pivots)
+    """Basis of {x : M x = 0} for M given by rows: per free column,
+    ascending, one primitive int list, positive there and 0 at the other
+    free columns."""
+    basis = _span(rows)
     out = []
     for free in range(ncols):
-        if free in pivset:
+        if free in basis:
             continue
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for b, p in zip(basis, pivots):
-            v[p] = -b[free]
-        out.append(v)
+        # x[free] = L and x[p] = -b[free] L / b[p] for the rows b that
+        # hold the free column, L the lcm of their pivot entries
+        held = {p: b for p, b in basis.items() if free in b}
+        v = [0] * ncols
+        v[free] = L = lcm(*[b[p] for p, b in held.items()])
+        for p, b in held.items():
+            v[p] = -b[free] * (L // b[p])
+        g = gcd(*v)
+        out.append([x // g for x in v])
     return out
 
 
-def solve(rows, rhs, ncols):
-    """One exact solution of M x = rhs, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    basis, pivots = rref(aug, ncols + 1)
-    x = [ZERO] * ncols
-    for b, p in zip(basis, pivots):
-        if p == ncols:
-            return None
-        x[p] = b[ncols]
-    return x
-
-
 def invert(mat):
-    """Inverse of a square Fraction matrix (list of lists)."""
+    """Inverse of a square matrix of ints or Fractions (list of lists) as
+    scale * rows: int lists over 1 / their least common denominator,
+    returned as (rows, scale).  Raises ValueError if it is singular."""
     n = len(mat)
-    aug = [list(mat[i]) + [ONE if j == i else ZERO for j in range(n)]
-           for i in range(n)]
-    basis, pivots = rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
+    aug = [list(mat[i]) + [int(j == i) for j in range(n)] for i in range(n)]
+    basis = _span(aug)
+    if any(p not in basis for p in range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in basis[:n]]
+    # a row holds no other of the first n columns and is primitive, so
+    # over its pivot entry b[p] it needs exactly the denominator b[p]
+    den = lcm(*[basis[p][p] for p in range(n)])
+    return [[basis[p].get(n + j, 0) * (den // basis[p][p]) for j in range(n)]
+            for p in range(n)], Fraction(1, den)
 
 
 class SparseReducer:

@@ -130,7 +130,7 @@ class RMat:
             top = max(1, max(len(p) for p in quots))
             coeffs, s = frac_to_int_array(
                 [[p[m] if m < len(p) else ZERO for p in quots]
-                 for m in range(top)], wide=True)
+                 for m in range(top)])
             coeffs = coeffs.reshape(top, nn, nn)
             scale = scale * s
         while len(coeffs) > 1 and not coeffs[-1].any():

@@ -46,7 +46,6 @@ from .liealg import (
     casimir,
     checked_einsum,
     commutant,
-    int_to_frac_array,
     on_legs,
     safe_axpy,
     safe_matmul,
@@ -218,7 +217,7 @@ def rtt_relations(family, N, K):
     # evaluation homomorphism T(u) -> R(u)
     ev = EvalModule(pres, 1, [ZERO])
     for p in relations:
-        if ev.eval(p, scaled=True)[0].any():
+        if ev.eval(p)[0].any():
             raise AssertionError("relation fails the evaluation zero filter")
     return pres
 
@@ -1084,16 +1083,15 @@ class EvalModule:
         return [(on_legs(c, self.N, self.k + 1, (0, m)), _max_abs(c))
                 for c in expanded], scale
 
-    def eval(self, p, scaled=False):
-        """Image of an NCPoly under the homomorphism, as a Fraction matrix;
-        with ``scaled``, as a pair (S, s) of an integer matrix S and a
-        Fraction s whose product is that image.
+    def eval(self, p):
+        """Image of an NCPoly under the homomorphism, as a pair (S, s) of
+        an integer matrix S and a Fraction s whose product is that image.
 
         The words are walked in sorted order on a stack of prefix
         products, so a word reuses the products of the prefix it shares
         with the previous word.  The coefficients are brought to one
         denominator and the integer products are summed per word length,
-        so Fractions appear only in the result.  Every product and sum
+        so the one Fraction made is the scale s.  Every product and sum
         carries an upper bound on its entries (Nk * bound * bound for a
         product, bound + |c| * bound for a sum), which spares the
         overflow guards of safe_matmul and safe_axpy their scans while it
@@ -1139,11 +1137,11 @@ class EvalModule:
             f = D ** (top - L)
             S, sb = safe_axpy(S, f, a, sb, ab), sb + f * ab
         s = Fraction(1, clear * D ** top)
-        return (S, s) if scaled else int_to_frac_array(S, s)
+        return S, s
 
     def eval_scalar(self, p):
         """Image of p, required to be a scalar matrix; returns the scalar."""
-        S, s = self.eval(p, scaled=True)
+        S, s = self.eval(p)
         if not _is_scalar(S):
             raise ValueError("image is not a scalar matrix")
         return int(S[0, 0]) * s

@@ -10,12 +10,16 @@ The classical layer holds Omega_rho and the omega-operator as integer
 tensors over one scale (``liealg.CasimirData``); the minimal polynomial
 and the decomposition of End V are done here on dense Fraction matrices.
 
+Exact linear algebra (``linalg``) eliminates fraction-free on integers;
+here it is dense Gauss-Jordan on Fractions with normalized pivots.
+
 PBW slice dimensions are read off a closure with per-column grade and
 inside/outside lists (``yangian.slice_dimension``); here every entry
 decodes its column's word instead.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from yangkit.exact import (ONE, ZERO, TruncSeries, poly_add,
                            poly_gcd, poly_mul, poly_scale, poly_trim,
                            series_inverse, series_mul)
 from yangkit.liealg import (CasimirData, _rational_roots, commutant,
-                            int_to_frac_array)
+                            frac_to_int_array, int_to_frac_array)
 
 
 class RationalFunction:
@@ -125,6 +129,73 @@ def frac_identity(n):
                      for i in range(n)], dtype=object)
 
 
+def dense_rref(rows, ncols):
+    """Reduced row echelon form by dense Gauss-Jordan on Fractions,
+    first-column pivoting in input order; (basis, pivots) with pivots
+    ascending."""
+    basis = []
+    pivots = []
+    for row in rows:
+        row = list(row)
+        for b, p in zip(basis, pivots):
+            c = row[p]
+            if c:
+                for j in range(ncols):
+                    if b[j]:
+                        row[j] -= c * b[j]
+        piv = next((j for j in range(ncols) if row[j]), None)
+        if piv is None:
+            continue
+        inv = Fraction(1) / row[piv]
+        row = [x * inv for x in row]
+        for b in basis:
+            c = b[piv]
+            if c:
+                for j in range(ncols):
+                    if row[j]:
+                        b[j] -= c * row[j]
+        basis.append(row)
+        pivots.append(piv)
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return [basis[i] for i in order], [pivots[i] for i in order]
+
+
+def dense_nullspace(rows, ncols):
+    """Kernel basis read off dense_rref: per free column, ascending, the
+    Fraction vector with 1 there and 0 at the other free columns."""
+    basis, pivots = dense_rref(rows, ncols)
+    out = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[free] = ONE
+        for b, p in zip(basis, pivots):
+            v[p] = -b[free]
+        out.append(v)
+    return out
+
+
+def dense_inverse(mat):
+    """Inverse of a square matrix as Fraction rows, by dense_rref of
+    [M | I]; None if M is singular."""
+    n = len(mat)
+    aug = [list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    basis, pivots = dense_rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in basis[:n]]
+
+
+def primitive(v):
+    """The primitive integer vector that is a positive multiple of the
+    Fraction vector v."""
+    den = lcm(*[Fraction(x).denominator for x in v])
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
 def min_poly(m):
     """Least-degree monic p with p(M) = 0, from the first power of M that
     depends on the lower ones (dense Fraction arithmetic)."""
@@ -132,12 +203,17 @@ def min_poly(m):
     M = np.array(m, dtype=object)
     powers = [frac_identity(n)]
     while True:
-        nxt = powers[-1] @ M
+        powers.append(powers[-1] @ M)
         rows = [[P.flat[i] for P in powers] for i in range(n * n)]
-        sol = linalg.solve(rows, list(nxt.flat), len(powers))
-        if sol is not None:
-            return tuple([-c for c in sol] + [ONE])
-        powers.append(nxt)
+        kernel = dense_nullspace(rows, len(powers))
+        if kernel:
+            # the lower powers are independent, so the one kernel vector
+            # has its free 1 at the top power
+            return tuple(kernel[0])
+
+
+def _rank(rows, ncols):
+    return len(dense_rref(rows, ncols)[1])
 
 
 def _independent(base, vecs):
@@ -145,8 +221,8 @@ def _independent(base, vecs):
     ones kept before them."""
     kept = []
     for v in vecs:
-        if (linalg.rank(base + kept + [v], len(v))
-                > linalg.rank(base + kept, len(v))):
+        if (_rank(base + kept + [v], len(v))
+                > _rank(base + kept, len(v))):
             kept.append(v)
     return kept
 
@@ -157,18 +233,21 @@ def decompose_ad(data, rep):
     minimal polynomial, and each eigenspace is the nullspace of
     swop * wop - r I.  Returns the eigenvalues, the W blocks with their
     eigenvalues, the rows of the change of basis (ad(g), E, the
-    complement of E in E_g, then W) and its inverse."""
+    complement of E in E_g, then W) and its inverse, in the library's
+    forms: kernel vectors made primitive, the inverse as (integer rows,
+    scale) over its least common denominator."""
     cas = CasimirData(data, rep)
     dd = rep.dim * rep.dim
     op = int_to_frac_array(cas.wop, cas.swop)
     roots, rem = _rational_roots(min_poly(op))
     assert len(rem) == 1
     eye = frac_identity(dd)
-    spaces = {r: linalg.nullspace((op - r * eye).tolist(), dd)
+    spaces = {r: [primitive(v)
+                  for v in dense_nullspace((op - r * eye).tolist(), dd)]
               for r in roots}
     eg = commutant(rep, False)
     e = commutant(rep, True) if rep.pj.any() else eg
-    ad = [[Fraction(int(x)) for x in X.ravel()] for X in rep.px]
+    ad = rep.px.reshape(len(rep.px), dd).tolist()
     w_parts = []
     for r in sorted(spaces):
         if r == cas.c_g:
@@ -179,8 +258,9 @@ def decompose_ad(data, rep):
             w_parts.append((spaces[r], r))
     c_table = ad + e + _independent(e, eg) + [v for b, _ in w_parts
                                               for v in b]
+    inv, s = frac_to_int_array(dense_inverse(c_table))
     return {"eigenvalues": sorted(spaces), "w_parts": w_parts,
-            "c_table": c_table, "a_table": linalg.invert(c_table)}
+            "c_table": c_table, "a_table": (inv.tolist(), s)}
 
 
 def slice_dimension(cl, length, sum_r):

@@ -2,6 +2,8 @@
 reports, config files, and report merging."""
 
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import random
@@ -484,3 +486,23 @@ class TestProcessExitCodes:
                             "--len", "12", "--sumr", "12"], tmp_path)
         assert proc.returncode == 3
         assert b"bounds too large" in proc.stderr and not proc.stdout
+
+
+def test_bench_pinned_names_resolve():
+    """Every layer function the benchmark's tracer wraps
+    (LAYER_FUNCTIONS in bench/tracing.py) and every CLI suite it looks
+    up exists, so deleting or renaming one fails here, not only in a
+    traced benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", SRC.parent / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, entries in tracing.LAYER_FUNCTIONS.items():
+        module = importlib.import_module("yangkit." + layer)
+        for attr, _ in entries:
+            if "." in attr:
+                cls_name, meth = attr.split(".")
+                assert meth in vars(getattr(module, cls_name)), attr
+            else:
+                assert callable(getattr(module, attr, None)), attr
+    assert set(tracing.CLI_SUITES) <= set(climod._SUITE_FNS)

@@ -3,9 +3,8 @@ the finite-dimensional verification reports."""
 
 import hashlib
 import json
-import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -446,18 +445,34 @@ def test_einsum_path_cut_over_parity(monkeypatch):
                 min_size=1, max_size=12),
        st.fractions(max_denominator=50).filter(bool))
 def test_scaled_int_round_trip(entries, scale):
-    """frac_to_int_array clears to the least common denominator;
-    int_to_frac_array reads the integers back over any scale."""
-    ints, s = liealg.frac_to_int_array(entries, wide=True)
+    """frac_to_int_array clears to the least common denominator, int64
+    within the fast path and Python ints beyond it; int_to_frac_array
+    reads the integers back over any scale."""
+    ints, s = liealg.frac_to_int_array(entries)
     assert s == F(1, lcm(*[F(x).denominator for x in entries]))
     back = liealg.int_to_frac_array(ints, s)
     assert all(type(x) is F for x in back) and list(back) == entries
     assert list(liealg.int_to_frac_array(ints, scale)) == [
         F(int(x)) * scale for x in ints]
-    if any(abs(x) >= liealg._INT_LIMIT for x in ints):
-        assert ints.dtype == object
-        with pytest.raises(liealg.OverflowGuard):
-            liealg.frac_to_int_array(entries)
+    big = any(abs(x) >= liealg._INT_LIMIT for x in ints)
+    assert ints.dtype == (object if big else np.int64)
+    if big:
+        assert all(type(x) is int for x in ints)
+
+
+def test_build_lie_guards_the_inverse_gram_matrix(monkeypatch):
+    """An inverse Gram matrix entry beyond the int64 fast path raises
+    OverflowGuard; it is never wrapped or held as Python ints."""
+    real = liealg.linalg.invert
+
+    def inflated(mat):
+        rows, s = real(mat)
+        rows[0][0] = liealg._INT_LIMIT
+        return rows, s
+
+    monkeypatch.setattr(liealg.linalg, "invert", inflated)
+    with pytest.raises(liealg.OverflowGuard):
+        build_lie("sl", 2)
 
 
 def _on_legs_by_index(m, d, n, legs):
@@ -528,10 +543,19 @@ def test_min_poly_matches_reference(m):
     """The integer Krylov iteration returns the exact monic minimal
     polynomial of the cleared integer matrix, as Fractions that are all
     integers (decompose_ad takes integer eigenspace rows from them)."""
-    A = liealg.frac_to_int_array(m, wide=True)[0]
+    A = liealg.frac_to_int_array(m)[0]
     got = liealg._min_poly(A)
     assert got == min_poly(A)
     assert all(type(c) is F and c.denominator == 1 for c in got)
+
+
+@pytest.mark.parametrize("kernel", [[[1, 2]], [[1, 0], [0, 1]]])
+def test_min_poly_refuses_a_non_monic_dependence(monkeypatch, kernel):
+    """A Krylov dependence must be one kernel vector ending in +-1; any
+    other kernel raises instead of giving a wrong polynomial."""
+    monkeypatch.setattr(liealg.linalg, "nullspace", lambda rows, n: kernel)
+    with pytest.raises(liealg.UnsupportedDecomposition):
+        liealg._min_poly(np.eye(2, dtype=np.int64))
 
 
 class TestDecomposeAd:
@@ -550,9 +574,15 @@ class TestDecomposeAd:
                             "sp": N * (N + 1) // 2}[family]
         assert data.dim + 1 + sum(d for d, _ in w) == N * N
         assert casimir(data, rep).c_g in dec.eigenvalues
+        blocks = dec.eg_part + [v for b, _ in dec.w_parts for v in b]
+        rows, s = dec.a_table
+        assert all(type(x) is int
+                   for v in dec.c_table + blocks + rows for x in v)
+        assert all(gcd(*v) == 1 for v in blocks)
         c = np.array(dec.c_table, dtype=object)
-        a = np.array(dec.a_table, dtype=object)
-        assert (c @ a == np.identity(N * N, dtype=int)).all()
+        a = np.array(rows, dtype=object)
+        assert (c @ a == s.denominator * np.identity(N * N, dtype=int)).all()
+        assert s.numerator == 1
 
     @pytest.mark.parametrize("family,N", [("sl", 2), ("sl", 3), ("so", 3),
                                           ("so", 4), ("sp", 4), ("so", 5)])
@@ -582,26 +612,24 @@ CLASSICAL_COMMANDS = [
 
 
 def test_classical_pass_makes_no_fraction_round_trips(monkeypatch, capsys):
-    """The Gram inverse, the minimal polynomial, the Casimir data and
-    the decomposition of End V are built on integers: over one classical
-    pass, plus casimir and decompose_ad on sl3, build_lie clears its
-    inverse Gram matrix once and reads no integer array back as
-    Fractions, and _min_poly, casimir and decompose_ad convert
-    nothing."""
-    calls = []
+    """The Gram inverse, the commutant, the minimal polynomial, the
+    Casimir data and the decomposition of End V are built on integers:
+    over one classical pass, plus casimir and decompose_ad on sl3, no
+    Fraction array is cleared to integers (in liealg or rmatrix) and
+    liealg reads no integer array back as Fractions."""
+    cleared, read = [], []
 
-    def spy(name, real):
+    def spy(calls, real):
         def wrapper(*args, **kwargs):
-            stack, frame = set(), sys._getframe(1)
-            while frame is not None:
-                stack.add(frame.f_code.co_name)
-                frame = frame.f_back
-            calls.append((name, stack))
+            calls.append(args)
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("frac_to_int_array", "int_to_frac_array"):
-        monkeypatch.setattr(liealg, name, spy(name, getattr(liealg, name)))
+    monkeypatch.setattr(liealg, "int_to_frac_array",
+                        spy(read, liealg.int_to_frac_array))
+    for module in (liealg, rmatrix):
+        monkeypatch.setattr(module, "frac_to_int_array",
+                            spy(cleared, liealg.frac_to_int_array))
     min_polys = []
     real_min_poly = liealg._min_poly
 
@@ -619,8 +647,5 @@ def test_classical_pass_makes_no_fraction_round_trips(monkeypatch, capsys):
         decompose_ad(data, rep)
     capsys.readouterr()
 
-    in_build = [name for name, stack in calls if "build_lie" in stack]
-    assert in_build and set(in_build) == {"frac_to_int_array"}
     assert min_polys
-    for name, stack in calls:
-        assert not stack & {"_min_poly", "casimir", "decompose_ad"}, name
+    assert not cleared and not read

@@ -8,42 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rational_reference import dense_inverse, dense_nullspace, dense_rref
 from yangkit import liealg, linalg
 from yangkit.freealg import NCPoly
 from yangkit.yangian import closure, normal_form, rtt_relations
 
 F = Fraction
-
-
-def _dense_rref(rows, ncols):
-    """Reference reduced row echelon form: dense Gauss-Jordan on
-    Fractions, first-column pivoting in input order; (basis, pivots) with
-    pivots ascending."""
-    basis = []
-    pivots = []
-    for row in rows:
-        row = list(row)
-        for b, p in zip(basis, pivots):
-            c = row[p]
-            if c:
-                for j in range(ncols):
-                    if b[j]:
-                        row[j] -= c * b[j]
-        piv = next((j for j in range(ncols) if row[j]), None)
-        if piv is None:
-            continue
-        inv = F(1) / row[piv]
-        row = [x * inv for x in row]
-        for b in basis:
-            c = b[piv]
-            if c:
-                for j in range(ncols):
-                    if row[j]:
-                        b[j] -= c * row[j]
-        basis.append(row)
-        pivots.append(piv)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [basis[i] for i in order], [pivots[i] for i in order]
 
 
 class TestDense:
@@ -52,25 +22,14 @@ class TestDense:
         assert linalg.rank(rows, 2) == 2
 
     def test_nullspace(self):
-        rows = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
-        (v,) = linalg.nullspace(rows, 3)
-        for row in rows:
-            assert sum(a * b for a, b in zip(row, v)) == 0
-
-    def test_solve(self):
-        rows = [[F(2), F(1)], [F(1), F(3)]]
-        x = linalg.solve(rows, [F(5), F(10)], 2)
-        assert [sum(a * b for a, b in zip(r, x)) for r in rows] == \
-            [F(5), F(10)]
-        assert linalg.solve([[F(1), F(1)], [F(1), F(1)]],
-                            [F(0), F(1)], 2) is None
+        rows = [[F(2), F(1), F(0)], [F(0), F(1), F(1)]]
+        # the normalized kernel vector is (1/2, -1, 1)
+        assert linalg.nullspace(rows, 3) == [[1, -2, 2]]
 
     def test_invert(self):
         m = [[F(1), F(2)], [F(3), F(4)]]
-        inv = linalg.invert(m)
-        prod = [[sum(m[i][k] * inv[k][j] for k in range(2))
-                 for j in range(2)] for i in range(2)]
-        assert prod == [[F(1), F(0)], [F(0), F(1)]]
+        # the inverse is [[-2, 1], [3/2, -1/2]]
+        assert linalg.invert(m) == ([[-4, 2], [3, -1]], F(1, 2))
         with pytest.raises(ValueError):
             linalg.invert([[F(1), F(2)], [F(2), F(4)]])
 
@@ -101,20 +60,6 @@ def _dense_rows(draw, nrows, ncols):
     return rows
 
 
-@st.composite
-def _dense_systems(draw):
-    """(rows, ncols, rhs): rhs is M x for a drawn x (consistent) or a
-    drawn vector (often inconsistent when M is singular)."""
-    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    rows = draw(_dense_rows(nrows, ncols))
-    if draw(st.booleans()):
-        x = draw(st.lists(_entries, min_size=ncols, max_size=ncols))
-        rhs = [sum((a * b for a, b in zip(r, x)), F(0)) for r in rows]
-    else:
-        rhs = draw(st.lists(_entries, min_size=nrows, max_size=nrows))
-    return rows, ncols, rhs
-
-
 def _typed(x):
     """x with each leaf paired with its type, so == compares both."""
     if isinstance(x, (list, tuple)):
@@ -122,38 +67,44 @@ def _typed(x):
     return (type(x), x)
 
 
-def _run(fn, *args):
-    """fn(*args), or the type of the ValueError it raises."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return type(exc)
-
-
-def _on_dense_rref(fn, *args):
-    """_run with linalg.rref replaced by the dense reference."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "rref", _dense_rref)
-        return _run(fn, *args)
+@st.composite
+def _dense_matrices(draw):
+    """(rows, ncols): up to 6 dense rows over up to 6 columns."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return draw(_dense_rows(nrows, ncols)), ncols
 
 
 @settings(max_examples=200, deadline=None)
-@given(_dense_systems(), st.data())
+@given(_dense_matrices(), st.data())
 def test_dense_helpers_match_dense_rref(system, data):
-    """rref, nullspace, solve and invert on the shared elimination give
-    the values and types of the dense Gauss-Jordan reference, over
-    singular, rank-deficient and inconsistent inputs."""
-    rows, ncols, rhs = system
-    want = _dense_rref(rows, ncols)
+    """Against the dense Gauss-Jordan reference, over singular and
+    rank-deficient inputs: rref gives its values and types and rank its
+    pivot count; nullspace gives ncols - rank vectors of Python ints,
+    each primitive, in the kernel and a positive multiple of the
+    reference vector; invert gives the reference inverse cleared by
+    frac_to_int_array, and raises on a singular matrix."""
+    rows, ncols = system
+    want = dense_rref(rows, ncols)
     assert _typed(linalg.rref(rows, ncols)) == _typed(want)
-    for fn, args in [(linalg.nullspace, (rows, ncols)),
-                     (linalg.rank, (rows, ncols)),
-                     (linalg.solve, (rows, rhs, ncols))]:
-        assert _typed(_run(fn, *args)) == _typed(_on_dense_rref(fn, *args))
+    assert linalg.rank(rows, ncols) == len(want[1])
+    got = linalg.nullspace(rows, ncols)
+    ref = dense_nullspace(rows, ncols)
+    assert len(got) == len(ref) == ncols - len(want[1])
+    for v, r in zip(got, ref):
+        assert all(type(x) is int for x in v) and math.gcd(*v) == 1
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        k = next(j for j, x in enumerate(r) if x)
+        c = v[k] / r[k]
+        assert c > 0 and v == [c * x for x in r]
     n = data.draw(st.integers(1, 5))
     square = data.draw(_dense_rows(n, n))
-    assert _typed(_run(linalg.invert, square)) == \
-        _typed(_on_dense_rref(linalg.invert, square))
+    inv = dense_inverse(square)
+    if inv is None:
+        with pytest.raises(ValueError):
+            linalg.invert(square)
+    else:
+        ints, s = liealg.frac_to_int_array(inv)
+        assert _typed(linalg.invert(square)) == _typed((ints.tolist(), s))
 
 
 def test_dense_helpers_leave_the_traced_reducer_alone(monkeypatch):
@@ -167,7 +118,7 @@ def test_dense_helpers_leave_the_traced_reducer_alone(monkeypatch):
     rows = [[F(1), F(2), 3], [2, F(4), F(6)], [0, F(1, 2), 1]]
     assert linalg.rank(rows, 3) == 2
     assert linalg.nullspace(rows, 3)
-    assert linalg.solve(rows, [1, 2, 0], 3) is not None
+    assert linalg.rref(rows, 3)
     assert linalg.invert([[F(1), 2], [3, F(4)]])
 
 
@@ -274,7 +225,7 @@ def test_sparse_reducer_matches_dense_rref(case):
         assert by_add.basis == by_pivot.basis
         dense = [[row_.get(j, F(0)) for j in range(ncols)]
                  for row_ in rows[:k + 1]]
-        ref_rows, ref_pivots = _dense_rref(dense, ncols)
+        ref_rows, ref_pivots = dense_rref(dense, ncols)
         assert by_pivot.basis == {
             p: {j: c for j, c in enumerate(b) if c}
             for b, p in zip(ref_rows, ref_pivots)}
@@ -388,7 +339,7 @@ def test_integer_rows_match_fraction_reference(case):
         assert red.add_return_pivot(dict(row)) == ref.add(row)
         dense = [[row_.get(j, F(0)) for j in range(ncols)]
                  for row_ in rows[:k + 1]]
-        ref_rows, ref_pivots = _dense_rref(dense, ncols)
+        ref_rows, ref_pivots = dense_rref(dense, ncols)
         assert red.basis == {
             p: {j: c for j, c in enumerate(b) if c}
             for b, p in zip(ref_rows, ref_pivots)}
@@ -521,8 +472,9 @@ class TestInsertPath:
 
 
 class TestFractionContract:
-    """Every number the library returns is a Fraction, whatever the row
-    scale the reducer stores internally."""
+    """Every number the reducer and rref return is a Fraction, whatever
+    the row scale the reducer stores internally; nullspace and invert
+    answer in Python ints (and invert in one Fraction scale)."""
 
     def test_basis_values(self):
         red = linalg.SparseReducer()
@@ -561,17 +513,22 @@ class TestFractionContract:
                           min_size=n, max_size=n),
                  min_size=1, max_size=5))),
         st.fractions(max_denominator=6).filter(bool))
-    def test_dense_helpers_return_fractions(self, case, scale):
-        """rref, nullspace, invert and int_to_frac_array return nothing
-        but Fractions, the zero entries included."""
+    def test_dense_helper_answer_types(self, case, scale):
+        """rref and int_to_frac_array return nothing but Fractions, the
+        zero entries included; nullspace and invert nothing but Python
+        ints, invert over a Fraction scale."""
         n, rows = case
         basis, pivots = linalg.rref(rows, n)
-        out = basis + linalg.nullspace(rows, n)
-        if len(pivots) == n == len(rows):
-            out += linalg.invert(rows)
+        out = list(basis)
         ints = np.array([[int(c * 2) for c in row] for row in rows])
         for dtype in (np.int64, object):
             out.append(liealg.int_to_frac_array(ints.astype(dtype),
                                                 scale).ravel())
         assert all(len(row) == n for row in basis)
         assert all(type(c) is Fraction for row in out for c in row)
+        out = linalg.nullspace(rows, n)
+        if len(pivots) == n == len(rows):
+            inv, s = linalg.invert(rows)
+            assert type(s) is Fraction
+            out += inv
+        assert all(type(c) is int for row in out for c in row)

@@ -128,21 +128,27 @@ class TestQYBEFloatRoute:
             assert not check_qybe(bad)
 
     def test_python_int_product_with_float64_factor(self, products):
-        """R(u) = I - P / (2^30 u): every leg factor, below 68 * 2^30 + 1,
-        is held as float64, but each first product reaches about 2^72 and
-        goes on in Python ints, so each second product pairs Python ints
-        with a float64 factor.  It must stay in Python ints, not floats."""
+        """R(u) = I - P / (2^30 u): every leg factor, C(w) = 2^30 w I - P
+        on the grid |w| <= 2, is held as float64.  A first product of two
+        factors at w != 0 reaches 2^60 or more, past the int64 guard, and
+        goes on in Python ints, so its second product pairs Python ints
+        with a float64 factor; it must stay in Python ints, not floats.
+        The factors at w = 0 are -P, so a first product that takes one
+        stays in float64."""
         calls, _ = products
         P = permutation_matrix(4)
         eye = np.identity(16, dtype=np.int64)
         R = RMat(4, (0, 1), [-P, 2 ** 30 * eye], F(1, 2 ** 30))
         assert check_qybe(R)
+        f64, obj = np.dtype(np.float64), np.dtype(object)
         assert {(a.dtype, b.dtype, out.dtype) for a, b, out in calls} == {
-            (np.dtype(np.float64), np.dtype(np.float64), np.dtype(object)),
-            (np.dtype(object), np.dtype(np.float64), np.dtype(object))}
+            (f64, f64, obj), (obj, f64, obj), (f64, f64, f64)}
         for a, b, out in calls:
-            assert all(type(x) is int for x in out.flat)
-            want = (a if a.dtype == object else self._ints(a)) @ self._ints(b)
+            if out.dtype == obj:
+                assert all(type(x) is int for x in out.flat)
+            else:
+                out = self._ints(out)
+            want = (a if a.dtype == obj else self._ints(a)) @ self._ints(b)
             assert (out == want).all()
         bump = np.zeros((1, 16, 16), dtype=np.int64)
         bump[0, 0, 0] = 1
@@ -456,7 +462,7 @@ def _reference_solve_intertwiner(data, rep, K):
     I = frac_identity(dd)
     eye = frac_identity(d)
     # the roots of the cleared matrix A, omega = s A, scaled back by s
-    A, s = frac_to_int_array(omega, wide=True)
+    A, s = frac_to_int_array(omega)
     roots = [s * r for r in _rational_roots(_min_poly(A))[0]]
     projs = []
     for lam in roots:
@@ -599,7 +605,7 @@ def _times(g, r2):
     prod = [sum((g[a] * c2[k - a] for a in range(k + 1)),
                 np.zeros(c2[0].shape, dtype=object))
             for k in range(len(g))]
-    return rmatrix.RSeries(*frac_to_int_array(prod, wide=True))
+    return rmatrix.RSeries(*frac_to_int_array(prod))
 
 
 @settings(max_examples=60, deadline=None)

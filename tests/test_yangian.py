@@ -521,11 +521,11 @@ class TestEvaluation:
     def test_relations_die(self, sl2):
         ev = EvalModule(sl2, 2, [F(0), F(1)], order=3)
         for p in sl2.relations[:20]:
-            assert not any(x for x in ev.eval(p).flat)
+            assert not ev.eval(p)[0].any()
 
     def test_generator_image_nonzero(self, sl2):
         ev = EvalModule(sl2, 1, [F(0)], order=3)
-        assert any(x for x in ev.eval(NCPoly.gen(1, 1, 1)).flat)
+        assert ev.eval(NCPoly.gen(1, 1, 1))[0].any()
 
 
 # -- evaluation modules against a naive Fraction reference -------------
@@ -623,9 +623,7 @@ class TestEvalEngine:
         ev = EvalModule(pres, k, shifts, order=order)
         want = _reference_eval(_reference_images(pres, shifts, order),
                                ev.Nk, p)
-        assert (ev.eval(p) == want).all()
-        S, s = ev.eval(p, scaled=True)
-        assert (S * s == want).all()
+        assert (int_to_frac_array(*ev.eval(p)) == want).all()
 
     def test_int64_guard_falls_back_to_python_ints(self, sl2, monkeypatch):
         products = []
@@ -644,8 +642,7 @@ class TestEvalEngine:
         p = (t[1, 1, 2] * t[1, 2, 2] * t[2, 1, 2] * t[2, 2, 2]
              + F(1, 3) * t[1, 1, 2] * t[1, 1, 2] * t[1, 1, 2] * t[2, 2, 2]
              - t[1, 1, 1] * t[1, 1, 2] * t[1, 1, 2] + F(5, 7) * t[1, 2, 1])
-        got = ev.eval(p)
-        S, _ = ev.eval(p, scaled=True)
+        S, s = ev.eval(p)
         # the int64 guard tripped on int64 inputs and the product went on
         # in Python ints; the result is far beyond int64, so a wrap would
         # not have matched the reference
@@ -654,15 +651,17 @@ class TestEvalEngine:
         assert S.dtype == object
         assert max(abs(int(x)) for x in S.flat) > 2 ** 63
         images = _reference_images(sl2, shifts, order)
-        assert (got == _reference_eval(images, ev.Nk, p)).all()
+        assert (int_to_frac_array(S, s)
+                == _reference_eval(images, ev.Nk, p)).all()
         # one-letter words stay in int64; the large coefficients overflow
         # the accumulator, which must go on in Python ints too
         q = (F(10 ** 15 + 1, 7) * t[1, 1, 2] - F(10 ** 15, 11) * t[1, 2, 2]
              + F(1, 3) * t[1, 1, 1])
-        S, _ = ev.eval(q, scaled=True)
+        S, s = ev.eval(q)
         assert S.dtype == object
         assert max(abs(int(x)) for x in S.flat) > 2 ** 63
-        assert (ev.eval(q) == _reference_eval(images, ev.Nk, q)).all()
+        assert (int_to_frac_array(S, s)
+                == _reference_eval(images, ev.Nk, q)).all()
 
     def test_carried_bound_past_int_limit_stays_int64(self, sl2,
                                                       monkeypatch):
@@ -684,13 +683,13 @@ class TestEvalEngine:
         # t_11^(2) acts by -15000 E_11, t_12^(2) by a nilpotent matrix
         p = (t[1, 1] * t[1, 1] * t[1, 1] * t[1, 1]
              + t[1, 2] * t[1, 2] * t[1, 2] - NCPoly.gen(1, 1, 1))
-        S, _ = ev.eval(p, scaled=True)
+        S, s = ev.eval(p)
         assert any(b >= _INT_LIMIT and d == np.int64 for b, d in hinted)
         assert S.dtype == np.int64
         assert 2 ** 55 < max(abs(int(x)) for x in S.flat) < _INT_LIMIT
         want = _reference_eval(_reference_images(sl2, shifts, order),
                                ev.Nk, p)
-        assert (ev.eval(p) == want).all()
+        assert (int_to_frac_array(S, s) == want).all()
 
     def test_zero_filter_catches_planted_defect(self, monkeypatch):
         # a relation perturbed by + t_11^(1) no longer dies under the
