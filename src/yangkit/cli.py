@@ -198,8 +198,8 @@ def _suite_rtt(cfg, ctx):
     # t_ij^(r) fits the closure (r <= R_ord), so it is always tested
     _, _, outside = _check_members(cl, [("gen", NCPoly.gen(i, j, r))])
     gen_free = bool(outside)
-    fitting = sum(1 for p in pres.relations
-                  if p.max_len() <= cl.L and p.max_sum_r() <= cl.R_ord)
+    fitting = sum(1 for n, s in pres.relation_bounds
+                  if n <= cl.L and s <= cl.R_ord)
     return [check_report(
         "rtt_closure", gen_free,
         {"relations": len(pres.relations),

@@ -11,6 +11,7 @@ them on a basis of their own.  ``rref`` and the reducer answer in
 ``Fraction``, ``nullspace`` and ``invert`` on integers.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -83,7 +84,8 @@ def _compact_size(n):
 def _place(rows, holders, r):
     """Insert a scaled residual ``r`` of :func:`_eliminate` into ``rows``,
     primitive with a positive pivot, and back-substitute it into the rows
-    ``holders`` lists for that pivot; returns the pivot or None.
+    ``holders`` (a ``defaultdict(list)``) lists for that pivot; returns
+    the pivot or None.
 
     Every stored row is primitive and compact: its table is no larger
     than a fresh dict of its entries needs.  A row is copied into a fresh
@@ -104,7 +106,7 @@ def _place(rows, holders, r):
     beta = r[piv]
     for j in r:
         if j != piv:
-            holders.setdefault(j, []).append(piv)
+            holders[j].append(piv)
     # back-substitute into the rows holding piv to keep the basis reduced
     for p in holders.pop(piv, ()):
         b = rows[p]
@@ -144,7 +146,7 @@ def _place(rows, holders, r):
 def _span(rows):
     """The fraction-free reduced basis {pivot: primitive int row} of the
     span of dense rows (lists of ints or Fractions)."""
-    basis, holders = {}, {}
+    basis, holders = {}, defaultdict(list)
     for row in rows:
         _place(basis, holders, _eliminate(
             basis, {j: c for j, c in enumerate(row) if c}, True))
@@ -243,12 +245,17 @@ class SparseReducer:
     through cancellation (and a row that regains a column is listed
     twice); stale entries are skipped when read.  A column's list is
     dropped once the column becomes a pivot, since no basis row can hold
-    it again.
+    it again.  Most reads are stale (49,933 of 60,184 in the sl2 K=3
+    quotient (5, 5) closure), but an index that deleted entries on
+    cancellation would do more work, not less: back-substitution there
+    cancels 58,619 non-pivot entries, each a search through a list,
+    against 49,933 stale reads of one dict lookup each.
     """
 
     def __init__(self):
         self.rows = {}  # pivot col -> primitive int row dict, pivot > 0
-        self._holders = {}  # non-pivot col -> pivots of rows holding it
+        # non-pivot col -> pivots of rows holding it
+        self._holders = defaultdict(list)
 
     @property
     def basis(self):

@@ -73,17 +73,23 @@ class BoundsTooLarge(RuntimeError):
 # RTT relation generation
 
 class RTTPresentation:
-    """The cleared RTT identity collected coefficient by coefficient."""
+    """The cleared RTT identity collected coefficient by coefficient.
 
-    __slots__ = ("lie", "casimir", "R", "K", "relations", "family", "N",
-                 "clear_degree", "_zcache")
+    ``relations`` is a tuple, and ``relation_bounds`` holds each
+    relation's (max_len, max_sum_r) beside it, decoded once here so that
+    every closure and fit count reads the two ints."""
+
+    __slots__ = ("lie", "casimir", "R", "K", "relations", "relation_bounds",
+                 "family", "N", "clear_degree", "_zcache")
 
     def __init__(self, lie, cas, R, K, relations, clear_degree):
         self.lie = lie
         self.casimir = cas
         self.R = R
         self.K = K
-        self.relations = relations
+        self.relations = tuple(relations)
+        self.relation_bounds = tuple((p.max_len(), p.max_sum_r())
+                                     for p in self.relations)
         self.family = lie.family
         self.N = R.N
         self.clear_degree = clear_degree
@@ -246,8 +252,15 @@ def _count_words(N, L, R_ord):
 
 
 def _universe(N, L, R_ord):
-    """All bounded words, sorted so that the preferred pivot (smallest id)
-    has the highest filtration grade (sum_r - len, then sum_r, then lex).
+    """All bounded words, in column order: the preferred pivot (smallest
+    id) has the highest filtration grade (sum_r - len, then sum_r, then
+    lex).
+
+    Each (length, sum_r) class is one column block.  The words of one
+    length come in lex order from extending the lex-ordered words one
+    letter shorter by each letter in ascending id, so each class is lex
+    as it is collected, and the blocks are laid out by class, with no
+    sort over the words.
 
     Returns (words, sum_r of each word, length of each word, letters as
     (id, r) pairs)."""
@@ -255,23 +268,30 @@ def _universe(N, L, R_ord):
                for r in range(1, R_ord + 1)
                for i in range(1, N + 1)
                for j in range(1, N + 1)]
-    keyed = []
-    prefix = []
-
-    def rec(sumr):
-        keyed.append((len(prefix) - sumr, -sumr, tuple(prefix)))
-        if len(prefix) == L:
-            return
-        for g, r in letters:
-            if sumr + r <= R_ord:
-                prefix.append(g)
-                rec(sumr + r)
-                prefix.pop()
-
-    rec(0)
-    keyed.sort()
-    return ([w for _, _, w in keyed], [-s for _, s, _ in keyed],
-            [len(w) for _, _, w in keyed], letters)
+    classes = {(0, 0): [()]}
+    level = [((), 0)]
+    for n in range(1, L + 1):
+        by_sum = [[] for _ in range(R_ord + 1)]
+        nxt = []
+        for w, s in level:
+            for g, r in letters:
+                t = s + r
+                if t > R_ord:
+                    break  # letters ascend in r
+                v = w + (g,)
+                nxt.append((v, t))
+                by_sum[t].append(v)
+        for t, ws in enumerate(by_sum):
+            if ws:
+                classes[n, t] = ws
+        level = nxt
+    words, col_sum_r, col_len = [], [], []
+    for n, s in sorted(classes, key=lambda c: (c[0] - c[1], -c[1])):
+        ws = classes[n, s]
+        words += ws
+        col_sum_r += [s] * len(ws)
+        col_len += [n] * len(ws)
+    return words, col_sum_r, col_len, letters
 
 
 class RelationClosure:
@@ -315,8 +335,20 @@ def _row_to_poly(id2word, row):
 
 
 def closure(pres, L, R_ord, quotient_mode=False):
-    """Span of bounded two-sided multiples of the relations (and, in
-    quotient mode, of the entries of Z(u) - I), row-reduced exactly."""
+    """Row-reduced exact span of the seeds (the fitting relations and, in
+    quotient mode, the fitting entries of Z(u) - I) and of bounded
+    two-sided letter multiples of the basis rows.
+
+    Each new pivot's row is multiplied by every fitting letter once, as
+    the row stands when the pivot is popped from the queue; a row that a
+    later back-substitution shortens is not multiplied again.  So the
+    span is not always the whole bounded slice of the two-sided ideal,
+    and it can depend on the seed insertion order: inserting the Z(u)
+    seeds only after the relation closure saturates gives rank 9,908
+    against 9,904 for the so3 K=3 quotient (4, 4), and 4,501 against
+    4,491 for the sp4 K=3 quotient (3, 3) (sl2 K=3 (5, 5) and sl3 K=3
+    (4, 4) are unchanged).  The slice dimensions that
+    :func:`closure_for_query` queries agreed in every case measured."""
     if L < 1 or R_ord < 2:
         raise ValueError("L >= 1 and R_ord >= 2 required")
     N = pres.N
@@ -326,17 +358,20 @@ def closure(pres, L, R_ord, quotient_mode=False):
     id2word, col_sum_r, col_len, letters = _universe(N, L, R_ord)
     word2id = {w: k for k, w in enumerate(id2word)}
 
-    seeds = [p for p in pres.relations
-             if p.max_len() <= L and p.max_sum_r() <= R_ord]
+    seeds = [p for p, (n, s) in zip(pres.relations, pres.relation_bounds)
+             if n <= L and s <= R_ord]
     if quotient_mode:
-        # Z(u) is a free-algebra computation, available at any order
-        zord = R_ord
-        Z = _z_matrix(pres, zord)
-        for r in range(1, zord + 1):
+        # Z(u) is a free-algebra computation, available at any order.  Its
+        # order-r coefficients have words of total order <= r, hence of
+        # length <= r, so up to order R_ord only the length can fail (a
+        # word past the slice would still raise OutOfBounds in
+        # _poly_to_row)
+        Z = _z_matrix(pres, R_ord)
+        for r in range(1, R_ord + 1):
             for i in range(N):
                 for j in range(N):
                     p = Z.coeffs[r][i, j]
-                    if p and p.max_len() <= L and p.max_sum_r() <= R_ord:
+                    if p and (r <= L or p.max_len() <= L):
                         seeds.append(_canon_poly(p))
         seeds.sort(key=_poly_sort_key)
 

@@ -15,7 +15,9 @@ here it is dense Gauss-Jordan on Fractions with normalized pivots.
 
 PBW slice dimensions are read off a closure with per-column grade and
 inside/outside lists (``yangian.slice_dimension``); here every entry
-decodes its column's word instead.
+decodes its column's word instead.  The closure's columns come one
+(length, sum_r) class at a time (``yangian._universe``); here every
+bounded word is generated recursively and the keyed list is sorted.
 """
 
 from fractions import Fraction
@@ -28,6 +30,7 @@ from yangkit.exact import (ONE, ZERO, TruncSeries, poly_add,
                            poly_compose_linear, poly_divmod, poly_eval,
                            poly_gcd, poly_mul, poly_scale, poly_trim,
                            series_inverse, series_mul)
+from yangkit.freealg import gen_id
 from yangkit.liealg import (CasimirData, _rational_roots, commutant,
                             frac_to_int_array, int_to_frac_array)
 
@@ -285,3 +288,29 @@ def slice_dimension(cl, length, sum_r):
         if restricted and outside_red.add(restricted):
             outside_rank += 1
     return nwords - (cl.reducer.rank - outside_rank)
+
+
+def universe(N, L, R_ord):
+    """yangian._universe by recursion and one sort: every bounded word
+    keyed (len - sum_r, -sum_r, word)."""
+    letters = [(gen_id(i, j, r), r)
+               for r in range(1, R_ord + 1)
+               for i in range(1, N + 1)
+               for j in range(1, N + 1)]
+    keyed = []
+    prefix = []
+
+    def rec(sumr):
+        keyed.append((len(prefix) - sumr, -sumr, tuple(prefix)))
+        if len(prefix) == L:
+            return
+        for g, r in letters:
+            if sumr + r <= R_ord:
+                prefix.append(g)
+                rec(sumr + r)
+                prefix.pop()
+
+    rec(0)
+    keyed.sort()
+    return ([w for _, _, w in keyed], [-s for _, s, _ in keyed],
+            [len(w) for _, _, w in keyed], letters)

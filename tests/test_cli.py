@@ -11,10 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import yangkit.cli as climod
-from yangkit import build_lie, closure, rtt_relations, z_series
+from yangkit import build_lie, closure, rtt_relations, yangian, z_series
+from yangkit.freealg import MatSeries, NCPoly
 from yangkit.cli import main
 
 
@@ -403,6 +405,52 @@ class TestOtherCommands:
         assert merged["schema"] == 1
         assert merged["status"] == "pass"
         assert len(merged["reports"]) == 2
+
+
+class TestPbwPlantedDefects:
+    """A planted defect in the presentation flips the pbw suite's check
+    (sl2 K=3 at (2, 3)).  Most single defects do not: only 6 of the 76
+    fitting-relation drops flip the extended check, none flips the
+    quotient check, and zeroing the off-diagonal Z(u) entries leaves it
+    at 25."""
+
+    @pytest.fixture(scope="class")
+    def sl2(self):
+        return rtt_relations("sl", 2, 3)
+
+    def _checks(self, pres):
+        cfg = climod.RunConfig("sl", 2, 3, 2, 3, ("pbw",), 0, None)
+        return {c["check"]: c for c in climod._suite_pbw(cfg, {"pres": pres})}
+
+    def test_sound_presentation_passes(self, sl2):
+        checks = self._checks(sl2)
+        assert [c["status"] for c in checks.values()] == ["pass", "pass"]
+
+    def test_dropped_relation_fails_extended(self, sl2):
+        bad = yangian.RTTPresentation(sl2.lie, sl2.casimir, sl2.R, sl2.K,
+                                      sl2.relations[1:], sl2.clear_degree)
+        check = self._checks(bad)["pbw_extended"]
+        assert check["status"] == "fail"
+        assert check["details"]["slice_dimension"] == 40
+        assert check["details"]["pbw_count"] == 39
+
+    def test_zeroed_z_seeds_fail_quotient(self, sl2, monkeypatch):
+        real = yangian._z_matrix
+        zero = NCPoly.zero()
+
+        def without_order_2(pres, K):
+            Z = real(pres, K)
+            coeffs = list(Z.coeffs)
+            coeffs[2] = np.full((pres.N, pres.N), zero, dtype=object)
+            return MatSeries(coeffs, Z.N)
+
+        monkeypatch.setattr(yangian, "_z_matrix", without_order_2)
+        checks = self._checks(sl2)
+        assert checks["pbw_extended"]["status"] == "pass"
+        check = checks["pbw_quotient"]
+        assert check["status"] == "fail"
+        assert check["details"]["slice_dimension"] == 33
+        assert check["details"]["pbw_count"] == 25
 
 
 class TestCentralityNegativeControl:

@@ -199,8 +199,13 @@ _slow = pytest.mark.slow
 
 
 @lru_cache(maxsize=None)
+def _presentation(family, N, K):
+    return rtt_relations(family, N, K)
+
+
+@lru_cache(maxsize=None)
 def _query_closure(family, N, K, L, R, quotient):
-    return closure_for_query(rtt_relations(family, N, K), L, R,
+    return closure_for_query(_presentation(family, N, K), L, R,
                              quotient=quotient)
 
 
@@ -258,13 +263,21 @@ def test_slice_dimension_matches_reference(family, N, K, L, R, quotient):
                 rational_reference.slice_dimension(cl, length, sum_r)
 
 
-@pytest.mark.parametrize("N,L,R", [(2, 1, 2), (2, 3, 4), (2, 5, 5),
-                                   (3, 3, 3), (4, 2, 3)])
+@pytest.mark.parametrize("N,L,R", [
+    (2, 1, 2), (2, 3, 4), (2, 5, 5), (3, 3, 3), (4, 2, 3), (2, 4, 6),
+    (3, 2, 5), (3, 4, 4), (4, 3, 3), (7, 1, 3), (7, 2, 4),
+    # the 125,000 columns of a G2 closure at (3, 3)
+    (7, 3, 3),
+])
 def test_universe_columns(N, L, R):
     """Each column's length and sum_r are its word's, the words are the
     whole bounded slice, and the filtration grade sum_r - len does not
-    increase with the column id, which slice_dimension relies on."""
-    words, col_sum_r, col_len, letters = yangian._universe(N, L, R)
+    increase with the column id, which slice_dimension relies on; class
+    by class in column order, lex inside a class, the columns are those
+    of generating every word and sorting."""
+    out = yangian._universe(N, L, R)
+    assert out == rational_reference.universe(N, L, R)
+    words, col_sum_r, col_len, letters = out
     assert col_len == [len(w) for w in words]
     assert col_sum_r == [word_sum_r(w) for w in words]
     assert len(set(words)) == len(words) == yangian._count_words(N, L, R)
@@ -282,6 +295,53 @@ def test_closure_keeps_universe_columns(sl2_cl):
     assert sl2_cl.id2word == words
     assert sl2_cl.col_sum_r == col_sum_r
     assert sl2_cl.col_len == col_len
+
+
+@pytest.mark.parametrize("family,N,K", [("sl", 2, 3), ("sl", 2, 4),
+                                         ("so", 3, 3), ("sp", 4, 3)])
+def test_relation_bounds_are_per_relation(family, N, K):
+    """The presentation holds each relation's (max length, max order),
+    read here off the decoded words, beside a frozen relation tuple."""
+    pres = _presentation(family, N, K)
+    assert type(pres.relations) is tuple
+    assert pres.relation_bounds == tuple(
+        (max(len(w) for w in p.terms),
+         max(sum(gen_ijr(g)[2] for g in w) for w in p.terms))
+        for p in pres.relations)
+
+
+@pytest.mark.parametrize("family,N,order", [("sl", 2, 5), ("so", 3, 4),
+                                            ("sp", 4, 3)])
+def test_z_coefficients_within_their_order(family, N, order):
+    """Each entry of the order-r coefficient of Z(u) has words of total
+    order <= r, hence of length <= r, which the quotient closure's seed
+    filter relies on; from r = 2 on some entry reaches both."""
+    Z = yangian._z_matrix(_presentation(family, N, 3), order)
+    for r in range(1, order + 1):
+        entries = list(Z.coeffs[r].flat)
+        assert all(p.max_len() <= r and p.max_sum_r() <= r for p in entries)
+        if r >= 2:
+            assert max(p.max_len() for p in entries) == r
+            assert max(p.max_sum_r() for p in entries) == r
+
+
+@pytest.mark.parametrize("family,N,L,R,rank,digest", [
+    ("sl", 2, 2, 3, 31, "2004f8390fe24e4c42825e0a497213ef"
+                        "9caf4a3ab7b52cd3c1b2f3c7f81c2af4"),
+    ("sl", 2, 2, 4, 57, "32fbd4799071c84492ad252bdc847bdf"
+                        "4c0416c1dcf831d63d623a2b10a69287"),
+    ("sl", 2, 3, 5, 591, "fcadbaedcbaf584a4d86e87fd3535e54"
+                         "c880c83a3cf8255f54f9ce059b19af64"),
+    ("so", 3, 2, 4, 402, "77886f6e9450b486ed0940f908e0763a"
+                         "cd034ad0438ac72581b23acaeccfc1bc"),
+])
+def test_quotient_closure_below_its_order(family, N, L, R, rank, digest):
+    """A quotient closure whose length bound is below its order bound
+    keeps a Z(u) seed of order r <= L as it is and any other by its
+    length; pinned where every seed word's order was decoded instead."""
+    cl = closure(_presentation(family, N, 3), L, R, quotient_mode=True)
+    assert cl.rank == rank
+    assert _basis_digest(cl) == digest
 
 
 @pytest.mark.parametrize("family,N,K,degree,count,digest", [
