@@ -9,6 +9,14 @@ NCPoly) are numpy object arrays and multiply by ``@``.
 Series coefficients are not restricted to Fraction: anything with +, -, *
 and Fraction-scalar multiplication works (noncommutative polynomial
 coefficients reuse the same series routines).
+
+A matrix series, such as the generator matrix T(u), is a TruncSeries whose
+coefficients are N x N object arrays.  ``+``, ``-``, ``scale`` and
+``series_shift`` act entrywise, which is what they mean for a matrix.
+``series_mul`` would multiply the coefficient arrays entrywise too (numpy's
+``*``), not as matrices, and ``series_inverse`` needs an invertible scalar
+constant term; so the matrix product and inverse are ``freealg.mat_mul``
+and ``freealg.mat_inverse``, which multiply coefficients by ``@``.
 """
 
 from fractions import Fraction
@@ -50,7 +58,8 @@ ONE = Fraction(1)
 
 
 class TruncSeries:
-    """f(u) = sum_{r=0..K} coeffs[r] u^-r, hard truncation at K.
+    """f(u) = sum_{r=0..K} coeffs[r] u^-r, hard truncation at K =
+    len(coeffs) - 1.
 
     Immutable.  Binary operations truncate to min(K1, K2); coefficients
     beyond the truncation order are undefined, never assumed zero.
@@ -58,43 +67,18 @@ class TruncSeries:
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs, order=None):
-        coeffs = tuple(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if len(coeffs) != order + 1:
-            raise ValueError("need exactly order+1 coefficients")
-        self.coeffs = coeffs
-        self.order = order
-
-    @staticmethod
-    def constant(c, order):
-        c = Fraction(c) if isinstance(c, int) else c
-        zero = c - c
-        return TruncSeries((c,) + (zero,) * order)
-
-    @staticmethod
-    def one(order):
-        return TruncSeries.constant(ONE, order)
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+        self.order = len(self.coeffs) - 1
 
     def __eq__(self, other):
-        return (isinstance(other, TruncSeries)
-                and self.order == other.order and self.coeffs == other.coeffs)
+        return isinstance(other, TruncSeries) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         return "TruncSeries(%r)" % (self.coeffs,)
-
-    def _zero_coeff(self):
-        c = self.coeffs[0]
-        return c - c
-
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend truncation order")
-        return TruncSeries(self.coeffs[: order + 1])
 
     def __add__(self, other):
         k = min(self.order, other.order)
@@ -104,21 +88,8 @@ class TruncSeries:
         k = min(self.order, other.order)
         return TruncSeries([self.coeffs[r] - other.coeffs[r] for r in range(k + 1)])
 
-    def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs])
-
     def scale(self, c):
         return TruncSeries([c * x for x in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, TruncSeries):
-            return series_mul(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def to_json(self):
-        return {"order": self.order, "coeffs": [rat_to_str(c) for c in self.coeffs]}
 
 
 def series_mul(a, b):
@@ -165,7 +136,10 @@ def series_shift(a, c):
     Uses (u+c)^-k = sum_s binom(k+s-1, s) (-c)^s u^-(k+s).
     """
     k = a.order
-    zero = a._zero_coeff()
+    zero = a.coeffs[0] - a.coeffs[0]
+    # every slot starts as the same zero: each update must rebind its
+    # slot (out[i] = out[i] + ...), never add in place, or a matrix
+    # coefficient would be shared by every order
     out = [zero] * (k + 1)
     out[0] = out[0] + a.coeffs[0]
     for r in range(1, k + 1):
@@ -241,13 +215,6 @@ def poly_lcm(p, q):
     """Monic lcm of two nonzero polynomials."""
     return poly_scale(poly_mul(p, poly_divmod(q, poly_gcd(p, q))[0]),
                       ONE / (p[-1] * q[-1]))
-
-
-def poly_eval(p, x):
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def poly_compose_linear(p, a, b):

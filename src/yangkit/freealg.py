@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (ONE, ZERO, TruncSeries, rat_from_str, rat_to_str,
-                    series_shift)
+from .exact import ONE, ZERO, TruncSeries, rat_from_str, rat_to_str
 
 
 class NonInvertible(ValueError):
@@ -243,26 +242,9 @@ class TensorNCPoly(TermAlgebra):
 
 
 # ---------------------------------------------------------------------------
-# generator matrices as truncated series
-
-class MatSeries:
-    """T(u) = sum_k C_k u^{-k} with C_k an N x N matrix of ring elements;
-    C_0 is the identity for generator matrices (checked on demand)."""
-
-    __slots__ = ("coeffs", "N")
-
-    def __init__(self, coeffs, N):
-        self.coeffs = list(coeffs)
-        self.N = N
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def entry(self, i, j):
-        """TruncSeries of entry (i, j) (0-based)."""
-        return TruncSeries([c[i, j] for c in self.coeffs])
-
+# generator matrices as truncated series: a TruncSeries whose
+# coefficients are N x N object arrays (the matrix operations of
+# exact.TruncSeries act entrywise; products and inverses are here)
 
 def _eye(N, one=None):
     one = NCPoly.one() if one is None else one
@@ -284,7 +266,7 @@ def t_matrix(N, K):
             for j in range(N):
                 m[i, j] = NCPoly.gen(i + 1, j + 1, r)
         coeffs.append(m)
-    return MatSeries(coeffs, N)
+    return TruncSeries(coeffs)
 
 
 def mat_mul(A, B):
@@ -293,7 +275,6 @@ def mat_mul(A, B):
     order starting from the first, so NCPoly entries keep a fixed term
     order."""
     K = min(A.order, B.order)
-    N = A.N
     out = []
     for k in range(K + 1):
         acc = None
@@ -301,13 +282,12 @@ def mat_mul(A, B):
             t = A.coeffs[a] @ B.coeffs[k - a]
             acc = t if acc is None else acc + t
         out.append(acc)
-    return MatSeries(out, N)
+    return TruncSeries(out)
 
 
 def mat_inverse(A):
     """Inverse via the geometric series; requires constant term I."""
-    N = A.N
-    ident = _eye(N)
+    ident = _eye(len(A.coeffs[0]))
     if not (A.coeffs[0] == ident).all():
         raise NonInvertible("constant term is not the identity")
     out = [ident]
@@ -317,40 +297,23 @@ def mat_inverse(A):
             t = A.coeffs[a] @ out[k - a]
             acc = t if acc is None else acc + t
         out.append(-acc)
-    return MatSeries(out, N)
-
-
-def mat_shift(A, c):
-    """A(u + c), entrywise binomial re-expansion."""
-    N = A.N
-    shifted = [TruncSeries([A.coeffs[k][i, j] for k in range(A.order + 1)])
-               for i in range(N) for j in range(N)]
-    shifted = [series_shift(s, c) for s in shifted]
-    out = []
-    for k in range(A.order + 1):
-        m = np.empty((N, N), dtype=object)
-        for i in range(N):
-            for j in range(N):
-                m[i, j] = shifted[i * N + j].coeffs[k]
-        out.append(m)
-    return MatSeries(out, N)
+    return TruncSeries(out)
 
 
 def transpose_t(A, data):
     """Entry (-j, -i) of the result is theta_{ij} t_{ij}(u), indices in the
     signed set of the algebra data."""
     from .liealg import theta_value
-    N = A.N
     out = []
     for k in range(A.order + 1):
-        m = np.empty((N, N), dtype=object)
+        m = np.empty((data.N, data.N), dtype=object)
         for i in data.indices:
             for j in data.indices:
                 th = theta_value(data.family, i, j)
                 src = A.coeffs[k][data.pos(i), data.pos(j)]
                 m[data.pos(-j), data.pos(-i)] = th * src if th != 1 else src
         out.append(m)
-    return MatSeries(out, N)
+    return TruncSeries(out)
 
 
 # ---------------------------------------------------------------------------

@@ -565,33 +565,32 @@ def _poly_annihilates(poly, A, powers):
     return not acc.any()
 
 
-def _rational_roots(poly):
-    """Distinct rational roots of poly plus the unfactored remainder."""
-    from .exact import poly_divmod, poly_trim, poly_eval
+def _integer_roots(poly):
+    """Distinct rational roots of a monic integer polynomial (ascending
+    coefficients, as ``_min_poly`` returns it) plus the unfactored
+    remainder.  Every such root is an integer dividing the constant
+    term.  The candidates come 0 first, then by ascending divisor d, +d
+    before -d; each root found is divided out and the search restarts on
+    the quotient."""
+    p = [int(c) for c in poly]
     roots = []
-    p = poly_trim(poly)
     changed = True
     while changed and len(p) > 1:
         changed = False
-        den = 1
-        for c in p:
-            den = lcm(den, c.denominator)
-        ip = [int(c * den) for c in p]
-        if ip[0] == 0:
-            cand = [Fraction(0)]
-        else:
-            cand = []
-            for pn in _divisors(abs(ip[0])):
-                for qn in _divisors(abs(ip[-1])):
-                    cand.extend([Fraction(pn, qn), Fraction(-pn, qn)])
+        cand = [0] if p[0] == 0 else [
+            s * d for d in _divisors(abs(p[0])) for s in (1, -1)]
         for r in cand:
-            if poly_eval(p, r) == 0:
+            # synthetic division by u - r, from the leading coefficient
+            quot = [p[-1]]
+            for c in reversed(p[1:-1]):
+                quot.append(c + r * quot[-1])
+            if p[0] + r * quot[-1] == 0:
                 if r not in roots:
                     roots.append(r)
-                p = poly_divmod(p, (-r, ONE))[0]
+                p = quot[::-1]
                 changed = True
                 break
-    return roots, p
+    return roots, tuple(p)
 
 
 def _divisors(n):
@@ -622,7 +621,7 @@ def decompose_ad(data, rep):
     # the minimal polynomial of the integer matrix wop is monic over Z,
     # so its rational roots r are integers; the omega-operator swop * wop
     # has eigenvalue swop * r on the nullspace of wop - r I
-    roots, remainder = _rational_roots(_min_poly(t.wop))
+    roots, remainder = _integer_roots(_min_poly(t.wop))
     if len(remainder) > 1:
         raise UnsupportedDecomposition(
             "non-rational eigenvalue; minimal polynomial remainder %r"
@@ -632,7 +631,7 @@ def decompose_ad(data, rep):
     eig_spaces = {}
     total = 0
     for r in roots:
-        ns = linalg.nullspace((t.wop - r.numerator * eye).tolist(), dd)
+        ns = linalg.nullspace((t.wop - r * eye).tolist(), dd)
         eig_spaces[t.swop * r] = ns
         total += len(ns)
     if total != dd:

@@ -28,7 +28,7 @@ from .liealg import (_FLOAT_LIMIT, _FLOAT_MIN_INNER, _INT_LIMIT, CasimirData,
                      build_lie, checked_einsum, commutant, frac_to_int_array,
                      int_to_frac_array, on_legs, permutation_matrix,
                      q_matrix, safe_axpy, safe_matmul, scaled_equal,
-                     _is_scalar, _max_abs, _min_poly, _rational_roots)
+                     _is_scalar, _max_abs, _min_poly, _integer_roots)
 
 
 class UnitarityFailure(RuntimeError):
@@ -352,7 +352,7 @@ def _commutant_projections(om, nn):
     basis when V (x) V is multiplicity-free over g.  Returns the
     projections as (integer matrix, Fraction scale) pairs."""
     mp = _min_poly(om)
-    roots, rem = _rational_roots(mp)
+    roots, rem = _integer_roots(mp)
     if len(rem) > 1:
         raise NonIrreducible(
             "Omega_rho has irrational eigenvalues on V (x) V")
@@ -363,10 +363,9 @@ def _commutant_projections(om, nn):
         for mu in roots:
             if mu == lam:
                 continue
-            # (om - mu) / (lam - mu) = (q om - p) / (q (lam - mu)), mu = p/q
-            p, q = mu.numerator, mu.denominator
-            P = safe_matmul(P, safe_axpy(safe_axpy(None, q, om), -p, eye))
-            s /= q * (lam - mu)
+            # the factor (om - mu) / (lam - mu), mu an integer
+            P = safe_matmul(P, safe_axpy(om, -mu, eye))
+            s /= lam - mu
         projs.append((P, s))
     return projs
 

@@ -21,7 +21,6 @@ from .exact import (TruncSeries, check_report, rat_to_str, series_inverse,
 from .freealg import (
     NCPoly,
     TensorNCPoly,
-    MatSeries,
     TermAlgebra,
     _eye,
     antipode_poly,
@@ -29,10 +28,8 @@ from .freealg import (
     coproduct_poly,
     counit_poly,
     gen_id,
-    gen_ijr,
     mat_inverse,
     mat_mul,
-    mat_shift,
     mf_table,
     substitute_poly,
     t_matrix,
@@ -383,10 +380,8 @@ def closure(pres, L, R_ord, quotient_mode=False):
             queue.append(piv)
 
     while queue:
-        piv = queue.popleft()
-        base = red.rows.get(piv)
-        if base is None:
-            continue
+        # pivots never leave red.rows: back-substitution rewrites rows
+        base = red.rows[queue.popleft()]
         if max(map(col_len.__getitem__, base)) + 1 > L:
             continue
         maxsr = max(map(col_sum_r.__getitem__, base))
@@ -563,14 +558,10 @@ class CentralSeries:
 
     def __init__(self, z, zmat, c_g, report):
         self.z = z          # list of NCPoly, index r (z[0] = 1, z[1] = 0)
-        self.zmat = zmat    # MatSeries of Z(u)
+        self.zmat = zmat    # Z(u), a TruncSeries of N x N matrices
         self.y = None       # list of CPoly in z-symbols, set by y_from_z
         self.c_g = c_g
         self.report = report
-
-    def z_truncseries(self, order=None):
-        order = len(self.z) - 1 if order is None else order
-        return TruncSeries(self.z[: order + 1])
 
 
 def _z_matrix(pres, K):
@@ -588,9 +579,8 @@ def _z_matrix(pres, K):
             for j in range(N):
                 m[i, j] = table2[gen_id(i + 1, j + 1, r)]
         s2.append(m)
-    S2T = MatSeries(s2, N)
     half = pres.casimir.c_g / 2
-    Z = mat_mul(S2T, mat_inverse(mat_shift(T, half)))
+    Z = mat_mul(TruncSeries(s2), mat_inverse(series_shift(T, half)))
     pres._zcache[K] = Z
     return Z
 
@@ -739,13 +729,13 @@ def qdet(pres, cl, cs=None):
     N = pres.N
     K = pres.K
     T = t_matrix(N, K)
-    cols = [mat_shift(T, Fraction(-j)) for j in range(N)]
+    cols = [series_shift(T, Fraction(-j)) for j in range(N)]
     qd = None
     for pi in permutations(range(N)):
         sign = Fraction(_perm_sign(pi))
         term = None
         for j in range(N):
-            fac = cols[j].entry(pi[j], j)
+            fac = TruncSeries([c[pi[j], j] for c in cols[j].coeffs])
             term = fac if term is None else series_mul(term, fac)
         term = term.scale(sign)
         qd = term if qd is None else qd + term
@@ -776,7 +766,7 @@ def symmetry_series(pres, cl, cs=None):
     K = pres.K
     kap = pres.lie.kappa
     T = t_matrix(N, K)
-    Tt = transpose_t(mat_shift(T, kap), pres.lie)
+    Tt = transpose_t(series_shift(T, kap), pres.lie)
     M = mat_mul(Tt, T)
     M2 = mat_mul(T, Tt)
 
@@ -844,7 +834,7 @@ def verify_hopf(pres, cl, cs):
 
     table = antipode_table(N, K)
     sz = TruncSeries([antipode_poly(p, table) for p in cs.z[: K + 1]])
-    prod = series_mul(sz, cs.z_truncseries(K))
+    prod = series_mul(sz, TruncSeries(cs.z[: K + 1]))
     antipode_tested, _, antipode_fail = _check_members(
         cl, ((r, prod.coeffs[r]) for r in rs))
     counit_ok = all(counit_poly(cs.z[r]) == 0 for r in rs)
@@ -871,8 +861,8 @@ def verify_hopf(pres, cl, cs):
 # fixed-point verification
 
 def _scalar_mat(f, N):
-    """The series f(u) I as a MatSeries."""
-    return MatSeries([_eye(N, one=c) for c in f.coeffs], N)
+    """The series f(u) I as a matrix series."""
+    return TruncSeries([_eye(N, one=c) for c in f.coeffs])
 
 
 FIXED_POINT_ORDERS = 2  # orders of T~(u) checked for m_f-fixedness
@@ -897,8 +887,7 @@ def verify_fixed_point(pres, cl, cs, f):
     Tt = mat_mul(_scalar_mat(yinv, N), T)
 
     # T~ and z_2..z_K hold generators of order at most K
-    fext = TruncSeries(list(f.coeffs) + [ZERO] * max(0, K - f.order),
-                       max(K, f.order))
+    fext = TruncSeries(list(f.coeffs) + [ZERO] * max(0, K - f.order))
     table = mf_table(N, K, fext)
 
     _, skipped, fixed_fail = _check_members(cl, _nonzero_entries(
@@ -923,8 +912,8 @@ def verify_fixed_point(pres, cl, cs, f):
 
     # shift compatibility: forming T~ commutes with u -> u + 1 exactly
     c = ONE
-    A = mat_shift(Tt, c)
-    B = mat_mul(_scalar_mat(series_shift(yinv, c), N), mat_shift(T, c))
+    A = series_shift(Tt, c)
+    B = mat_mul(_scalar_mat(series_shift(yinv, c), N), series_shift(T, c))
     shift_ok = all((a == b).all() for a, b in zip(A.coeffs, B.coeffs))
     ok = shift_ok and not (fixed_fail or scale_fail)
     return _report("fixed_point", pres, cl, ok, {
@@ -1002,23 +991,15 @@ def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
     gen3 = None
     if quotient_cl is not None:
         # span of (normal forms of) all bounded words in letters of order
-        # <= 2; t_ij^(3) is generated by low orders iff its normal form
-        # lies in that span
+        # <= 2, the closure's words below the first order-3 generator id;
+        # t_ij^(3) is generated by low orders iff its normal form lies in
+        # that span
         qred = quotient_cl.reducer
         span = linalg.SparseReducer()
-        low = [gen_id(i + 1, j + 1, r) for r in (1, 2)
-               for i in range(N) for j in range(N)]
-        stack = [((), 0)]
-        while stack:
-            w, sr = stack.pop()
-            wid = quotient_cl.word2id.get(w)
-            if wid is not None:
+        first3 = gen_id(1, 1, 3)
+        for wid, w in enumerate(quotient_cl.id2word):
+            if all(g < first3 for g in w):
                 span.add(qred.reduce({wid: ONE}))
-            if len(w) < quotient_cl.L:
-                for g in low:
-                    r = gen_ijr(g)[2]
-                    if sr + r <= quotient_cl.R_ord:
-                        stack.append((w + (g,), sr + r))
         gen3 = []
         for i in range(N):
             for j in range(N):
@@ -1220,9 +1201,8 @@ def central_monomial_certificate(pres, cs):
         if f is None:
             row = [ev.eval_scalar(p) for p in polys]
         else:
-            fser = TruncSeries(
-                [Fraction(c) for c in f]
-                + [ZERO] * (order + 1 - len(f)), order)
+            fser = TruncSeries([Fraction(c) for c in f]
+                               + [ZERO] * (order + 1 - len(f)))
             table = mf_table(pres.N, order, fser)
             row = [ev.eval_scalar(substitute_poly(p, table))
                    for p in polys]

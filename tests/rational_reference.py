@@ -18,6 +18,13 @@ inside/outside lists (``yangian.slice_dimension``); here every entry
 decodes its column's word instead.  The closure's columns come one
 (length, sum_r) class at a time (``yangian._universe``); here every
 bounded word is generated recursively and the keyed list is sorted.
+
+The library finds the roots of an integer minimal polynomial among the
+divisors of its constant term (``liealg._integer_roots``); here the
+rational root test runs on Fraction coefficients, clearing denominators.
+A matrix series is re-expanded at u + c by ``exact.series_shift`` acting
+on whole coefficient arrays; here each entry is shifted as a scalar
+series and the matrices are reassembled.
 """
 
 from fractions import Fraction
@@ -27,12 +34,65 @@ import numpy as np
 
 from yangkit import linalg
 from yangkit.exact import (ONE, ZERO, TruncSeries, poly_add,
-                           poly_compose_linear, poly_divmod, poly_eval,
-                           poly_gcd, poly_mul, poly_scale, poly_trim,
-                           series_inverse, series_mul)
+                           poly_compose_linear, poly_divmod, poly_gcd,
+                           poly_mul, poly_scale, poly_trim, series_inverse,
+                           series_mul, series_shift)
 from yangkit.freealg import gen_id
-from yangkit.liealg import (CasimirData, _rational_roots, commutant,
+from yangkit.liealg import (CasimirData, _divisors, commutant,
                             frac_to_int_array, int_to_frac_array)
+
+
+def poly_eval(p, x):
+    """p(x) by Horner's rule, p as ascending coefficients."""
+    acc = ZERO
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def rational_roots(poly):
+    """Distinct rational roots of a Fraction polynomial (ascending
+    coefficients) plus the unfactored remainder: candidates p/q with p
+    dividing the cleared constant term and q the cleared leading one."""
+    roots = []
+    p = poly_trim(poly)
+    changed = True
+    while changed and len(p) > 1:
+        changed = False
+        den = 1
+        for c in p:
+            den = lcm(den, c.denominator)
+        ip = [int(c * den) for c in p]
+        if ip[0] == 0:
+            cand = [Fraction(0)]
+        else:
+            cand = []
+            for pn in _divisors(abs(ip[0])):
+                for qn in _divisors(abs(ip[-1])):
+                    cand.extend([Fraction(pn, qn), Fraction(-pn, qn)])
+        for r in cand:
+            if poly_eval(p, r) == 0:
+                if r not in roots:
+                    roots.append(r)
+                p = poly_divmod(p, (-r, ONE))[0]
+                changed = True
+                break
+    return roots, p
+
+
+def mat_shift(A, c):
+    """A(u + c) for a matrix series A, one entry at a time."""
+    N = len(A.coeffs[0])
+    shifted = [series_shift(TruncSeries([m[i, j] for m in A.coeffs]), c)
+               for i in range(N) for j in range(N)]
+    out = []
+    for k in range(A.order + 1):
+        m = np.empty((N, N), dtype=object)
+        for i in range(N):
+            for j in range(N):
+                m[i, j] = shifted[i * N + j].coeffs[k]
+        out.append(m)
+    return TruncSeries(out)
 
 
 class RationalFunction:
@@ -96,7 +156,7 @@ class RationalFunction:
     def expand_at_infinity(self, order):
         """TruncSeries of the u^-1 expansion; requires deg num <= deg den."""
         if not self.num:
-            return TruncSeries.constant(ZERO, order)
+            return TruncSeries((ZERO,) * (order + 1))
         dn, dd = len(self.num) - 1, len(self.den) - 1
         if dn > dd:
             raise ValueError("not proper at infinity")
@@ -242,7 +302,7 @@ def decompose_ad(data, rep):
     cas = CasimirData(data, rep)
     dd = rep.dim * rep.dim
     op = int_to_frac_array(cas.wop, cas.swop)
-    roots, rem = _rational_roots(min_poly(op))
+    roots, rem = rational_roots(min_poly(op))
     assert len(rem) == 1
     eye = frac_identity(dd)
     spaces = {r: [primitive(v)

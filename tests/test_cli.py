@@ -16,7 +16,8 @@ import pytest
 
 import yangkit.cli as climod
 from yangkit import build_lie, closure, rtt_relations, yangian, z_series
-from yangkit.freealg import MatSeries, NCPoly
+from yangkit.exact import TruncSeries
+from yangkit.freealg import NCPoly
 from yangkit.cli import main
 
 
@@ -442,7 +443,7 @@ class TestPbwPlantedDefects:
             Z = real(pres, K)
             coeffs = list(Z.coeffs)
             coeffs[2] = np.full((pres.N, pres.N), zero, dtype=object)
-            return MatSeries(coeffs, Z.N)
+            return TruncSeries(coeffs)
 
         monkeypatch.setattr(yangian, "_z_matrix", without_order_2)
         checks = self._checks(sl2)

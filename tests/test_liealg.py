@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import rational_reference
 from rational_reference import frac_identity, min_poly, omega_rho
 from yangkit import cli, liealg, rmatrix
+from yangkit.exact import poly_mul
 from yangkit.liealg import (
     InvalidAlgebra,
     Representation,
@@ -547,6 +548,30 @@ def test_min_poly_matches_reference(m):
     got = liealg._min_poly(A)
     assert got == min_poly(A)
     assert all(type(c) is F and c.denominator == 1 for c in got)
+
+
+@st.composite
+def _monic_integer_polys(draw):
+    """Monic integer polynomials (ascending Fraction tuples, as _min_poly
+    returns them): linear factors with repeats, times a monic factor that
+    may have no rational root."""
+    p = (F(1),)
+    for r in draw(st.lists(st.integers(-12, 12), max_size=5)):
+        p = poly_mul(p, (F(-r), F(1)))
+    extra = draw(st.lists(st.integers(-6, 6), max_size=3)) + [1]
+    return poly_mul(p, tuple(F(c) for c in extra))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monic_integer_polys())
+def test_integer_roots_match_rational_root_test(p):
+    """The divisors of the constant term find the same roots, in the
+    same order, and leave the same remainder as the rational root test
+    on Fractions."""
+    roots, rem = liealg._integer_roots(p)
+    want_roots, want_rem = rational_reference.rational_roots(p)
+    assert roots == want_roots and rem == want_rem
+    assert all(type(r) is int for r in roots)
 
 
 @pytest.mark.parametrize("kernel", [[[1, 2]], [[1, 0], [0, 1]]])

@@ -12,12 +12,11 @@ from hypothesis import given, settings, strategies as st
 from yangkit import rmatrix
 from yangkit.cli import _perturbed_r
 from rational_reference import (RationalFunction, frac_identity, omega_rho,
-                                rmat_entries)
+                                rational_roots, rmat_entries)
 from yangkit.exact import poly_divmod, poly_gcd, poly_mul, rat_to_str
-from yangkit.liealg import (Representation, _min_poly, _rational_roots,
-                            build_lie, casimir, frac_to_int_array,
-                            int_to_frac_array, permutation_matrix,
-                            twisted_rep, vector_rep)
+from yangkit.liealg import (Representation, _min_poly, build_lie, casimir,
+                            frac_to_int_array, int_to_frac_array,
+                            permutation_matrix, twisted_rep, vector_rep)
 from yangkit.linalg import SparseReducer
 from yangkit.rmatrix import (
     RMat,
@@ -463,7 +462,7 @@ def _reference_solve_intertwiner(data, rep, K):
     eye = frac_identity(d)
     # the roots of the cleared matrix A, omega = s A, scaled back by s
     A, s = frac_to_int_array(omega)
-    roots = [s * r for r in _rational_roots(_min_poly(A))[0]]
+    roots = [s * r for r in rational_roots(_min_poly(A))[0]]
     projs = []
     for lam in roots:
         P = I

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 import rational_reference
 from rational_reference import rmat_entries
 from yangkit import yangian
-from yangkit.exact import TruncSeries, series_mul
-from yangkit.freealg import (NCPoly, TensorNCPoly, gen_id, gen_ijr, mat_shift,
-                             t_matrix, word_sum_r)
+from yangkit.exact import TruncSeries, series_mul, series_shift
+from yangkit.freealg import (NCPoly, TensorNCPoly, gen_id, gen_ijr,
+                             mat_inverse, t_matrix, transpose_t, word_sum_r)
 from yangkit.liealg import (_INT_LIMIT, int_to_frac_array, twisted_rep,
                             vector_rep)
 from yangkit.rmatrix import RMat, closed_form_r
@@ -325,6 +325,45 @@ def test_z_coefficients_within_their_order(family, N, order):
             assert max(p.max_sum_r() for p in entries) == r
 
 
+def _term_lists(A):
+    """Every entry of every coefficient of a matrix series, as its list
+    of (word, coefficient) pairs: term order included."""
+    return [[list(p.terms.items()) for p in m.flat] for m in A.coeffs]
+
+
+def _shifts_match(family, N, K, reference):
+    """Whether series_shift on whole coefficient arrays equals
+    ``reference`` on T(u), T(u)^{-1}, Z(u) and, for so/sp, the transpose
+    T^t(u), at five shifts."""
+    pres = _presentation(family, N, K)
+    T = t_matrix(N, K)
+    series = [T, mat_inverse(T), yangian._z_matrix(pres, K)]
+    if family != "sl":
+        series.append(transpose_t(T, pres.lie))
+    shifts = [F(1), F(-1), F(3, 2), F(-7, 3), pres.casimir.c_g / 2]
+    return all(_term_lists(series_shift(A, c)) == _term_lists(reference(A, c))
+               for A in series for c in shifts)
+
+
+@pytest.mark.parametrize("family,N,K", [("sl", 2, 4), ("so", 3, 3),
+                                         ("sp", 4, 3)])
+def test_matrix_shift_matches_entrywise_reference(family, N, K):
+    assert _shifts_match(family, N, K, rational_reference.mat_shift)
+
+
+def test_matrix_shift_check_catches_a_misshifted_entry():
+    """A reference that shifts entry (1, 1) by c + 1 fails the check."""
+    def planted(A, c):
+        good = rational_reference.mat_shift(A, c).coeffs
+        bad = rational_reference.mat_shift(A, c + 1).coeffs
+        coeffs = [m.copy() for m in good]
+        for m, b in zip(coeffs, bad):
+            m[0, 0] = b[0, 0]
+        return TruncSeries(coeffs)
+
+    assert not _shifts_match("sl", 2, 4, planted)
+
+
 @pytest.mark.parametrize("family,N,L,R,rank,digest", [
     ("sl", 2, 2, 3, 31, "2004f8390fe24e4c42825e0a497213ef"
                         "9caf4a3ab7b52cd3c1b2f3c7f81c2af4"),
@@ -493,9 +532,13 @@ class TestQdet:
         qd, report = qdet(sl2, sl2_cl, sl2_cs)
         assert report["status"] == "pass"
         T = t_matrix(2, 3)
-        Tm = mat_shift(T, F(-1))
-        oracle = (series_mul(T.entry(0, 0), Tm.entry(1, 1))
-                  - series_mul(T.entry(1, 0), Tm.entry(0, 1)))
+        Tm = rational_reference.mat_shift(T, F(-1))
+
+        def entry(A, i, j):
+            return TruncSeries([c[i, j] for c in A.coeffs])
+
+        oracle = (series_mul(entry(T, 0, 0), entry(Tm, 1, 1))
+                  - series_mul(entry(T, 1, 0), entry(Tm, 0, 1)))
         for r in range(4):
             assert qd.coeffs[r] == oracle.coeffs[r]
         assert qd.coeffs[1] == NCPoly.gen(1, 1, 1) + NCPoly.gen(2, 2, 1)
@@ -546,6 +589,27 @@ class TestLowOrder:
         assert report["details"]["b_table_all_zero"]
         gen3 = report["details"]["order3_generated_by_low_orders"]
         assert gen3 and all(flag for _, _, flag in gen3)
+
+
+@pytest.mark.parametrize("family,N,query,internal,flag", [
+    ("so", 3, (2, 3), (4, 4), True),
+    # bound-relative: sl3 reads False at internal bounds (3, 3) and True
+    # at (4, 4)
+    ("sl", 3, (2, 2), (3, 3), False),
+    pytest.param("sl", 3, (3, 3), (4, 4), True, marks=_slow),
+])
+def test_low_order_flags(family, N, query, internal, flag):
+    """The order-3 generation flags read off the quotient closure's own
+    words of letter order <= 2, pinned with the internal bounds they
+    hold at."""
+    pres = _presentation(family, N, 3)
+    cl = closure(pres, 2, 3)
+    qcl = _query_closure(family, N, 3, *query, True)
+    assert qcl.bounds == internal
+    report = verify_low_order_structure(pres, cl, z_series(pres, cl),
+                                        quotient_cl=qcl)
+    assert report["details"]["order3_generated_by_low_orders"] == [
+        [i, j, flag] for i in range(1, N + 1) for j in range(1, N + 1)]
 
 
 # sha256 of the sorted-key JSON of verify_low_order_structure on sl2
