@@ -20,12 +20,10 @@ All results are exact; no floating point enters any returned value.
 """
 
 from .exact import (
-    Rational,
     TruncSeries,
     certify_bivariate_identity,
     NonInvertibleSeries,
     rat_to_str,
-    rat_from_str,
     series_shift,
 )
 from .liealg import (
@@ -104,12 +102,10 @@ from .yangian import (
 )
 
 __all__ = [
-    "Rational",
     "TruncSeries",
     "certify_bivariate_identity",
     "NonInvertibleSeries",
     "rat_to_str",
-    "rat_from_str",
     "series_shift",
     "LieAlgebraData",
     "Representation",

@@ -35,6 +35,7 @@ from .rmatrix import (
     NotProportional,
     RMat,
     UnitarityFailure,
+    _combine,
     check_qybe,
     check_unitarity,
     closed_form_r,
@@ -151,13 +152,23 @@ def _suite_classical(cfg, ctx):
 
 
 def _perturbed_r(R, rng):
-    """Seed-derived non-solution: add c u^{-2} to one diagonal entry."""
+    """Seed-derived non-solution: add c u^{-2} to one diagonal entry e.
+    With v the order of D at u = 0, k = max(0, 2 - v) and lcm(D, u^2) =
+    u^k D, the sum is s u^k C(u) + c (D / u^(2 - k)) E_ee over u^k D."""
     nn = R.N * R.N
     e = rng.randrange(nn)
     c = Fraction(rng.randint(1, 5))
-    bump = np.zeros((1, nn, nn), dtype=np.int64)
-    bump[0, e, e] = 1
-    return R + RMat(R.N, (ZERO, ZERO, ONE), bump, c), e, c
+    D = R.den
+    k = max(0, 2 - next(i for i, x in enumerate(D) if x))
+    bump = np.zeros((nn, nn), dtype=np.int64)
+    bump[e, e] = 1
+    rows = [[] for _ in range(max(k + len(R.coeffs), len(D) - 2 + k))]
+    for m, cm in enumerate(R.coeffs):
+        rows[k + m].append((R.scale, cm))
+    for j, d in enumerate(D[2 - k:]):
+        rows[j].append((c * d, bump))
+    C, s = _combine(rows, (nn, nn))
+    return RMat(R.N, (ZERO,) * k + D, C, s), e, c
 
 
 def _suite_rmatrix(cfg, ctx):
@@ -408,7 +419,7 @@ def cmd_solve_r(cfg):
     closed = closed_form_r(cfg.family, cfg.N)
     details = {"solution": series.to_json()}
     try:
-        g = proportional_to(series, closed)
+        g = proportional_to(series, closed.expand(series.order))
     except NotProportional as exc:
         ok, details["error"] = False, str(exc)
     else:

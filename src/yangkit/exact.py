@@ -11,8 +11,8 @@ and Fraction-scalar multiplication works (noncommutative polynomial
 coefficients reuse the same series routines).
 
 A matrix series, such as the generator matrix T(u), is a TruncSeries whose
-coefficients are N x N object arrays.  ``+``, ``-``, ``scale`` and
-``series_shift`` act entrywise, which is what they mean for a matrix.
+coefficients are N x N object arrays.  ``+``, ``-``, ``scale``, ``==``
+and ``series_shift`` act entrywise, which is what they mean for a matrix.
 ``series_mul`` would multiply the coefficient arrays entrywise too (numpy's
 ``*``), not as matrices, and ``series_inverse`` needs an invertible scalar
 constant term; so the matrix product and inverse are ``freealg.mat_mul``
@@ -24,8 +24,6 @@ from math import comb
 
 import numpy as np
 
-Rational = Fraction
-
 
 class NonInvertibleSeries(ValueError):
     pass
@@ -34,10 +32,6 @@ class NonInvertibleSeries(ValueError):
 def rat_to_str(x):
     """Serialize a rational as "p/q"."""
     return "%d/%d" % (x.numerator, x.denominator)
-
-
-def rat_from_str(s):
-    return Fraction(s)
 
 
 def check_report(check, ok, details, family, N, K=None, bounds=None):
@@ -72,9 +66,12 @@ class TruncSeries:
         self.order = len(self.coeffs) - 1
 
     def __eq__(self, other):
-        return isinstance(other, TruncSeries) and self.coeffs == other.coeffs
+        return (isinstance(other, TruncSeries) and self.order == other.order
+                and all(np.all(a == b)
+                        for a, b in zip(self.coeffs, other.coeffs)))
 
     def __hash__(self):
+        # a matrix series has unhashable coefficients: TypeError
         return hash(self.coeffs)
 
     def __repr__(self):
@@ -209,12 +206,6 @@ def poly_gcd(p, q):
     if p:
         p = poly_scale(p, ONE / p[-1])
     return p
-
-
-def poly_lcm(p, q):
-    """Monic lcm of two nonzero polynomials."""
-    return poly_scale(poly_mul(p, poly_divmod(q, poly_gcd(p, q))[0]),
-                      ONE / (p[-1] * q[-1]))
 
 
 def poly_compose_linear(p, a, b):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import ONE, ZERO, TruncSeries, rat_from_str, rat_to_str
+from .exact import ONE, ZERO, TruncSeries, rat_to_str
 
 
 class NonInvertible(ValueError):
@@ -177,11 +177,6 @@ class NCPoly(TermAlgebra):
     def gen(i, j, r):
         return NCPoly({(gen_id(i, j, r),): ONE})
 
-    @staticmethod
-    def from_word(w, c=ONE):
-        c = Fraction(c)
-        return NCPoly({tuple(w): c} if c else {})
-
     def __repr__(self):
         if not self.terms:
             return "NCPoly(0)"
@@ -205,14 +200,6 @@ class NCPoly(TermAlgebra):
             out.append({"coeff": rat_to_str(self.terms[w]),
                         "word": [list(gen_ijr(g)) for g in w]})
         return out
-
-    @staticmethod
-    def from_json(recs):
-        terms = {}
-        for rec in recs:
-            w = tuple(gen_id(i, j, r) for i, j, r in rec["word"])
-            terms[w] = rat_from_str(rec["coeff"])
-        return NCPoly(terms)
 
 
 class TensorNCPoly(TermAlgebra):

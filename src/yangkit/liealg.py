@@ -906,10 +906,8 @@ def verify_yangian_module(data, rep):
     details["YJ2"] = True  # linearity is structural in the matrix model
 
     # dual-contracted current tensors: OmA[b] = sum_m rho([X_b,X_m]) (x)
-    # rho(X^m), an element of End(V (x) V)
-    c_bm = (checked_einsum("bik,mkj->bmij", t.px, t.px)
-            - checked_einsum("mik,bkj->bmij", t.px, t.px))
-    oma = checked_einsum("bmij,mkl->bijkl", c_bm, t.pd)
+    # rho(X^m), an element of End(V (x) V); c_xx[b, m] is rho([X_b,X_m])
+    oma = checked_einsum("bmij,mkl->bijkl", c_xx, t.pd)
     s_oma = t.sx * t.sx * t.sd
 
     ok3 = True
@@ -977,8 +975,8 @@ def verify_yangian_module(data, rep):
         rhs4 = term1.astype(object) + np.transpose(
             term1, (2, 3, 0, 1, 4, 5)).astype(object)
         # LHS[a,b,g,dl] = [[J_a,J_b],[X_g,J_dl]] + [[J_g,J_dl],[X_a,J_b]]
-        xj = (checked_einsum("bik,ckj->bcij", t.px, pj)
-              - checked_einsum("cik,bkj->bcij", pj, t.px))
+        # with [X_b, J_c] = -[J_c, X_b]
+        xj = -jx.transpose(1, 0, 2, 3)
         l1 = (checked_einsum("abik,cdkj->abcdij", jj, xj)
               - checked_einsum("cdik,abkj->abcdij", xj, jj))
         lhs4 = l1.astype(object) + np.transpose(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .exact import (ONE, ZERO, TruncSeries, certify_bivariate_identity,
                     check_report, poly_compose_linear, poly_divmod, poly_gcd,
-                    poly_lcm, poly_mul, poly_scale, poly_trim, rat_to_str,
+                    poly_mul, poly_scale, poly_trim, rat_to_str,
                     series_inverse)
 from . import linalg
 from .liealg import (_FLOAT_LIMIT, _FLOAT_MIN_INNER, _INT_LIMIT, CasimirData,
@@ -139,17 +139,6 @@ class RMat:
         self.den = den
         self.coeffs, self.scale = _combine(
             [[(Fraction(scale), c)] for c in coeffs], (nn, nn))
-
-    def __add__(self, other):
-        den = poly_lcm(self.den, other.den)
-        rows = {}
-        for R in (self, other):
-            for j, qj in enumerate(poly_divmod(den, R.den)[0]):
-                for m, c in enumerate(R.coeffs):
-                    rows.setdefault(j + m, []).append((R.scale * qj, c))
-        C, s = _combine([rows[k] for k in range(max(rows) + 1)],
-                        self.coeffs.shape[1:])
-        return RMat(self.N, den, C, s)
 
     def shifted(self, a):
         """R(u - a)."""
@@ -474,15 +463,14 @@ def solve_intertwiner(data, rep, K):
 # proportionality and expansion
 
 def proportional_to(r1, r2):
-    """Scalar series g(u) with r1 = g(u) * r2 through r1's order.
+    """Scalar series g(u) with r1 = g(u) * r2 through r1's order, for two
+    RSeries.
 
     Order k brings r1[k] and the g_a r2[k - a] (a < k) to one integer
     matrix over one denominator; it must be scalar, and since r2[0] = I
     its [0, 0] entry is g_k.  The back-multiplication check compares
     sum_{a <= k} g_a r2[k - a] with r1[k] the same way.
     """
-    if isinstance(r2, RMat):
-        r2 = r2.expand(r1.order)
     if r2.order < r1.order:
         raise ValueError("second series has lower order")
     K = r1.order

@@ -443,21 +443,22 @@ def _fits(cl, p):
     return p.max_len() <= cl.L and p.max_sum_r() <= cl.R_ord
 
 
-def _check_members(cl, items, tensor=False):
-    """Bounded membership checks over (key, NCPoly) items, or (key,
-    TensorNCPoly) items with ``tensor``, one policy for every verdict: an
-    item that does not fit the closure bounds is skipped; a zero item is
-    tested and passes without a reduction; any other item is tested and
-    fails when it is not in the ideal.  Returns the key lists (tested,
-    skipped, failures), each in item order."""
-    # looked up per call, so a rebound module normal_form is the one used
-    reduce = tensor_normal_form if tensor else normal_form
+def _check_members(cl, items):
+    """Bounded membership checks over (key, NCPoly or TensorNCPoly)
+    items, one policy for every verdict: an item that does not fit the
+    closure bounds is skipped; a zero item is tested and passes without a
+    reduction; any other item is tested and fails when it is not in the
+    ideal.  Returns the key lists (tested, skipped, failures), each in
+    item order."""
     tested, skipped, failures = [], [], []
     for key, p in items:
         if p and not _fits(cl, p):
             skipped.append(key)
             continue
         tested.append(key)
+        # looked up here, so a rebound module normal_form is the one used
+        reduce = (tensor_normal_form if isinstance(p, TensorNCPoly)
+                  else normal_form)
         if p and reduce(cl, p):
             failures.append(key)
     return tested, skipped, failures
@@ -830,7 +831,7 @@ def verify_hopf(pres, cl, cs):
         return coproduct_poly(cs.z[r], N) - target
 
     grouplike_tested, _, grouplike_fail = _check_members(
-        cl, ((r, grouplike_defect(r)) for r in rs), tensor=True)
+        cl, ((r, grouplike_defect(r)) for r in rs))
 
     table = antipode_table(N, K)
     sz = TruncSeries([antipode_poly(p, table) for p in cs.z[: K + 1]])
@@ -843,8 +844,7 @@ def verify_hopf(pres, cl, cs):
     # relation fits the bounds exactly when the relation does
     rels = [p for p in pres.relations if _fits(cl, p)][:HOPF_MAX_RELATIONS]
     coproduct_tested, _, coproduct_fail = _check_members(
-        cl, ((n, coproduct_poly(p, N)) for n, p in enumerate(rels)),
-        tensor=True)
+        cl, ((n, coproduct_poly(p, N)) for n, p in enumerate(rels)))
 
     ok = counit_ok and not (grouplike_fail or antipode_fail or coproduct_fail)
     return _report("hopf", pres, cl, ok, {
@@ -914,7 +914,7 @@ def verify_fixed_point(pres, cl, cs, f):
     c = ONE
     A = series_shift(Tt, c)
     B = mat_mul(_scalar_mat(series_shift(yinv, c), N), series_shift(T, c))
-    shift_ok = all((a == b).all() for a, b in zip(A.coeffs, B.coeffs))
+    shift_ok = A == B
     ok = shift_ok and not (fixed_fail or scale_fail)
     return _report("fixed_point", pres, cl, ok, {
         "f": [rat_to_str(c) for c in f.coeffs],

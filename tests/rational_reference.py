@@ -25,6 +25,12 @@ rational root test runs on Fraction coefficients, clearing denominators.
 A matrix series is re-expanded at u + c by ``exact.series_shift`` acting
 on whole coefficient arrays; here each entry is shifted as a scalar
 series and the matrices are reassembled.
+
+The CLI's QYBE negative control builds R(u) + c u^-2 E_ee as one RMat
+over lcm(D, u^2) (``cli._perturbed_r``); here two RMats are added over
+the lcm of their denominators, found by polynomial gcd.  The library
+writes rationals and NCPolys to JSON and never reads them back; the
+readers, and NCPoly's one-word constructor, are here.
 """
 
 from fractions import Fraction
@@ -37,9 +43,30 @@ from yangkit.exact import (ONE, ZERO, TruncSeries, poly_add,
                            poly_compose_linear, poly_divmod, poly_gcd,
                            poly_mul, poly_scale, poly_trim, series_inverse,
                            series_mul, series_shift)
-from yangkit.freealg import gen_id
+from yangkit.freealg import NCPoly, gen_id
 from yangkit.liealg import (CasimirData, _divisors, commutant,
                             frac_to_int_array, int_to_frac_array)
+from yangkit.rmatrix import RMat, _combine
+
+
+def rat_from_str(s):
+    """The rational that ``exact.rat_to_str`` wrote as "p/q"."""
+    return Fraction(s)
+
+
+def ncpoly_from_word(w, c=ONE):
+    """c times one word of generator ids."""
+    c = Fraction(c)
+    return NCPoly({tuple(w): c} if c else {})
+
+
+def ncpoly_from_json(recs):
+    """The NCPoly that ``NCPoly.to_json`` wrote."""
+    terms = {}
+    for rec in recs:
+        w = tuple(gen_id(i, j, r) for i, j, r in rec["word"])
+        terms[w] = rat_from_str(rec["coeff"])
+    return NCPoly(terms)
 
 
 def poly_eval(p, x):
@@ -179,6 +206,26 @@ def rmat_entries(R):
             out[i, j] = RationalFunction(
                 [R.scale * int(c) for c in R.coeffs[:, i, j]], R.den)
     return out
+
+
+def poly_lcm(p, q):
+    """Monic lcm of two nonzero polynomials."""
+    return poly_scale(poly_mul(p, poly_divmod(q, poly_gcd(p, q))[0]),
+                      ONE / (p[-1] * q[-1]))
+
+
+def rmat_add(R1, R2):
+    """R1 + R2 over lcm(D1, D2): each C(u) is multiplied by lcm / D and
+    the integer matrices of one power of u are combined over one scale."""
+    den = poly_lcm(R1.den, R2.den)
+    rows = {}
+    for R in (R1, R2):
+        for j, qj in enumerate(poly_divmod(den, R.den)[0]):
+            for m, c in enumerate(R.coeffs):
+                rows.setdefault(j + m, []).append((R.scale * qj, c))
+    C, s = _combine([rows[k] for k in range(max(rows) + 1)],
+                    R1.coeffs.shape[1:])
+    return RMat(R1.N, den, C, s)
 
 
 def omega_rho(cas):

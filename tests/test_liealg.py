@@ -158,6 +158,40 @@ class TestTwistedRep:
                 == decompose_ad(data, vector_rep(data)).dims())
 
 
+class TestPlantedJ:
+    """A planted rho(J) that is not a Yangian module: YJ1-Jlinear, YJ3 and
+    YJ4 must fail, on a vector and on a twisted base.  YJ2 is hard-coded
+    True, so it cannot fail."""
+
+    @staticmethod
+    def _planted(data, base, defect):
+        rep = twisted_rep(data, base)
+        assert rep.sj == 1
+        pj = np.array(rep.pj)
+        if defect == "corner":
+            # rho(J(X_0))[0, 0] += 1
+            pj[0, 0, 0] += 1
+        else:
+            # J(X_0) = 2 X_0, J(X) = c X otherwise
+            pj[0] = 2 * data.basis[0]
+        return rep, Representation(rep.px, rep.sx, pj, rep.sj)
+
+    # base c is twisted_rep(data, c), the vector rep at c = 0; at c = 2
+    # J(X_0) = 2 X_0 is no defect
+    @pytest.mark.parametrize("base,defect", [
+        (0, "corner"), (2, "corner"), (0, "doubled_x0"), (1, "doubled_x0")])
+    @pytest.mark.parametrize("family,N", [("sl", 2), ("so", 3)])
+    def test_defect_fails(self, family, N, base, defect):
+        data = build_lie(family, N)
+        rep, bad = self._planted(data, base, defect)
+        assert verify_yangian_module(data, rep)["status"] == "pass"
+        report = verify_yangian_module(data, bad)
+        assert report["status"] == "fail"
+        assert report["details"] == {
+            "YJ1-bracket": True, "YJ1-Jlinear": False, "YJ2": True,
+            "YJ3": False, "YJ4": False, "YJ4-mode": "computed"}
+
+
 def _report_json(family, N, c):
     """The four liealg reports, expansion_check against the closed-form R
     and decompose_ad(...).dims() for twisted_rep(data, c), or for the

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from yangkit import rmatrix
 from yangkit.cli import _perturbed_r
 from rational_reference import (RationalFunction, frac_identity, omega_rho,
-                                rational_roots, rmat_entries)
+                                rational_roots, rmat_add, rmat_entries)
 from yangkit.exact import poly_divmod, poly_gcd, poly_mul, rat_to_str
 from yangkit.liealg import (Representation, _min_poly, build_lie, casimir,
                             frac_to_int_array, int_to_frac_array,
@@ -47,7 +47,7 @@ class TestQYBE:
         # adding u^{-2} to one diagonal entry breaks the ternary identity
         bump = np.zeros((1, 4, 4), dtype=np.int64)
         bump[0, 0, 0] = 1
-        assert not check_qybe(yang_r(2) + RMat(2, (0, 0, 1), bump))
+        assert not check_qybe(rmat_add(yang_r(2), RMat(2, (0, 0, 1), bump)))
 
     @staticmethod
     def _scaled_yang():
@@ -66,7 +66,7 @@ class TestQYBE:
     def test_large_coefficients_non_solution_fails(self):
         bump = np.zeros((1, 4, 4), dtype=np.int64)
         bump[0, 0, 0] = 1
-        bad = self._scaled_yang() + RMat(2, (0, 0, 1), bump)
+        bad = rmat_add(self._scaled_yang(), RMat(2, (0, 0, 1), bump))
         assert not check_qybe(bad)
 
     def test_leg_factors_built_once(self, monkeypatch):
@@ -151,7 +151,7 @@ class TestQYBEFloatRoute:
             assert (out == want).all()
         bump = np.zeros((1, 16, 16), dtype=np.int64)
         bump[0, 0, 0] = 1
-        assert not check_qybe(R + RMat(4, (0, 0, 1), bump))
+        assert not check_qybe(rmat_add(R, RMat(4, (0, 0, 1), bump)))
 
     def test_dense_chain_past_float_limit(self, products):
         """A dense constant R(u) = C_0 with positive entries near
@@ -360,8 +360,9 @@ def test_matches_entrywise_reference(case, K, a):
 @settings(max_examples=40, deadline=None)
 @given(_entry_arrays(), st.data())
 def test_sum_and_shift_match_reference(case, data):
-    """R1 + R2 and R(u - a) equal the RMat cleared from the entry-wise
-    sum and shift, also when the sum cancels a pole in every entry."""
+    """The reference R1 + R2 and R(u - a) equal the RMat cleared from the
+    entry-wise sum and shift, also when the sum cancels a pole in every
+    entry."""
     entries, N = case
     nn = N * N
     other = np.empty((nn, nn), dtype=object)
@@ -369,7 +370,7 @@ def test_sum_and_shift_match_reference(case, data):
         for j in range(nn):
             other[i, j] = data.draw(st.one_of(st.just(-entries[i, j]),
                                               _entry(False)))
-    _assert_same(_cleared(entries, N) + _cleared(other, N),
+    _assert_same(rmat_add(_cleared(entries, N), _cleared(other, N)),
                  _cleared(entries + other, N))
     a = data.draw(st.fractions(-2, 2, max_denominator=3))
     shifted = np.empty((nn, nn), dtype=object)
@@ -387,6 +388,48 @@ def test_constructor_reduces_to_the_lcm():
     assert np.array_equal(R.coeffs, [ident])
     with pytest.raises(ValueError):
         RMat(2, (0, 2), [ident])
+
+
+# -- the QYBE negative control against the reference sum ----------------
+
+def _reference_perturbed(R, rng):
+    """R + c u^{-2} E_ee by the reference adder, from the same draws as
+    cli._perturbed_r."""
+    nn = R.N * R.N
+    e = rng.randrange(nn)
+    c = F(rng.randint(1, 5))
+    bump = np.zeros((1, nn, nn), dtype=np.int64)
+    bump[0, e, e] = 1
+    return rmat_add(R, RMat(R.N, (0, 0, 1), bump, c)), e, c
+
+
+def _assert_perturbed_matches(R, seeds):
+    for seed in seeds:
+        got, entry, c = _perturbed_r(R, random.Random(seed))
+        want, want_entry, want_c = _reference_perturbed(
+            R, random.Random(seed))
+        assert (entry, c) == (want_entry, want_c)
+        _assert_same(got, want)
+        assert got.coeffs.dtype == want.coeffs.dtype
+
+
+@pytest.mark.parametrize("family,N", [
+    ("sl", 2), ("sl", 3), ("sl", 6), ("so", 3), ("so", 4), ("so", 5),
+    ("sp", 2), ("sp", 4), ("sp", 6)])
+def test_perturbed_r_is_the_reference_sum(family, N):
+    """The control's one RMat build equals R + c u^{-2} E_ee added over
+    lcm(D, u^2): same D, scale, coefficients, entry and bump."""
+    _assert_perturbed_matches(closed_form_r(family, N), range(10))
+
+
+@pytest.mark.parametrize("v", [0, 1, 2, 3])
+def test_perturbed_r_at_any_order_of_d(v):
+    """D = u^v (u - 2): lcm(D, u^2) prepends max(0, 2 - v) zeros to D."""
+    D = poly_mul((F(0),) * v + (F(1),), (F(-2), F(1)))
+    C = np.random.default_rng(v).integers(-3, 4, (len(D), 4, 4))
+    R = RMat(2, D, C, F(1, 3))
+    assert R.den == D
+    _assert_perturbed_matches(R, range(4))
 
 
 # -- the integer R-series against the former Fraction code --------------
@@ -659,7 +702,7 @@ class TestNoObjectEinsum:
         rep = vector_rep(data)
         R = closed_form_r(family, N)
         assert expansion_check(R, data, rep)["status"] == "pass"
-        proportional_to(solve_intertwiner(data, rep, 3), R)
+        proportional_to(solve_intertwiner(data, rep, 3), R.expand(3))
 
     def test_large_coefficients(self):
         R = TestQYBE._scaled_yang()
@@ -673,4 +716,5 @@ class TestNoObjectEinsum:
             "error": str(exc.value)}
         series = R.expand(3)
         assert series.S.dtype == object
-        assert proportional_to(series, R).coeffs == (F(1),) + (F(0),) * 3
+        assert proportional_to(series, series).coeffs == (
+            (F(1),) + (F(0),) * 3)

@@ -140,8 +140,7 @@ class TestCheckMembers:
                  ("generator", of(b, one)),
                  ("zero", of(a - a, b)),
                  ("bracket", of(one, a * b - b * a - b))]
-        tested, skipped, failures = yangian._check_members(
-            sl2_cl, items, tensor=True)
+        tested, skipped, failures = yangian._check_members(sl2_cl, items)
         assert tested == ["generator", "zero", "bracket"]
         assert skipped == ["long_right", "high_left"]
         assert failures == ["generator"]
