@@ -154,7 +154,11 @@ def _suite_classical(cfg, ctx):
 def _perturbed_r(R, rng):
     """Seed-derived non-solution: add c u^{-2} to one diagonal entry e.
     With v the order of D at u = 0, k = max(0, 2 - v) and lcm(D, u^2) =
-    u^k D, the sum is s u^k C(u) + c (D / u^(2 - k)) E_ee over u^k D."""
+    u^k D, the sum is s u^k C(u) + c (D / u^(2 - k)) E_ee over u^k D.
+    For every library R, D = u or u (u - kappa), so v = 1: s u^k C(u)
+    vanishes at u = 0 and the bump does not, so entry (e, e) keeps the
+    pole u^2 and u^k D is the lcm of the entry denominators when D is
+    R's.  No polynomial gcd is taken."""
     nn = R.N * R.N
     e = rng.randrange(nn)
     c = Fraction(rng.randint(1, 5))
@@ -445,11 +449,22 @@ def cmd_qdet(cfg):
                   "config": cfg.to_json(), "checks": [rep]}, cfg.output)
 
 
-def cmd_report_merge(inputs, output):
-    reports = []
-    for path in inputs:
+def _read_json_object(path, what):
+    """The JSON object in the file at ``path``; UsageError if it cannot
+    be read, is not JSON, or holds anything but an object."""
+    try:
         with open(path) as fh:
-            reports.append(json.load(fh))
+            obj = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError("cannot read %s: %s" % (what, exc))
+    if not isinstance(obj, dict):
+        raise UsageError("%s must hold a JSON object" % what)
+    return obj
+
+
+def cmd_report_merge(inputs, output):
+    reports = [_read_json_object(path, "report %s" % path)
+               for path in inputs]
     return _emit({"schema": SCHEMA, "command": "report-merge",
                   "inputs": list(inputs), "reports": reports}, output,
                  key="reports")
@@ -523,13 +538,7 @@ def _check_file_config(merged):
 def _load_config(args, default_suite):
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError("cannot read config file: %s" % exc)
-        if not isinstance(file_cfg, dict):
-            raise UsageError("config file must hold a JSON object")
+        file_cfg = _read_json_object(args.config, "config file")
         for key in ("family", "N", "K", "L", "R_ord", "suite", "seed",
                     "output"):
             if key in file_cfg:

@@ -20,7 +20,6 @@ minimal polynomials, eigenspaces and ``decompose_ad``'s blocks are too.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -107,17 +106,6 @@ def _int_array(ints):
     if any(abs(v) >= _INT_LIMIT for v in arr.flat):
         return arr
     return arr.astype(np.int64)
-
-
-def frac_to_int_array(mats):
-    """Stack Fraction matrices into (integer array, Fraction scale) over
-    their least common denominator: int64, or exact Python ints (dtype
-    object) when an entry is beyond the int64 fast path."""
-    arr = np.asarray(mats, dtype=object)
-    flat = arr.ravel().tolist()
-    den = lcm(*[x.denominator for x in flat])
-    out = _int_array([x.numerator * (den // x.denominator) for x in flat])
-    return out.reshape(arr.shape), Fraction(1, den)
 
 
 def _max_abs(a):

@@ -5,13 +5,16 @@ solver with its proportionality and expansion checks.
 R-matrices act on V (x) V with V the vector module.  An R-matrix is held
 as one monic scalar denominator over an integer matrix polynomial,
 R(u) = s (C_0 + C_1 u + ... + C_d u^d) / D(u) (see RMat), so no check
-normalizes a rational function per entry.  QYBE is certified by clearing
-that one scalar on both sides and comparing integer matrix products on
-an interpolation-complete grid; unitarity multiplies the coefficient
-matrices; u^{-1}-expansions expand 1/D once.  A truncated expansion
-(RSeries) is likewise one integer stack over one scale, and the
-intertwiner solver, the proportionality test and the expansion check
-run on integer matrices throughout; Fractions appear only in reports.
+normalizes a rational function per entry.  D is the denominator the
+builder gives; each builder here (yang_r, sosp_r, RMat.shifted) gives the
+lcm of the entry denominators, but no check needs it to be.  QYBE is
+certified by clearing that one scalar on both sides and comparing
+integer matrix products on an interpolation-complete grid; unitarity
+multiplies the coefficient matrices; u^{-1}-expansions expand 1/D once.
+A truncated expansion (RSeries) is likewise one integer stack over one
+scale, and the intertwiner solver, the proportionality test and the
+expansion check run on integer matrices throughout; Fractions appear
+only in reports.
 """
 
 from fractions import Fraction
@@ -25,9 +28,9 @@ from .exact import (ONE, ZERO, TruncSeries, certify_bivariate_identity,
                     series_inverse)
 from . import linalg
 from .liealg import (_FLOAT_LIMIT, _FLOAT_MIN_INNER, _INT_LIMIT, CasimirData,
-                     build_lie, checked_einsum, commutant, frac_to_int_array,
-                     int_to_frac_array, on_legs, permutation_matrix,
-                     q_matrix, safe_axpy, safe_matmul, scaled_equal,
+                     build_lie, checked_einsum, commutant, int_to_frac_array,
+                     on_legs, permutation_matrix, q_matrix, safe_axpy,
+                     safe_matmul, scaled_equal,
                      _is_scalar, _max_abs, _min_poly, _integer_roots)
 
 
@@ -80,16 +83,13 @@ def _combine(rows, shape):
     return S, Fraction(1, q)
 
 
-def _int_poly(col):
-    """An integer coefficient column as an ascending Fraction polynomial."""
-    return tuple(Fraction(int(c)) for c in col)
-
-
 class RMat:
     """R(u) = scale * (sum_m coeffs[m] u^m) / den(u) on V (x) V.
 
-    ``den`` is D(u), the monic lcm of the entry denominators (ascending
-    Fraction coefficients).  ``coeffs`` stacks the integer matrices C_0 ..
+    ``den`` is D(u), the monic common denominator the builder gives
+    (ascending Fraction coefficients), kept as given: the library builders
+    give the lcm of the entry denominators, and every reader is exact over
+    any common denominator.  ``coeffs`` stacks the integer matrices C_0 ..
     C_deg, shape (deg + 1, N^2, N^2), int64 or Python ints where int64
     could overflow; C_deg is nonzero unless R = 0.  ``scale`` = 1/q with
     q the least common denominator of scale * C, so the C_m are the
@@ -106,33 +106,14 @@ class RMat:
 
     def __init__(self, N, den, coeffs, scale=ONE):
         """R(u) = scale * (sum_m coeffs[m] u^m) / den(u) for integer
-        matrices ``coeffs`` over a monic common denominator ``den``, which
-        is reduced to the lcm of the entry denominators."""
+        matrices ``coeffs`` over a monic common denominator ``den``,
+        which is stored as given."""
         nn = N * N
         coeffs = np.asarray(coeffs)
         if coeffs.shape[1:] != (nn, nn) or den[-1] != 1:
             raise ValueError("need N^2 x N^2 matrices over a monic "
                              "denominator")
         den = tuple(Fraction(c) for c in den)
-        # den is the lcm unless a factor g of it divides every entry
-        cols = coeffs.reshape(len(coeffs), -1).T
-        g = den
-        for col in cols:
-            if len(g) == 1:
-                break
-            if col.any():
-                g = poly_gcd(g, _int_poly(col))
-        if len(g) > 1:
-            # a pole cancels in every entry: divide g out of D and out of
-            # each entry's numerator
-            den = poly_divmod(den, g)[0]
-            quots = [poly_divmod(_int_poly(col), g)[0] for col in cols]
-            top = max(1, max(len(p) for p in quots))
-            coeffs, s = frac_to_int_array(
-                [[p[m] if m < len(p) else ZERO for p in quots]
-                 for m in range(top)])
-            coeffs = coeffs.reshape(top, nn, nn)
-            scale = scale * s
         while len(coeffs) > 1 and not coeffs[-1].any():
             coeffs = coeffs[:-1]
         self.N = N

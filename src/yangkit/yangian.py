@@ -716,13 +716,7 @@ def _perm_sign(p):
     return sign
 
 
-def _z_list(pres, cs):
-    """cs.z, or z_0..z_K read off Z(u) when no central series is given."""
-    return cs.z if cs is not None else _z_coeffs(_z_matrix(pres, pres.K),
-                                                 pres.K)
-
-
-def qdet(pres, cl, cs=None):
+def qdet(pres, cl, cs):
     """qdet T(u) = sum_pi sign(pi) t_{pi(1),1}(u) ... t_{pi(N),N}(u-N+1),
     with centrality and z(u) = zdet(u+N) verified modulo the ideal."""
     if pres.family != "sl":
@@ -747,10 +741,9 @@ def qdet(pres, cl, cs=None):
 
     # zdet(u) = qdet T(u-1) (qdet T(u))^{-1}; z(u) = zdet(u+N) mod ideal
     zdet = series_mul(series_shift(qd, Fraction(-1)), series_inverse(qd))
-    zlist = _z_list(pres, cs)
     shifted = series_shift(zdet, Fraction(N))
     match_tested, _, match_fail = _check_members(
-        cl, ((r, zlist[r] - shifted.coeffs[r]) for r in orders))
+        cl, ((r, cs.z[r] - shifted.coeffs[r]) for r in orders))
     return qd, _report("qdet", pres, cl, not (central_fail or match_fail), {
         "centrality_tested": len(tested),
         "centrality_failures": central_fail,
@@ -758,7 +751,7 @@ def qdet(pres, cl, cs=None):
         "z_match_failures": match_fail})
 
 
-def symmetry_series(pres, cl, cs=None):
+def symmetry_series(pres, cl, cs):
     """T^t(u+kappa) T(u) = zdet(u) I modulo the ideal (so/sp), plus the
     two-sided equality and z(u) = zdet(u) zdet(u+kappa)^{-1}."""
     if pres.family not in ("so", "sp"):
@@ -778,10 +771,9 @@ def symmetry_series(pres, cl, cs=None):
             K, N, lambda r, i, j: M.coeffs[r][i, j] - M2.coeffs[r][i, j]))
 
     zdet = TruncSeries([M.coeffs[r][0, 0] for r in range(K + 1)])
-    zlist = _z_list(pres, cs)
     rhs = series_mul(zdet, series_inverse(series_shift(zdet, kap)))
     match_tested, _, match_fail = _check_members(
-        cl, ((r, zlist[r] - rhs.coeffs[r]) for r in range(1, K + 1)))
+        cl, ((r, cs.z[r] - rhs.coeffs[r]) for r in range(1, K + 1)))
     ok = not (scalar_fail or two_sided_fail or match_fail)
     return zdet, _report("symmetry_series", pres, cl, ok, {
         "scalar_tested": len(scalar_tested),

@@ -28,7 +28,11 @@ series and the matrices are reassembled.
 
 The CLI's QYBE negative control builds R(u) + c u^-2 E_ee as one RMat
 over lcm(D, u^2) (``cli._perturbed_r``); here two RMats are added over
-the lcm of their denominators, found by polynomial gcd.  The library
+the lcm of their denominators, found by polynomial gcd.  An RMat keeps
+the denominator its builder gives; ``common_factor`` finds a factor of D
+that divides every entry, which the library builders never leave.  The
+library builds its integer arrays on integers; a Fraction stack is
+cleared to one here (``frac_to_int_array``).  The library
 writes rationals and NCPolys to JSON and never reads them back; the
 readers, and NCPoly's one-word constructor, are here.
 """
@@ -44,8 +48,8 @@ from yangkit.exact import (ONE, ZERO, TruncSeries, poly_add,
                            poly_mul, poly_scale, poly_trim, series_inverse,
                            series_mul, series_shift)
 from yangkit.freealg import NCPoly, gen_id
-from yangkit.liealg import (CasimirData, _divisors, commutant,
-                            frac_to_int_array, int_to_frac_array)
+from yangkit.liealg import (CasimirData, _divisors, _int_array, commutant,
+                            int_to_frac_array)
 from yangkit.rmatrix import RMat, _combine
 
 
@@ -214,9 +218,33 @@ def poly_lcm(p, q):
                       ONE / (p[-1] * q[-1]))
 
 
+def frac_to_int_array(mats):
+    """Stack Fraction matrices into (integer array, Fraction scale) over
+    their least common denominator: int64, or exact Python ints (dtype
+    object) when an entry is beyond the int64 fast path."""
+    arr = np.asarray(mats, dtype=object)
+    flat = arr.ravel().tolist()
+    den = lcm(*[x.denominator for x in flat])
+    out = _int_array([x.numerator * (den // x.denominator) for x in flat])
+    return out.reshape(arr.shape), Fraction(1, den)
+
+
+def common_factor(R):
+    """The monic gcd of D and every nonzero entry numerator of an RMat:
+    (1,) exactly when D is the lcm of the entry denominators."""
+    g = R.den
+    for col in R.coeffs.reshape(len(R.coeffs), -1).T:
+        if len(g) == 1:
+            break
+        if col.any():
+            g = poly_gcd(g, tuple(Fraction(int(c)) for c in col))
+    return g
+
+
 def rmat_add(R1, R2):
-    """R1 + R2 over lcm(D1, D2): each C(u) is multiplied by lcm / D and
-    the integer matrices of one power of u are combined over one scale."""
+    """R1 + R2 over lcm(D1, D2), also when a pole cancels in every entry:
+    each C(u) is multiplied by lcm / D and the integer matrices of one
+    power of u are combined over one scale."""
     den = poly_lcm(R1.den, R2.den)
     rows = {}
     for R in (R1, R2):

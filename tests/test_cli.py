@@ -66,6 +66,22 @@ class TestUsageErrors:
         assert main(["verify", "--family", "sl", "--n", "2",
                      "--suite", "pbw"]) == 2
 
+    @pytest.mark.parametrize("bad", [None, "{", "[]"],
+                             ids=["missing", "malformed", "list"])
+    def test_unreadable_merge_input(self, tmp_path, capsys, bad):
+        """report-merge of a missing file, malformed JSON or a JSON list
+        exits 2 and writes nothing, like an unreadable --config."""
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"status": "pass"}))
+        path = tmp_path / "bad.json"
+        if bad is not None:
+            path.write_text(bad)
+        out = tmp_path / "merged.json"
+        assert main(["report-merge", str(good), str(path),
+                     "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "usage error" in capsys.readouterr().err
+
     def test_bounds_too_large(self, capsys):
         assert main(["build", "--family", "sl", "--n", "2",
                      "--len", "12", "--sumr", "12"]) == 3

@@ -11,14 +11,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rational_reference
-from rational_reference import frac_identity, min_poly, omega_rho
+from rational_reference import (frac_identity, frac_to_int_array, min_poly,
+                                omega_rho)
 from yangkit import cli, liealg, rmatrix
 from yangkit.exact import poly_mul
 from yangkit.liealg import (
+    CasimirData,
     InvalidAlgebra,
     Representation,
     build_lie,
     casimir,
+    checked_einsum,
     commutant,
     decompose_ad,
     int_to_frac_array,
@@ -190,6 +193,35 @@ class TestPlantedJ:
         assert report["details"] == {
             "YJ1-bracket": True, "YJ1-Jlinear": False, "YJ2": True,
             "YJ3": False, "YJ4": False, "YJ4-mode": "computed"}
+
+
+class TestPlantedF:
+    """verify_classical_presentation on an f_override: the unperturbed F
+    passes, F at twice its scale breaks the quadratic identities (F-br,
+    F-sym-explicit) but not the linear ones, and F with one g-coordinate
+    bumped breaks F-sym, and sigma-sym on so and sp."""
+
+    @pytest.mark.parametrize("family,N", [
+        ("sl", 2), ("sl", 3), ("so", 3), ("so", 4), ("sp", 4)])
+    def test_perturbed_f_fails(self, family, N):
+        data = build_lie(family, N)
+        rep = vector_rep(data)
+        t = CasimirData(data, rep)
+        # F as _presentation_verdicts builds it
+        fg = -checked_einsum("lij,nl->ijn", t.px, t.ginv)
+        sfg = t.sx * t.sginv
+        assert verify_classical_presentation(
+            data, rep, (fg, sfg))["status"] == "pass"
+        doubled = verify_classical_presentation(data, rep, (fg, 2 * sfg))
+        assert doubled["details"] == {"F-br": False, "F-sym": True,
+                                      "sigma-sym": True,
+                                      "F-sym-explicit": False}
+        bumped = np.array(fg)
+        bumped[0, 0, 0] += 1
+        report = verify_classical_presentation(data, rep, (bumped, sfg))
+        assert report["details"] == {"F-br": False, "F-sym": False,
+                                     "sigma-sym": family == "sl",
+                                     "F-sym-explicit": False}
 
 
 def _report_json(family, N, c):
@@ -480,10 +512,11 @@ def test_einsum_path_cut_over_parity(monkeypatch):
                 min_size=1, max_size=12),
        st.fractions(max_denominator=50).filter(bool))
 def test_scaled_int_round_trip(entries, scale):
-    """frac_to_int_array clears to the least common denominator, int64
-    within the fast path and Python ints beyond it; int_to_frac_array
-    reads the integers back over any scale."""
-    ints, s = liealg.frac_to_int_array(entries)
+    """The reference frac_to_int_array clears to the least common
+    denominator through liealg._int_array, int64 within the fast path
+    and Python ints beyond it; int_to_frac_array reads the integers back
+    over any scale."""
+    ints, s = frac_to_int_array(entries)
     assert s == F(1, lcm(*[F(x).denominator for x in entries]))
     back = liealg.int_to_frac_array(ints, s)
     assert all(type(x) is F for x in back) and list(back) == entries
@@ -578,7 +611,7 @@ def test_min_poly_matches_reference(m):
     """The integer Krylov iteration returns the exact monic minimal
     polynomial of the cleared integer matrix, as Fractions that are all
     integers (decompose_ad takes integer eigenspace rows from them)."""
-    A = liealg.frac_to_int_array(m)[0]
+    A = frac_to_int_array(m)[0]
     got = liealg._min_poly(A)
     assert got == min_poly(A)
     assert all(type(c) is F and c.denominator == 1 for c in got)
@@ -673,10 +706,10 @@ CLASSICAL_COMMANDS = [
 def test_classical_pass_makes_no_fraction_round_trips(monkeypatch, capsys):
     """The Gram inverse, the commutant, the minimal polynomial, the
     Casimir data and the decomposition of End V are built on integers:
-    over one classical pass, plus casimir and decompose_ad on sl3, no
-    Fraction array is cleared to integers (in liealg or rmatrix) and
-    liealg reads no integer array back as Fractions."""
-    cleared, read = [], []
+    over one classical pass, plus casimir and decompose_ad on sl3, liealg
+    reads no integer array back as Fractions (and neither liealg nor
+    rmatrix has a function that clears Fractions to integers)."""
+    read = []
 
     def spy(calls, real):
         def wrapper(*args, **kwargs):
@@ -686,9 +719,6 @@ def test_classical_pass_makes_no_fraction_round_trips(monkeypatch, capsys):
 
     monkeypatch.setattr(liealg, "int_to_frac_array",
                         spy(read, liealg.int_to_frac_array))
-    for module in (liealg, rmatrix):
-        monkeypatch.setattr(module, "frac_to_int_array",
-                            spy(cleared, liealg.frac_to_int_array))
     min_polys = []
     real_min_poly = liealg._min_poly
 
@@ -707,4 +737,4 @@ def test_classical_pass_makes_no_fraction_round_trips(monkeypatch, capsys):
     capsys.readouterr()
 
     assert min_polys
-    assert not cleared and not read
+    assert not read

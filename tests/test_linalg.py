@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rational_reference import dense_inverse, dense_nullspace, dense_rref
+from rational_reference import (dense_inverse, dense_nullspace, dense_rref,
+                                frac_to_int_array)
 from yangkit import liealg, linalg
 from yangkit.freealg import NCPoly
 from yangkit.yangian import closure, normal_form, rtt_relations
@@ -103,7 +104,7 @@ def test_dense_helpers_match_dense_rref(system, data):
         with pytest.raises(ValueError):
             linalg.invert(square)
     else:
-        ints, s = liealg.frac_to_int_array(inv)
+        ints, s = frac_to_int_array(inv)
         assert _typed(linalg.invert(square)) == _typed((ints.tolist(), s))
 
 

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from yangkit import rmatrix
 from yangkit.cli import _perturbed_r
-from rational_reference import (RationalFunction, frac_identity, omega_rho,
+from rational_reference import (RationalFunction, common_factor,
+                                frac_identity, frac_to_int_array, omega_rho,
                                 rational_roots, rmat_add, rmat_entries)
 from yangkit.exact import poly_divmod, poly_gcd, poly_mul, rat_to_str
 from yangkit.liealg import (Representation, _min_poly, build_lie, casimir,
-                            frac_to_int_array, int_to_frac_array,
-                            permutation_matrix, twisted_rep, vector_rep)
+                            int_to_frac_array, permutation_matrix,
+                            twisted_rep, vector_rep)
 from yangkit.linalg import SparseReducer
 from yangkit.rmatrix import (
     RMat,
@@ -325,16 +326,20 @@ def test_matches_entrywise_reference(case, K, a):
     assert np.array_equal(R.coeffs, C)
     assert (rmat_entries(R) == entries).all()
 
-    # a factor u - a on D and on every entry cancels: (q u - p) C(u) over
-    # (u - a) D(u), with a = p/q
+    # the padded form (q u - p) C(u) over (u - a) D(u), a = p/q, keeps
+    # its D, and every reader answers on it as on R
     p, q = a.numerator, a.denominator
     pad = np.zeros((1, nn, nn), dtype=object)
     C_up = q * np.concatenate([pad, C]) - p * np.concatenate([C, pad])
-    _assert_same(RMat(N, poly_mul(D, (-a, F(1))), C_up, s / q), R)
+    D_up = poly_mul(D, (-a, F(1)))
+    P = RMat(N, D_up, C_up, s / q)
+    assert P.den == D_up
+    assert (rmat_entries(P) == entries).all()
 
     if any(len(e.num) > len(e.den) for e in entries.flat):
-        with pytest.raises(ValueError):
-            R.expand_scaled(K)
+        for M in (R, P):
+            with pytest.raises(ValueError, match="not proper"):
+                M.expand_scaled(K)
     else:
         ref = [[e.expand_at_infinity(K).coeffs for e in row]
                for row in entries]
@@ -342,6 +347,8 @@ def test_matches_entrywise_reference(case, K, a):
         for i in range(nn):
             for j in range(nn):
                 assert tuple(s * int(x) for x in S[:, i, j]) == ref[i][j]
+        S_up, s_up = P.expand_scaled(K)
+        assert s_up == s and np.array_equal(S_up, S)
         if all(ref[i][j][0] == (i == j)
                for i in range(nn) for j in range(nn)):
             got = R.expand(K).coeffs
@@ -350,19 +357,22 @@ def test_matches_entrywise_reference(case, K, a):
 
     ref = _reference_unitarity(entries, N)
     if isinstance(ref, tuple):
-        with pytest.raises(UnitarityFailure,
-                           match=r"entry \(%d, %d\)$" % ref):
-            check_unitarity(R)
+        for M in (R, P):
+            with pytest.raises(UnitarityFailure,
+                               match=r"entry \(%d, %d\)$" % ref):
+                check_unitarity(M)
     else:
-        assert check_unitarity(R) == (ref.num, ref.den)
+        assert check_unitarity(R) == check_unitarity(P) == (ref.num,
+                                                             ref.den)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_entry_arrays(), st.data())
 def test_sum_and_shift_match_reference(case, data):
-    """The reference R1 + R2 and R(u - a) equal the RMat cleared from the
-    entry-wise sum and shift, also when the sum cancels a pole in every
-    entry."""
+    """The reference R1 + R2 has the entries of the entry-wise sum, also
+    when the sum cancels a pole in every entry (it then keeps lcm(D1,
+    D2)), and R(u - a) equals the RMat cleared from the entry-wise
+    shift."""
     entries, N = case
     nn = N * N
     other = np.empty((nn, nn), dtype=object)
@@ -370,8 +380,8 @@ def test_sum_and_shift_match_reference(case, data):
         for j in range(nn):
             other[i, j] = data.draw(st.one_of(st.just(-entries[i, j]),
                                               _entry(False)))
-    _assert_same(rmat_add(_cleared(entries, N), _cleared(other, N)),
-                 _cleared(entries + other, N))
+    assert (rmat_entries(rmat_add(_cleared(entries, N), _cleared(other, N)))
+            == entries + other).all()
     a = data.draw(st.fractions(-2, 2, max_denominator=3))
     shifted = np.empty((nn, nn), dtype=object)
     for i in range(nn):
@@ -380,12 +390,29 @@ def test_sum_and_shift_match_reference(case, data):
     _assert_same(_cleared(entries, N).shifted(a), _cleared(shifted, N))
 
 
-def test_constructor_reduces_to_the_lcm():
+LIBRARY_ALGEBRAS = [("sl", 2), ("sl", 3), ("sl", 4), ("sl", 6), ("so", 3),
+                    ("so", 4), ("so", 5), ("so", 6), ("so", 7), ("sp", 2),
+                    ("sp", 4), ("sp", 6)]
+
+
+def test_library_builders_give_the_lcm():
+    """RMat keeps the D it is given, so the lcm of the entry denominators
+    comes from the builders: closed_form_r, its shifts and the QYBE
+    negative control leave no factor of D that divides every entry."""
+    for family, N in LIBRARY_ALGEBRAS:
+        R = closed_form_r(family, N)
+        builds = [R] + [R.shifted(a) for a in
+                        (0, 1, -1, F(1, 2), F(-7, 3), 3)]
+        builds += [_perturbed_r(R, random.Random(seed))[0]
+                   for seed in range(10)]
+        for B in builds:
+            assert common_factor(B) == (F(1),), (family, N)
     ident = np.eye(4, dtype=np.int64)
-    # u I / u^2 is I / u
+    # u I / u^2 keeps D = u^2, and u divides every entry
     R = RMat(2, (0, 0, 1), [0 * ident, ident])
-    assert R.den == (F(0), F(1))
-    assert np.array_equal(R.coeffs, [ident])
+    assert R.den == (F(0), F(0), F(1))
+    assert common_factor(R) == (F(0), F(1))
+    assert (rmat_entries(R) == rmat_entries(RMat(2, (0, 1), [ident]))).all()
     with pytest.raises(ValueError):
         RMat(2, (0, 2), [ident])
 

@@ -72,6 +72,11 @@ def so3_cl(so3):
     return closure(so3, 4, 4)
 
 
+@pytest.fixture(scope="module")
+def so3_cs(so3, so3_cl):
+    return z_series(so3, so3_cl)
+
+
 class TestRelations:
     def test_counts_deterministic(self, sl2):
         assert len(sl2.relations) == 282
@@ -542,21 +547,21 @@ class TestQdet:
             assert qd.coeffs[r] == oracle.coeffs[r]
         assert qd.coeffs[1] == NCPoly.gen(1, 1, 1) + NCPoly.gen(2, 2, 1)
 
-    def test_wrong_family(self, so3, so3_cl):
+    def test_wrong_family(self, so3, so3_cl, so3_cs):
         with pytest.raises(WrongFamily):
-            qdet(so3, so3_cl)
+            qdet(so3, so3_cl, so3_cs)
 
 
 class TestSymmetry:
-    def test_so3(self, so3, so3_cl):
-        _, report = symmetry_series(so3, so3_cl)
+    def test_so3(self, so3, so3_cl, so3_cs):
+        _, report = symmetry_series(so3, so3_cl, so3_cs)
         assert report["status"] == "pass"
         assert not report["details"]["scalar_failures"]
         assert not report["details"]["two_sided_failures"]
 
-    def test_wrong_family(self, sl2, sl2_cl):
+    def test_wrong_family(self, sl2, sl2_cl, sl2_cs):
         with pytest.raises(WrongFamily):
-            symmetry_series(sl2, sl2_cl)
+            symmetry_series(sl2, sl2_cl, sl2_cs)
 
 
 class TestHopfAndFixedPoint:
