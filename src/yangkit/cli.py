@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import TruncSeries, check_report, rat_to_str
+from .exact import ONE, ZERO, TruncSeries, check_report, rat_to_str
 from .freealg import NCPoly
 from .liealg import (
     InvalidAlgebra,
@@ -63,9 +63,6 @@ from .yangian import (
 SCHEMA = 1
 SUITES = ("classical", "rmatrix", "rtt", "center", "pbw", "hopf",
           "fixedpoint", "qdet", "symmetry")
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class UsageError(ValueError):

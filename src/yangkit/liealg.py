@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import ONE, ZERO, check_report
+from .exact import ONE, ZERO, check_report, poly_divmod, poly_gcd, poly_mul
 from . import linalg
 
 SL, SO, SP = "sl", "so", "sp"
@@ -513,7 +513,6 @@ def _min_poly(A):
     monic over Z (Gauss's lemma): the primitive kernel vector of [v, Av,
     ..., A^k v], which ends in +-1, times that entry.
     """
-    from .exact import poly_mul, poly_divmod, poly_gcd
     dim = len(A)
     powers = [np.eye(dim, dtype=np.int64)]
     poly = (ONE,)
@@ -813,55 +812,40 @@ def verify_extension_split(data, rep):
                         data.family, data.N)
 
 
+# The six slot orders pi of T[i, I, j, J, k, K], each as the (left, right)
+# einsum pair of m_pi(X_a T) and m_pi(T X_a): the product of the three
+# slots in order pi, with X_a inserted before or after slot 1.
+_MSYM_SPECS = (
+    ("aiz,zIIJJK->aiK", "azI,izIJJK->aiK"),  # (1 2 3)
+    ("aiz,zIKJIK->aiJ", "azI,izKJIK->aiJ"),  # (1 3 2)
+    ("aJz,zIjJIK->ajK", "azI,JzjJIK->ajK"),  # (2 1 3)
+    ("aKz,zIjJJK->ajI", "azI,KzjJJK->ajI"),  # (2 3 1)
+    ("aKz,zIIJkK->akJ", "azI,KzIJkK->akJ"),  # (3 1 2)
+    ("aJz,zIKJkK->akI", "azI,JzKJkK->akI"),  # (3 2 1)
+)
+
+
 def _msym_batched(T, px_all):
-    """-(1/24) sum_pi m_pi([X_a (x) 1 (x) 1, T]) for all basis X_a at once.
+    """sum_pi m_pi([X_a (x) 1 (x) 1, T]) for all basis X_a at once.
 
-    T has indices [i, I, j, J, k, K] (row/col per tensor slot); returns the
-    integer tensor R[a, r, c] such that RHS = scalefactor * R with the
-    -1/24 handled by the caller's scale bookkeeping (this routine returns
-    the *plain sum* over the six orderings of the slot products).
+    Slot s of T has row/column labels (i, I), (j, J), (k, K); in each spec
+    of ``_MSYM_SPECS`` a slot's row takes the column label of the slot
+    before it in pi, ``z`` is the label of slot 1's row (left) or column
+    (right) that X_a takes over, and the output is [a, row of the first
+    slot, column of the last].  Returns the plain integer sum; the
+    caller's scale carries the -1/24.
     """
-    import itertools
-    acc = None
-    labels = {1: ("i", "I"), 2: ("j", "J"), 3: ("k", "K")}
-    for order in itertools.permutations((1, 2, 3)):
-        # chain the slots in this order; slot1 carries the X commutator
-        sub = {s: list(labels[s]) for s in (1, 2, 3)}
-        # bind col(order[0]) = row(order[1]), col(order[1]) = row(order[2])
-        sub[order[1]][0] = sub[order[0]][1]
-        sub[order[2]][0] = sub[order[1]][1]
-        outer_row = sub[order[0]][0]
-        outer_col = sub[order[2]][1]
-        term = _msym_order(T, px_all, order, sub, outer_row, outer_col)
-        acc = term if acc is None else acc + term
-    return acc
+    return sum(checked_einsum(left, px_all, T)
+               - checked_einsum(right, px_all, T)
+               for left, right in _MSYM_SPECS)
 
 
-def _msym_order(T, px_all, order, sub, outer_row, outer_col):
-    """Sum over left/right X insertion at slot 1 for one slot ordering."""
-    # T axes are fixed: [i, I, j, J, k, K]
-    # Build the contraction label for T per the chain substitution, leaving
-    # slot1's row (left insertion) or col (right insertion) detached.
-    base = [sub[1][0], sub[1][1], sub[2][0], sub[2][1], sub[3][0], sub[3][1]]
-
-    def espec(detach_axis, new_label):
-        lab = list(base)
-        lab[detach_axis] = new_label
-        out = "".join(lab)
-        return out
-
-    s1row_binding = sub[1][0]
-    s1col_binding = sub[1][1]
-    # left insertion: product ... X * slot1 ...: X[row_binding, fresh],
-    # T slot1 row index renamed to fresh
-    left_T = espec(0, "z")
-    left = checked_einsum("a" + s1row_binding + "z," + left_T + "->a"
-                          + outer_row + outer_col, px_all, T)
-    # right insertion: slot1 * X: T slot1 col renamed fresh, X[fresh, colbind]
-    right_T = espec(1, "z")
-    right = checked_einsum("az" + s1col_binding + "," + right_T + "->a"
-                           + outer_row + outer_col, px_all, T)
-    return left - right
+def _current_commutator(A, B):
+    """The T[i, I, j, J, k, K] of YJ3 and YJ4: the commutator
+    [A_12, B_13] of two current tensors A, B[i, I, j, J] in End(V (x) V).
+    """
+    return (checked_einsum("iajJ,aIkK->iIjJkK", A, B)
+            - checked_einsum("iakK,aIjJ->iIjJkK", B, A))
 
 
 YJ4_MAX_QUARTIC = 40000  # YJ:4 is reported false, not computed, past g^3 d
@@ -924,10 +908,7 @@ def verify_yangian_module(data, rep):
             ok3 = False
         A = oma[beta]
         for gam in range(beta + 1, g):
-            B = oma[gam]
-            T = (checked_einsum("iajJ,aIkK->iIjJkK", A, B)
-                 - checked_einsum("iakK,aIjJ->iIjJkK", B, A))
-            rhs = _msym_batched(T, t.px)
+            rhs = _msym_batched(_current_commutator(A, oma[gam]), t.px)
             if not scaled_equal(lhs3(beta, gam), s_lhs, rhs, s_rhs):
                 ok3 = False
             if not scaled_equal(lhs3(gam, beta), s_lhs, -rhs, s_rhs):
@@ -955,10 +936,8 @@ def verify_yangian_module(data, rep):
                         - checked_einsum("mik,kj->mij", t.px, Bmat))
                 omaj = checked_einsum("mij,mkl->ijkl", c_bn, pdj)
                 for beta in range(g):
-                    A = oma[beta]
-                    T = (checked_einsum("iajJ,aIkK->iIjJkK", A, omaj)
-                         - checked_einsum("iakK,aIjJ->iIjJkK", omaj, A))
-                    term1[:, beta, gam, dl] = _msym_batched(T, t.px)
+                    term1[:, beta, gam, dl] = _msym_batched(
+                        _current_commutator(oma[beta], omaj), t.px)
         s_term1 = -Fraction(1, 24) * s_oma * (t.sx ** 3) * s_pdj * t.sx
         rhs4 = term1.astype(object) + np.transpose(
             term1, (2, 3, 0, 1, 4, 5)).astype(object)

@@ -25,7 +25,10 @@ def _eliminate(rows, row, scaled=False):
     with ``scaled`` a positive integer multiple of it.
 
     Basis rows are mutually reduced (no basis row contains another's
-    pivot), so one elimination pass per pivot present is complete.  The
+    pivot), so one elimination pass per pivot present is complete, and
+    a hit's entry is still nonzero at its turn: eliminating one pivot
+    adds no multiple of a basis row to another pivot's entry, and a
+    rescale multiplies it by a nonzero int.  The
     multiplier of a hit pivot is ``r[hit] / beta``: an int when an int
     entry is divisible by the pivot coefficient ``beta``, a ``Fraction``
     otherwise.  With ``scaled`` the row's denominators are cleared once
@@ -41,9 +44,7 @@ def _eliminate(rows, row, scaled=False):
     else:
         r = {j: c for j, c in row.items() if c}
     for hit in [j for j in r if j in rows]:
-        c = r.get(hit)
-        if not c:
-            continue
+        c = r[hit]
         b = rows[hit]
         beta = b[hit]
         if beta != 1:

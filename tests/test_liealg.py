@@ -2,6 +2,7 @@
 the finite-dimensional verification reports."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from math import gcd, lcm
@@ -193,6 +194,45 @@ class TestPlantedJ:
         assert report["details"] == {
             "YJ1-bracket": True, "YJ1-Jlinear": False, "YJ2": True,
             "YJ3": False, "YJ4": False, "YJ4-mode": "computed"}
+
+
+def _msym_by_index(T, px):
+    """Index-loop reference for sum_pi m_pi([X_a (x) 1 (x) 1, T]): M is
+    the commutator with X_a on slot 1 of T[i, I, j, J, k, K], and m_pi(M)
+    at (r, c) sums M with slot pi[0] at (r, p), pi[1] at (p, q) and
+    pi[2] at (q, c) over p and q."""
+    g, d = len(px), len(T)
+    out = np.zeros((g, d, d), dtype=object)
+    for a in range(g):
+        X = px[a]
+        M = {}
+        for idx in np.ndindex(*T.shape):
+            i, I, rest = idx[0], idx[1], idx[2:]
+            M[idx] = sum(int(X[i, z]) * int(T[(z, I) + rest])
+                         - int(T[(i, z) + rest]) * int(X[z, I])
+                         for z in range(d))
+        for pi in itertools.permutations(range(3)):
+            for r, c, p, q in np.ndindex(d, d, d, d):
+                slots = [None] * 3
+                for s, pair in zip(pi, ((r, p), (p, q), (q, c))):
+                    slots[s] = pair
+                out[a, r, c] += M[slots[0] + slots[1] + slots[2]]
+    return out
+
+
+@pytest.mark.parametrize("family,N", [("sl", 2), ("sl", 3), ("so", 3),
+                                      ("sp", 4)])
+def test_msym_batched_matches_index_loop(family, N):
+    """The six written-out slot orders of _msym_batched sum the
+    symmetrizer of YJ3 and YJ4 as the index loop does, on a seeded
+    integer T."""
+    data = build_lie(family, N)
+    px = CasimirData(data, vector_rep(data)).px
+    d = px.shape[1]
+    T = np.random.default_rng(N).integers(-3, 4, size=(d,) * 6)
+    got = liealg._msym_batched(T, px)
+    assert got.dtype == np.int64
+    assert (got == _msym_by_index(T, px)).all()
 
 
 class TestPlantedF:

@@ -2,6 +2,7 @@
 dimensions, central series, quantum determinant, Hopf and fixed-point
 verification, and evaluation modules."""
 
+import copy
 import hashlib
 import json
 from fractions import Fraction
@@ -581,6 +582,41 @@ class TestHopfAndFixedPoint:
         with pytest.raises(ValueError):
             verify_fixed_point(sl2, sl2_cl, sl2_cs,
                                TruncSeries([F(2), F(1)]))
+
+
+def _planted_z(cs):
+    """A copy of cs whose z_2 is off by t_12^(2); the report is copied
+    because y_from_z writes into it, so the fixture's cs stays as it is."""
+    z = list(cs.z)
+    z[2] = z[2] + NCPoly.gen(1, 2, 2)
+    return yangian.CentralSeries(z, cs.zmat, cs.c_g, copy.deepcopy(cs.report))
+
+
+class TestPlantedZ:
+    """Each check that reads the run's z-series fails at order 2 when
+    z_2 is wrong."""
+
+    def test_hopf(self, sl2, sl2_cl, sl2_cs):
+        report = verify_hopf(sl2, sl2_cl, _planted_z(sl2_cs))
+        assert report["status"] == "fail"
+        assert report["details"]["grouplike_failures"] == [2]
+        assert report["details"]["antipode_failures"] == [2]
+
+    def test_qdet(self, sl2, sl2_cl, sl2_cs):
+        _, report = qdet(sl2, sl2_cl, _planted_z(sl2_cs))
+        assert report["status"] == "fail"
+        assert report["details"]["z_match_failures"] == [2]
+
+    def test_symmetry_series(self, so3, so3_cl, so3_cs):
+        _, report = symmetry_series(so3, so3_cl, _planted_z(so3_cs))
+        assert report["status"] == "fail"
+        assert report["details"]["z_match_failures"] == [2]
+
+    def test_fixed_point(self, sl2, sl2_cl, sl2_cs):
+        f = TruncSeries([F(1), F(1)])
+        report = verify_fixed_point(sl2, sl2_cl, _planted_z(sl2_cs), f)
+        assert report["status"] == "fail"
+        assert report["details"]["z_scaling_failures"] == [2]
 
 
 class TestLowOrder:
