@@ -11,7 +11,9 @@ Layers:
               intertwiner solver
   freealg  -- the free algebra on the t_{ij}^{(r)} generators, the
               generator matrix T(u) and matrix-series products and
-              inverses, coproduct, antipode
+              inverses, and the structure maps (coproduct, antipode, m_f)
+              as generator tables of one matrix series each, applied by
+              substitute_poly
   yangian  -- RTT relations, ideal closures, PBW counts, quantum
               determinant, central series, Hopf and fixed-point reports
   cli      -- JSON-report command line driver
@@ -68,10 +70,8 @@ from .freealg import (
     mat_mul,
     mat_inverse,
     transpose_t,
-    coproduct_poly,
-    counit_poly,
+    coproduct_table,
     antipode_table,
-    antipode_poly,
     mf_table,
     substitute_poly,
 )
@@ -144,10 +144,8 @@ __all__ = [
     "mat_mul",
     "mat_inverse",
     "transpose_t",
-    "coproduct_poly",
-    "counit_poly",
+    "coproduct_table",
     "antipode_table",
-    "antipode_poly",
     "mf_table",
     "substitute_poly",
     "RTTPresentation",

@@ -143,7 +143,7 @@ def _suite_classical(cfg, ctx):
     data = build_lie(cfg.family, cfg.N)
     rep = vector_rep(data)
     return [verify_classical_presentation(data, rep),
-            verify_current_presentation(data, rep, 3),
+            verify_current_presentation(data, rep),
             verify_extension_split(data, rep),
             verify_yangian_module(data, rep)]
 

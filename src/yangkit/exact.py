@@ -13,10 +13,13 @@ coefficients reuse the same series routines).
 A matrix series, such as the generator matrix T(u), is a TruncSeries whose
 coefficients are N x N object arrays.  ``+``, ``-``, ``scale``, ``==``
 and ``series_shift`` act entrywise, which is what they mean for a matrix.
-``series_mul`` would multiply the coefficient arrays entrywise too (numpy's
-``*``), not as matrices, and ``series_inverse`` needs an invertible scalar
-constant term; so the matrix product and inverse are ``freealg.mat_mul``
-and ``freealg.mat_inverse``, which multiply coefficients by ``@``.
+``series_mul`` multiplies coefficients by ``*``, which numpy broadcasts, so
+it is the right product for a scalar series (Fraction or NCPoly
+coefficients) times a matrix series, such as f(u) T(u); on two matrix
+series it would multiply entrywise, not as matrices.  The product of two
+matrix series is ``freealg.mat_mul`` and the inverse of one is
+``freealg.mat_inverse``, both by ``@`` (``series_inverse`` needs an
+invertible scalar constant term).
 """
 
 from fractions import Fraction
@@ -158,12 +161,6 @@ def poly_trim(p):
     return tuple(p)
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else ZERO) + (q[i] if i < len(q) else ZERO)
-                      for i in range(n)])
-
-
 def poly_mul(p, q):
     if not p or not q:
         return ()
@@ -206,15 +203,6 @@ def poly_gcd(p, q):
     if p:
         p = poly_scale(p, ONE / p[-1])
     return p
-
-
-def poly_compose_linear(p, a, b):
-    """p(a*u + b)."""
-    acc = ()
-    lin = (b, a)
-    for c in reversed(p):
-        acc = poly_add(poly_mul(acc, lin), (c,))
-    return acc
 
 
 def certify_bivariate_identity(lhs, rhs, degree_bound):

@@ -1,12 +1,19 @@
 """Free noncommutative algebra on the generator symbols t_{ij}^{(r)},
-series-valued generator matrices, Hopf structure maps (coproduct, counit,
-antipode), tensor squares, and the m_f substitution endomorphisms.
+series-valued generator matrices, tensor squares, and the structure maps
+of the algebra.
 
 Generators are interned into single integers encoding (r, i, j) so that
 integer order equals the (r, i, j) generator order; words are tuples of
 these integers.  All coefficients are Fraction.  NCPoly, TensorNCPoly and
 yangian.CPoly share one arithmetic, TermAlgebra, and differ only in their
 unit key and key product.
+
+Every structure map is stated on the generator matrix T(u): the
+coproduct sends it to T(u) (x) T(u), the antipode to T(u)^{-1}, the counit
+to I, and m_f to f(u) T(u).  So each map other than the counit is the
+generator table of one matrix series, {t_{ij}^{(r)}: M^{(r)}_{ij}}, and
+``substitute_poly`` applies any such table; the counit of p is its
+``constant_coeff()``.
 """
 
 import operator
@@ -14,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import ONE, ZERO, TruncSeries, rat_to_str
+from .exact import ONE, ZERO, TruncSeries, rat_to_str, series_mul
 
 
 class NonInvertible(ValueError):
@@ -138,6 +145,10 @@ class TermAlgebra:
             if not c:
                 return type(self)({})
             return type(self)({w: c * x for w, x in self.terms.items()})
+        if not isinstance(other, TermAlgebra):
+            # numpy then multiplies entrywise: a scalar series times a
+            # matrix series is exact.series_mul
+            return NotImplemented
         join = self.join
         out = {}
         for w1, c1 in self.terms.items():
@@ -233,11 +244,10 @@ class TensorNCPoly(TermAlgebra):
 # coefficients are N x N object arrays (the matrix operations of
 # exact.TruncSeries act entrywise; products and inverses are here)
 
-def _eye(N, one=None):
-    one = NCPoly.one() if one is None else one
-    m = np.full((N, N), one - one, dtype=object)
+def _eye(N):
+    m = np.full((N, N), NCPoly.zero(), dtype=object)
     for i in range(N):
-        m[i, i] = one
+        m[i, i] = NCPoly.one()
     return m
 
 
@@ -304,88 +314,57 @@ def transpose_t(A, data):
 
 
 # ---------------------------------------------------------------------------
-# Hopf structure maps
+# structure maps as generator tables
 
-def coproduct_poly(p, N):
-    """Delta extended multiplicatively from
-    Delta(t_{ij}^{(r)}) = sum_a sum_{b=0..r} t_{ia}^{(b)} (x) t_{aj}^{(r-b)}
-    with t^{(0)} = delta."""
-    out = None
-    for w, c in p.terms.items():
-        term = TensorNCPoly({((), ()): c})
-        for g in w:
-            i, j, r = gen_ijr(g)
-            acc = TensorNCPoly({})
-            for a in range(1, N + 1):
-                for b in range(r + 1):
-                    if b == 0:
-                        left = NCPoly.one() if a == i else None
-                    else:
-                        left = NCPoly.gen(i, a, b)
-                    if left is None:
-                        continue
-                    if b == r:
-                        right = NCPoly.one() if a == j else None
-                    else:
-                        right = NCPoly.gen(a, j, r - b)
-                    if right is None:
-                        continue
-                    acc = acc + TensorNCPoly.of(left, right)
-            term = term * acc
-        out = term if out is None else out + term
-    return out if out is not None else TensorNCPoly({})
+def _generator_table(M):
+    """{gen_id(i, j, r): M^{(r)}_{ij}} for r >= 1: the generator images of
+    the map that sends T(u) to the matrix series M(u)."""
+    N = len(M.coeffs[0])
+    return {gen_id(i + 1, j + 1, r): M.coeffs[r][i, j]
+            for r in range(1, M.order + 1)
+            for i in range(N) for j in range(N)}
 
 
-def counit_poly(p):
-    """epsilon: kills every generator, keeps the constant term."""
-    return p.constant_coeff()
+def coproduct_table(N, K):
+    """Generator images of the coproduct, T(u) -> T(u) (x) T(u), as
+    TensorNCPolys: Delta(t_{ij}^{(r)}) = sum_a sum_b t_{ia}^{(b)} (x)
+    t_{aj}^{(r-b)} with t^{(0)} = delta, for r <= K."""
+    T = t_matrix(N, K)
+    one = NCPoly.one()
+    left = np.frompyfunc(lambda p: TensorNCPoly.of(p, one), 1, 1)
+    right = np.frompyfunc(lambda p: TensorNCPoly.of(one, p), 1, 1)
+    return _generator_table(mat_mul(TruncSeries(map(left, T.coeffs)),
+                                    TruncSeries(map(right, T.coeffs))))
 
 
 def antipode_table(N, K):
-    """Map generator id -> NCPoly: t_{ij}^{(r)} -> entry (i,j) of T^{-1}
-    at order r, for r <= K."""
-    inv = mat_inverse(t_matrix(N, K))
-    table = {}
-    for r in range(1, K + 1):
-        for i in range(N):
-            for j in range(N):
-                table[gen_id(i + 1, j + 1, r)] = inv.coeffs[r][i, j]
-    return table
+    """Generator images of the antipode, T(u) -> T(u)^{-1}, for r <= K;
+    S is applied as an anti-homomorphism (``substitute_poly(p, table,
+    anti=True)``)."""
+    return _generator_table(mat_inverse(t_matrix(N, K)))
+
+
+def mf_table(N, K, f):
+    """Generator images of the substitution induced by T(u) -> f(u) T(u),
+    for r <= K: m_f(t_{ij}^{(r)}) = sum_{a<=r} f_a t_{ij}^{(r-a)} with
+    t^{(0)} = delta.  f is read as zero past its order."""
+    if f.coeffs[0] != ONE:
+        raise ValueError("f must have constant term 1")
+    f = TruncSeries(list(f.coeffs) + [ZERO] * (K - f.order))
+    return _generator_table(series_mul(f, t_matrix(N, K)))
 
 
 def substitute_poly(p, table, anti=False):
-    """Algebra (anti)homomorphism determined by generator images."""
+    """Algebra (anti)homomorphism determined by generator images: every
+    letter of a word is replaced by its image, the images multiplied in
+    reverse order when ``anti``.  The result has the images' type, NCPoly
+    or TensorNCPoly."""
+    kind = type(next(iter(table.values())))
     out = None
     for w, c in p.terms.items():
-        term = NCPoly.constant(c)
+        term = kind.constant(c)
         seq = reversed(w) if anti else w
         for g in seq:
             term = term * table[g]
         out = term if out is None else out + term
-    return out if out is not None else NCPoly.zero()
-
-
-def antipode_poly(p, table):
-    """S extended as an anti-homomorphism from the T^{-1} entry images."""
-    return substitute_poly(p, table, anti=True)
-
-
-def mf_table(N, K, f):
-    """Generator images of the substitution induced by T(u) -> f(u) T(u):
-    m_f(t_{ij}^{(r)}) = t_{ij}^{(r)} + sum_{a<r} f_a t_{ij}^{(r-a)}
-    + f_r delta_ij."""
-    if f.coeffs[0] != ONE:
-        raise ValueError("f must have constant term 1")
-    table = {}
-    for r in range(1, K + 1):
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                img = NCPoly.gen(i, j, r)
-                for a in range(1, r):
-                    if a <= f.order and f.coeffs[a]:
-                        img = img + f.coeffs[a] * NCPoly.gen(i, j, r - a)
-                if r <= f.order and f.coeffs[r] and i == j:
-                    img = img + NCPoly.constant(f.coeffs[r])
-                table[gen_id(i, j, r)] = img
-    return table
-
+    return out if out is not None else kind.zero()

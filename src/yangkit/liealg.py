@@ -734,11 +734,14 @@ def verify_classical_presentation(data, rep, f_override=None):
                         details, data.family, data.N)
 
 
-def verify_current_presentation(data, rep, D):
-    """Current-algebra presentation at z-degree <= D, plus agreement of the
-    two series expansions of the denominator-cleared relation."""
-    if D < 1:
-        raise ValueError("D >= 1 required")
+# the z-degree bound D of verify_current_presentation, written in its report
+CURRENT_DEGREE = 3
+
+
+def verify_current_presentation(data, rep):
+    """Current-algebra presentation at z-degree <= D = CURRENT_DEGREE, plus
+    agreement of the two series expansions of the denominator-cleared
+    relation."""
     v = _presentation_verdicts(data, rep)
     # [F_1^{(r)}, F_2^{(s)}] = [Omega_rho, F_2^{(r+s)}] for r + s <= D: the
     # z-degree bookkeeping is r+s on both sides and the tensors are
@@ -751,7 +754,8 @@ def verify_current_presentation(data, rep, D):
     details = {"gz-R": v["F-br"], "gz-sym": v["F-sym"],
                "expansion-agreement": v["F1-br"] and v["F-br"]}
     return check_report("current_presentation", all(details.values()),
-                        {**details, "D": D}, data.family, data.N)
+                        {**details, "D": CURRENT_DEGREE}, data.family,
+                        data.N)
 
 
 def verify_extension_split(data, rep):

@@ -23,9 +23,8 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from .exact import (ONE, ZERO, TruncSeries, certify_bivariate_identity,
-                    check_report, poly_compose_linear, poly_divmod, poly_gcd,
-                    poly_mul, poly_scale, poly_trim, rat_to_str,
-                    series_inverse)
+                    check_report, poly_divmod, poly_gcd, poly_mul, poly_scale,
+                    poly_trim, rat_to_str, series_inverse)
 from . import linalg
 from .liealg import (_FLOAT_LIMIT, _FLOAT_MIN_INNER, _INT_LIMIT, CasimirData,
                      build_lie, checked_einsum, commutant, int_to_frac_array,
@@ -124,14 +123,19 @@ class RMat:
     def shifted(self, a):
         """R(u - a)."""
         a = Fraction(a)
-        top = len(self.coeffs) - 1
-        # sum_m C_m (u - a)^m = sum_k u^k sum_{m >= k} binom(m, k)
-        # (-a)^(m - k) C_m
+
+        def taylor(top):
+            # sum_m X_m (u - a)^m = sum_k u^k sum_{m >= k} binom(m, k)
+            # (-a)^(m - k) X_m: for each k, the (weight, m) pairs
+            return [[(comb(m, k) * (-a) ** (m - k), m)
+                     for m in range(k, top + 1)] for k in range(top + 1)]
+
         C, s = _combine(
-            [[(self.scale * comb(m, k) * (-a) ** (m - k), self.coeffs[m])
-              for m in range(k, top + 1)] for k in range(top + 1)],
-            self.coeffs.shape[1:])
-        return RMat(self.N, poly_compose_linear(self.den, ONE, -a), C, s)
+            [[(self.scale * w, self.coeffs[m]) for w, m in ws]
+             for ws in taylor(len(self.coeffs) - 1)], self.coeffs.shape[1:])
+        den = [sum(w * self.den[m] for w, m in ws)
+               for ws in taylor(len(self.den) - 1)]
+        return RMat(self.N, den, C, s)
 
     def expand_scaled(self, K):
         """(S, s) with R(u) = sum_{k <= K} s S[k] u^{-k} + O(u^{-K-1}):

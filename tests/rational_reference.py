@@ -34,7 +34,14 @@ that divides every entry, which the library builders never leave.  The
 library builds its integer arrays on integers; a Fraction stack is
 cleared to one here (``frac_to_int_array``).  The library
 writes rationals and NCPolys to JSON and never reads them back; the
-readers, and NCPoly's one-word constructor, are here.
+readers, and NCPoly's one-word constructor, are here.  A shifted RMat's
+denominator is D(u - a) by the Taylor sum of its coefficients; here it is
+D composed with u - a by Horner's rule.
+
+The library's coproduct and m_f are generator tables read off one matrix
+series each (``freealg.coproduct_table``, ``freealg.mf_table``); here
+Delta(t_{ij}^{(r)}) is rebuilt from tensor products at every letter, and
+m_f(t_{ij}^{(r)}) is summed entry by entry.
 """
 
 from fractions import Fraction
@@ -43,11 +50,10 @@ from math import gcd, lcm
 import numpy as np
 
 from yangkit import linalg
-from yangkit.exact import (ONE, ZERO, TruncSeries, poly_add,
-                           poly_compose_linear, poly_divmod, poly_gcd,
+from yangkit.exact import (ONE, ZERO, TruncSeries, poly_divmod, poly_gcd,
                            poly_mul, poly_scale, poly_trim, series_inverse,
                            series_mul, series_shift)
-from yangkit.freealg import NCPoly, gen_id
+from yangkit.freealg import NCPoly, TensorNCPoly, gen_id, gen_ijr
 from yangkit.liealg import (CasimirData, _divisors, _int_array, commutant,
                             int_to_frac_array)
 from yangkit.rmatrix import RMat, _combine
@@ -78,6 +84,21 @@ def poly_eval(p, x):
     acc = ZERO
     for c in reversed(p):
         acc = acc * x + c
+    return acc
+
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return poly_trim([(p[i] if i < len(p) else ZERO)
+                      + (q[i] if i < len(q) else ZERO) for i in range(n)])
+
+
+def poly_compose_linear(p, a, b):
+    """p(a*u + b), by Horner's rule on polynomials."""
+    acc = ()
+    lin = (b, a)
+    for c in reversed(p):
+        acc = poly_add(poly_mul(acc, lin), (c,))
     return acc
 
 
@@ -449,3 +470,48 @@ def universe(N, L, R_ord):
     keyed.sort()
     return ([w for _, _, w in keyed], [-s for _, s, _ in keyed],
             [len(w) for _, _, w in keyed], letters)
+
+
+def coproduct_poly(p, N):
+    """Delta extended multiplicatively from
+    Delta(t_{ij}^{(r)}) = sum_a sum_{b=0..r} t_{ia}^{(b)} (x) t_{aj}^{(r-b)}
+    with t^{(0)} = delta, rebuilt at every letter of every word."""
+    out = TensorNCPoly.zero()
+    for w, c in p.terms.items():
+        term = TensorNCPoly.constant(c)
+        for g in w:
+            i, j, r = gen_ijr(g)
+            acc = TensorNCPoly.zero()
+            for a in range(1, N + 1):
+                for b in range(r + 1):
+                    if b == 0:
+                        left = NCPoly.one() if a == i else None
+                    else:
+                        left = NCPoly.gen(i, a, b)
+                    if b == r:
+                        right = NCPoly.one() if a == j else None
+                    else:
+                        right = NCPoly.gen(a, j, r - b)
+                    if left is not None and right is not None:
+                        acc = acc + TensorNCPoly.of(left, right)
+            term = term * acc
+        out = out + term
+    return out
+
+
+def mf_table(N, K, f):
+    """m_f(t_{ij}^{(r)}) = t_{ij}^{(r)} + sum_{0<a<r} f_a t_{ij}^{(r-a)}
+    + f_r delta_ij for r <= K, built entry by entry (f read as zero past
+    its order)."""
+    table = {}
+    for r in range(1, K + 1):
+        for i in range(1, N + 1):
+            for j in range(1, N + 1):
+                img = NCPoly.gen(i, j, r)
+                for a in range(1, r):
+                    if a <= f.order and f.coeffs[a]:
+                        img = img + f.coeffs[a] * NCPoly.gen(i, j, r - a)
+                if r <= f.order and f.coeffs[r] and i == j:
+                    img = img + NCPoly.constant(f.coeffs[r])
+                table[gen_id(i, j, r)] = img
+    return table

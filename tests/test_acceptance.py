@@ -318,7 +318,7 @@ def test_classical_layer(family, N):
         data = build_lie(family, N)
         rep = vector_rep(data)
         assert verify_classical_presentation(data, rep)["status"] == "pass"
-        assert verify_current_presentation(data, rep, 3)["status"] == "pass"
+        assert verify_current_presentation(data, rep)["status"] == "pass"
         assert verify_extension_split(data, rep)["status"] == "pass"
         assert verify_yangian_module(data, rep)["status"] == "pass"
     _classical_clock.append(t.seconds)

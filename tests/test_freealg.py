@@ -1,5 +1,6 @@
 """Free algebra layer: noncommutative polynomials, generator matrix
-series, coproduct/counit/antipode, and the scaling substitution."""
+series, and the structure maps as generator tables: coproduct, counit,
+antipode and the scaling substitution."""
 
 from fractions import Fraction
 
@@ -7,15 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yangkit.exact import TruncSeries, series_shift
+from yangkit.exact import TruncSeries, series_mul, series_shift
 from yangkit.freealg import (
     NCPoly,
     NonInvertible,
     TensorNCPoly,
-    antipode_poly,
     antipode_table,
-    coproduct_poly,
-    counit_poly,
+    coproduct_table,
     gen_id,
     gen_ijr,
     mat_inverse,
@@ -28,6 +27,7 @@ from yangkit.freealg import (
 )
 from yangkit.liealg import build_lie
 from yangkit.yangian import CPoly
+import rational_reference
 from rational_reference import ncpoly_from_json, ncpoly_from_word
 
 F = Fraction
@@ -310,7 +310,7 @@ class TestHopfMaps:
     def test_coproduct_on_generator(self):
         N, r = 2, 2
         p = NCPoly.gen(1, 2, r)
-        got = coproduct_poly(p, N)
+        got = substitute_poly(p, coproduct_table(N, r))
         want = (TensorNCPoly.of(p, NCPoly.one())
                 + TensorNCPoly.of(NCPoly.one(), p))
         for k in range(1, N + 1):
@@ -320,32 +320,84 @@ class TestHopfMaps:
         assert got == want
 
     def test_counit(self):
-        assert counit_poly(NCPoly.gen(1, 2, 1)) == 0
-        assert counit_poly(NCPoly.constant(F(7, 2))) == F(7, 2)
-        assert counit_poly(
-            NCPoly.gen(1, 1, 1) * NCPoly.gen(2, 2, 1) + 3) == 3
+        # epsilon(T(u)) = I: the counit keeps the constant term
+        assert NCPoly.gen(1, 2, 1).constant_coeff() == 0
+        assert NCPoly.constant(F(7, 2)).constant_coeff() == F(7, 2)
+        assert (NCPoly.gen(1, 1, 1) * NCPoly.gen(2, 2, 1) + 3
+                ).constant_coeff() == 3
 
     def test_antipode_axiom_on_generators(self):
         # m (S (x) id) Delta (t_ij^(r)) = 0 for r >= 1
         N, K = 2, 3
         table = antipode_table(N, K)
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                for r in range(1, K + 1):
-                    acc = NCPoly.zero()
-                    cop = coproduct_poly(NCPoly.gen(i, j, r), N)
-                    for (w1, w2), c in cop.terms.items():
-                        acc = acc + c * (
-                            antipode_poly(ncpoly_from_word(w1), table)
-                            * ncpoly_from_word(w2))
-                    assert acc == NCPoly.zero()
+        for g, cop in coproduct_table(N, K).items():
+            acc = NCPoly.zero()
+            for (w1, w2), c in cop.terms.items():
+                acc = acc + c * (
+                    substitute_poly(ncpoly_from_word(w1), table, anti=True)
+                    * ncpoly_from_word(w2))
+            assert acc == NCPoly.zero(), gen_ijr(g)
 
     def test_antipode_antihomomorphism(self):
         table = antipode_table(2, 4)
         p = NCPoly.gen(1, 2, 1)
         q = NCPoly.gen(2, 1, 2)
-        assert antipode_poly(p * q, table) == \
-            antipode_poly(q, table) * antipode_poly(p, table)
+        assert substitute_poly(p * q, table, anti=True) == (
+            substitute_poly(q, table, anti=True)
+            * substitute_poly(p, table, anti=True))
+
+    def test_tables_read_one_matrix_series(self):
+        # each table holds t_ij^(r) for r = 1..K, in (r, i, j) order
+        N, K = 3, 2
+        want = [gen_id(i, j, r) for r in range(1, K + 1)
+                for i in range(1, N + 1) for j in range(1, N + 1)]
+        f = TruncSeries([F(1), F(2)])
+        for table in (antipode_table(N, K), coproduct_table(N, K),
+                      mf_table(N, K, f)):
+            assert list(table) == want
+        assert all(isinstance(p, TensorNCPoly)
+                   for p in coproduct_table(N, K).values())
+
+    def test_constants_map_into_the_images_type(self):
+        # TermAlgebra == compares types, so these are TensorNCPolys
+        table = coproduct_table(2, 1)
+        assert substitute_poly(NCPoly.zero(), table) == TensorNCPoly.zero()
+        assert (substitute_poly(NCPoly.constant(5), table)
+                == TensorNCPoly.constant(5))
+
+
+def _coproduct_cases(N):
+    """Random NCPolys with constant terms, in the letters of order <= 3
+    of gl_N: at most 4 words of length <= 3."""
+    letters = [gen_id(i, j, r) for r in range(1, 4)
+               for i in range(1, N + 1) for j in range(1, N + 1)]
+    words = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
+    return st.dictionaries(words, _COEFFS, min_size=1, max_size=4).map(
+        lambda terms: NCPoly({(): F(1), **terms}))
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coproduct_table_matches_reference(N, data):
+    """substitute_poly with the coproduct table, the entries of
+    T(u) (x) T(u), is the letter-by-letter coproduct."""
+    table = coproduct_table(N, 3)
+    p = data.draw(_coproduct_cases(N))
+    assert substitute_poly(p, table) == rational_reference.coproduct_poly(p, N)
+
+
+def test_bumped_coproduct_table_fails_the_reference():
+    """One entry of the coproduct table bumped by 1 (x) t_11^(1): a
+    polynomial with that letter then differs from the reference."""
+    N = 2
+    table = dict(coproduct_table(N, 3))
+    g = gen_id(1, 2, 2)
+    table[g] = table[g] + TensorNCPoly.of(NCPoly.one(), NCPoly.gen(1, 1, 1))
+    p = 1 + NCPoly.gen(2, 1, 1) * NCPoly.gen(1, 2, 2)
+    assert substitute_poly(p, table) != rational_reference.coproduct_poly(p, N)
+    q = 1 + NCPoly.gen(2, 1, 1)
+    assert substitute_poly(q, table) == rational_reference.coproduct_poly(q, N)
 
 
 class TestScaling:
@@ -367,3 +419,63 @@ class TestScaling:
         q = NCPoly.gen(2, 2, 2)
         assert substitute_poly(p * q, table) == \
             substitute_poly(p, table) * substitute_poly(q, table)
+
+    @pytest.mark.parametrize("N,K,f", [
+        (2, 4, [1, 2, -1, 3, F(1, 2)]),
+        (3, 3, [1, 0, F(-3, 2), 2]),
+        (2, 2, [1, 1, 1]),
+        # f shorter than K: read as zero past its order
+        (2, 4, [1, 1]),
+        (3, 2, [1]),
+    ])
+    def test_matches_reference_in_term_order(self, N, K, f):
+        """The entries of f(u) T(u) are the entry-by-entry images, with
+        the same term order (substitute_poly's outputs feed pinned
+        digests through the term order)."""
+        f = TruncSeries([F(c) for c in f])
+        got = mf_table(N, K, f)
+        want = rational_reference.mf_table(N, K, f)
+        assert list(got) == list(want)
+        for g in want:
+            assert list(got[g].terms.items()) == list(want[g].terms.items())
+
+    def test_requires_unit_constant(self):
+        with pytest.raises(ValueError, match="constant term 1"):
+            mf_table(2, 2, TruncSeries([F(2), F(1)]))
+
+
+class TestScalarTimesMatrixSeries:
+    def test_ncpoly_times_object_array_is_entrywise(self):
+        p = 1 + NCPoly.gen(2, 2, 1)
+        T = t_matrix(2, 1)
+        out = p * T.coeffs[1]
+        assert isinstance(out, np.ndarray) and out.shape == (2, 2)
+        for i in range(2):
+            for j in range(2):
+                assert out[i, j] == p * T.coeffs[1][i, j]
+
+    def test_series_mul_is_the_scalar_matrix_product(self):
+        # y(u) T(u) by series_mul equals (y(u) I) T(u) by mat_mul
+        N, K = 2, 3
+        y = TruncSeries([NCPoly.one(), NCPoly.gen(1, 1, 1), F(1, 2)
+                         + NCPoly.gen(1, 2, 1) * NCPoly.gen(2, 1, 1),
+                         NCPoly.gen(2, 2, 2)])
+        T = t_matrix(N, K)
+        scalar = []
+        for c in y.coeffs:
+            m = np.full((N, N), NCPoly.zero(), dtype=object)
+            for i in range(N):
+                m[i, i] = c
+            scalar.append(m)
+        got = series_mul(y, T)
+        want = mat_mul(TruncSeries(scalar), T)
+        for k in range(K + 1):
+            for i in range(N):
+                for j in range(N):
+                    assert (list(got.coeffs[k][i, j].terms.items())
+                            == list(want.coeffs[k][i, j].terms.items()))
+
+    def test_other_operands_are_not_implemented(self):
+        assert NCPoly.gen(1, 1, 1).__mul__("x") is NotImplemented
+        with pytest.raises(TypeError):
+            NCPoly.gen(1, 1, 1) * "x"

@@ -135,10 +135,10 @@ class TestVerification:
         data = build_lie(family, N)
         rep = vector_rep(data)
         for fn in (verify_classical_presentation,
+                   verify_current_presentation,
                    verify_extension_split,
                    verify_yangian_module):
             assert fn(data, rep)["status"] == "pass"
-        assert verify_current_presentation(data, rep, 3)["status"] == "pass"
 
 
 class TestTwistedRep:
@@ -151,10 +151,10 @@ class TestTwistedRep:
         data = build_lie(family, N)
         rep = twisted_rep(data, 2)
         for fn in (verify_classical_presentation,
+                   verify_current_presentation,
                    verify_extension_split,
                    verify_yangian_module):
             assert fn(data, rep)["status"] == "pass"
-        assert verify_current_presentation(data, rep, 3)["status"] == "pass"
         ym = verify_yangian_module(data, rep)
         assert ym["details"]["YJ4-mode"] == "computed"
         assert len(commutant(rep, False)) == len(commutant(rep, True)) == 1
@@ -271,7 +271,7 @@ def _report_json(family, N, c):
     data = build_lie(family, N)
     rep = vector_rep(data) if c is None else twisted_rep(data, c)
     reports = [verify_classical_presentation(data, rep),
-               verify_current_presentation(data, rep, 3),
+               verify_current_presentation(data, rep),
                verify_extension_split(data, rep),
                verify_yangian_module(data, rep),
                expansion_check(closed_form_r(family, N), data, rep),

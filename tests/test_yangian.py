@@ -857,18 +857,18 @@ class TestEvalEngine:
 
     def test_zero_filter_catches_planted_defect(self, monkeypatch):
         # a relation perturbed by + t_11^(1) no longer dies under the
-        # evaluation homomorphism, so rtt_relations must refuse it
-        real = yangian._canon_poly
+        # evaluation homomorphism, so rtt_relations must refuse it; the
+        # first relation is perturbed as rtt_relations builds it
         planted = []
 
-        def perturb(p):
-            p = real(p)
+        def perturb(terms):
+            p = NCPoly(terms)
             if not planted:
                 planted.append(p)
                 p = p + NCPoly.gen(1, 1, 1)
             return p
 
-        monkeypatch.setattr(yangian, "_canon_poly", perturb)
+        monkeypatch.setattr(yangian, "NCPoly", perturb)
         with pytest.raises(AssertionError, match="zero filter"):
             rtt_relations("sl", 2, 3)
         assert planted
