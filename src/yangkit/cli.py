@@ -240,17 +240,16 @@ def _suite_pbw(cfg, ctx):
 
 
 def _with_retry(cfg, ctx, run):
-    """Run a membership-based check on the run's closure and z-series; on
-    failure, retry once on a larger closure before reporting
+    """Run a membership-based check on the run's z-series; on failure,
+    retry once on the z-series of a larger closure before reporting
     (bound-relative non-membership can be an artifact of too-small
     bounds).  The retry closure has order R_ord+1 and length
     max(L+1, 2) + d - 1, d the clearing degree: like closure_for_query,
     it gives the letter-multiples of the degree-d cleared relations the
     extra length their cross-cancellations need.  ``retried_at_bounds``
-    reports that closure's bounds.  The enlarged closure and its z-series
-    are built at most once per run and shared by every suite that
-    retries."""
-    checks = run(ctx["cl"], ctx["cs"])
+    reports that closure's bounds.  The enlarged closure's z-series is
+    built at most once per run and shared by every suite that retries."""
+    checks = run(ctx["cs"])
     if _status(checks) == "pass":
         return checks
     if "retry" not in ctx:
@@ -261,12 +260,12 @@ def _with_retry(cfg, ctx, run):
         except BoundsTooLarge:
             ctx["retry"] = None
         else:
-            ctx["retry"] = (big, z_series(big.pres, big))
+            ctx["retry"] = z_series(pres, big)
     if ctx["retry"] is None:
         return checks
-    retried = run(*ctx["retry"])
+    retried = run(ctx["retry"])
     for c in retried:
-        c["details"]["retried_at_bounds"] = list(ctx["retry"][0].bounds)
+        c["details"]["retried_at_bounds"] = list(ctx["retry"].cl.bounds)
     return retried
 
 
@@ -308,8 +307,8 @@ def _perturbation_indices(lie, rng):
             return i, j
 
 
-def _center_checks(cfg, cl, cs):
-    pres = cl.pres
+def _center_checks(cfg, cs):
+    pres = cs.cl.pres
     checks = [cs.report]
     y_from_z(cs, pres.K - 1)
     verified_to = cs.report["details"]["y_recursion_verified_to"]
@@ -319,13 +318,14 @@ def _center_checks(cfg, cl, cs):
          "y1": cs.y[1].to_json() if len(cs.y) > 1 else None},
         cfg.family, cfg.N, pres.K))
     if pres.K >= 3:
-        checks.append(central_monomial_certificate(pres, cs))
-    checks.append(_centrality_negative_control(cfg, cl, cs))
+        checks.append(central_monomial_certificate(cs))
+    checks.append(_centrality_negative_control(cfg, cs))
     return checks
 
 
-def _centrality_negative_control(cfg, cl, cs):
+def _centrality_negative_control(cfg, cs):
     """z_2 plus a seeded t_ij^(2) must fail to commute with a probe."""
+    cl = cs.cl
     pres = cl.pres
     i, j = _perturbation_indices(pres.lie, random.Random(cfg.seed))
     bad = cs.z[2] + NCPoly.gen(i, j, 2)
@@ -342,26 +342,25 @@ def _centrality_negative_control(cfg, cl, cs):
 
 
 def _suite_center(cfg, ctx):
-    return _with_retry(cfg, ctx, lambda cl, cs: _center_checks(cfg, cl, cs))
+    return _with_retry(cfg, ctx, lambda cs: _center_checks(cfg, cs))
 
 
 def _suite_hopf(cfg, ctx):
-    return _with_retry(cfg, ctx, lambda cl, cs: [verify_hopf(cl.pres, cl, cs)])
+    return _with_retry(cfg, ctx, lambda cs: [verify_hopf(cs)])
 
 
 def _suite_fixedpoint(cfg, ctx):
     fs = [TruncSeries([ONE, ONE]), TruncSeries([ONE, ONE, ONE])]
-    return _with_retry(cfg, ctx, lambda cl, cs: [
-        verify_fixed_point(cl.pres, cl, cs, f) for f in fs])
+    return _with_retry(cfg, ctx, lambda cs: [
+        verify_fixed_point(cs, f) for f in fs])
 
 
 def _suite_qdet(cfg, ctx):
-    return _with_retry(cfg, ctx, lambda cl, cs: [qdet(cl.pres, cl, cs)[1]])
+    return _with_retry(cfg, ctx, lambda cs: [qdet(cs)[1]])
 
 
 def _suite_symmetry(cfg, ctx):
-    return _with_retry(cfg, ctx, lambda cl, cs: [
-        symmetry_series(cl.pres, cl, cs)[1]])
+    return _with_retry(cfg, ctx, lambda cs: [symmetry_series(cs)[1]])
 
 
 _SUITE_FNS = {
@@ -438,9 +437,7 @@ def cmd_qdet(cfg):
     if cfg.L is None or cfg.R_ord is None:
         raise UsageError("qdet needs --len and --sumr")
     pres = rtt_relations(cfg.family, cfg.N, cfg.K)
-    cl = closure(pres, cfg.L, cfg.R_ord)
-    cs = z_series(pres, cl)
-    qd, rep = qdet(pres, cl, cs)
+    qd, rep = qdet(z_series(pres, closure(pres, cfg.L, cfg.R_ord)))
     rep["details"]["coefficients"] = [p.to_json() for p in qd.coeffs]
     return _emit({"schema": SCHEMA, "command": "qdet",
                   "config": cfg.to_json(), "checks": [rep]}, cfg.output)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-ZERO = Fraction(0)
+from .exact import ZERO
 
 
 def _eliminate(rows, row, scaled=False):

@@ -16,12 +16,13 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from . import linalg
-from .exact import (TruncSeries, check_report, rat_to_str, series_inverse,
-                    series_mul, series_shift)
+from .exact import (ONE, ZERO, TruncSeries, check_report, rat_to_str,
+                    series_inverse, series_mul, series_shift)
 from .freealg import (
     NCPoly,
     TensorNCPoly,
     TermAlgebra,
+    _term_key,
     antipode_table,
     coproduct_table,
     gen_id,
@@ -47,9 +48,6 @@ from .liealg import (
 )
 from .rmatrix import closed_form_r
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 class WrongFamily(ValueError):
     """Operation restricted to a specific family of algebras."""
@@ -74,9 +72,9 @@ class RTTPresentation:
     every closure and fit count reads the two ints."""
 
     __slots__ = ("lie", "casimir", "R", "K", "relations", "relation_bounds",
-                 "family", "N", "clear_degree", "_zcache")
+                 "family", "N")
 
-    def __init__(self, lie, cas, R, K, relations, clear_degree):
+    def __init__(self, lie, cas, R, K, relations):
         self.lie = lie
         self.casimir = cas
         self.R = R
@@ -86,17 +84,17 @@ class RTTPresentation:
                                      for p in self.relations)
         self.family = lie.family
         self.N = R.N
-        self.clear_degree = clear_degree
-        self._zcache = {}
 
-
-def _word_key(w):
-    return len(w), w
+    @property
+    def clear_degree(self):
+        """deg D of R(u)'s common denominator, the degree by which the
+        relations were cleared."""
+        return len(self.R.den) - 1
 
 
 def _canon_poly(p):
     """Scale so the minimal term (shortest word, then lex) has coefficient 1."""
-    w0 = min(p.terms, key=_word_key)
+    w0 = min(p.terms, key=_term_key)
     c = p.terms[w0]
     if c == ONE:
         return p
@@ -196,7 +194,7 @@ def rtt_relations(family, N, K):
             for p in diff:
                 if not p:
                     continue
-                c0 = p[min(p, key=_word_key)]
+                c0 = p[min(p, key=_term_key)]
                 g = gcd(*p.values())
                 if c0 < 0:
                     g = -g
@@ -213,10 +211,10 @@ def rtt_relations(family, N, K):
                 # coefficient 1 at the minimal word: already canonical
                 relations.append(NCPoly(terms))
     relations.sort(key=_poly_sort_key)
-    pres = RTTPresentation(data, cas, R, K, relations, d)
+    pres = RTTPresentation(data, cas, R, K, relations)
     # sanity filter: every relation must die under the one-factor
     # evaluation homomorphism T(u) -> R(u)
-    ev = EvalModule(pres, 1, [ZERO])
+    ev = EvalModule(pres, [ZERO])
     for p in relations:
         if ev.eval(p)[0].any():
             raise AssertionError("relation fails the evaluation zero filter")
@@ -230,20 +228,11 @@ _MAX_UNIVERSE = 300_000
 
 
 def _count_words(N, L, R_ord):
-    """Number of words of length <= L with total series order <= R_ord."""
-    nn = N * N
-    dp = {0: 1}  # sum_r -> count, for current length
-    total = 1
-    for _ in range(L):
-        nxt = {}
-        for s, c in dp.items():
-            for r in range(1, R_ord - s + 1):
-                nxt[s + r] = nxt.get(s + r, 0) + c * nn
-        total += sum(nxt.values())
-        dp = nxt
-        if not dp:
-            break
-    return total
+    """Number of words of length <= L with total series order <= R_ord:
+    a word of length n is n letters, each one of the N^2 matrix entries,
+    and C(R_ord, n) tuples of n positive orders sum to at most R_ord."""
+    return sum((N * N) ** n * comb(R_ord, n)
+               for n in range(min(L, R_ord) + 1))
 
 
 def _universe(N, L, R_ord):
@@ -493,9 +482,9 @@ def _commutators(cl, N, coeffs):
                     yield [r, s, k, l], c * t - t * c
 
 
-def _report(check, pres, cl, ok, details):
-    return check_report(check, ok, details, pres.family, pres.N, pres.K,
-                        cl.bounds)
+def _report(check, cl, ok, details):
+    return check_report(check, ok, details, cl.pres.family, cl.pres.N,
+                        cl.pres.K, cl.bounds)
 
 
 def slice_dimension(cl, length, sum_r):
@@ -551,22 +540,25 @@ def pbw_count(lie, rep, L, R_ord, quotient=False):
 
 class CentralSeries:
     """Scalar central series z(u) with its matrix source Z(u) and the
-    commutative y-polynomials solving z(u) = y(u) y(u + c_g/2)^{-1}."""
+    commutative y-polynomials solving z(u) = y(u) y(u + c_g/2)^{-1},
+    checked on the closure ``cl``, whose presentation is ``cl.pres``."""
 
-    __slots__ = ("z", "zmat", "y", "c_g", "report")
+    __slots__ = ("z", "zmat", "y", "cl", "report")
 
-    def __init__(self, z, zmat, c_g, report):
+    def __init__(self, z, zmat, cl, report):
         self.z = z          # list of NCPoly, index r (z[0] = 1, z[1] = 0)
         self.zmat = zmat    # Z(u), a TruncSeries of N x N matrices
         self.y = None       # list of CPoly in z-symbols, set by y_from_z
-        self.c_g = c_g
+        self.cl = cl
         self.report = report
+
+    @property
+    def c_g(self):
+        return self.cl.pres.casimir.c_g
 
 
 def _z_matrix(pres, K):
-    """Z(u) = S^2(T(u)) T(u + c_g/2)^{-1} to order K (cached on pres)."""
-    if K in pres._zcache:
-        return pres._zcache[K]
+    """Z(u) = S^2(T(u)) T(u + c_g/2)^{-1} to order K."""
     N = pres.N
     table = antipode_table(N, K)
     table2 = {g: substitute_poly(p, table, anti=True)
@@ -580,9 +572,7 @@ def _z_matrix(pres, K):
                 m[i, j] = table2[gen_id(i + 1, j + 1, r)]
         s2.append(m)
     half = pres.casimir.c_g / 2
-    Z = mat_mul(TruncSeries(s2), mat_inverse(series_shift(T, half)))
-    pres._zcache[K] = Z
-    return Z
+    return mat_mul(TruncSeries(s2), mat_inverse(series_shift(T, half)))
 
 
 def _z_coeffs(Z, K):
@@ -593,7 +583,11 @@ def _z_coeffs(Z, K):
 
 def z_series(pres, cl):
     """Compute Z(u), assert z_1 = 0 in the free algebra, and verify that Z
-    is scalar and central modulo the ideal at every testable order."""
+    is scalar and central modulo the ideal at every testable order.  The
+    returned series records ``cl``, which every check on it reads; ``pres``
+    must be ``cl.pres``."""
+    if pres is not cl.pres:
+        raise ValueError("the closure belongs to another presentation")
     K = pres.K
     N = pres.N
     Z = _z_matrix(pres, K)
@@ -615,8 +609,7 @@ def z_series(pres, cl):
         for r, s in dict.fromkeys((r, s) for r, s, _, _ in tested)]
     det["centrality_failures"] = central_fail
     ok = z1_zero and not (scalar_fail or central_fail)
-    return CentralSeries(z, Z, pres.casimir.c_g,
-                         _report("z_series", pres, cl, ok, det))
+    return CentralSeries(z, Z, cl, _report("z_series", cl, ok, det))
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +708,11 @@ def _perm_sign(p):
     return sign
 
 
-def qdet(pres, cl, cs):
+def qdet(cs):
     """qdet T(u) = sum_pi sign(pi) t_{pi(1),1}(u) ... t_{pi(N),N}(u-N+1),
     with centrality and z(u) = zdet(u+N) verified modulo the ideal."""
+    cl = cs.cl
+    pres = cl.pres
     if pres.family != "sl":
         raise WrongFamily("qdet is defined for sl only")
     N = pres.N
@@ -743,16 +738,18 @@ def qdet(pres, cl, cs):
     shifted = series_shift(zdet, Fraction(N))
     match_tested, _, match_fail = _check_members(
         cl, ((r, cs.z[r] - shifted.coeffs[r]) for r in orders))
-    return qd, _report("qdet", pres, cl, not (central_fail or match_fail), {
+    return qd, _report("qdet", cl, not (central_fail or match_fail), {
         "centrality_tested": len(tested),
         "centrality_failures": central_fail,
         "z_equals_shifted_zdet_orders": match_tested,
         "z_match_failures": match_fail})
 
 
-def symmetry_series(pres, cl, cs):
+def symmetry_series(cs):
     """T^t(u+kappa) T(u) = zdet(u) I modulo the ideal (so/sp), plus the
     two-sided equality and z(u) = zdet(u) zdet(u+kappa)^{-1}."""
+    cl = cs.cl
+    pres = cl.pres
     if pres.family not in ("so", "sp"):
         raise WrongFamily("symmetry series is defined for so/sp only")
     N = pres.N
@@ -774,7 +771,7 @@ def symmetry_series(pres, cl, cs):
     match_tested, _, match_fail = _check_members(
         cl, ((r, cs.z[r] - rhs.coeffs[r]) for r in range(1, K + 1)))
     ok = not (scalar_fail or two_sided_fail or match_fail)
-    return zdet, _report("symmetry_series", pres, cl, ok, {
+    return zdet, _report("symmetry_series", cl, ok, {
         "scalar_tested": len(scalar_tested),
         "scalar_failures": scalar_fail,
         "two_sided_tested": len(two_sided_tested),
@@ -809,9 +806,11 @@ HOPF_ORDERS = 3
 HOPF_MAX_RELATIONS = 50
 
 
-def verify_hopf(pres, cl, cs):
+def verify_hopf(cs):
     """Grouplike property of z(u), the antipode identity S(z(u)) z(u) = 1,
     the counit values, and well-definedness of the coproduct."""
+    cl = cs.cl
+    pres = cl.pres
     N = pres.N
     K = pres.K
     rs = range(1, min(HOPF_ORDERS, K) + 1)
@@ -844,7 +843,7 @@ def verify_hopf(pres, cl, cs):
         cl, ((n, substitute_poly(p, cop)) for n, p in enumerate(rels)))
 
     ok = counit_ok and not (grouplike_fail or antipode_fail or coproduct_fail)
-    return _report("hopf", pres, cl, ok, {
+    return _report("hopf", cl, ok, {
         "grouplike_orders": grouplike_tested,
         "grouplike_failures": grouplike_fail,
         "antipode_orders": antipode_tested,
@@ -860,11 +859,13 @@ def verify_hopf(pres, cl, cs):
 FIXED_POINT_ORDERS = 2  # orders of T~(u) checked for m_f-fixedness
 
 
-def verify_fixed_point(pres, cl, cs, f):
+def verify_fixed_point(cs, f):
     """m_f(T~) = T~ modulo the ideal for T~(u) = y(u)^{-1} T(u), and
     m_f(z(u)) = (f(u)/f(u + c_g/2)) z(u) modulo the ideal."""
     if f.coeffs[0] != ONE:
         raise ValueError("f must have constant term 1")
+    cl = cs.cl
+    pres = cl.pres
     N = pres.N
     K = pres.K
     if cs.y is None:
@@ -889,17 +890,10 @@ def verify_fixed_point(pres, cl, cs, f):
     # m_f(z(u)) = (f(u) / f(u + c_g/2)) z(u) mod ideal
     half = cs.c_g / 2
     ratio = series_mul(fext, series_inverse(series_shift(fext, half)))
-
-    def scaled_z(r):
-        rhs = NCPoly.zero()
-        for a in range(r + 1):
-            c = ratio.coeffs[a]
-            if c and cs.z[r - a]:
-                rhs = rhs + c * cs.z[r - a]
-        return rhs
+    scaled_z = series_mul(ratio, TruncSeries(cs.z[:K + 1]))
 
     scale_tested, _, scale_fail = _check_members(
-        cl, ((r, substitute_poly(cs.z[r], table) - scaled_z(r))
+        cl, ((r, substitute_poly(cs.z[r], table) - scaled_z.coeffs[r])
              for r in range(2, min(FIXED_POINT_ORDERS + 2, K) + 1)))
 
     # shift compatibility: forming T~ commutes with u -> u + 1 exactly
@@ -908,7 +902,7 @@ def verify_fixed_point(pres, cl, cs, f):
     B = series_mul(series_shift(yinv, c), series_shift(T, c))
     shift_ok = A == B
     ok = shift_ok and not (fixed_fail or scale_fail)
-    return _report("fixed_point", pres, cl, ok, {
+    return _report("fixed_point", cl, ok, {
         "f": [rat_to_str(c) for c in f.coeffs],
         # an order counts as tested when none of its entries was skipped
         "fixed_orders": [k for k in range(1, Ku + 1)
@@ -922,11 +916,16 @@ def verify_fixed_point(pres, cl, cs, f):
 # ---------------------------------------------------------------------------
 # low-order structure
 
-def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
+def verify_low_order_structure(cs, quotient_cl=None, rep=None):
     """(a) the classical generators embed via F_ij -> t_ij^(1) -
     (2/c_g) z_ij^(2) respecting the bracket and symmetrization identities
     modulo the ideal; (b) t_ij^(3) is generated by order <= 2 elements in
-    the quotient; (c) the J-coupling table (zero for vector reps)."""
+    the quotient; (c) the J-coupling table (zero for vector reps).
+    ``quotient_cl`` must be a closure of ``cs.cl.pres``."""
+    cl = cs.cl
+    pres = cl.pres
+    if quotient_cl is not None and quotient_cl.pres is not pres:
+        raise ValueError("the closure belongs to another presentation")
     N = pres.N
     lie = pres.lie
     rep = vector_rep(lie) if rep is None else rep
@@ -1022,7 +1021,7 @@ def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
 
     ok = not (bracket_fail or sym_fail
               or (gen3 is not None and not all(g[2] for g in gen3)))
-    return _report("low_order_structure", pres, cl, ok, det)
+    return _report("low_order_structure", cl, ok, det)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,7 +1029,8 @@ def verify_low_order_structure(pres, cl, cs, quotient_cl=None, rep=None):
 
 class EvalModule:
     """Exact homomorphism X -> End(V^{(x)k}): T(u) -> R_{01}(u - a_1) ...
-    R_{0k}(u - a_k) read in the auxiliary slot 0.
+    R_{0k}(u - a_k) read in the auxiliary slot 0, one tensor factor per
+    shift a_m in ``shifts``.
 
     The image of each generator t_ij^(r) is an integer matrix (int64, or
     Python ints where int64 could overflow), and all of them share one
@@ -1039,15 +1039,12 @@ class EvalModule:
     bound that ``eval`` carries through its products.
     """
 
-    __slots__ = ("pres", "k", "shifts", "N", "Nk", "order", "scale",
-                 "_images")
+    __slots__ = ("pres", "shifts", "N", "Nk", "order", "scale", "_images")
 
-    def __init__(self, pres, k, shifts, order=None):
-        if len(shifts) != k:
-            raise ValueError("need one shift per tensor factor")
+    def __init__(self, pres, shifts, order=None):
         self.pres = pres
-        self.k = k
         self.shifts = [Fraction(s) for s in shifts]
+        k = len(self.shifts)
         N = pres.N
         self.N = N
         Nk = self.Nk = N ** k
@@ -1088,7 +1085,8 @@ class EvalModule:
         entries) pairs and their common scale."""
         expanded, scale = self.pres.R.shifted(
             self.shifts[m - 1]).expand_scaled(self.order)
-        return [(on_legs(c, self.N, self.k + 1, (0, m)), _max_abs(c))
+        return [(on_legs(c, self.N, len(self.shifts) + 1, (0, m)),
+                 _max_abs(c))
                 for c in expanded], scale
 
     def eval(self, p):
@@ -1158,11 +1156,12 @@ class EvalModule:
 CERTIFICATE_SYMBOLS = (2, 3)  # z-symbols of central_monomial_certificate
 
 
-def central_monomial_certificate(pres, cs):
+def central_monomial_certificate(cs):
     """Independence of the monomials of degree <= 2 in the z-symbols
     CERTIFICATE_SYMBOLS modulo the true ideal, certified by a full-rank
     value matrix over a family of evaluation modules (each z-monomial acts
     by an exact scalar)."""
+    pres = cs.cl.pres
     symbols = CERTIFICATE_SYMBOLS
     mons = [()] + [(a,) for a in symbols]
     mons += [(a, b) for ai, a in enumerate(symbols) for b in symbols[ai:]]
@@ -1173,23 +1172,21 @@ def central_monomial_certificate(pres, cs):
             p = p * cs.z[r]
         polys.append(p)
 
-    # (factors, shifts, scaling-series coefficients or None); composing
-    # with the algebra automorphism T(u) -> f(u) T(u) multiplies the
-    # z-values by f(u)/f(u + c_g/2), which separates symbols that the
-    # plain vector modules evaluate to zero
+    # (shifts, one per tensor factor, and scaling-series coefficients or
+    # None); composing with the algebra automorphism T(u) -> f(u) T(u)
+    # multiplies the z-values by f(u)/f(u + c_g/2), which separates
+    # symbols that the plain vector modules evaluate to zero
     module_specs = [
-        (1, [0], None), (1, [1], None), (2, [0, 0], None),
-        (2, [0, 1], None), (3, [0, 0, 0], None), (3, [0, 0, 1], None),
-        (1, [0], [1, 1]), (1, [0], [1, 2]), (2, [0, 0], [1, 1]),
-        (2, [0, 1], [1, 2]), (1, [0], [1, 3]), (1, [0], [1, 0, 1]),
+        ([0], None), ([1], None), ([0, 0], None), ([0, 1], None),
+        ([0, 0, 0], None), ([0, 0, 1], None), ([0], [1, 1]), ([0], [1, 2]),
+        ([0, 0], [1, 1]), ([0, 1], [1, 2]), ([0], [1, 3]), ([0], [1, 0, 1]),
     ]
     order = max(symbols) + 1
     rows = []
     used = []
     target = len(mons)
-    for k, shifts, f in module_specs:
-        ev = EvalModule(pres, k, [Fraction(s) for s in shifts],
-                        order=order)
+    for shifts, f in module_specs:
+        ev = EvalModule(pres, shifts, order=order)
         if f is None:
             row = [ev.eval_scalar(p) for p in polys]
         else:
@@ -1198,7 +1195,7 @@ def central_monomial_certificate(pres, cs):
             row = [ev.eval_scalar(substitute_poly(p, table))
                    for p in polys]
         rows.append(row)
-        used.append([k, [rat_to_str(Fraction(s)) for s in shifts],
+        used.append([len(shifts), [rat_to_str(s) for s in ev.shifts],
                      None if f is None else [str(c) for c in f]])
         rk = linalg.rank(rows, target)
         if rk == target:

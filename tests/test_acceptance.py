@@ -4,6 +4,7 @@ at exact (zero-tolerance) equality and within the stated time budgets."""
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -226,17 +227,17 @@ def test_centrality_so3(so3_cs):
     assert not rep["details"]["centrality_failures"]
 
 
-def test_central_monomial_independence(sl2, sl2_cs, so3, so3_cs):
-    for pres, cs in ((sl2, sl2_cs), (so3, so3_cs)):
-        rep = central_monomial_certificate(pres, cs)
+def test_central_monomial_independence(sl2_cs, so3_cs):
+    for cs in (sl2_cs, so3_cs):
+        rep = central_monomial_certificate(cs)
         assert rep["status"] == "pass"
         assert rep["details"]["rank"] == 6
 
 
 # -- grouplike coproduct ----------------------------------------
 
-def test_grouplike_coproduct(sl2, sl2_cl, sl2_cs):
-    rep = verify_hopf(sl2, sl2_cl, sl2_cs)
+def test_grouplike_coproduct(sl2_cs):
+    rep = verify_hopf(sl2_cs)
     assert rep["status"] == "pass"
     assert rep["details"]["grouplike_orders"] == [1, 2, 3]
     assert not rep["details"]["grouplike_failures"]
@@ -255,8 +256,8 @@ def test_y_recursion(sl2, sl2_cs):
 
 # -- quantum determinant -----------------------------------------
 
-def test_quantum_determinant(sl2, sl2_cl, sl2_cs):
-    qd, rep = qdet(sl2, sl2_cl, sl2_cs)
+def test_quantum_determinant(sl2_cs):
+    qd, rep = qdet(sl2_cs)
     assert rep["status"] == "pass"
     assert not rep["details"]["centrality_failures"]
     assert rep["details"]["z_equals_shifted_zdet_orders"] == [1, 2, 3]
@@ -277,8 +278,8 @@ def test_quantum_determinant(sl2, sl2_cl, sl2_cs):
 
 # -- symmetry series --------------------------------------------
 
-def test_symmetry_series_so3(so3, so3_cl, so3_cs):
-    _, rep = symmetry_series(so3, so3_cl, so3_cs)
+def test_symmetry_series_so3(so3_cs):
+    _, rep = symmetry_series(so3_cs)
     assert rep["status"] == "pass"
     assert not rep["details"]["scalar_failures"]
     assert not rep["details"]["two_sided_failures"]
@@ -295,12 +296,20 @@ def test_export_list():
     assert [n for n in names if not hasattr(yangkit, n)] == []
 
 
+def test_readme_library_example():
+    """The "Library example" block of README.md runs as written."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+
+
 # -- fixed points ----------------------------------------------
 
 @pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1)])
-def test_fixed_point_automorphisms(sl2, sl2_cl, sl2_cs, coeffs):
+def test_fixed_point_automorphisms(sl2_cs, coeffs):
     f = TruncSeries([F(c) for c in coeffs])
-    rep = verify_fixed_point(sl2, sl2_cl, sl2_cs, f)
+    rep = verify_fixed_point(sl2_cs, f)
     assert rep["status"] == "pass"
     assert rep["details"]["fixed_orders"] == [1, 2]
     assert not rep["details"]["fixed_failures"]

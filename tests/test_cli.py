@@ -330,10 +330,10 @@ class TestSharedClosureState:
 
         monkeypatch.setattr(climod, "closure", closure_spy)
         monkeypatch.setattr(climod, "z_series", z_spy)
-        monkeypatch.setattr(climod, "verify_hopf", lambda pres, cl, *a, **k:
-                            fail_small(real_hopf(pres, cl, *a, **k), cl))
-        monkeypatch.setattr(climod, "qdet", lambda pres, cl, cs: (
-            None, fail_small(real_qdet(pres, cl, cs)[1], cl)))
+        monkeypatch.setattr(climod, "verify_hopf", lambda cs:
+                            fail_small(real_hopf(cs), cs.cl))
+        monkeypatch.setattr(climod, "qdet", lambda cs: (
+            None, fail_small(real_qdet(cs)[1], cs.cl)))
         code, rep, _ = run(tmp_path, "r.json",
                            ["verify", "--family", "sl", "--n", "2",
                             "--order", "3", "--len", "2", "--sumr", "3",
@@ -445,7 +445,7 @@ class TestPbwPlantedDefects:
 
     def test_dropped_relation_fails_extended(self, sl2):
         bad = yangian.RTTPresentation(sl2.lie, sl2.casimir, sl2.R, sl2.K,
-                                      sl2.relations[1:], sl2.clear_degree)
+                                      sl2.relations[1:])
         check = self._checks(bad)["pbw_extended"]
         assert check["status"] == "fail"
         assert check["details"]["slice_dimension"] == 40
@@ -474,12 +474,11 @@ class TestCentralityNegativeControl:
     def test_control_fails_to_commute_for_every_seed(self):
         # seeds 4, 6, 8 and 10 draw t_12^(2), which commutes with t_12^(1)
         pres = rtt_relations("sl", 2, 4)
-        cl = closure(pres, 3, 4)
-        cs = z_series(pres, cl)
+        cs = z_series(pres, closure(pres, 3, 4))
         drawn = set()
         for seed in range(11):
             cfg = climod.RunConfig("sl", 2, 4, 3, 4, ("center",), seed, None)
-            check = climod._centrality_negative_control(cfg, cl, cs)
+            check = climod._centrality_negative_control(cfg, cs)
             assert check["status"] == "pass", seed
             assert check["details"]["perturbed_element_central"] is False
             drawn.add(tuple(check["details"]["perturbation_generator"]))
@@ -497,12 +496,11 @@ class TestCentralityNegativeControl:
         # so_3 t_13^(2) and so_4 t_14^(2), t_32^(2) have zero leading-order
         # image and commute with every probe; they must never be drawn
         pres = rtt_relations(family, N, K)
-        cl = closure(pres, L, R_ord)
-        cs = z_series(pres, cl)
+        cs = z_series(pres, closure(pres, L, R_ord))
         for seed in range(11):
             cfg = climod.RunConfig(family, N, K, L, R_ord, ("center",),
                                    seed, None)
-            check = climod._centrality_negative_control(cfg, cl, cs)
+            check = climod._centrality_negative_control(cfg, cs)
             assert check["status"] == "pass", seed
             assert check["details"]["perturbed_element_central"] is False
             i, j, _ = check["details"]["perturbation_generator"]

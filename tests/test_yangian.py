@@ -526,15 +526,23 @@ class TestCentralSeries:
         # y_1 = (2/c_g) z_2 with c_g = 4
         assert cs.y[1].terms == {(2,): F(1, 2)}
 
-    def test_monomial_certificate(self, sl2, sl2_cs):
-        rep = central_monomial_certificate(sl2, sl2_cs)
+    def test_monomial_certificate(self, sl2_cs):
+        rep = central_monomial_certificate(sl2_cs)
         assert rep["status"] == "pass"
         assert rep["details"]["rank"] == 6
 
+    def test_series_names_its_closure(self, sl2, sl2_cl, sl2_cs):
+        assert sl2_cs.cl is sl2_cl
+        assert sl2_cs.c_g == sl2.casimir.c_g
+
+    def test_closure_of_another_presentation_raises(self, sl2, so3_cl):
+        with pytest.raises(ValueError, match="another presentation"):
+            z_series(sl2, so3_cl)
+
 
 class TestQdet:
-    def test_formula_n2(self, sl2, sl2_cl, sl2_cs):
-        qd, report = qdet(sl2, sl2_cl, sl2_cs)
+    def test_formula_n2(self, sl2_cs):
+        qd, report = qdet(sl2_cs)
         assert report["status"] == "pass"
         T = t_matrix(2, 3)
         Tm = rational_reference.mat_shift(T, F(-1))
@@ -548,40 +556,39 @@ class TestQdet:
             assert qd.coeffs[r] == oracle.coeffs[r]
         assert qd.coeffs[1] == NCPoly.gen(1, 1, 1) + NCPoly.gen(2, 2, 1)
 
-    def test_wrong_family(self, so3, so3_cl, so3_cs):
+    def test_wrong_family(self, so3_cs):
         with pytest.raises(WrongFamily):
-            qdet(so3, so3_cl, so3_cs)
+            qdet(so3_cs)
 
 
 class TestSymmetry:
-    def test_so3(self, so3, so3_cl, so3_cs):
-        _, report = symmetry_series(so3, so3_cl, so3_cs)
+    def test_so3(self, so3_cs):
+        _, report = symmetry_series(so3_cs)
         assert report["status"] == "pass"
         assert not report["details"]["scalar_failures"]
         assert not report["details"]["two_sided_failures"]
 
-    def test_wrong_family(self, sl2, sl2_cl, sl2_cs):
+    def test_wrong_family(self, sl2_cs):
         with pytest.raises(WrongFamily):
-            symmetry_series(sl2, sl2_cl, sl2_cs)
+            symmetry_series(sl2_cs)
 
 
 class TestHopfAndFixedPoint:
-    def test_hopf(self, sl2, sl2_cl, sl2_cs):
-        report = verify_hopf(sl2, sl2_cl, sl2_cs)
+    def test_hopf(self, sl2_cs):
+        report = verify_hopf(sl2_cs)
         assert report["status"] == "pass"
         assert report["details"]["grouplike_orders"] == [1, 2, 3]
 
-    def test_fixed_point(self, sl2, sl2_cl, sl2_cs):
+    def test_fixed_point(self, sl2_cs):
         f = TruncSeries([F(1), F(1)])
-        report = verify_fixed_point(sl2, sl2_cl, sl2_cs, f)
+        report = verify_fixed_point(sl2_cs, f)
         assert report["status"] == "pass"
         assert report["details"]["fixed_orders"] == [1, 2]
         assert report["details"]["shift_compatible"]
 
-    def test_fixed_point_requires_unit_constant(self, sl2, sl2_cl, sl2_cs):
+    def test_fixed_point_requires_unit_constant(self, sl2_cs):
         with pytest.raises(ValueError):
-            verify_fixed_point(sl2, sl2_cl, sl2_cs,
-                               TruncSeries([F(2), F(1)]))
+            verify_fixed_point(sl2_cs, TruncSeries([F(2), F(1)]))
 
 
 def _planted_z(cs):
@@ -589,46 +596,51 @@ def _planted_z(cs):
     because y_from_z writes into it, so the fixture's cs stays as it is."""
     z = list(cs.z)
     z[2] = z[2] + NCPoly.gen(1, 2, 2)
-    return yangian.CentralSeries(z, cs.zmat, cs.c_g, copy.deepcopy(cs.report))
+    return yangian.CentralSeries(z, cs.zmat, cs.cl, copy.deepcopy(cs.report))
 
 
 class TestPlantedZ:
     """Each check that reads the run's z-series fails at order 2 when
     z_2 is wrong."""
 
-    def test_hopf(self, sl2, sl2_cl, sl2_cs):
-        report = verify_hopf(sl2, sl2_cl, _planted_z(sl2_cs))
+    def test_hopf(self, sl2_cs):
+        report = verify_hopf(_planted_z(sl2_cs))
         assert report["status"] == "fail"
         assert report["details"]["grouplike_failures"] == [2]
         assert report["details"]["antipode_failures"] == [2]
 
-    def test_qdet(self, sl2, sl2_cl, sl2_cs):
-        _, report = qdet(sl2, sl2_cl, _planted_z(sl2_cs))
+    def test_qdet(self, sl2_cs):
+        _, report = qdet(_planted_z(sl2_cs))
         assert report["status"] == "fail"
         assert report["details"]["z_match_failures"] == [2]
 
-    def test_symmetry_series(self, so3, so3_cl, so3_cs):
-        _, report = symmetry_series(so3, so3_cl, _planted_z(so3_cs))
+    def test_symmetry_series(self, so3_cs):
+        _, report = symmetry_series(_planted_z(so3_cs))
         assert report["status"] == "fail"
         assert report["details"]["z_match_failures"] == [2]
 
-    def test_fixed_point(self, sl2, sl2_cl, sl2_cs):
+    def test_fixed_point(self, sl2_cs):
         f = TruncSeries([F(1), F(1)])
-        report = verify_fixed_point(sl2, sl2_cl, _planted_z(sl2_cs), f)
+        report = verify_fixed_point(_planted_z(sl2_cs), f)
         assert report["status"] == "fail"
         assert report["details"]["z_scaling_failures"] == [2]
 
 
 class TestLowOrder:
-    def test_sl2(self, sl2, sl2_cl, sl2_cs):
+    def test_sl2(self, sl2, sl2_cs):
         qcl = closure_for_query(sl2, 3, 3, quotient=True)
-        report = verify_low_order_structure(sl2, sl2_cl, sl2_cs,
-                                            quotient_cl=qcl)
+        report = verify_low_order_structure(sl2_cs, quotient_cl=qcl)
         assert report["status"] == "pass"
         assert not report["details"]["embedding_bracket_failures"]
         assert report["details"]["b_table_all_zero"]
         gen3 = report["details"]["order3_generated_by_low_orders"]
         assert gen3 and all(flag for _, _, flag in gen3)
+
+    def test_quotient_closure_of_another_presentation_raises(self, sl2_cs,
+                                                             so3):
+        qcl = closure_for_query(so3, 2, 3, quotient=True)
+        with pytest.raises(ValueError, match="another presentation"):
+            verify_low_order_structure(sl2_cs, quotient_cl=qcl)
 
 
 @pytest.mark.parametrize("family,N,query,internal,flag", [
@@ -646,7 +658,7 @@ def test_low_order_flags(family, N, query, internal, flag):
     cl = closure(pres, 2, 3)
     qcl = _query_closure(family, N, 3, *query, True)
     assert qcl.bounds == internal
-    report = verify_low_order_structure(pres, cl, z_series(pres, cl),
+    report = verify_low_order_structure(z_series(pres, cl),
                                         quotient_cl=qcl)
     assert report["details"]["order3_generated_by_low_orders"] == [
         [i, j, flag] for i in range(1, N + 1) for j in range(1, N + 1)]
@@ -664,31 +676,30 @@ LOW_ORDER_TWISTED_DIGESTS = {
 
 
 @pytest.mark.parametrize("c", list(LOW_ORDER_TWISTED_DIGESTS), ids=str)
-def test_low_order_twisted_goldens(sl2, sl2_cl, sl2_cs, c):
-    report = verify_low_order_structure(
-        sl2, sl2_cl, sl2_cs, rep=twisted_rep(sl2.lie, c))
+def test_low_order_twisted_goldens(sl2, sl2_cs, c):
+    report = verify_low_order_structure(sl2_cs, rep=twisted_rep(sl2.lie, c))
     got = json.dumps(report, sort_keys=True)
     assert (hashlib.sha256(got.encode()).hexdigest()
             == LOW_ORDER_TWISTED_DIGESTS[c])
     if c == 0:
         assert got == json.dumps(
-            verify_low_order_structure(sl2, sl2_cl, sl2_cs), sort_keys=True)
+            verify_low_order_structure(sl2_cs), sort_keys=True)
 
 
 class TestEvaluation:
-    def test_z_scalar_on_vector_module(self, sl2, sl2_cl, sl2_cs):
+    def test_z_scalar_on_vector_module(self, sl2, sl2_cs):
         # z(u) acts on the vector evaluation module as 1 - u^{-2}
-        ev = EvalModule(sl2, 1, [F(0)], order=3)
+        ev = EvalModule(sl2, [F(0)], order=3)
         vals = [ev.eval_scalar(sl2_cs.z[r]) for r in range(4)]
         assert vals == [F(1), F(0), F(-1), F(0)]
 
     def test_relations_die(self, sl2):
-        ev = EvalModule(sl2, 2, [F(0), F(1)], order=3)
+        ev = EvalModule(sl2, [F(0), F(1)], order=3)
         for p in sl2.relations[:20]:
             assert not ev.eval(p)[0].any()
 
     def test_generator_image_nonzero(self, sl2):
-        ev = EvalModule(sl2, 1, [F(0)], order=3)
+        ev = EvalModule(sl2, [F(0)], order=3)
         assert ev.eval(NCPoly.gen(1, 1, 1))[0].any()
 
 
@@ -775,16 +786,16 @@ def _module_and_poly(draw):
         c = draw(coeff)
         if c:
             terms[w] = c
-    return family, k, shifts, order, NCPoly(terms)
+    return family, shifts, order, NCPoly(terms)
 
 
 class TestEvalEngine:
     @settings(max_examples=100, deadline=None)
     @given(_module_and_poly())
     def test_eval_matches_reference(self, sl2, so3, case):
-        family, k, shifts, order, p = case
+        family, shifts, order, p = case
         pres = sl2 if family == "sl" else so3
-        ev = EvalModule(pres, k, shifts, order=order)
+        ev = EvalModule(pres, shifts, order=order)
         want = _reference_eval(_reference_images(pres, shifts, order),
                                ev.Nk, p)
         assert (int_to_frac_array(*ev.eval(p)) == want).all()
@@ -800,7 +811,7 @@ class TestEvalEngine:
 
         monkeypatch.setattr(yangian, "safe_matmul", spy)
         shifts, order = (F(10 ** 6), F(-10 ** 6, 3)), 2
-        ev = EvalModule(sl2, 2, shifts, order=order)
+        ev = EvalModule(sl2, shifts, order=order)
         t = {(i, j, r): NCPoly.gen(i, j, r) for r in (1, 2)
              for i in (1, 2) for j in (1, 2)}
         p = (t[1, 1, 2] * t[1, 2, 2] * t[2, 1, 2] * t[2, 2, 2]
@@ -842,7 +853,7 @@ class TestEvalEngine:
 
         monkeypatch.setattr(yangian, "safe_matmul", spy)
         shifts, order = (F(15000),), 2
-        ev = EvalModule(sl2, 1, shifts, order=order)
+        ev = EvalModule(sl2, shifts, order=order)
         t = {(i, j): NCPoly.gen(i, j, 2) for i in (1, 2) for j in (1, 2)}
         # t_11^(2) acts by -15000 E_11, t_12^(2) by a nilpotent matrix
         p = (t[1, 1] * t[1, 1] * t[1, 1] * t[1, 1]
@@ -896,7 +907,7 @@ class TestEvalEngine:
                 rtt_relations(family, N, 2)
 
     def test_eval_scalar_rejects_non_scalar(self, sl2):
-        ev = EvalModule(sl2, 1, [F(1, 2)], order=3)
+        ev = EvalModule(sl2, [F(1, 2)], order=3)
         assert ev.eval_scalar(NCPoly.constant(F(3, 4))) == F(3, 4)
         for i, j in ((1, 2), (1, 1)):   # off-diagonal, diagonal
             with pytest.raises(ValueError, match="not a scalar"):
