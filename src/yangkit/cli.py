@@ -222,21 +222,22 @@ def _suite_rtt(cfg, ctx):
         cfg.family, cfg.N, cfg.K, cl.bounds)]
 
 
+def _pbw_check(cfg, pres, rep, quotient):
+    cl = closure_for_query(pres, cfg.L, cfg.R_ord, quotient=quotient)
+    sd = slice_dimension(cl, cfg.L, cfg.R_ord)
+    pc = pbw_count(pres.lie, rep, cfg.L, cfg.R_ord, quotient=quotient)
+    return check_report(
+        "pbw_quotient" if quotient else "pbw_extended", sd == pc,
+        {"slice_dimension": sd, "pbw_count": pc,
+         "internal_bounds": [cl.L, cl.R_ord]},
+        cfg.family, cfg.N, cfg.K, [cfg.L, cfg.R_ord])
+
+
 def _suite_pbw(cfg, ctx):
+    # one closure per check, each freed before the next is built
     pres = ctx["pres"]
-    lie = pres.lie
-    rep = vector_rep(lie)
-    checks = []
-    for quotient in (False, True):
-        cl = closure_for_query(pres, cfg.L, cfg.R_ord, quotient=quotient)
-        sd = slice_dimension(cl, cfg.L, cfg.R_ord)
-        pc = pbw_count(lie, rep, cfg.L, cfg.R_ord, quotient=quotient)
-        checks.append(check_report(
-            "pbw_quotient" if quotient else "pbw_extended", sd == pc,
-            {"slice_dimension": sd, "pbw_count": pc,
-             "internal_bounds": [cl.L, cl.R_ord]},
-            cfg.family, cfg.N, cfg.K, [cfg.L, cfg.R_ord]))
-    return checks
+    rep = vector_rep(pres.lie)
+    return [_pbw_check(cfg, pres, rep, q) for q in (False, True)]
 
 
 def _with_retry(cfg, ctx, run):

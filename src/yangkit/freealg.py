@@ -8,6 +8,15 @@ these integers.  All coefficients are Fraction.  NCPoly, TensorNCPoly and
 yangian.CPoly share one arithmetic, TermAlgebra, and differ only in their
 unit key and key product.
 
+Words are hash-consed: one module table maps each word to its one tuple,
+and every word that a product (``NCPoly.join``, the legs of
+``TensorNCPoly``), ``NCPoly.gen`` or ``yangian.rtt_relations`` makes is
+looked up there, so equal words made anywhere in the process are one
+object.  The table has no eviction; it holds exactly the words those
+makers made in this process.  A closure's bounded word universe is not
+interned, so the table never holds a closure-sized word set.  Only
+object identity changes: values, term order and key order do not.
+
 Every structure map is stated on the generator matrix T(u): the
 coproduct sends it to T(u) (x) T(u), the antipode to T(u)^{-1}, the counit
 to I, and m_f to f(u) T(u).  So each map other than the counit is the
@@ -16,7 +25,6 @@ generator table of one matrix series, {t_{ij}^{(r)}: M^{(r)}_{ij}}, and
 ``constant_coeff()``.
 """
 
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +61,17 @@ def gen_ijr(g):
 
 def word_sum_r(w):
     return sum(gen_ijr(g)[2] for g in w)
+
+
+# ---------------------------------------------------------------------------
+# hash-consed words
+
+_WORDS = {}
+
+
+def intern_word(w):
+    """The table's one tuple equal to the word w (w itself when new)."""
+    return _WORDS.setdefault(w, w)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +201,16 @@ class NCPoly(TermAlgebra):
     __slots__ = ()
 
     UNIT = ()
-    join = operator.add
+
+    @staticmethod
+    def join(a, b):
+        # intern_word inlined: this runs once per term of every product
+        w = a + b
+        return _WORDS.setdefault(w, w)
 
     @staticmethod
     def gen(i, j, r):
-        return NCPoly({(gen_id(i, j, r),): ONE})
+        return NCPoly({intern_word((gen_id(i, j, r),)): ONE})
 
     def __repr__(self):
         if not self.terms:
@@ -222,12 +246,12 @@ class TensorNCPoly(TermAlgebra):
 
     @staticmethod
     def join(a, b):
-        return (a[0] + b[0], a[1] + b[1])
+        return (intern_word(a[0] + b[0]), intern_word(a[1] + b[1]))
 
     @staticmethod
     def of(left, right):
         """left (x) right for NCPoly legs."""
-        return TensorNCPoly({(w1, w2): c1 * c2
+        return TensorNCPoly({(intern_word(w1), intern_word(w2)): c1 * c2
                              for w1, c1 in left.terms.items()
                              for w2, c2 in right.terms.items()})
 

@@ -27,6 +27,7 @@ from .freealg import (
     coproduct_table,
     gen_id,
     gen_ijr,
+    intern_word,
     mat_inverse,
     mat_mul,
     mf_table,
@@ -124,9 +125,11 @@ def rtt_relations(family, N, K):
     R = closed_form_r(family, N)
     # D(w) R(w) = scale * sum_m C_m w^m with w = u - v and d = deg D
     d = len(R.den) - 1
-    # word of T^(r)_{ij}: T^(0) = I gives the empty word, None for a 0
+    # word of T^(r)_{ij}: T^(0) = I gives the empty word, None for a 0;
+    # every word here and every product word below is interned
     W = [[[() if i == j else None for j in range(N)] for i in range(N)]]
-    W += [[[(gen_id(i + 1, j + 1, r),) for j in range(N)] for i in range(N)]
+    W += [[[intern_word((gen_id(i + 1, j + 1, r),)) for j in range(N)]
+           for i in range(N)]
           for r in range(1, K + 2 + d)]
     # sum_m C_m (u - v)^m = sum_m C_m sum_s binom(m, s) u^(m-s) (-v)^s: for
     # each (m, s), the nonzero entries of binom(m, s) (-1)^s C_m as Python
@@ -163,11 +166,11 @@ def rtt_relations(family, N, K):
                         for i2, k2, v in rows[e]:
                             p, q = Wx[i2][j], Wy[k2][l]
                             if p is not None and q is not None:
-                                term[p + q] = v
+                                term[intern_word(p + q)] = v
                         for j2, l2, v in cols[f]:
                             p, q = Wx[i][j2], Wy[k][l2]
                             if p is not None and q is not None:
-                                w = q + p
+                                w = intern_word(q + p)
                                 c = term.get(w)
                                 if c is None:
                                     term[w] = -v

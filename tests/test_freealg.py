@@ -2,12 +2,14 @@
 series, and the structure maps as generator tables: coproduct, counit,
 antipode and the scaling substitution."""
 
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from yangkit import freealg
 from yangkit.exact import TruncSeries, series_mul, series_shift
 from yangkit.freealg import (
     NCPoly,
@@ -479,3 +481,63 @@ class TestScalarTimesMatrixSeries:
         assert NCPoly.gen(1, 1, 1).__mul__("x") is NotImplemented
         with pytest.raises(TypeError):
             NCPoly.gen(1, 1, 1) * "x"
+
+
+def words_shared(words):
+    """Equal words among ``words`` are one object, the one that
+    freealg's word table holds."""
+    words = list(words)
+    return (len({id(w) for w in words}) == len(set(words))
+            and all(freealg._WORDS.get(w) is w for w in words))
+
+
+def _tensor_legs(*elements):
+    return [leg for t in elements for key in t.terms for leg in key]
+
+
+def products_share_words():
+    x, y, z = (NCPoly.gen(1, 2, 1), NCPoly.gen(2, 1, 2),
+               NCPoly.gen(1, 1, 3))
+    made = [(x * y) * z, x * (y * z), (x + 1) * (y * z + y), x * y]
+    return words_shared(w for p in made for w in p.terms)
+
+
+def tensor_legs_share_words():
+    x, y = NCPoly.gen(1, 2, 1), NCPoly.gen(2, 1, 2)
+    one = NCPoly.one()
+    made = [TensorNCPoly.of(x * y, y * x),
+            TensorNCPoly.of(x, y) * TensorNCPoly.of(y, x),
+            TensorNCPoly.of(x, one) * TensorNCPoly.of(y, one)]
+    return words_shared(_tensor_legs(*made) + list((x * y).terms))
+
+
+class TestHashConsedWords:
+    """Every word that a product, NCPoly.gen or a TensorNCPoly leg makes
+    is the word table's one tuple, so equal words are one object."""
+
+    def test_independent_products_share_words(self):
+        assert products_share_words()
+
+    def test_gen_words_are_shared(self):
+        (a,) = NCPoly.gen(2, 1, 3).terms
+        (b,) = NCPoly.gen(2, 1, 3).terms
+        assert a is b and freealg._WORDS[a] is a
+
+    def test_tensor_legs_share_words(self):
+        assert tensor_legs_share_words()
+
+    def test_of_interns_legs_built_outside_products(self):
+        w = (gen_id(1, 2, 1), gen_id(2, 2, 2))
+        (key,) = TensorNCPoly.of(NCPoly({w: F(1)}),
+                                 NCPoly.gen(1, 2, 1)).terms
+        made = NCPoly.gen(1, 2, 1) * NCPoly.gen(2, 2, 2)
+        assert words_shared(list(key) + list(made.terms))
+
+    def test_planted_plain_join_fails(self, monkeypatch):
+        monkeypatch.setattr(NCPoly, "join", operator.add)
+        assert not products_share_words()
+
+    def test_planted_plain_tensor_join_fails(self, monkeypatch):
+        monkeypatch.setattr(TensorNCPoly, "join", staticmethod(
+            lambda a, b: (a[0] + b[0], a[1] + b[1])))
+        assert not tensor_legs_share_words()

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import rational_reference
 from rational_reference import rmat_entries
-from yangkit import yangian
+from yangkit import freealg, yangian
 from yangkit.exact import TruncSeries, series_mul, series_shift
 from yangkit.freealg import (NCPoly, TensorNCPoly, gen_id, gen_ijr,
                              mat_inverse, t_matrix, transpose_t, word_sum_r)
@@ -300,6 +300,58 @@ def test_closure_keeps_universe_columns(sl2_cl):
     assert sl2_cl.id2word == words
     assert sl2_cl.col_sum_r == col_sum_r
     assert sl2_cl.col_len == col_len
+
+
+def _words_shared(words):
+    """Equal words among ``words`` are one object, the word table's."""
+    words = list(words)
+    return (len({id(w) for w in words}) == len(set(words))
+            and all(freealg._WORDS.get(w) is w for w in words))
+
+
+def _relation_words(pres):
+    return [w for p in pres.relations for w in p.terms]
+
+
+def _closure_interns_no_universe_word(pres):
+    """An extended closure adds no word to the word table, and no word of
+    a quotient closure's universe is the table's tuple (the empty word is
+    one tuple in CPython anyway)."""
+    before = len(freealg._WORDS)
+    closure(pres, 3, 3)
+    if len(freealg._WORDS) != before:
+        return False
+    cl = closure(pres, 3, 3, quotient_mode=True)
+    return not any(freealg._WORDS.get(w) is w for w in cl.id2word if w)
+
+
+class TestHashConsedWords:
+    """rtt_relations interns its words in freealg's word table, so the
+    relations share them with each other and with NCPoly products; a
+    closure interns none of its bounded word universe."""
+
+    def test_relations_share_words(self, sl2):
+        a, b = NCPoly.gen(1, 1, 1), NCPoly.gen(1, 2, 2)
+        made = list((a * b + b * a).terms)
+        assert set(made) <= set(_relation_words(sl2))
+        assert _words_shared(_relation_words(sl2) + made)
+
+    def test_planted_uninterned_relations_fail(self, monkeypatch):
+        monkeypatch.setattr(yangian, "intern_word", lambda w: w)
+        assert not _words_shared(_relation_words(rtt_relations("sl", 2, 2)))
+
+    def test_closure_interns_no_universe_word(self, sl2):
+        assert _closure_interns_no_universe_word(sl2)
+
+    def test_planted_interned_universe_fails(self, sl2, monkeypatch):
+        universe = yangian._universe
+
+        def interned(N, L, R_ord):
+            words, *rest = universe(N, L, R_ord)
+            return ([freealg.intern_word(w) for w in words], *rest)
+
+        monkeypatch.setattr(yangian, "_universe", interned)
+        assert not _closure_interns_no_universe_word(sl2)
 
 
 @pytest.mark.parametrize("family,N,K", [("sl", 2, 3), ("sl", 2, 4),
