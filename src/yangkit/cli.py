@@ -23,9 +23,9 @@ from .freealg import NCPoly
 from .liealg import (
     InvalidAlgebra,
     build_lie,
+    casimir,
     checked_einsum,
     safe_matmul,
-    vector_rep,
     verify_classical_presentation,
     verify_current_presentation,
     verify_extension_split,
@@ -140,12 +140,9 @@ def _status(checks):
 # verification suites
 
 def _suite_classical(cfg, ctx):
-    data = build_lie(cfg.family, cfg.N)
-    rep = vector_rep(data)
-    return [verify_classical_presentation(data, rep),
-            verify_current_presentation(data, rep),
-            verify_extension_split(data, rep),
-            verify_yangian_module(data, rep)]
+    t = casimir(build_lie(cfg.family, cfg.N))
+    return [verify_classical_presentation(t), verify_current_presentation(t),
+            verify_extension_split(t), verify_yangian_module(t)]
 
 
 def _perturbed_r(R, rng):
@@ -184,8 +181,7 @@ def _suite_rmatrix(cfg, ctx):
             "num": [rat_to_str(c) for c in num],
             "den": [rat_to_str(c) for c in den]}}
     checks.append(check_report("unitarity", ok, details, cfg.family, cfg.N))
-    data = build_lie(cfg.family, cfg.N)
-    checks.append(expansion_check(R, data, vector_rep(data)))
+    checks.append(expansion_check(R, casimir(build_lie(cfg.family, cfg.N))))
     rng = random.Random(cfg.seed)
     bad, entry, c = _perturbed_r(R, rng)
     bad_ok = check_qybe(bad)
@@ -222,10 +218,10 @@ def _suite_rtt(cfg, ctx):
         cfg.family, cfg.N, cfg.K, cl.bounds)]
 
 
-def _pbw_check(cfg, pres, rep, quotient):
+def _pbw_check(cfg, pres, quotient):
     cl = closure_for_query(pres, cfg.L, cfg.R_ord, quotient=quotient)
     sd = slice_dimension(cl, cfg.L, cfg.R_ord)
-    pc = pbw_count(pres.lie, rep, cfg.L, cfg.R_ord, quotient=quotient)
+    pc = pbw_count(pres.casimir, cfg.L, cfg.R_ord, quotient=quotient)
     return check_report(
         "pbw_quotient" if quotient else "pbw_extended", sd == pc,
         {"slice_dimension": sd, "pbw_count": pc,
@@ -235,9 +231,7 @@ def _pbw_check(cfg, pres, rep, quotient):
 
 def _suite_pbw(cfg, ctx):
     # one closure per check, each freed before the next is built
-    pres = ctx["pres"]
-    rep = vector_rep(pres.lie)
-    return [_pbw_check(cfg, pres, rep, q) for q in (False, True)]
+    return [_pbw_check(cfg, ctx["pres"], q) for q in (False, True)]
 
 
 def _with_retry(cfg, ctx, run):
@@ -270,41 +264,40 @@ def _with_retry(cfg, ctx, run):
     return retried
 
 
-def _first_order_image(lie, a, b):
+def _first_order_image(cas, a, b):
     """sum_l ρ(X_l)_ab X^l, the element of g through which t_ab^(1) acts
     on the t^(s) by commutator at leading order, as an integer matrix
     over a dropped positive scale (a, b the 1-based index positions)."""
-    return checked_einsum("l,nl,nij->ij", lie.basis[:, a - 1, b - 1],
-                          lie.ginv, lie.basis)
+    return checked_einsum("l,lij->ij", cas.px[:, a - 1, b - 1], cas.pd)
 
 
-def _noncommuting_probe(lie, i, j):
+def _noncommuting_probe(cas, i, j):
     """Indices of a probe t_ab^(1) whose commutator with t_ij^(2) is
     nonzero at leading order: t_{1,2}^(1) if it qualifies, else the first
     qualifying (a, b) in row-major order.  Falls back to t_{1,2}^(1) when
     t_ij^(2) commutes with every first-order generator at leading order
     (so_N has such t_ij^(2), e.g. t_13^(2) in so_3, which the centrality
     negative control never draws)."""
-    x = _first_order_image(lie, i, j)
-    default = (1, 1 % lie.N + 1)
-    candidates = [default] + [(a, b) for a in range(1, lie.N + 1)
-                              for b in range(1, lie.N + 1)]
+    x = _first_order_image(cas, i, j)
+    default = (1, 1 % cas.d + 1)
+    candidates = [default] + [(a, b) for a in range(1, cas.d + 1)
+                              for b in range(1, cas.d + 1)]
     for a, b in candidates:
-        y = _first_order_image(lie, a, b)
+        y = _first_order_image(cas, a, b)
         if (safe_matmul(x, y) != safe_matmul(y, x)).any():
             return a, b
     return default
 
 
-def _perturbation_indices(lie, rng):
+def _perturbation_indices(cas, rng):
     """Seeded (i, j) whose t_ij^(2) has a nonzero leading-order image.
     so_N has t_ij whose image is 0 (t_13 in so_3), which commute with
     every first-order probe; those are drawn again.  Every
     sl_N draw qualifies, so sl keeps its first draw."""
     while True:
-        i = rng.randint(1, lie.N)
-        j = rng.randint(1, lie.N)
-        if _first_order_image(lie, i, j).any():
+        i = rng.randint(1, cas.d)
+        j = rng.randint(1, cas.d)
+        if _first_order_image(cas, i, j).any():
             return i, j
 
 
@@ -328,9 +321,9 @@ def _centrality_negative_control(cfg, cs):
     """z_2 plus a seeded t_ij^(2) must fail to commute with a probe."""
     cl = cs.cl
     pres = cl.pres
-    i, j = _perturbation_indices(pres.lie, random.Random(cfg.seed))
+    i, j = _perturbation_indices(pres.casimir, random.Random(cfg.seed))
     bad = cs.z[2] + NCPoly.gen(i, j, 2)
-    t = NCPoly.gen(*_noncommuting_probe(pres.lie, i, j), 1)
+    t = NCPoly.gen(*_noncommuting_probe(pres.casimir, i, j), 1)
     tested, _, failures = _check_members(cl, [("com", bad * t - t * bad)])
     if tested:
         central = not failures
@@ -414,9 +407,7 @@ def cmd_build(cfg):
 
 
 def cmd_solve_r(cfg):
-    data = build_lie(cfg.family, cfg.N)
-    rep = vector_rep(data)
-    series = solve_intertwiner(data, rep, cfg.K)
+    series = solve_intertwiner(casimir(build_lie(cfg.family, cfg.N)), cfg.K)
     closed = closed_form_r(cfg.family, cfg.N)
     details = {"solution": series.to_json()}
     try:

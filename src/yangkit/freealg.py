@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import ONE, ZERO, TruncSeries, rat_to_str, series_mul
+from .liealg import theta_value
 
 
 class NonInvertible(ValueError):
@@ -324,7 +325,6 @@ def mat_inverse(A):
 def transpose_t(A, data):
     """Entry (-j, -i) of the result is theta_{ij} t_{ij}(u), indices in the
     signed set of the algebra data."""
-    from .liealg import theta_value
     out = []
     for k in range(A.order + 1):
         m = np.empty((data.N, data.N), dtype=object)

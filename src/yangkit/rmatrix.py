@@ -26,11 +26,11 @@ from .exact import (ONE, ZERO, TruncSeries, certify_bivariate_identity,
                     check_report, poly_divmod, poly_gcd, poly_mul, poly_scale,
                     poly_trim, rat_to_str, series_inverse)
 from . import linalg
-from .liealg import (_FLOAT_LIMIT, _FLOAT_MIN_INNER, _INT_LIMIT, CasimirData,
-                     build_lie, checked_einsum, commutant, int_to_frac_array,
-                     on_legs, permutation_matrix, q_matrix, safe_axpy,
-                     safe_matmul, scaled_equal,
-                     _is_scalar, _max_abs, _min_poly, _integer_roots)
+from .liealg import (_FLOAT_LIMIT, _FLOAT_MIN_INNER, _INT_LIMIT, build_lie,
+                     checked_einsum, commutant, int_to_frac_array, on_legs,
+                     permutation_matrix, q_matrix, safe_axpy, safe_matmul,
+                     scaled_equal, _is_scalar, _max_abs, _min_poly,
+                     _integer_roots)
 
 
 class UnitarityFailure(RuntimeError):
@@ -344,8 +344,8 @@ def _commutant_projections(om, nn):
     return projs
 
 
-def solve_intertwiner(data, rep, K):
-    """Solve the intertwining equation order by order to u^{-K}.
+def solve_intertwiner(t, K):
+    """Solve the intertwining equation of t order by order to u^{-K}.
 
     Each order is forced into the commutant of the diagonal g-action (the
     v-linear constraint) and determined by the graded recursion
@@ -360,20 +360,19 @@ def solve_intertwiner(data, rep, K):
     the integer solution x of sum_i x_i [X_1, P_i] = rhs gives c_i =
     x_i s_rhs / s_i.
     """
-    d = rep.dim
+    d = t.d
     dd = d * d
 
     # irreducibility of V over g: the commutant of rho(g) is scalar
-    if len(commutant(rep, False)) != 1:
+    if len(commutant(t.rep, False)) != 1:
         raise NonIrreducible("V is not irreducible over g")
 
-    t = CasimirData(data, rep)
     om, som = t.omt.reshape(dd, dd), t.somt
     projs = _commutant_projections(om, dd)
     r = len(projs)
 
     eye = np.eye(d, dtype=np.int64)
-    pj, sj = rep.pj, rep.sj
+    pj, sj = t.rep.pj, t.rep.sj
     xs1 = [np.kron(X, eye) for X in t.px]
     xs2 = [np.kron(eye, X) for X in t.px]
     # C_X = J(X)_1 + J(X)_2 + [X_1, Omega_rho]/2 and C'_X the same with
@@ -479,14 +478,13 @@ def proportional_to(r1, r2):
     return TruncSeries(g)
 
 
-def _expansion_target(data, rep):
+def _expansion_target(t):
     """I - Omega u^{-1} + ((J (x) 1 - 1 (x) J)(Omega) + Omega^2/2) u^{-2}
-    as an RSeries, from the integer tensors of rho."""
-    t = CasimirData(data, rep)
-    dd = rep.dim * rep.dim
+    as an RSeries, from the integer tensors of the CasimirData t."""
+    dd = t.d * t.d
     om = t.omt.reshape(dd, dd)
     # (J (x) 1 - 1 (x) J)(Omega) with Omega = sum X_l (x) X^l
-    pj, sj = rep.pj, rep.sj
+    pj, sj = t.rep.pj, t.rep.sj
     pjd, sjd = t.dual(pj, sj)
     t1 = checked_einsum("lac,lbd->abcd", pj, t.pd).reshape(dd, dd)
     t2 = checked_einsum("lac,lbd->abcd", t.px, pjd).reshape(dd, dd)
@@ -498,13 +496,13 @@ def _expansion_target(data, rep):
     ], (dd, dd)))
 
 
-def expansion_check(R, data, rep):
+def expansion_check(R, t):
     """Check R's expansion against I - Omega u^{-1} +
     ((J (x) 1 - 1 (x) J)(Omega) + Omega^2/2) u^{-2} up to a scalar series."""
     try:
-        g = proportional_to(R.expand(2), _expansion_target(data, rep))
+        g = proportional_to(R.expand(2), _expansion_target(t))
     except NotProportional as exc:
         ok, details = False, {"error": str(exc)}
     else:
         ok, details = True, {"ratio": [rat_to_str(c) for c in g.coeffs]}
-    return check_report("expansion", ok, details, data.family, data.N)
+    return check_report("expansion", ok, details, t.data.family, t.data.N)

@@ -45,7 +45,6 @@ from .liealg import (
     on_legs,
     safe_axpy,
     safe_matmul,
-    vector_rep,
 )
 from .rmatrix import closed_form_r
 
@@ -519,11 +518,11 @@ def slice_dimension(cl, length, sum_r):
     return nwords - (cl.reducer.rank - outside_rank)
 
 
-def pbw_count(lie, rep, L, R_ord, quotient=False):
+def pbw_count(t, L, R_ord, quotient=False):
     """Multisets from a weighted alphabet: one letter per basis element of
     the current Lie algebra per weight w >= 1, total weight <= R_ord, size
-    <= L.  Extended mode adds the commutant dimension per weight."""
-    D = lie.dim + (0 if quotient else len(commutant(rep, True)))
+    <= L.  Extended mode adds dim End_{Y(g)} V of t's rep per weight."""
+    D = t.data.dim + (0 if quotient else len(commutant(t.rep, True)))
     # dp[(size, weight)] = count of multisets using weights processed so far
     dp = {(0, 0): 1}
     for w in range(1, R_ord + 1):
@@ -919,11 +918,12 @@ def verify_fixed_point(cs, f):
 # ---------------------------------------------------------------------------
 # low-order structure
 
-def verify_low_order_structure(cs, quotient_cl=None, rep=None):
+def verify_low_order_structure(cs, quotient_cl=None):
     """(a) the classical generators embed via F_ij -> t_ij^(1) -
     (2/c_g) z_ij^(2) respecting the bracket and symmetrization identities
     modulo the ideal; (b) t_ij^(3) is generated by order <= 2 elements in
-    the quotient; (c) the J-coupling table (zero for vector reps).
+    the quotient; (c) the J-coupling table of the representation that the
+    presentation's Casimir data holds (zero for vector reps).
     ``quotient_cl`` must be a closure of ``cs.cl.pres``."""
     cl = cs.cl
     pres = cl.pres
@@ -931,7 +931,6 @@ def verify_low_order_structure(cs, quotient_cl=None, rep=None):
         raise ValueError("the closure belongs to another presentation")
     N = pres.N
     lie = pres.lie
-    rep = vector_rep(lie) if rep is None else rep
     cas = pres.casimir
     c_g = cas.c_g
     # Omega_rho = som * om4 as [x, y, x', y'] and the omega-operator
@@ -1009,7 +1008,7 @@ def verify_low_order_structure(cs, quotient_cl=None, rep=None):
     # J-coupling table: b^{(ij)} = rho_J applied to F_ij = -sum_l X_l[i,j] X^l
     b_table = {}
     all_zero = True
-    pjd, sjd = cas.dual(rep.pj, rep.sj)
+    pjd, sjd = cas.dual(cas.rep.pj, cas.rep.sj)
     bj = -checked_einsum("lij,lab->ijab", lie.basis, pjd)
     for i in range(N):
         for j in range(N):

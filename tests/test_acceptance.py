@@ -18,7 +18,6 @@ from yangkit.liealg import (
     casimir,
     permutation_matrix,
     q_matrix,
-    vector_rep,
     verify_classical_presentation,
     verify_current_presentation,
     verify_extension_split,
@@ -152,9 +151,7 @@ def test_unitarity_sosp(family, N):
                                       ("so", 5), ("sp", 4)])
 def test_intertwiner_solver(family, N):
     with Timer() as t:
-        data = build_lie(family, N)
-        rep = vector_rep(data)
-        series = solve_intertwiner(data, rep, 4)
+        series = solve_intertwiner(casimir(build_lie(family, N)), 4)
         closed = yang_r(N) if family == "sl" else sosp_r(family, N)
         g = proportional_to(series, closed.expand(4))
         assert g.coeffs[0] == F(1)
@@ -177,27 +174,25 @@ _pbw_clock = []
 def test_pbw_slice_dimensions(family, N, L, R, quotient):
     with Timer() as t:
         pres = rtt_relations(family, N, max(R, 2))
-        lie, rep = pres.lie, vector_rep(pres.lie)
         cl = closure_for_query(pres, L, R, quotient=quotient)
         assert slice_dimension(cl, L, R) == pbw_count(
-            lie, rep, L, R, quotient=quotient)
+            pres.casimir, L, R, quotient=quotient)
     _pbw_clock.append(t.seconds)
     assert sum(_pbw_clock) < 600.0
 
 
 def test_pbw_frozen_counts():
-    sl = build_lie("sl", 2)
-    so = build_lie("so", 3)
-    vsl, vso = vector_rep(sl), vector_rep(so)
-    assert [pbw_count(sl, vsl, L, R)
+    sl = casimir(build_lie("sl", 2))
+    so = casimir(build_lie("so", 3))
+    assert [pbw_count(sl, L, R)
             for (L, R) in [(2, 2), (2, 3), (3, 3), (3, 4)]] == \
         [19, 39, 59, 129]
-    assert [pbw_count(sl, vsl, L, R, quotient=True)
+    assert [pbw_count(sl, L, R, quotient=True)
             for (L, R) in [(2, 2), (2, 3), (3, 3), (3, 4)]] == \
         [13, 25, 35, 71]
-    assert [pbw_count(so, vso, L, R) for (L, R) in [(2, 2), (2, 3)]] == \
+    assert [pbw_count(so, L, R) for (L, R) in [(2, 2), (2, 3)]] == \
         [19, 39]
-    assert [pbw_count(so, vso, L, R, quotient=True)
+    assert [pbw_count(so, L, R, quotient=True)
             for (L, R) in [(2, 2), (2, 3)]] == [13, 25]
 
 
@@ -324,11 +319,10 @@ _classical_clock = []
 @pytest.mark.parametrize("family,N", ALL_CASES)
 def test_classical_layer(family, N):
     with Timer() as t:
-        data = build_lie(family, N)
-        rep = vector_rep(data)
-        assert verify_classical_presentation(data, rep)["status"] == "pass"
-        assert verify_current_presentation(data, rep)["status"] == "pass"
-        assert verify_extension_split(data, rep)["status"] == "pass"
-        assert verify_yangian_module(data, rep)["status"] == "pass"
+        cas = casimir(build_lie(family, N))
+        assert verify_classical_presentation(cas)["status"] == "pass"
+        assert verify_current_presentation(cas)["status"] == "pass"
+        assert verify_extension_split(cas)["status"] == "pass"
+        assert verify_yangian_module(cas)["status"] == "pass"
     _classical_clock.append(t.seconds)
     assert sum(_classical_clock) < 60.0

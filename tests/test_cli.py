@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import yangkit.cli as climod
-from yangkit import build_lie, closure, rtt_relations, yangian, z_series
+from yangkit import (build_lie, casimir, closure, rtt_relations, yangian,
+                     z_series)
 from yangkit.exact import TruncSeries
 from yangkit.freealg import NCPoly
 from yangkit.cli import main
@@ -345,6 +346,30 @@ class TestSharedClosureState:
                 for c in rep["checks"]] == [("hopf", [3, 4]),
                                             ("qdet", [3, 4])]
 
+    def test_retry_too_large_keeps_first_attempt(self, tmp_path,
+                                                 monkeypatch):
+        # sl2 (2, 3) holds 61 words and its retry closure (3, 4) holds
+        # 369; with the guard between them the retry raises BoundsTooLarge
+        # and the failing first attempt is the report
+        real_hopf = climod.verify_hopf
+
+        def fail_hopf(cs):
+            report = real_hopf(cs)
+            report["status"] = "fail"
+            return report
+
+        monkeypatch.setattr(climod, "verify_hopf", fail_hopf)
+        monkeypatch.setattr(yangian, "_MAX_UNIVERSE", 100)
+        code, rep, _ = run(tmp_path, "r.json",
+                           ["verify", "--family", "sl", "--n", "2",
+                            "--order", "3", "--len", "2", "--sumr", "3",
+                            "--suite", "hopf"])
+        assert code == 1
+        (check,) = rep["checks"]
+        assert check["status"] == "fail"
+        assert check["bounds"] == [2, 3]
+        assert "retried_at_bounds" not in check["details"]
+
     def test_retry_adds_the_clearing_length(self, tmp_path, monkeypatch):
         # sp4 clears denominators of degree d = 2, so the retry closure
         # needs length max(L + 1, 2) + d - 1 = 3; at (L + 1, R + 1) = (2, 4)
@@ -485,10 +510,10 @@ class TestCentralityNegativeControl:
         assert (1, 2, 2) in drawn
 
     def test_seed_zero_keeps_its_probe(self):
-        lie = build_lie("sl", 2)
-        assert climod._noncommuting_probe(lie, 2, 2) == (1, 2)
+        cas = casimir(build_lie("sl", 2))
+        assert climod._noncommuting_probe(cas, 2, 2) == (1, 2)
         # [t_11^(1), t_12^(2)] = t_12^(2)
-        assert climod._noncommuting_probe(lie, 1, 2) == (1, 1)
+        assert climod._noncommuting_probe(cas, 1, 2) == (1, 1)
 
     @pytest.mark.parametrize("family,N,K,L,R_ord",
                              [("so", 3, 3, 3, 4), ("so", 4, 2, 3, 3)])
@@ -504,9 +529,9 @@ class TestCentralityNegativeControl:
             assert check["status"] == "pass", seed
             assert check["details"]["perturbed_element_central"] is False
             i, j, _ = check["details"]["perturbation_generator"]
-            x = climod._first_order_image(pres.lie, i, j)
+            x = climod._first_order_image(pres.casimir, i, j)
             y = climod._first_order_image(
-                pres.lie, *climod._noncommuting_probe(pres.lie, i, j))
+                pres.casimir, *climod._noncommuting_probe(pres.casimir, i, j))
             assert x.any() and (x @ y != y @ x).any(), (seed, i, j)
 
 

@@ -132,13 +132,12 @@ class TestCasimir:
 class TestVerification:
     @pytest.mark.parametrize("family,N", [("sl", 2), ("so", 3), ("sp", 4)])
     def test_all_reports_pass(self, family, N):
-        data = build_lie(family, N)
-        rep = vector_rep(data)
+        cas = casimir(build_lie(family, N))
         for fn in (verify_classical_presentation,
                    verify_current_presentation,
                    verify_extension_split,
                    verify_yangian_module):
-            assert fn(data, rep)["status"] == "pass"
+            assert fn(cas)["status"] == "pass"
 
 
 class TestTwistedRep:
@@ -150,16 +149,17 @@ class TestTwistedRep:
     def test_reports_and_commutants(self, family, N):
         data = build_lie(family, N)
         rep = twisted_rep(data, 2)
+        cas = casimir(data, rep)
         for fn in (verify_classical_presentation,
                    verify_current_presentation,
                    verify_extension_split,
                    verify_yangian_module):
-            assert fn(data, rep)["status"] == "pass"
-        ym = verify_yangian_module(data, rep)
+            assert fn(cas)["status"] == "pass"
+        ym = verify_yangian_module(cas)
         assert ym["details"]["YJ4-mode"] == "computed"
         assert len(commutant(rep, False)) == len(commutant(rep, True)) == 1
-        assert (decompose_ad(data, rep).dims()
-                == decompose_ad(data, vector_rep(data)).dims())
+        assert (decompose_ad(cas).dims()
+                == decompose_ad(casimir(data)).dims())
 
 
 class TestPlantedJ:
@@ -188,8 +188,8 @@ class TestPlantedJ:
     def test_defect_fails(self, family, N, base, defect):
         data = build_lie(family, N)
         rep, bad = self._planted(data, base, defect)
-        assert verify_yangian_module(data, rep)["status"] == "pass"
-        report = verify_yangian_module(data, bad)
+        assert verify_yangian_module(casimir(data, rep))["status"] == "pass"
+        report = verify_yangian_module(casimir(data, bad))
         assert report["status"] == "fail"
         assert report["details"] == {
             "YJ1-bracket": True, "YJ1-Jlinear": False, "YJ2": True,
@@ -244,21 +244,18 @@ class TestPlantedF:
     @pytest.mark.parametrize("family,N", [
         ("sl", 2), ("sl", 3), ("so", 3), ("so", 4), ("sp", 4)])
     def test_perturbed_f_fails(self, family, N):
-        data = build_lie(family, N)
-        rep = vector_rep(data)
-        t = CasimirData(data, rep)
+        t = casimir(build_lie(family, N))
         # F as _presentation_verdicts builds it
         fg = -checked_einsum("lij,nl->ijn", t.px, t.ginv)
         sfg = t.sx * t.sginv
-        assert verify_classical_presentation(
-            data, rep, (fg, sfg))["status"] == "pass"
-        doubled = verify_classical_presentation(data, rep, (fg, 2 * sfg))
+        assert verify_classical_presentation(t, (fg, sfg))["status"] == "pass"
+        doubled = verify_classical_presentation(t, (fg, 2 * sfg))
         assert doubled["details"] == {"F-br": False, "F-sym": True,
                                       "sigma-sym": True,
                                       "F-sym-explicit": False}
         bumped = np.array(fg)
         bumped[0, 0, 0] += 1
-        report = verify_classical_presentation(data, rep, (bumped, sfg))
+        report = verify_classical_presentation(t, (bumped, sfg))
         assert report["details"] == {"F-br": False, "F-sym": False,
                                      "sigma-sym": family == "sl",
                                      "F-sym-explicit": False}
@@ -269,13 +266,13 @@ def _report_json(family, N, c):
     and decompose_ad(...).dims() for twisted_rep(data, c), or for the
     vector rep when c is None, as one sorted-key JSON string."""
     data = build_lie(family, N)
-    rep = vector_rep(data) if c is None else twisted_rep(data, c)
-    reports = [verify_classical_presentation(data, rep),
-               verify_current_presentation(data, rep),
-               verify_extension_split(data, rep),
-               verify_yangian_module(data, rep),
-               expansion_check(closed_form_r(family, N), data, rep),
-               decompose_ad(data, rep).dims()]
+    t = casimir(data, None if c is None else twisted_rep(data, c))
+    reports = [verify_classical_presentation(t),
+               verify_current_presentation(t),
+               verify_extension_split(t),
+               verify_yangian_module(t),
+               expansion_check(closed_form_r(family, N), t),
+               decompose_ad(t).dims()]
     return json.dumps(reports, sort_keys=True, default=str)
 
 
@@ -328,7 +325,7 @@ class TestPlantedDefects:
         assert len(commutant(rep, False)) == 2
         assert len(commutant(rep, True)) == 2
         with pytest.raises(NonIrreducible):
-            solve_intertwiner(data, rep, 2)
+            solve_intertwiner(casimir(data, rep), 2)
 
     def test_k_identities_fail_on_noncommuting_eg(self, monkeypatch):
         # E_g gains E_11, which commutes neither with Omega_rho's second
@@ -341,9 +338,69 @@ class TestPlantedDefects:
 
         monkeypatch.setattr(liealg, "commutant", planted)
         data = build_lie("sl", 2)
-        report = verify_extension_split(data, vector_rep(data))
+        report = verify_extension_split(casimir(data))
         assert report["details"]["K-identities"] is False
         assert report["status"] == "fail"
+
+    def test_yj4_size_guard(self, monkeypatch):
+        # past the guard YJ4 is reported false, not computed
+        monkeypatch.setattr(liealg, "YJ4_MAX_QUARTIC", 0)
+        data = build_lie("sl", 2)
+        report = verify_yangian_module(casimir(data, twisted_rep(data, 2)))
+        assert report["details"]["YJ4"] is False
+        assert report["details"]["YJ4-mode"] == \
+            "skipped: size guard (would not complete)"
+        assert report["status"] == "fail"
+
+
+@pytest.mark.parametrize("family,N", [("sl", 2), ("so", 3), ("sl", 3)])
+def test_w_intersection_holds_on_doubled_module(family, N):
+    """V (+) V with a seeded random integer rho(J): E_g is gl(2) on the
+    multiplicity space and every W(x) has full dimension dim g, yet
+    W(x) cap rho(g) = 0, as the trace-orthogonality argument in
+    verify_extension_split's docstring says it must."""
+    data = build_lie(family, N)
+    px = np.zeros((data.dim, 2 * N, 2 * N), dtype=np.int64)
+    px[:, :N, :N] = px[:, N:, N:] = data.basis
+    pj = np.random.default_rng(7).integers(-3, 4, size=px.shape)
+    report = verify_extension_split(
+        casimir(data, Representation(px, F(1), pj, F(1))))
+    assert report["details"]["W-dims"] == [data.dim] * 4
+    assert report["details"]["W(x)-trivial-intersection"] is True
+    assert report["status"] == "pass"
+
+
+class TestMismatchedPair:
+    """casimir refuses a representation that does not fit the algebra,
+    instead of a numpy error or a ZeroDivisionError downstream."""
+
+    def test_wrong_number_of_matrices(self):
+        with pytest.raises(InvalidAlgebra, match="3 matrices"):
+            casimir(build_lie("sl", 3), vector_rep(build_lie("sl", 2)))
+
+    @pytest.mark.parametrize("family,N", [("so", 3), ("sp", 2)])
+    def test_other_algebra_of_equal_dimension(self, family, N):
+        # sl2 data with the so3 or sp2 vector rep: three matrices, but
+        # the omega-operator is not scalar on them
+        with pytest.raises(InvalidAlgebra):
+            casimir(build_lie("sl", 2), vector_rep(build_lie(family, N)))
+
+    def test_zero_c_g(self):
+        # three multiples of E_12 commute, so the omega-operator is zero
+        # on them and c_g = 0
+        data = build_lie("sl", 2)
+        px = np.zeros((3, 2, 2), dtype=np.int64)
+        px[:, 0, 1] = [1, 2, 3]
+        rep = Representation(px, F(1), np.zeros_like(px), F(1))
+        with pytest.raises(InvalidAlgebra, match="c_g = 0"):
+            casimir(data, rep)
+
+    def test_scaled_equal_with_a_zero_scale(self):
+        a = np.array([0, 0])
+        b = np.array([1, -2])
+        assert liealg.scaled_equal(a, F(3), b, F(0))
+        assert not liealg.scaled_equal(b, F(3), b, F(0))
+        assert liealg.scaled_equal(b, F(2, 3), 2 * b, F(1, 3))
 
 
 @st.composite
@@ -517,8 +574,7 @@ def _recorded_contractions(monkeypatch, cases):
     for family, N, c in cases:
         data = build_lie(family, N)
         rep = vector_rep(data) if c is None else twisted_rep(data, c)
-        liealg.CasimirData(data, rep)
-        assert verify_yangian_module(data, rep)["status"] == "pass"
+        assert verify_yangian_module(casimir(data, rep))["status"] == "pass"
     monkeypatch.undo()
     return calls
 
@@ -699,13 +755,13 @@ class TestDecomposeAd:
     ])
     def test_blocks(self, family, N, w):
         data = build_lie(family, N)
-        rep = vector_rep(data)
-        dec = decompose_ad(data, rep)
+        cas = casimir(data)
+        dec = decompose_ad(cas)
         assert dec.dims() == {"ad": data.dim, "eg": 1, "e": 1, "w": w}
         assert data.dim == {"sl": N * N - 1, "so": N * (N - 1) // 2,
                             "sp": N * (N + 1) // 2}[family]
         assert data.dim + 1 + sum(d for d, _ in w) == N * N
-        assert casimir(data, rep).c_g in dec.eigenvalues
+        assert cas.c_g in dec.eigenvalues
         blocks = dec.eg_part + [v for b, _ in dec.w_parts for v in b]
         rows, s = dec.a_table
         assert all(type(x) is int
@@ -725,7 +781,7 @@ class TestDecomposeAd:
         rep and for twisted_rep(data, c)."""
         data = build_lie(family, N)
         rep = vector_rep(data) if c is None else twisted_rep(data, c)
-        dec = decompose_ad(data, rep)
+        dec = decompose_ad(casimir(data, rep))
         want = rational_reference.decompose_ad(data, rep)
         assert dec.eigenvalues == want["eigenvalues"]
         assert dec.w_parts == want["w_parts"]
@@ -772,8 +828,7 @@ def test_classical_pass_makes_no_fraction_round_trips(monkeypatch, capsys):
         assert cli.main(argv.split() + ["--seed", "1"]) == 0
     data = build_lie("sl", 3)
     for rep in (vector_rep(data), twisted_rep(data, F(-1, 3))):
-        casimir(data, rep)
-        decompose_ad(data, rep)
+        decompose_ad(casimir(data, rep))
     capsys.readouterr()
 
     assert min_polys

@@ -198,30 +198,27 @@ class TestPlantedDefects:
                              [("sl", 2), ("sl", 3), ("so", 3), ("sp", 4)])
     def test_perturbed_r_fails(self, family, N):
         R = closed_form_r(family, N)
-        data = build_lie(family, N)
-        rep = vector_rep(data)
+        cas = casimir(build_lie(family, N))
         for seed in range(6):
             bad, _entry, _c = _perturbed_r(R, random.Random(seed))
             with pytest.raises(UnitarityFailure):
                 check_unitarity(bad)
-            assert expansion_check(bad, data, rep)["status"] == "fail", seed
+            assert expansion_check(bad, cas)["status"] == "fail", seed
 
 
 class TestSolver:
     @pytest.mark.parametrize("family,N", [("sl", 2), ("so", 3)])
     def test_reproduces_closed_form(self, family, N):
-        data = build_lie(family, N)
-        rep = vector_rep(data)
-        series = solve_intertwiner(data, rep, 4)
+        series = solve_intertwiner(casimir(build_lie(family, N)), 4)
         closed = yang_r(N) if family == "sl" else sosp_r(family, N)
         g = proportional_to(series, closed.expand(4))
         assert g.coeffs[0] == F(1)
 
     @pytest.mark.parametrize("family,N", [("sl", 3), ("sp", 2)])
     def test_expansion_check(self, family, N):
-        data = build_lie(family, N)
+        cas = casimir(build_lie(family, N))
         R = yang_r(N) if family == "sl" else sosp_r(family, N)
-        assert expansion_check(R, data, vector_rep(data))["status"] == "pass"
+        assert expansion_check(R, cas)["status"] == "pass"
 
 
 # -- the (D, C) form against a per-entry RationalFunction reference -----
@@ -596,7 +593,7 @@ class TestAgainstFractionReference:
     def test_solver_series(self, family, N):
         data = build_lie(family, N)
         rep = vector_rep(data)
-        series = solve_intertwiner(data, rep, 3)
+        series = solve_intertwiner(casimir(data, rep), 3)
         _assert_frac_series(series.coeffs,
                             _reference_solve_intertwiner(data, rep, 3))
         closed = closed_form_r(family, N).expand(3)
@@ -608,19 +605,19 @@ class TestAgainstFractionReference:
     def test_solver_series_twisted(self, family, N):
         data = build_lie(family, N)
         rep = twisted_rep(data, 2)
-        _assert_frac_series(solve_intertwiner(data, rep, 3).coeffs,
+        _assert_frac_series(solve_intertwiner(casimir(data, rep), 3).coeffs,
                             _reference_solve_intertwiner(data, rep, 3))
 
     @pytest.mark.parametrize("family,N", _ORACLE_ALGEBRAS)
     def test_expansion_target_and_ratio(self, family, N):
         data = build_lie(family, N)
         rep = vector_rep(data)
+        cas = casimir(data, rep)
         want = _reference_expansion_target(data, rep)
-        _assert_frac_series(rmatrix._expansion_target(data, rep).coeffs,
-                            want)
+        _assert_frac_series(rmatrix._expansion_target(cas).coeffs, want)
         R = closed_form_r(family, N)
         ratio = _reference_proportional_to(R.expand(2).coeffs, want)
-        assert expansion_check(R, data, rep)["details"] == {
+        assert expansion_check(R, cas)["details"] == {
             "ratio": [rat_to_str(c) for c in ratio]}
 
     @pytest.mark.parametrize("family,N", [("sl", 2), ("sl", 3), ("so", 4),
@@ -635,8 +632,8 @@ class TestAgainstFractionReference:
         rep = Representation(data.basis, F(1), pj, F(1, 3))
         want = _reference_expansion_target(data, rep)
         assert (want[2] != F(1, 2) * (want[1] @ want[1])).any()
-        _assert_frac_series(rmatrix._expansion_target(data, rep).coeffs,
-                            want)
+        _assert_frac_series(
+            rmatrix._expansion_target(casimir(data, rep)).coeffs, want)
 
     @pytest.mark.parametrize("family,N", _ORACLE_ALGEBRAS)
     def test_perturbed_expansion_errors(self, family, N):
@@ -648,7 +645,7 @@ class TestAgainstFractionReference:
             bad, _entry, _c = _perturbed_r(R, random.Random(seed))
             with pytest.raises(rmatrix.NotProportional) as exc:
                 _reference_proportional_to(bad.expand(2).coeffs, want)
-            assert expansion_check(bad, data, rep)["details"] == {
+            assert expansion_check(bad, casimir(data, rep))["details"] == {
                 "error": str(exc.value)}, seed
 
 
@@ -725,11 +722,10 @@ class TestNoObjectEinsum:
 
     @pytest.mark.parametrize("family,N", [("sl", 2), ("so", 3), ("sp", 4)])
     def test_closed_forms(self, family, N):
-        data = build_lie(family, N)
-        rep = vector_rep(data)
+        cas = casimir(build_lie(family, N))
         R = closed_form_r(family, N)
-        assert expansion_check(R, data, rep)["status"] == "pass"
-        proportional_to(solve_intertwiner(data, rep, 3), R.expand(3))
+        assert expansion_check(R, cas)["status"] == "pass"
+        proportional_to(solve_intertwiner(cas, 3), R.expand(3))
 
     def test_large_coefficients(self):
         R = TestQYBE._scaled_yang()
@@ -739,7 +735,7 @@ class TestNoObjectEinsum:
         with pytest.raises(rmatrix.NotProportional) as exc:
             _reference_proportional_to(
                 R.expand(2).coeffs, _reference_expansion_target(data, rep))
-        assert expansion_check(R, data, rep)["details"] == {
+        assert expansion_check(R, casimir(data, rep))["details"] == {
             "error": str(exc.value)}
         series = R.expand(3)
         assert series.S.dtype == object

@@ -19,8 +19,8 @@ from yangkit import freealg, yangian
 from yangkit.exact import TruncSeries, series_mul, series_shift
 from yangkit.freealg import (NCPoly, TensorNCPoly, gen_id, gen_ijr,
                              mat_inverse, t_matrix, transpose_t, word_sum_r)
-from yangkit.liealg import (_INT_LIMIT, int_to_frac_array, twisted_rep,
-                            vector_rep)
+from yangkit.liealg import (_INT_LIMIT, casimir, int_to_frac_array,
+                            twisted_rep)
 from yangkit.rmatrix import RMat, closed_form_r
 from yangkit.yangian import (
     BoundsTooLarge,
@@ -175,23 +175,20 @@ class TestTensorNormalForm:
 class TestPBW:
     @pytest.mark.parametrize("L,R,expected", [(2, 2, 19), (2, 3, 39)])
     def test_sl2_extended(self, sl2, L, R, expected):
-        lie, rep = sl2.lie, vector_rep(sl2.lie)
         cl = closure_for_query(sl2, L, R)
-        assert pbw_count(lie, rep, L, R) == expected
+        assert pbw_count(sl2.casimir, L, R) == expected
         assert slice_dimension(cl, L, R) == expected
 
     @pytest.mark.parametrize("L,R,expected", [(2, 2, 13), (2, 3, 25)])
     def test_sl2_quotient(self, sl2, L, R, expected):
-        lie, rep = sl2.lie, vector_rep(sl2.lie)
         cl = closure_for_query(sl2, L, R, quotient=True)
-        assert pbw_count(lie, rep, L, R, quotient=True) == expected
+        assert pbw_count(sl2.casimir, L, R, quotient=True) == expected
         assert slice_dimension(cl, L, R) == expected
 
     def test_count_formula(self, sl2):
         # L=1: 1 + D * R_ord multisets of size <= 1
-        lie, rep = sl2.lie, vector_rep(sl2.lie)
-        assert pbw_count(lie, rep, 1, 3) == 1 + 3 * 4
-        assert pbw_count(lie, rep, 1, 3, quotient=True) == 1 + 3 * 3
+        assert pbw_count(sl2.casimir, 1, 3) == 1 + 3 * 4
+        assert pbw_count(sl2.casimir, 1, 3, quotient=True) == 1 + 3 * 3
 
 
 def _basis_digest(cl):
@@ -716,9 +713,10 @@ def test_low_order_flags(family, N, query, internal, flag):
         [i, j, flag] for i in range(1, N + 1) for j in range(1, N + 1)]
 
 
-# sha256 of the sorted-key JSON of verify_low_order_structure on sl2
-# with twisted_rep(lie, c): its b_table is where the scale of rho(J)
-# reaches a report; c = 0 gives the vector rep's bytes
+# sha256 of the sorted-key JSON of verify_low_order_structure on an sl2
+# presentation whose Casimir data holds twisted_rep(lie, c): its b_table
+# is where the scale of rho(J) reaches a report; c = 0 gives the vector
+# rep's bytes
 LOW_ORDER_TWISTED_DIGESTS = {
     0: "5f8ad990f71588c75b4401617e6ee273b0d45e1f04c4ea8019825ade90bb6827",
     2: "b2403f9c0d0318fddc126f2dab629f3274cb4fe1313e746f62c5c9a6b74b6e51",
@@ -729,7 +727,10 @@ LOW_ORDER_TWISTED_DIGESTS = {
 
 @pytest.mark.parametrize("c", list(LOW_ORDER_TWISTED_DIGESTS), ids=str)
 def test_low_order_twisted_goldens(sl2, sl2_cs, c):
-    report = verify_low_order_structure(sl2_cs, rep=twisted_rep(sl2.lie, c))
+    pres = yangian.RTTPresentation(
+        sl2.lie, casimir(sl2.lie, twisted_rep(sl2.lie, c)), sl2.R, sl2.K,
+        sl2.relations)
+    report = verify_low_order_structure(z_series(pres, closure(pres, 3, 4)))
     got = json.dumps(report, sort_keys=True)
     assert (hashlib.sha256(got.encode()).hexdigest()
             == LOW_ORDER_TWISTED_DIGESTS[c])
