@@ -4,9 +4,9 @@ of the algebra.
 
 Generators are interned into single integers encoding (r, i, j) so that
 integer order equals the (r, i, j) generator order; words are tuples of
-these integers.  All coefficients are Fraction.  NCPoly, TensorNCPoly and
-yangian.CPoly share one arithmetic, TermAlgebra, and differ only in their
-unit key and key product.
+these integers.  NCPoly, TensorNCPoly and yangian.CPoly share one
+arithmetic, TermAlgebra, and differ only in their unit key and key
+product.
 
 Words are hash-consed: one module table maps each word to its one tuple,
 and every word that a product (``NCPoly.join``, the legs of
@@ -17,6 +17,18 @@ makers made in this process.  A closure's bounded word universe is not
 interned, so the table never holds a closure-sized word set.  Only
 object identity changes: values, term order and key order do not.
 
+Coefficients are hash-consed the same way.  A second table maps each
+value's (numerator, denominator) pair to its one Fraction, seeded with
+``exact.ONE``, and every coefficient that a term-algebra operation
+stores goes through it (``intern_coeff``), so each value is the table's
+one Fraction.  The pair is the key, not the Fraction:
+``Fraction.__hash__`` costs more than the lookup it would save.  A
+stored 1 is then ``ONE`` itself, and a product takes the other factor's
+coefficient when one is ``ONE`` instead of multiplying.  Scalars must be
+exact: ints, Fractions and numpy integers (``numbers.Rational``); a
+float, numpy float or Decimal is a TypeError, never a binary rounding of
+the intended value.
+
 Every structure map is stated on the generator matrix T(u): the
 coproduct sends it to T(u) (x) T(u), the antipode to T(u)^{-1}, the counit
 to I, and m_f to f(u) T(u).  So each map other than the counit is the
@@ -26,6 +38,7 @@ generator table of one matrix series, {t_{ij}^{(r)}: M^{(r)}_{ij}}, and
 """
 
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -76,21 +89,54 @@ def intern_word(w):
 
 
 # ---------------------------------------------------------------------------
+# hash-consed coefficients
+
+_COEFFS = {(1, 1): ONE}
+
+
+def intern_coeff(c):
+    """The table's one Fraction equal to the rational c (an int,
+    Fraction or numpy integer); c itself when it is a new Fraction."""
+    q = _COEFFS.get((c.numerator, c.denominator))
+    if q is None:
+        if type(c) is not Fraction or type(c.numerator) is not int:
+            c = Fraction(int(c.numerator), int(c.denominator))
+        q = _COEFFS[c.numerator, c.denominator] = c
+    return q
+
+
+def intern_ratio(n, d):
+    """The table's one Fraction n/d, for ints n and d > 0 with no common
+    factor: the lookup without a Fraction made first."""
+    q = _COEFFS.get((n, d))
+    if q is None:
+        q = _COEFFS[n, d] = Fraction(n, d)
+    return q
+
+
+def _exact(c):
+    """The scalar c as the table's Fraction (ZERO for 0, which the table
+    never holds); TypeError unless c is an exact rational."""
+    if type(c) is not Fraction and not isinstance(c, Rational):
+        raise TypeError("exact scalar required (int, Fraction or numpy "
+                        "integer), got %s" % type(c).__name__)
+    return intern_coeff(c) if c else ZERO
+
+
+# ---------------------------------------------------------------------------
 # term algebras: NCPoly, TensorNCPoly (and yangian.CPoly)
 
 def _add_term(out, w, c):
-    """out[w] += c in the term order of TermAlgebra: a new key takes c
-    itself, as a Fraction, at the end; a key that cancels is popped."""
+    """out[w] += c in the term order of TermAlgebra: a new key takes the
+    table's Fraction for c at the end; a key that cancels is popped."""
     v = out.get(w)
     if v is None:
-        if type(c) is not Fraction:
-            c = ZERO + c
         if c:
-            out[w] = c
+            out[w] = intern_coeff(c)
         return
     v += c
     if v:
-        out[w] = v
+        out[w] = intern_coeff(v)
     else:
         del out[w]
 
@@ -99,6 +145,11 @@ class TermAlgebra:
     """Finite Q-linear combination of basis keys, held as a dict
     {key: nonzero Fraction}.  A subclass sets the unit key ``UNIT`` and
     the key product ``join``; the arithmetic is shared.
+
+    Each coefficient that an operation stores (a sum, a product, a
+    constant, a scalar multiple, a negation or an inverse) is the
+    coefficient table's one Fraction for its value (``intern_coeff``);
+    the constructor stores the dict it is given.
 
     Term order is part of the output (relation lists and closure bases
     are pinned by hash, key order included): a sum or product pops a key
@@ -120,14 +171,15 @@ class TermAlgebra:
 
     @classmethod
     def constant(cls, c):
-        c = Fraction(c)
+        c = _exact(c)
         return cls({cls.UNIT: c} if c else {})
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        if isinstance(other, Rational):
+            other = self.constant(other)
         return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
@@ -137,9 +189,9 @@ class TermAlgebra:
         return hash(frozenset(self.terms.items()))
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.constant(other)
-        return other
+        if isinstance(other, TermAlgebra):
+            return other
+        return self.constant(other)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -157,27 +209,33 @@ class TermAlgebra:
         return self._coerce(other) + (-self)
 
     def __neg__(self):
-        return type(self)({w: -c for w, c in self.terms.items()})
+        return type(self)({w: intern_coeff(-c)
+                           for w, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return type(self)({})
-            return type(self)({w: c * x for w, x in self.terms.items()})
-        if not isinstance(other, TermAlgebra):
+        if isinstance(other, TermAlgebra):
+            join = self.join
+            out = {}
+            for w1, c1 in self.terms.items():
+                for w2, c2 in other.terms.items():
+                    # every stored 1 is ONE: a unit factor is not multiplied
+                    _add_term(out, join(w1, w2), c2 if c1 is ONE else
+                              c1 if c2 is ONE else c1 * c2)
+            return type(self)(out)
+        if not isinstance(other, Rational):
             # numpy then multiplies entrywise: a scalar series times a
             # matrix series is exact.series_mul
             return NotImplemented
-        join = self.join
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                _add_term(out, join(w1, w2), c1 * c2)
-        return type(self)(out)
+        c = _exact(other)
+        if not c:
+            return type(self)({})
+        if c is ONE:
+            return type(self)(dict(self.terms))
+        return type(self)({w: intern_coeff(c * x)
+                           for w, x in self.terms.items()})
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self.__mul__(other)
         return NotImplemented
 
@@ -185,7 +243,8 @@ class TermAlgebra:
         """Inverse when the element is a nonzero constant."""
         if list(self.terms) != [self.UNIT]:
             raise NonInvertible("constant term is not scalar")
-        return type(self)({self.UNIT: ONE / self.terms[self.UNIT]})
+        c = intern_coeff(ONE / self.terms[self.UNIT])
+        return type(self)({self.UNIT: c})
 
     def constant_coeff(self):
         return self.terms.get(self.UNIT, ZERO)
@@ -252,7 +311,8 @@ class TensorNCPoly(TermAlgebra):
     @staticmethod
     def of(left, right):
         """left (x) right for NCPoly legs."""
-        return TensorNCPoly({(intern_word(w1), intern_word(w2)): c1 * c2
+        return TensorNCPoly({(intern_word(w1), intern_word(w2)):
+                             intern_coeff(c1 * c2)
                              for w1, c1 in left.terms.items()
                              for w2, c2 in right.terms.items()})
 

@@ -27,6 +27,8 @@ from .freealg import (
     coproduct_table,
     gen_id,
     gen_ijr,
+    intern_coeff,
+    intern_ratio,
     intern_word,
     mat_inverse,
     mat_mul,
@@ -147,7 +149,6 @@ def rtt_relations(family, N, K):
     split = [divmod(e, N) for e in range(nn)]
 
     seen = set()
-    frac = {}    # (v, c0) -> the one Fraction(v, c0)
     relations = []
     for a in range(K + 2):
         for b in range(K + 2):
@@ -204,12 +205,12 @@ def rtt_relations(family, N, K):
                 if key in seen:
                     continue
                 seen.add(key)
+                # v / c0 in lowest terms, as the coefficient table's one
+                # Fraction for that value
                 terms = {}
                 for w, v in p.items():
-                    q = frac.get((v, c0))
-                    if q is None:
-                        q = frac[v, c0] = Fraction(v, c0)
-                    terms[w] = q
+                    h = gcd(v, c0) if c0 > 0 else -gcd(v, c0)
+                    terms[w] = intern_ratio(v // h, c0 // h)
                 # coefficient 1 at the minimal word: already canonical
                 relations.append(NCPoly(terms))
     relations.sort(key=_poly_sort_key)
@@ -317,7 +318,7 @@ def _poly_to_row(word2id, p):
 
 
 def _row_to_poly(id2word, row):
-    return NCPoly({id2word[i]: c for i, c in row.items()})
+    return NCPoly({id2word[i]: intern_coeff(c) for i, c in row.items()})
 
 
 def closure(pres, L, R_ord, quotient_mode=False):
@@ -417,9 +418,11 @@ def closure_for_query(pres, L, R_ord, quotient=False):
 
 
 def normal_form(cl, p):
-    """Reduction of p against the closure basis (exact; p must fit)."""
+    """Reduction of p against the closure basis (exact; p must fit, and
+    a scalar p must be an int, Fraction or numpy integer).  Each
+    coefficient is the coefficient table's Fraction for its value."""
     if not isinstance(p, NCPoly):
-        p = NCPoly.constant(Fraction(p))
+        p = NCPoly.constant(p)
     row = _poly_to_row(cl.word2id, p)
     return _row_to_poly(cl.id2word, cl.reducer.reduce(row))
 

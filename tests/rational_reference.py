@@ -38,6 +38,15 @@ readers, and NCPoly's one-word constructor, are here.  A shifted RMat's
 denominator is D(u - a) by the Taylor sum of its coefficients; here it is
 D composed with u - a by Horner's rule.
 
+NCPoly, TensorNCPoly and CPoly share one term algebra whose coefficients
+are the shared Fractions of ``freealg``'s coefficient table, with a unit
+factor taken by identity; here sums and products are the plain loops on
+{key: Fraction} dicts that each class carried before, with a new
+Fraction for every value.  NCPoly and TensorNCPoly pop a key that
+cancels and append a new key at the end, so their key order is compared
+too; CPoly filtered zeros at the end and every CPoly reader sorts, so
+only its terms are.
+
 The library's coproduct and m_f are generator tables read off one matrix
 series each (``freealg.coproduct_table``, ``freealg.mf_table``); here
 Delta(t_{ij}^{(r)}) is rebuilt from tensor products at every letter, and
@@ -77,6 +86,55 @@ def ncpoly_from_json(recs):
         w = tuple(gen_id(i, j, r) for i, j, r in rec["word"])
         terms[w] = rat_from_str(rec["coeff"])
     return NCPoly(terms)
+
+
+def terms_add(a, b):
+    """a + b on {key: Fraction} dicts in NCPoly's term order."""
+    out = dict(a)
+    for w, c in b.items():
+        v = out.get(w, ZERO) + c
+        if v:
+            out[w] = v
+        else:
+            out.pop(w, None)
+    return out
+
+
+def terms_mul(a, b, join):
+    """a * b on {key: Fraction} dicts in NCPoly's term order, keys
+    multiplied by ``join``."""
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = join(w1, w2)
+            v = out.get(w, ZERO) + c1 * c2
+            if v:
+                out[w] = v
+            else:
+                out.pop(w, None)
+    return out
+
+
+def terms_neg(a):
+    return {w: -c for w, c in a.items()}
+
+
+def cpoly_terms_add(a, b):
+    """a + b on CPoly's {monomial: Fraction} dicts."""
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, ZERO) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def cpoly_terms_mul(a, b):
+    """a * b on CPoly's {monomial: Fraction} dicts."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(sorted(m1 + m2))
+            out[m] = out.get(m, ZERO) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def poly_eval(p, x):

@@ -3,18 +3,20 @@ series, and the structure maps as generator tables: coproduct, counit,
 antipode and the scaling substitution."""
 
 import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yangkit import freealg
-from yangkit.exact import TruncSeries, series_mul, series_shift
+from yangkit import freealg, yangian
+from yangkit.exact import ONE, TruncSeries, series_mul, series_shift
 from yangkit.freealg import (
     NCPoly,
     NonInvertible,
     TensorNCPoly,
+    TermAlgebra,
     antipode_table,
     coproduct_table,
     gen_id,
@@ -28,9 +30,11 @@ from yangkit.freealg import (
     word_sum_r,
 )
 from yangkit.liealg import build_lie
-from yangkit.yangian import CPoly
+from yangkit.yangian import CPoly, closure, normal_form, rtt_relations
 import rational_reference
-from rational_reference import ncpoly_from_json, ncpoly_from_word
+from rational_reference import (cpoly_terms_add, cpoly_terms_mul,
+                                ncpoly_from_json, ncpoly_from_word,
+                                terms_add, terms_mul, terms_neg)
 
 F = Fraction
 
@@ -90,56 +94,6 @@ class TestNCPoly:
         assert TensorNCPoly.zero().max_len() == 0
 
 
-# Reference arithmetic on plain {key: Fraction} dicts: the loops that
-# NCPoly, TensorNCPoly and CPoly each carried before they shared one term
-# algebra.  NCPoly and TensorNCPoly pop a key that cancels and append a
-# new key at the end, so their key order is compared too; CPoly filtered
-# zeros at the end and every CPoly reader sorts, so only its terms are.
-
-def _ref_add(a, b):
-    out = dict(a)
-    for w, c in b.items():
-        v = out.get(w, F(0)) + c
-        if v:
-            out[w] = v
-        else:
-            out.pop(w, None)
-    return out
-
-
-def _ref_mul(a, b, join):
-    out = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = join(w1, w2)
-            v = out.get(w, F(0)) + c1 * c2
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-    return out
-
-
-def _ref_cpoly_add(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = out.get(m, F(0)) + c
-    return {m: c for m, c in out.items() if c}
-
-
-def _ref_cpoly_mul(a, b):
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(sorted(m1 + m2))
-            out[m] = out.get(m, F(0)) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
-def _neg(a):
-    return {w: -c for w, c in a.items()}
-
-
 _COEFFS = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-3, 2)])
 # two letters and short words, so that keys collide and cancel often
 _WORDS = st.lists(st.sampled_from([gen_id(1, 1, 1), gen_id(1, 2, 1)]),
@@ -151,10 +105,10 @@ _KEYS = {
         lambda m: tuple(sorted(m))),
 }
 _REF = {
-    NCPoly: (_ref_add, lambda a, b: _ref_mul(a, b, lambda x, y: x + y)),
-    TensorNCPoly: (_ref_add, lambda a, b: _ref_mul(
+    NCPoly: (terms_add, lambda a, b: terms_mul(a, b, lambda x, y: x + y)),
+    TensorNCPoly: (terms_add, lambda a, b: terms_mul(
         a, b, lambda x, y: (x[0] + y[0], x[1] + y[1]))),
-    CPoly: (_ref_cpoly_add, _ref_cpoly_mul),
+    CPoly: (cpoly_terms_add, cpoly_terms_mul),
 }
 _TERM_CLASSES = pytest.mark.parametrize(
     "cls", [NCPoly, TensorNCPoly, CPoly],
@@ -187,15 +141,15 @@ class TestTermAlgebra:
         c = data.draw(_COEFFS | st.sampled_from([0, 3, -1]))
         cd = {cls.UNIT: F(c)} if c else {}
         assert _same(cls, a + b, add(a.terms, b.terms))
-        assert _same(cls, a - b, add(a.terms, _neg(b.terms)))
-        assert _same(cls, -a, _neg(a.terms))
+        assert _same(cls, a - b, add(a.terms, terms_neg(b.terms)))
+        assert _same(cls, -a, terms_neg(a.terms))
         assert _same(cls, a * b, mul(a.terms, b.terms))
         assert _same(cls, a + c, add(a.terms, cd))
         assert _same(cls, c + a, add(a.terms, cd))
-        assert _same(cls, a - c, add(a.terms, _neg(cd)))
+        assert _same(cls, a - c, add(a.terms, terms_neg(cd)))
         assert _same(cls, c * a, mul(cd, a.terms))
         assert _same(cls, a * c, mul(a.terms, cd))
-        assert _same(cls, c - a, add(cd, _neg(a.terms)))
+        assert _same(cls, c - a, add(cd, terms_neg(a.terms)))
 
     def test_cancelled_key_reappears_at_the_end(self):
         # in (1 + g + g^2)(g^2 - g + 1) the key g^2 cancels at the second
@@ -541,3 +495,253 @@ class TestHashConsedWords:
         monkeypatch.setattr(TensorNCPoly, "join", staticmethod(
             lambda a, b: (a[0] + b[0], a[1] + b[1])))
         assert not tensor_legs_share_words()
+
+
+def is_member(c):
+    """c is the coefficient table's Fraction for its value."""
+    return freealg._COEFFS.get((c.numerator, c.denominator)) is c
+
+
+def coeffs_shared(coeffs):
+    """Equal values among ``coeffs`` are one object, the one that
+    freealg's coefficient table holds."""
+    coeffs = list(coeffs)
+    return (len({id(c) for c in coeffs}) == len(set(coeffs))
+            and all(map(is_member, coeffs)))
+
+
+def _coeffs(*elements):
+    return [c for p in elements for c in p.terms.values()]
+
+
+def made_coeffs_shared():
+    x, y = NCPoly.gen(1, 2, 1), NCPoly.gen(2, 1, 2)
+    a = 2 * x + 3 * y
+    made = [a * a, (x + y) * a + a, 6 * (x * y), a * F(3, 2) - y,
+            NCPoly.constant(F(12, 3)), NCPoly.constant(6), -(F(-9) * y),
+            -a, NCPoly.constant(F(1, 4)).unit_inverse()]
+    return coeffs_shared(_coeffs(*made))
+
+
+def _fresh(n):
+    """n Fractions whose values the coefficient table does not hold."""
+    d = 10 ** 12 + 39
+    out = []
+    k = 1
+    while len(out) < n:
+        if (k, d) not in freealg._COEFFS:
+            out.append(F(k, d))
+        k += 1
+    return out
+
+
+def unit_factors_keep_coefficients():
+    """A generator factor (coefficient ONE) on either side leaves the
+    other factor's coefficient objects in the product: for an element
+    made by the arithmetic, and for one whose values are new to the
+    table."""
+    x, y = NCPoly.gen(1, 2, 1), NCPoly.gen(2, 1, 2)
+    g = NCPoly.gen(1, 1, 2)
+    c1, c2 = _fresh(2)
+    for p in (F(2, 3) * x + F(-5, 7) * (y * x),
+              NCPoly({(gen_id(1, 2, 1),): c1, (gen_id(2, 1, 2),): c2})):
+        want = [id(c) for c in p.terms.values()]
+        for q in (g * p, p * g):
+            if [id(c) for c in q.terms.values()] != want:
+                return False
+    return True
+
+
+_MUL = TermAlgebra.__mul__
+
+
+def _mul_without_unit_test(self, other):
+    """TermAlgebra.__mul__ computing every coefficient product."""
+    if not isinstance(other, TermAlgebra):
+        return _MUL(self, other)
+    out = {}
+    for w1, c1 in self.terms.items():
+        for w2, c2 in other.terms.items():
+            freealg._add_term(out, self.join(w1, w2), c1 * c2)
+    return type(self)(out)
+
+
+def _add_term_without_table(out, w, c):
+    v = out.get(w)
+    if v is None:
+        if c:
+            out[w] = F(c)
+        return
+    v += c
+    if v:
+        out[w] = v
+    else:
+        del out[w]
+
+
+@pytest.fixture(scope="module")
+def sl2_k2():
+    pres = rtt_relations("sl", 2, 2)
+    return pres, closure(pres, 2, 2)
+
+
+def _normal_forms(cl):
+    x, y = NCPoly.gen(1, 2, 1), NCPoly.gen(2, 1, 1)
+    c1, c2 = _fresh(2)
+    return [normal_form(cl, c1 * (x * y) + c2 * (y * x)),
+            normal_form(cl, F(3, 7) * (x * y)), normal_form(cl, F(-2, 9))]
+
+
+class TestSharedCoefficients:
+    """Every coefficient that the term algebra stores is the coefficient
+    table's one Fraction for its value, and a coefficient equal to 1 is
+    ONE, so a product takes the other factor's coefficient as is."""
+
+    def test_equal_values_are_one_object(self):
+        assert made_coeffs_shared()
+
+    def test_one_is_the_exact_one(self):
+        x = NCPoly.gen(1, 2, 1)
+        made = [NCPoly.one(), NCPoly.constant(1), x, 3 * x * F(1, 3),
+                (x + F(1, 2)) - F(1, 2) * NCPoly.constant(F(-1))]
+        assert all(c is ONE for c in _coeffs(*made) if c == 1)
+
+    def test_zero_is_never_stored(self):
+        x = NCPoly.gen(1, 2, 1)
+        assert not (NCPoly.constant(0) or 0 * x or x * F(0) or x - x)
+        assert x + 0 == x and (0, 1) not in freealg._COEFFS
+
+    def test_unit_factors_keep_coefficient_objects(self):
+        assert unit_factors_keep_coefficients()
+
+    def test_tensor_and_cpoly_coefficients_are_members(self):
+        x, y = NCPoly.gen(1, 2, 1), NCPoly.gen(2, 1, 2)
+        c1, c2 = _fresh(2)
+        t = TensorNCPoly.of(F(2, 3) * x + y, NCPoly({(): c1}) + x)
+        z = CPoly({(2,): c2}) * CPoly.symbol(3) + CPoly.constant(F(5, 4))
+        assert coeffs_shared(_coeffs(t, t * t, t - t * F(1, 2), z, z * z))
+
+    def test_relations_and_normal_forms_are_members(self, sl2_k2):
+        pres, cl = sl2_k2
+        nfs = _normal_forms(cl)
+        assert all(nfs)
+        assert all(map(is_member, _coeffs(*pres.relations, *nfs)))
+
+    def test_planted_add_term_without_table_fails(self, monkeypatch):
+        monkeypatch.setattr(freealg, "_add_term", _add_term_without_table)
+        assert not made_coeffs_shared()
+
+    def test_planted_mul_without_unit_test_fails(self, monkeypatch):
+        monkeypatch.setattr(TermAlgebra, "__mul__", _mul_without_unit_test)
+        assert not unit_factors_keep_coefficients()
+
+    def test_planted_relations_without_table_fail(self, monkeypatch):
+        monkeypatch.setattr(yangian, "intern_ratio", F)
+        pres = rtt_relations("sl", 2, 2)
+        assert not all(map(is_member, _coeffs(*pres.relations)))
+
+    def test_planted_normal_form_without_table_fails(self, sl2_k2,
+                                                      monkeypatch):
+        monkeypatch.setattr(yangian, "_row_to_poly", lambda id2word, row:
+                            NCPoly({id2word[i]: c for i, c in row.items()}))
+        assert not all(map(is_member, _coeffs(*_normal_forms(sl2_k2[1]))))
+
+
+# letters of the words that the shared-arithmetic property test builds
+_GEN = {g: NCPoly.gen(*gen_ijr(g)) for g in (gen_id(1, 1, 1),
+                                              gen_id(1, 2, 1))}
+
+
+def _monomial(cls, key):
+    """The basis element of ``key`` made by the arithmetic: letters
+    multiplied, legs tensored, symbols multiplied."""
+    if cls is NCPoly:
+        p = NCPoly.one()
+        for g in key:
+            p = p * _GEN[g]
+        return p
+    if cls is TensorNCPoly:
+        return TensorNCPoly.of(_monomial(NCPoly, key[0]),
+                               _monomial(NCPoly, key[1]))
+    p = CPoly.one()
+    for r in key:
+        p = p * CPoly.symbol(r)
+    return p
+
+
+# fresh Fraction objects, so a stored value is shared only through the
+# coefficient table
+_FRESH = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+
+
+def _built(data, cls):
+    """(element, reference terms): a random element summed from constant
+    multiples of monomials, and its terms as a plain dict."""
+    terms = data.draw(st.dictionaries(_KEYS[cls], _FRESH, max_size=4))
+    p = cls.zero()
+    for key, c in terms.items():
+        p = p + cls.constant(c) * _monomial(cls, key)
+    return p, terms
+
+
+@_TERM_CLASSES
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_shared_arithmetic_matches_fraction_reference(cls, data):
+    """Sums and products of elements made by the arithmetic equal the
+    Fraction-only loops of rational_reference in value and term order,
+    and hold only coefficient-table members."""
+    add, mul = _REF[cls]
+    (a, ra), (b, rb) = _built(data, cls), _built(data, cls)
+    c = data.draw(_FRESH)
+    rc = {cls.UNIT: c}
+    results = [(a, ra), (a + b, add(ra, rb)), (a - b, add(ra, terms_neg(rb))),
+               (-a, terms_neg(ra)), (a * b, mul(ra, rb)),
+               (b * a, mul(rb, ra)), (a * c, mul(ra, rc)),
+               (c * a, mul(rc, ra)), (a + c, add(ra, rc)),
+               (c - a, add(rc, terms_neg(ra)))]
+    for got, want in results:
+        assert _same(cls, got, want)
+        assert all(map(is_member, got.terms.values()))
+
+
+_INEXACT = pytest.mark.parametrize(
+    "c", [0.1, np.float64(0.5), Decimal("0.1")],
+    ids=["float", "numpy-float", "Decimal"])
+
+
+class TestExactScalars:
+    """A scalar is an int, a Fraction or a numpy integer; an inexact one
+    is refused, never rounded to a binary fraction."""
+
+    @_INEXACT
+    @_TERM_CLASSES
+    def test_constant_refuses_inexact(self, cls, c):
+        with pytest.raises(TypeError):
+            cls.constant(c)
+
+    @_INEXACT
+    @pytest.mark.parametrize("op", [
+        operator.add, lambda p, c: c + p, operator.sub, lambda p, c: c - p],
+        ids=["p+c", "c+p", "p-c", "c-p"])
+    def test_sum_refuses_inexact(self, c, op):
+        with pytest.raises(TypeError):
+            op(NCPoly.gen(1, 2, 1) + 1, c)
+
+    @_INEXACT
+    def test_normal_form_refuses_inexact(self, sl2_k2, c):
+        with pytest.raises(TypeError):
+            normal_form(sl2_k2[1], c)
+
+    @pytest.mark.parametrize("c", [3, True, F(6, 2), np.int64(3),
+                                   np.int8(3)],
+                             ids=["int", "bool", "Fraction", "int64", "int8"])
+    def test_exact_scalars_are_table_fractions(self, sl2_k2, c):
+        p = NCPoly.gen(1, 2, 1)
+        v = F(int(c))
+        made = [NCPoly.constant(c), p + c, c - p, p * c, c * p,
+                normal_form(sl2_k2[1], c)]
+        assert [q.constant_coeff() for q in made] == [v, v, v, 0, 0, v]
+        ks = _coeffs(*made)
+        assert {abs(k) for k in ks} <= {ONE, v}
+        assert all(is_member(k) and type(k.numerator) is int for k in ks)
