@@ -105,15 +105,6 @@ def intern_coeff(c):
     return q
 
 
-def intern_ratio(n, d):
-    """The table's one Fraction n/d, for ints n and d > 0 with no common
-    factor: the lookup without a Fraction made first."""
-    q = _COEFFS.get((n, d))
-    if q is None:
-        q = _COEFFS[n, d] = Fraction(n, d)
-    return q
-
-
 def _exact(c):
     """The scalar c as the table's Fraction (ZERO for 0, which the table
     never holds); TypeError unless c is an exact rational."""
@@ -179,7 +170,8 @@ class TermAlgebra:
 
     def __eq__(self, other):
         if isinstance(other, Rational):
-            other = self.constant(other)
+            # compared, not stored: the scalar stays out of the table
+            return self.terms == ({self.UNIT: other} if other else {})
         return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
@@ -229,8 +221,6 @@ class TermAlgebra:
         c = _exact(other)
         if not c:
             return type(self)({})
-        if c is ONE:
-            return type(self)(dict(self.terms))
         return type(self)({w: intern_coeff(c * x)
                            for w, x in self.terms.items()})
 

@@ -28,7 +28,6 @@ from .freealg import (
     gen_id,
     gen_ijr,
     intern_coeff,
-    intern_ratio,
     intern_word,
     mat_inverse,
     mat_mul,
@@ -149,6 +148,7 @@ def rtt_relations(family, N, K):
     split = [divmod(e, N) for e in range(nn)]
 
     seen = set()
+    frac = {}    # (v, c0) -> the coefficient table's Fraction v/c0
     relations = []
     for a in range(K + 2):
         for b in range(K + 2):
@@ -205,12 +205,12 @@ def rtt_relations(family, N, K):
                 if key in seen:
                     continue
                 seen.add(key)
-                # v / c0 in lowest terms, as the coefficient table's one
-                # Fraction for that value
                 terms = {}
                 for w, v in p.items():
-                    h = gcd(v, c0) if c0 > 0 else -gcd(v, c0)
-                    terms[w] = intern_ratio(v // h, c0 // h)
+                    q = frac.get((v, c0))
+                    if q is None:
+                        q = frac[v, c0] = intern_coeff(Fraction(v, c0))
+                    terms[w] = q
                 # coefficient 1 at the minimal word: already canonical
                 relations.append(NCPoly(terms))
     relations.sort(key=_poly_sort_key)

@@ -614,6 +614,20 @@ class TestSharedCoefficients:
     def test_unit_factors_keep_coefficient_objects(self):
         assert unit_factors_keep_coefficients()
 
+    def test_scalar_multiples_by_one_are_members(self):
+        c1, c2 = _fresh(2)
+        p = NCPoly({(gen_id(1, 2, 1),): c1, (gen_id(2, 1, 2),): c2})
+        q = p * 1
+        assert q == p and q.terms is not p.terms
+        assert all(map(is_member, _coeffs(q, 1 * p, F(1) * p)))
+
+    def test_comparison_leaves_the_table_alone(self):
+        c, = _fresh(1)
+        x = NCPoly.gen(1, 2, 1)
+        assert x != c and NCPoly.one() != c and NCPoly.constant(2) != c
+        assert (c.numerator, c.denominator) not in freealg._COEFFS
+        assert NCPoly.constant(2) == np.int64(2) and NCPoly.zero() == 0
+
     def test_tensor_and_cpoly_coefficients_are_members(self):
         x, y = NCPoly.gen(1, 2, 1), NCPoly.gen(2, 1, 2)
         c1, c2 = _fresh(2)
@@ -636,7 +650,7 @@ class TestSharedCoefficients:
         assert not unit_factors_keep_coefficients()
 
     def test_planted_relations_without_table_fail(self, monkeypatch):
-        monkeypatch.setattr(yangian, "intern_ratio", F)
+        monkeypatch.setattr(yangian, "intern_coeff", F)
         pres = rtt_relations("sl", 2, 2)
         assert not all(map(is_member, _coeffs(*pres.relations)))
 
