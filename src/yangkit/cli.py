@@ -140,7 +140,7 @@ def _status(checks):
 # verification suites
 
 def _suite_classical(cfg, ctx):
-    t = casimir(build_lie(cfg.family, cfg.N))
+    t = ctx["cas"]
     return [verify_classical_presentation(t), verify_current_presentation(t),
             verify_extension_split(t), verify_yangian_module(t)]
 
@@ -181,7 +181,7 @@ def _suite_rmatrix(cfg, ctx):
             "num": [rat_to_str(c) for c in num],
             "den": [rat_to_str(c) for c in den]}}
     checks.append(check_report("unitarity", ok, details, cfg.family, cfg.N))
-    checks.append(expansion_check(R, casimir(build_lie(cfg.family, cfg.N))))
+    checks.append(expansion_check(R, ctx["cas"]))
     rng = random.Random(cfg.seed)
     bad, entry, c = _perturbed_r(R, rng)
     bad_ok = check_qybe(bad)
@@ -274,19 +274,18 @@ def _first_order_image(cas, a, b):
 def _noncommuting_probe(cas, i, j):
     """Indices of a probe t_ab^(1) whose commutator with t_ij^(2) is
     nonzero at leading order: t_{1,2}^(1) if it qualifies, else the first
-    qualifying (a, b) in row-major order.  Falls back to t_{1,2}^(1) when
-    t_ij^(2) commutes with every first-order generator at leading order
-    (so_N has such t_ij^(2), e.g. t_13^(2) in so_3, which the centrality
-    negative control never draws)."""
+    qualifying (a, b) in row-major order.  ValueError if none does (the
+    control would be vacuous); a draw of _perturbation_indices has one,
+    as rho is faithful and simple g has no center."""
     x = _first_order_image(cas, i, j)
-    default = (1, 1 % cas.d + 1)
-    candidates = [default] + [(a, b) for a in range(1, cas.d + 1)
-                              for b in range(1, cas.d + 1)]
+    candidates = [(1, 1 % cas.d + 1)] + [(a, b) for a in range(1, cas.d + 1)
+                                         for b in range(1, cas.d + 1)]
     for a, b in candidates:
         y = _first_order_image(cas, a, b)
         if (safe_matmul(x, y) != safe_matmul(y, x)).any():
             return a, b
-    return default
+    raise ValueError("t_%d%d^(2) commutes with every first-order generator "
+                     "at leading order" % (i, j))
 
 
 def _perturbation_indices(cas, rng):
@@ -381,6 +380,9 @@ def cmd_verify(cfg):
         if need_algebra - {"pbw", "rtt"}:
             # one z-series per closure, shared by the suites that need it
             ctx["cs"] = z_series(ctx["pres"], ctx["cl"])
+    # one Casimir data per command, read by every suite
+    ctx["cas"] = (ctx["pres"].casimir if need_algebra
+                  else casimir(build_lie(cfg.family, cfg.N)))
     checks = [c for s in SUITES if s in cfg.suite
               for c in _SUITE_FNS[s](cfg, ctx)]
     report = {"schema": SCHEMA, "command": "verify",

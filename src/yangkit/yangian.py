@@ -66,25 +66,26 @@ class BoundsTooLarge(RuntimeError):
 # RTT relation generation
 
 class RTTPresentation:
-    """The cleared RTT identity collected coefficient by coefficient.
+    """The cleared RTT identity of R(u) on V (x) V collected coefficient
+    by coefficient, g, V and rho read from ``casimir`` alone (ValueError
+    if R acts on another V).  ``relations`` is a tuple, and
+    ``relation_bounds`` holds each relation's (max_len, max_sum_r) beside
+    it, decoded once here so that every closure and fit count reads it."""
 
-    ``relations`` is a tuple, and ``relation_bounds`` holds each
-    relation's (max_len, max_sum_r) beside it, decoded once here so that
-    every closure and fit count reads the two ints."""
-
-    __slots__ = ("lie", "casimir", "R", "K", "relations", "relation_bounds",
+    __slots__ = ("casimir", "R", "K", "relations", "relation_bounds",
                  "family", "N")
 
-    def __init__(self, lie, cas, R, K, relations):
-        self.lie = lie
+    def __init__(self, cas, R, K, relations):
+        if R.N != cas.d:
+            raise ValueError("dim V: %d for R, %d for cas" % (R.N, cas.d))
         self.casimir = cas
         self.R = R
         self.K = K
         self.relations = tuple(relations)
         self.relation_bounds = tuple((p.max_len(), p.max_sum_r())
                                      for p in self.relations)
-        self.family = lie.family
-        self.N = R.N
+        self.family = cas.data.family
+        self.N = cas.d
 
     @property
     def clear_degree(self):
@@ -119,8 +120,7 @@ def rtt_relations(family, N, K):
     family = family.lower()
     if K < 2:
         raise ValueError("K >= 2 required")
-    data = build_lie(family, N)
-    cas = casimir(data)
+    cas = casimir(build_lie(family, N))
     nn = N * N
     R = closed_form_r(family, N)
     # D(w) R(w) = scale * sum_m C_m w^m with w = u - v and d = deg D
@@ -214,7 +214,7 @@ def rtt_relations(family, N, K):
                 # coefficient 1 at the minimal word: already canonical
                 relations.append(NCPoly(terms))
     relations.sort(key=_poly_sort_key)
-    pres = RTTPresentation(data, cas, R, K, relations)
+    pres = RTTPresentation(cas, R, K, relations)
     # sanity filter: every relation must die under the one-factor
     # evaluation homomorphism T(u) -> R(u)
     ev = EvalModule(pres, [ZERO])
@@ -652,9 +652,8 @@ class CPoly(TermAlgebra):
 
 def y_from_z(cs, K):
     """Solve z(u) = y(u) y(u + c_g/2)^{-1} order by order for y in the
-    commutative ring of z-symbols; updates cs.y and returns cs."""
-    if cs.c_g == 0:
-        raise ValueError("c_g must be nonzero")
+    commutative ring of z-symbols; updates cs.y and returns cs.  c_g is
+    that of the presentation's Casimir data, which verified it nonzero."""
     half = cs.c_g / 2
     zc = [CPoly.one(), CPoly.zero()]
     zc += [CPoly.symbol(r) for r in range(2, K + 2)]
@@ -759,9 +758,9 @@ def symmetry_series(cs):
         raise WrongFamily("symmetry series is defined for so/sp only")
     N = pres.N
     K = pres.K
-    kap = pres.lie.kappa
+    kap = pres.casimir.data.kappa
     T = t_matrix(N, K)
-    Tt = transpose_t(series_shift(T, kap), pres.lie)
+    Tt = transpose_t(series_shift(T, kap), pres.casimir.data)
     M = mat_mul(Tt, T)
     M2 = mat_mul(T, Tt)
 
@@ -932,9 +931,8 @@ def verify_low_order_structure(cs, quotient_cl=None):
     pres = cl.pres
     if quotient_cl is not None and quotient_cl.pres is not pres:
         raise ValueError("the closure belongs to another presentation")
-    N = pres.N
-    lie = pres.lie
     cas = pres.casimir
+    N = cas.d
     c_g = cas.c_g
     # Omega_rho = som * om4 as [x, y, x', y'] and the omega-operator
     # swop * wop4 on End V, both integer
@@ -1012,13 +1010,13 @@ def verify_low_order_structure(cs, quotient_cl=None):
     b_table = {}
     all_zero = True
     pjd, sjd = cas.dual(cas.rep.pj, cas.rep.sj)
-    bj = -checked_einsum("lij,lab->ijab", lie.basis, pjd)
+    bj = -checked_einsum("lij,lab->ijab", cas.px, pjd)
     for i in range(N):
         for j in range(N):
             if bj[i, j].any():
                 all_zero = False
                 b_table["%d,%d" % (i + 1, j + 1)] = [
-                    [rat_to_str(Fraction(int(x)) * sjd) for x in row]
+                    [rat_to_str(int(x) * cas.sx * sjd) for x in row]
                     for row in bj[i, j]]
     det["b_table_all_zero"] = all_zero
     if not all_zero:

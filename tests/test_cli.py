@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,35 @@ class TestUsageErrors:
                      "--len", "12", "--sumr", "12"]) == 3
         assert "bounds too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        ("verify --family sl --n 1 --suite classical", "N >= 2 required"),
+        ("verify --family sl --n 2 --order 1 --suite classical",
+         "order K >= 2 required"),
+        ("verify --family sl --n 2 --len 0 --sumr 2 --suite rtt",
+         "len bound must be positive"),
+        ("verify --family sl --n 2 --len 2 --sumr 1 --suite rtt",
+         "sumr bound must be >= 2"),
+        ("verify --family so --n 3 --len 2 --sumr 2 --suite qdet",
+         "suite qdet applies to sl only"),
+        ("verify --family sl --n 2 --suite ,", "suite must be nonempty"),
+        ("verify --n 2 --suite classical", "--family is required"),
+        ("verify --family sl --suite classical", "--n is required"),
+        ("qdet --family sl --n 2", "qdet needs --len and --sumr"),
+    ], ids=["n", "order", "len", "sumr", "qdet-suite", "empty-suite",
+            "no-family", "no-n", "qdet-bounds"])
+    def test_guard_message(self, capsys, argv, message):
+        assert main(argv.split()) == 2
+        assert capsys.readouterr() == ("", "usage error: %s\n" % message)
+
+    def test_unknown_family_in_config(self, tmp_path, capsys):
+        # --family is limited by the parser; a config file reaches RunConfig
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "su", "N": 2,
+                                   "suite": ["classical"]}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: family must be one of sl, so, sp\n")
+
 
 class TestVerify:
     def test_pass_and_schema(self, tmp_path):
@@ -100,6 +130,22 @@ class TestVerify:
         assert rep["status"] == "pass"
         assert {c["check"] for c in rep["checks"]} == \
             {"rtt_closure", "pbw_extended", "pbw_quotient"}
+
+    def test_default_suite_is_classical_rmatrix(self, capsys):
+        assert main(["verify", "--family", "sl", "--n", "2"]) == 0
+        default = capsys.readouterr().out
+        assert main(["verify", "--family", "sl", "--n", "2", "--suite",
+                     "classical,rmatrix"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_one_casimir_data_per_command(self, monkeypatch):
+        built = []
+        real = climod.casimir
+        monkeypatch.setattr(climod, "casimir",
+                            lambda *a: built.append(a) or real(*a))
+        assert main(["verify", "--family", "sl", "--n", "3", "--suite",
+                     "classical,rmatrix"]) == 0
+        assert len(built) == 1
 
     def test_byte_identical_reports(self, tmp_path):
         argv = ["verify", "--family", "sl", "--n", "2", "--order", "3",
@@ -469,7 +515,7 @@ class TestPbwPlantedDefects:
         assert [c["status"] for c in checks.values()] == ["pass", "pass"]
 
     def test_dropped_relation_fails_extended(self, sl2):
-        bad = yangian.RTTPresentation(sl2.lie, sl2.casimir, sl2.R, sl2.K,
+        bad = yangian.RTTPresentation(sl2.casimir, sl2.R, sl2.K,
                                       sl2.relations[1:])
         check = self._checks(bad)["pbw_extended"]
         assert check["status"] == "fail"
@@ -508,6 +554,33 @@ class TestCentralityNegativeControl:
             assert check["details"]["perturbed_element_central"] is False
             drawn.add(tuple(check["details"]["perturbation_generator"]))
         assert (1, 2, 2) in drawn
+
+    def test_probe_refuses_a_generator_that_commutes(self):
+        # so_3 t_13^(2) has zero leading-order image: no probe would make
+        # the control fail, so none is returned
+        cas = casimir(build_lie("so", 3))
+        assert not climod._first_order_image(cas, 1, 3).any()
+        with pytest.raises(ValueError, match=r"t_13\^\(2\) commutes"):
+            climod._noncommuting_probe(cas, 1, 3)
+
+    def test_planted_y_recursion_fails_the_check(self, monkeypatch):
+        # y_from_z solves for y_{r-1} with (r - 1) doubled, inside the
+        # center suite of sl2 K=4 at (3, 4)
+        pres = rtt_relations("sl", 2, 4)
+        cs = z_series(pres, closure(pres, 3, 4))
+        real = climod.y_from_z
+
+        def planted(cs, K):
+            with monkeypatch.context() as m:
+                m.setattr(yangian, "Fraction",
+                          lambda x, *a: 2 * Fraction(x, *a))
+                return real(cs, K)
+        monkeypatch.setattr(climod, "y_from_z", planted)
+        cfg = climod.RunConfig("sl", 2, 4, 3, 4, ("center",), 0, None)
+        checks = {c["check"]: c for c in climod._center_checks(cfg, cs)}
+        assert checks["y_recursion"]["status"] == "fail"
+        assert checks["y_recursion"]["details"]["verified_to"] == -1
+        assert checks["z_series"]["status"] == "fail"
 
     def test_seed_zero_keeps_its_probe(self):
         cas = casimir(build_lie("sl", 2))

@@ -19,8 +19,8 @@ from yangkit import freealg, yangian
 from yangkit.exact import TruncSeries, series_mul, series_shift
 from yangkit.freealg import (NCPoly, TensorNCPoly, gen_id, gen_ijr,
                              mat_inverse, t_matrix, transpose_t, word_sum_r)
-from yangkit.liealg import (_INT_LIMIT, casimir, int_to_frac_array,
-                            twisted_rep)
+from yangkit.liealg import (_INT_LIMIT, Representation, build_lie, casimir,
+                            int_to_frac_array, twisted_rep)
 from yangkit.rmatrix import RMat, closed_form_r
 from yangkit.yangian import (
     BoundsTooLarge,
@@ -393,7 +393,7 @@ def _shifts_match(family, N, K, reference):
     T = t_matrix(N, K)
     series = [T, mat_inverse(T), yangian._z_matrix(pres, K)]
     if family != "sl":
-        series.append(transpose_t(T, pres.lie))
+        series.append(transpose_t(T, pres.casimir.data))
     shifts = [F(1), F(-1), F(3, 2), F(-7, 3), pres.casimir.c_g / 2]
     return all(_term_lists(series_shift(A, c)) == _term_lists(reference(A, c))
                for A in series for c in shifts)
@@ -652,6 +652,18 @@ class TestPlantedZ:
     """Each check that reads the run's z-series fails at order 2 when
     z_2 is wrong."""
 
+    def test_y_recursion(self, monkeypatch):
+        # y_from_z solves for y_{r-1} with (r - 1) doubled: y(u)
+        # y(u + c_g/2)^{-1} then misses z(u), and the z-series report
+        # fails
+        pres = _presentation("sl", 2, 4)
+        cs = z_series(pres, closure(pres, 3, 4))
+        assert cs.report["status"] == "pass"
+        monkeypatch.setattr(yangian, "Fraction", lambda x, *a: 2 * F(x, *a))
+        y_from_z(cs, 3)
+        assert cs.report["details"]["y_recursion_verified_to"] == -1
+        assert cs.report["status"] == "fail"
+
     def test_hopf(self, sl2_cs):
         report = verify_hopf(_planted_z(sl2_cs))
         assert report["status"] == "fail"
@@ -727,9 +739,9 @@ LOW_ORDER_TWISTED_DIGESTS = {
 
 @pytest.mark.parametrize("c", list(LOW_ORDER_TWISTED_DIGESTS), ids=str)
 def test_low_order_twisted_goldens(sl2, sl2_cs, c):
-    pres = yangian.RTTPresentation(
-        sl2.lie, casimir(sl2.lie, twisted_rep(sl2.lie, c)), sl2.R, sl2.K,
-        sl2.relations)
+    lie = sl2.casimir.data
+    pres = yangian.RTTPresentation(casimir(lie, twisted_rep(lie, c)), sl2.R,
+                                   sl2.K, sl2.relations)
     report = verify_low_order_structure(z_series(pres, closure(pres, 3, 4)))
     got = json.dumps(report, sort_keys=True)
     assert (hashlib.sha256(got.encode()).hexdigest()
@@ -737,6 +749,37 @@ def test_low_order_twisted_goldens(sl2, sl2_cs, c):
     if c == 0:
         assert got == json.dumps(
             verify_low_order_structure(sl2_cs), sort_keys=True)
+
+
+def test_low_order_reads_v_from_the_casimir_data(sl2):
+    """The J-coupling table contracts the rho(X_l) that the presentation's
+    Casimir data holds, not the algebra's basis: swapping the two basis
+    vectors of V conjugates rho and rho(J) alike, and leaves Omega, the
+    omega-operator and the table as they are."""
+    lie = sl2.casimir.data
+    rep = twisted_rep(lie, 2)
+    P = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    swapped = Representation(P @ rep.px @ P, rep.sx, P @ rep.pj @ P, rep.sj)
+    assert (swapped.px != rep.px).any()
+    reports = []
+    for r in (rep, swapped):
+        pres = yangian.RTTPresentation(casimir(lie, r), sl2.R, sl2.K,
+                                       sl2.relations)
+        reports.append(verify_low_order_structure(
+            z_series(pres, closure(pres, 3, 4))))
+    assert not reports[0]["details"]["b_table_all_zero"]
+    assert reports[1]["details"]["b_table"] == reports[0]["details"]["b_table"]
+    assert reports[1] == reports[0]
+
+
+def test_mismatched_presentation_raises(sl2):
+    """R(u) must act on V (x) V for the V of the Casimir data."""
+    so3 = casimir(build_lie("so", 3))
+    with pytest.raises(ValueError, match="dim V: 2 for R, 3 for cas"):
+        yangian.RTTPresentation(so3, sl2.R, sl2.K, sl2.relations)
+    with pytest.raises(ValueError):
+        yangian.RTTPresentation(sl2.casimir, closed_form_r("so", 3), sl2.K,
+                                sl2.relations)
 
 
 class TestEvaluation:
